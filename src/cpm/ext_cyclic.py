@@ -16,15 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import COMPOUND_OPS
+from .rewrite import COMPOUND_OPS, decl_head
 from .srcmodel import (
     Diagnostic,
     SourceUnit,
     TokenKind,
     apply_spans,
+    map_lines,
     significant,
     split_segments,
-    unit_from_raws,
 )
 
 PASS_ID = ExtensionId("cyclic", "1.0")
@@ -45,25 +45,14 @@ def _match_decl(raw, tokens, seg):
         return None
     if toks[-1].lexeme != ";" or toks[-2].lexeme != ")":
         return None
-    open_at = None
-    for j, t in enumerate(toks):
-        if t.lexeme == "(":
-            open_at = j
-            break
-    if open_at is None or open_at < 3:
+    open_at = next((j for j, t in enumerate(toks) if t.lexeme == "("), None)
+    decl = decl_head(toks[1:open_at]) if open_at is not None else None
+    if decl is None:
         return None
-    name_tok = toks[open_at - 1]
-    if name_tok.kind is not TokenKind.IDENTIFIER:
-        return None
-    type_toks = toks[1 : open_at - 1]
-    for t in type_toks:
-        if t.kind not in (TokenKind.KEYWORD, TokenKind.IDENTIFIER) and t.lexeme != "*":
-            return None
-    params = raw[toks[open_at].end : toks[-2].column]
     return {
-        "name": name_tok.lexeme,
-        "type_text": " ".join(t.lexeme for t in type_toks),
-        "params": params,
+        "name": decl[1],
+        "type_text": decl[0],
+        "params": raw[toks[open_at].end : toks[-2].column],
         "start": toks[0].column,
         "end": toks[-1].end,
     }
@@ -75,16 +64,12 @@ def scan_cyclic(unit: SourceUnit, config, skip=frozenset()):
     diags: list[Diagnostic] = []
     specs: list[CyclicMethodSpec] = []
     names = set()
-    raws = []
-    for line in unit.lines:
+
+    def lower_decls(line):
         raw = line.raw
-        if line.line_no in skip or line.in_block_comment:
-            raws.append(raw)
-            continue
         sig = significant(line.tokens)
         if not any(line.tokens[i].lexeme == "cyclic_t" for i in sig):
-            raws.append(raw)
-            continue
+            return raw
         spans = []
         for seg in split_segments(line.tokens, sig):
             if not any(line.tokens[i].lexeme == "cyclic_t" for i in seg):
@@ -112,9 +97,9 @@ def scan_cyclic(unit: SourceUnit, config, skip=frozenset()):
                 )
             )
             spans.append((m["start"], m["end"], f"{proto} cpm_cycle_register({m['name']});"))
-        raws.append(apply_spans(raw, spans))
-    out = unit_from_raws(raws, origin=unit.origin, final_newline=unit.final_newline)
-    return out, specs, diags
+        return apply_spans(raw, spans)
+
+    return map_lines(unit, lower_decls, skip), specs, diags
 
 
 def lower_cycle_member(unit: SourceUnit, specs, skip=frozenset()):
@@ -122,21 +107,13 @@ def lower_cycle_member(unit: SourceUnit, specs, skip=frozenset()):
     Returns (unit, diagnostics)."""
     diags: list[Diagnostic] = []
     names = {s.fn_name for s in specs}
-    raws = []
-    for line in unit.lines:
-        if line.line_no in skip or line.in_block_comment:
-            raws.append(line.raw)
-            continue
-        raws.append(_lower_line(line, names, diags))
-    out = unit_from_raws(raws, origin=unit.origin, final_newline=unit.final_newline)
-    return out, diags
+    return map_lines(unit, lambda line: _lower_line(line, names, diags), skip), diags
 
 
 def _lower_line(line, names, diags):
     tokens = line.tokens
-    sig = significant(tokens)
     spans = []
-    for seg in split_segments(tokens, sig):
+    for seg in split_segments(tokens, significant(tokens)):
         # statement form: fn . Cycle = expr ;
         if len(seg) >= 5:
             t0, t1, t2, t3 = (tokens[i] for i in seg[:4])
@@ -149,28 +126,42 @@ def _lower_line(line, names, diags):
                 and last.lexeme == ";"
                 and t0.lexeme in names
             ):
-                rhs = line.raw[t3.end : last.column].strip()
+                lo = t3.end
+                inner = [
+                    (start - lo, end - lo, text)
+                    for start, end, text in _member_spans(line, seg[4:-1], names, diags)
+                ]
+                rhs = apply_spans(line.raw[lo : last.column], inner).strip()
                 spans.append((t0.column, last.end, f"cpm_cycle_set({t0.lexeme}, ({rhs}));"))
                 continue
-        for p in range(len(seg) - 2):
-            a, b, c = (tokens[seg[p + k]] for k in range(3))
-            if b.lexeme != "." or c.lexeme != "Cycle" or a.kind is not TokenKind.IDENTIFIER:
-                continue
-            if any(start <= a.column < end for start, end, _ in spans):
-                continue
-            if a.lexeme not in names:
-                diags.append(
-                    Diagnostic("warning", line.line_no, f"'.Cycle' on '{a.lexeme}', which is not a declared cyclic method; left unrewritten", str(PASS_ID))
-                )
-                continue
-            after = tokens[seg[p + 3]] if p + 3 < len(seg) else None
-            if after is not None and (after.lexeme == "=" or after.lexeme in COMPOUND_OPS):
-                diags.append(
-                    Diagnostic("warning", line.line_no, f"assignment to '{a.lexeme}.Cycle' outside statement position; left unrewritten", str(PASS_ID))
-                )
-                continue
-            spans.append((a.column, c.end, f"cpm_cycle_get({a.lexeme})"))
+        spans.extend(_member_spans(line, seg, names, diags))
     return apply_spans(line.raw, spans)
+
+
+def _member_spans(line, seg, names, diags):
+    """Spans lowering each ``fn.Cycle`` read among the token indices ``seg``;
+    other occurrences are warned about and left as they are."""
+    tokens = line.tokens
+    spans = []
+    for p in range(len(seg) - 2):
+        a, b, c = (tokens[seg[p + k]] for k in range(3))
+        if b.lexeme != "." or c.lexeme != "Cycle" or a.kind is not TokenKind.IDENTIFIER:
+            continue
+        if any(start <= a.column < end for start, end, _ in spans):
+            continue
+        if a.lexeme not in names:
+            diags.append(
+                Diagnostic("warning", line.line_no, f"'.Cycle' on '{a.lexeme}', which is not a declared cyclic method; left unrewritten", str(PASS_ID))
+            )
+            continue
+        after = tokens[seg[p + 3]] if p + 3 < len(seg) else None
+        if after is not None and (after.lexeme == "=" or after.lexeme in COMPOUND_OPS):
+            diags.append(
+                Diagnostic("warning", line.line_no, f"assignment to '{a.lexeme}.Cycle' outside statement position; left unrewritten", str(PASS_ID))
+            )
+            continue
+        spans.append((a.column, c.end, f"cpm_cycle_get({a.lexeme})"))
+    return spans
 
 
 class CyclicPass(ExtensionPass):

@@ -20,16 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import VarTarget, rewrite_line
-from .srcmodel import (
-    Diagnostic,
-    SourceUnit,
-    TokenKind,
-    apply_spans,
-    significant,
-    split_segments,
-    unit_from_raws,
-)
+from .rewrite import VarTarget, decl_head, rewrite_line
+from .srcmodel import Diagnostic, SourceUnit, apply_spans, map_lines, significant, split_segments
 
 PASS_ID = ExtensionId("redundancy", "1.1")
 
@@ -97,19 +89,13 @@ def _match_decl(tokens, seg):
         if toks[-1].lexeme != ";":
             return None
         semi_at = len(toks) - 1
-    if semi_at is None or len(head) < 2:
+    decl = decl_head(head) if semi_at is not None else None
+    if decl is None:
         return None
-    name_tok = head[-1]
-    if name_tok.kind is not TokenKind.IDENTIFIER:
-        return None
-    type_toks = head[:-1]
-    for t in type_toks:
-        if t.kind not in (TokenKind.KEYWORD, TokenKind.IDENTIFIER) and t.lexeme != "*":
-            return None
     return {
         "extern": is_extern,
-        "type_text": " ".join(t.lexeme for t in type_toks),
-        "name": name_tok.lexeme,
+        "type_text": decl[0],
+        "name": decl[1],
         "start": toks[0].column,
         "end": toks[semi_at].end,
         "init_span": (toks[init_at].end, toks[semi_at].column) if init_at is not None else None,
@@ -123,16 +109,12 @@ def scan_redundant(unit: SourceUnit, config, skip=frozenset()):
     replicas = _replica_count(config, diags)
     decls: list[RedundantDecl] = []
     names = set()
-    raws = []
-    for line in unit.lines:
+
+    def lower_decls(line):
         raw = line.raw
-        if line.line_no in skip or line.in_block_comment:
-            raws.append(raw)
-            continue
         sig = significant(line.tokens)
         if not any(line.tokens[i].lexeme == "redundant_t" for i in sig):
-            raws.append(raw)
-            continue
+            return raw
         spans = []
         for seg in split_segments(line.tokens, sig):
             if not any(line.tokens[i].lexeme == "redundant_t" for i in seg):
@@ -169,9 +151,9 @@ def scan_redundant(unit: SourceUnit, config, skip=frozenset()):
                     Diagnostic("info", line.line_no, f"initializer on redundant '{m['name']}' rewritten as a multiplexed write", str(PASS_ID))
                 )
             spans.append((m["start"], m["end"], text))
-        raws.append(apply_spans(raw, spans))
-    out = unit_from_raws(raws, origin=unit.origin, final_newline=unit.final_newline)
-    return out, decls, diags
+        return apply_spans(raw, spans)
+
+    return map_lines(unit, lower_decls, skip), decls, diags
 
 
 def lower_accesses(unit: SourceUnit, decls, skip=frozenset()):
@@ -183,15 +165,11 @@ def lower_accesses(unit: SourceUnit, decls, skip=frozenset()):
     }
     if not targets:
         return unit, diags
-    raws = []
-    for line in unit.lines:
-        if line.line_no in skip or line.in_block_comment:
-            raws.append(line.raw)
-            continue
-        raws.append(
-            rewrite_line(line.raw, line.tokens, targets, line.line_no, str(PASS_ID), diags)
-        )
-    out = unit_from_raws(raws, origin=unit.origin, final_newline=unit.final_newline)
+    out = map_lines(
+        unit,
+        lambda line: rewrite_line(line.raw, line.tokens, targets, line.line_no, str(PASS_ID), diags),
+        skip,
+    )
     return out, diags
 
 

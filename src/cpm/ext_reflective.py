@@ -29,15 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import COMPOUND_OPS, VarTarget, rewrite_line
+from .rewrite import COMPOUND_OPS, VarTarget, decl_head, rewrite_line
 from .srcmodel import (
     Diagnostic,
     SourceUnit,
     TokenKind,
     apply_spans,
+    map_lines,
     significant,
     tokenize_line,
-    unit_from_raws,
 )
 
 REFRACTIVE_ID = ExtensionId("refractive", "0.5")
@@ -129,22 +129,13 @@ def _match_scalar_decl(tokens, seg):
     toks = [tokens[i] for i in seg]
     if not toks or toks[0].lexeme not in _DECL_KEYWORDS:
         return None
-    if toks[-1].lexeme != ";" or len(toks) < 4:
+    decl = decl_head(toks[1:-1]) if toks[-1].lexeme == ";" else None
+    if decl is None:
         return None
-    head = toks[1:-1]
-    name_tok = head[-1]
-    if name_tok.kind is not TokenKind.IDENTIFIER:
-        return None
-    type_toks = head[:-1]
-    if not type_toks:
-        return None
-    for t in type_toks:
-        if t.kind not in (TokenKind.KEYWORD, TokenKind.IDENTIFIER) and t.lexeme != "*":
-            return None
     return {
         "direction": _DECL_KEYWORDS[toks[0].lexeme],
-        "name": name_tok.lexeme,
-        "type_text": " ".join(t.lexeme for t in type_toks),
+        "name": decl[1],
+        "type_text": decl[0],
         "start": toks[0].column,
         "end": toks[-1].end,
     }
@@ -165,7 +156,7 @@ def _match_array_decl(tokens, seg):
         if body[i].kind is not TokenKind.IDENTIFIER:
             return None
         pname = body[i].lexeme
-        if i + 2 >= len(body) + 1 or i + 1 >= len(body) or body[i + 1].lexeme != ":":
+        if i + 1 >= len(body) or body[i + 1].lexeme != ":":
             return None
         if i + 2 >= len(body) or body[i + 2].kind not in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
             return None
@@ -229,11 +220,11 @@ def scan_context(unit: SourceUnit, config, skip=frozenset(), families=("scalar",
     scalars = _config_scalars(config, diags, emitted_by) if "scalar" in families else {}
     arrays = _config_arrays(config, diags, emitted_by) if "array" in families else {}
     guards: list[GuardedFunctionSpec] = []
-    pending_guards = []  # (line_index, seg match dict, line_no)
-    line_spans: dict[int, list] = {}
+    pending_guards = []  # (seg match dict, line_no)
+    line_spans: dict[int, list] = {}  # line_no -> replacement spans
 
-    for idx, line in enumerate(unit.lines):
-        if line.line_no in skip or line.in_block_comment:
+    for line in unit.lines:
+        if line.line_no in skip:
             continue
         sig = significant(line.tokens)
         p = 0
@@ -284,7 +275,7 @@ def scan_context(unit: SourceUnit, config, skip=frozenset(), families=("scalar",
                     m["name"], direction, binding=m["name"], value_type=m["type_text"]
                 )
                 text = f'cpm_ctx_register({m["name"]}, {direction}, "{m["name"]}");'
-                line_spans.setdefault(idx, []).append((m["start"], m["end"], text))
+                line_spans.setdefault(line.line_no, []).append((m["start"], m["end"], text))
             elif family == "array":
                 if m["name"] in arrays:
                     diags.append(
@@ -293,13 +284,13 @@ def scan_context(unit: SourceUnit, config, skip=frozenset(), families=("scalar",
                 else:
                     arrays[m["name"]] = ReflectiveArraySpec(name=m["name"], properties=m["properties"])
                 text = f"cpm_arr_register({m['name']});"
-                line_spans.setdefault(idx, []).append((m["start"], m["end"], text))
+                line_spans.setdefault(line.line_no, []).append((m["start"], m["end"], text))
             else:
-                pending_guards.append((idx, m, line.line_no))
+                pending_guards.append((m, line.line_no))
             p = end_p + 1
 
     sensor_names = {s.name for s in scalars.values() if s.direction in ("sensor", "both")}
-    for idx, m, line_no in pending_guards:
+    for m, line_no in pending_guards:
         refs = {
             t.lexeme
             for t in tokenize_line(m["expr"])
@@ -313,13 +304,9 @@ def scan_context(unit: SourceUnit, config, skip=frozenset(), families=("scalar",
         guards.append(GuardedFunctionSpec(guard_expr=m["expr"], body_fn=m["fn"]))
         expr = m["expr"].replace("\\", "\\\\").replace('"', '\\"')
         text = f'cpm_guard_register({m["fn"]}, "{expr}");'
-        line_spans.setdefault(idx, []).append((m["start"], m["end"], text))
+        line_spans.setdefault(line_no, []).append((m["start"], m["end"], text))
 
-    raws = []
-    for idx, line in enumerate(unit.lines):
-        spans = line_spans.get(idx)
-        raws.append(apply_spans(line.raw, spans) if spans else line.raw)
-    out = unit_from_raws(raws, origin=unit.origin, final_newline=unit.final_newline)
+    out = map_lines(unit, lambda line: apply_spans(line.raw, line_spans.get(line.line_no)))
     return out, list(scalars.values()), list(arrays.values()), guards, diags
 
 
@@ -336,15 +323,11 @@ def lower_context_accesses(unit: SourceUnit, specs, skip=frozenset()):
         )
     if not targets:
         return unit, diags
-    raws = []
-    for line in unit.lines:
-        if line.line_no in skip or line.in_block_comment:
-            raws.append(line.raw)
-            continue
-        raws.append(
-            rewrite_line(line.raw, line.tokens, targets, line.line_no, str(REFRACTIVE_ID), diags)
-        )
-    out = unit_from_raws(raws, origin=unit.origin, final_newline=unit.final_newline)
+    out = map_lines(
+        unit,
+        lambda line: rewrite_line(line.raw, line.tokens, targets, line.line_no, str(REFRACTIVE_ID), diags),
+        skip,
+    )
     return out, diags
 
 
@@ -355,19 +338,19 @@ def lower_array_accesses(unit: SourceUnit, specs, skip=frozenset()):
     by_name = {s.name: s for s in specs}
     if not by_name:
         return unit, diags
-    raws = []
-    for line in unit.lines:
-        if line.line_no in skip or line.in_block_comment:
-            raws.append(line.raw)
-            continue
-        raws.append(_lower_array_line(line, by_name, diags))
-    out = unit_from_raws(raws, origin=unit.origin, final_newline=unit.final_newline)
+    out = map_lines(
+        unit,
+        lambda line: apply_spans(line.raw, _array_spans(line, significant(line.tokens), by_name, diags)),
+        skip,
+    )
     return out, diags
 
 
-def _lower_array_line(line, by_name, diags):
+def _array_spans(line, sig, by_name, diags):
+    """Spans lowering each ``A[key].prop`` read among the token indices
+    ``sig``, reads inside a lowered key included; other forms are warned
+    about and left as they are."""
     tokens = line.tokens
-    sig = significant(tokens)
     spans = []
     p = 0
     while p < len(sig):
@@ -379,7 +362,6 @@ def _lower_array_line(line, by_name, diags):
             p += 1
             continue
         spec = by_name[tok.lexeme]
-        open_br = sig[p + 1]
         depth = 0
         close_at = None
         q = p + 1
@@ -426,12 +408,17 @@ def _lower_array_line(line, by_name, diags):
             )
             p = close_at + 3
             continue
-        key_text = line.raw[tokens[open_br].end : tokens[sig[close_at]].column].strip()
+        lo = tokens[sig[p + 1]].end
+        key_spans = [
+            (start - lo, end - lo, text)
+            for start, end, text in _array_spans(line, sig[p + 2 : close_at], by_name, diags)
+        ]
+        key_text = apply_spans(line.raw[lo : tokens[sig[close_at]].column], key_spans).strip()
         spans.append(
             (tok.column, prop_tok.end, f"cpm_arr_get({tok.lexeme}, ({key_text}), {prop_tok.lexeme})")
         )
         p = close_at + 3
-    return apply_spans(line.raw, spans)
+    return spans
 
 
 class RefractivePass(ExtensionPass):

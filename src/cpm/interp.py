@@ -63,10 +63,7 @@ class AbiInterpreter:
 
     def run_unit(self, unit: SourceUnit):
         for line in unit.lines:
-            if line.in_block_comment:
-                continue
-            tag, _ = ext_tag(line.raw)
-            if tag is not None:
+            if not line.in_block_comment and ext_tag(line.raw)[0] is not None:
                 continue  # untransformed tagged line; nothing to execute
             sig = significant(line.tokens)
             if not sig:
@@ -173,9 +170,8 @@ class AbiInterpreter:
                 commas.append(t)
         if close_tok is None:
             raise InterpError(f"line {line.line_no}: unbalanced call {line.raw.strip()!r}")
-        bounds = [open_tok.end] + [c.column for c in commas] + [close_tok.column]
         args = []
-        pos = bounds[0]
+        pos = open_tok.end
         for c in commas:
             args.append(line.raw[pos : c.column].strip())
             pos = c.end

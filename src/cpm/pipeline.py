@@ -16,16 +16,9 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .srcmodel import (
-    Diagnostic,
-    SourceUnit,
-    TokenKind,
-    ext_tag,
-    tokenize_line,
-    unit_from_raws,
-)
+from .srcmodel import Diagnostic, SourceUnit, TokenKind, ext_tag, map_lines, unit_from_raws
 
 _NAME_RE = re.compile(r"^[a-z0-9_]+$")
 _VERSION_RE = re.compile(r"^[0-9]+(\.[0-9]+)*$")
@@ -139,24 +132,19 @@ class ExtensionPass:
         """Strip ``@ext:`` tags addressed to this pass and collect the line
         numbers tagged for other passes (those lines must not be touched)."""
         skip = set()
-        raws = []
-        changed = False
-        for line in unit.lines:
+
+        def strip_tag(line):
             if line.in_block_comment:
-                raws.append(line.raw)
-                continue
+                return line.raw  # an "@ext:" here is comment text
             tag, content = ext_tag(line.raw)
             if tag is None:
-                raws.append(line.raw)
-            elif tag == self.id.name:
-                raws.append(content)
-                changed = True
-            else:
-                raws.append(line.raw)
-                skip.add(line.line_no)
-        if not changed:
-            return unit, skip
-        return unit_from_raws(raws, origin=unit.origin, final_newline=unit.final_newline), skip
+                return line.raw
+            if tag == self.id.name:
+                return content
+            skip.add(line.line_no)
+            return line.raw
+
+        return map_lines(unit, strip_tag), skip
 
 
 @dataclass(frozen=True)
@@ -263,9 +251,10 @@ def run(pipeline: Pipeline, unit: SourceUnit):
         unit, pass_diags = p.transform(unit, pipeline.config)
         diags.extend(pass_diags)
     ids_string = publish_ids(pipeline)
-    raws = [preamble_line(ids_string)] + [line.raw for line in unit.lines]
+    head = unit_from_raws([preamble_line(ids_string)]).lines
+    body = tuple(replace(line, line_no=line.line_no + 1) for line in unit.lines)
     final_newline = unit.final_newline if unit.lines else True
-    out = unit_from_raws(raws, origin=unit.origin, final_newline=final_newline)
+    out = SourceUnit(lines=head + body, origin=unit.origin, final_newline=final_newline)
     if pipeline.config.get_bool("pipeline", "strict_tags"):
         diags.extend(_strict_sweep(out, pipeline))
     report = PipelineReport(
@@ -282,9 +271,7 @@ def _strict_sweep(unit: SourceUnit, pipeline: Pipeline):
     diags = []
     applied = {p.id.name for p in pipeline.passes}
     for line in unit.lines[1:]:  # skip the injected preamble
-        if line.in_block_comment:
-            continue
-        tag, _ = ext_tag(line.raw)
+        tag = None if line.in_block_comment else ext_tag(line.raw)[0]
         if tag is not None and tag not in applied:
             diags.append(
                 Diagnostic(

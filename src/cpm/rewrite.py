@@ -30,6 +30,19 @@ TYPE_KEYWORDS = frozenset(
 )
 
 
+def decl_head(toks):
+    """Split the tokens of ``<type...> <name>`` into (type_text, name), the
+    type words joined by single spaces. None unless there is at least one
+    type token, each a keyword, identifier or ``*``, and the name is an
+    identifier."""
+    if len(toks) < 2 or toks[-1].kind is not TokenKind.IDENTIFIER:
+        return None
+    for t in toks[:-1]:
+        if t.kind not in (TokenKind.KEYWORD, TokenKind.IDENTIFIER) and t.lexeme != "*":
+            return None
+    return " ".join(t.lexeme for t in toks[:-1]), toks[-1].lexeme
+
+
 @dataclass(frozen=True)
 class VarTarget:
     """How to lower one tracked name. ``read`` / ``write`` may be None when

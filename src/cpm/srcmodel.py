@@ -208,6 +208,29 @@ def unit_from_raws(raws, origin: str = "<memory>", final_newline: bool = True) -
     return SourceUnit(lines=tuple(lines), origin=origin, final_newline=final_newline)
 
 
+def map_lines(unit: SourceUnit, fn, skip=frozenset()) -> SourceUnit:
+    """Return ``unit`` with each line's raw text replaced by ``fn(line)``;
+    lines numbered in ``skip`` keep their text.
+
+    The result equals ``unit_from_raws`` of the new raw lines, but only the
+    lines that changed are re-tokenized, plus the lines after them whose
+    block-comment state the change flipped. Every other line keeps its
+    ``SourceLine`` object.
+    """
+    old = unit.lines
+    lines = list(old)
+    in_block = False  # block-comment state entering the line, in the new unit
+    for idx, line in enumerate(old):
+        raw = line.raw if line.line_no in skip else fn(line)
+        if raw == line.raw and in_block == line.in_block_comment:
+            in_block = old[idx + 1].in_block_comment if idx + 1 < len(old) else False
+            continue
+        tokens, after = _tokenize(raw, in_block)
+        lines[idx] = SourceLine(raw=raw, tokens=tokens, line_no=line.line_no, in_block_comment=in_block)
+        in_block = after
+    return SourceUnit(lines=tuple(lines), origin=unit.origin, final_newline=unit.final_newline)
+
+
 def load_unit(text: str, origin: str = "<memory>") -> SourceUnit:
     if text == "":
         return SourceUnit(lines=(), origin=origin, final_newline=False)

@@ -117,3 +117,20 @@ def test_scan_and_lower_ops_direct():
     assert specs[0].return_type == "int" and specs[0].param_types == "void"
     unit, _ = lower_cycle_member(unit, specs)
     assert render(unit).splitlines()[1] == "cpm_cycle_set(f, (10));"
+
+
+def test_cycle_read_on_right_hand_side_of_set_is_lowered():
+    unit, diags = transform("cyclic_t int f(void);\ncyclic_t int g(void);\ng.Cycle = f.Cycle * 2;\n")
+    assert render(unit).splitlines()[2] == "cpm_cycle_set(g, (cpm_cycle_get(f) * 2));"
+    assert not diags
+
+
+def test_chained_cycle_assignment_warned():
+    unit, diags = transform("cyclic_t int f(void);\nf.Cycle = f.Cycle = 2;\n")
+    assert render(unit).splitlines()[1] == "cpm_cycle_set(f, (f.Cycle = 2));"
+    assert any("outside statement position" in d.message for d in diags)
+
+
+def test_cycle_after_block_comment_close_is_lowered():
+    unit, _ = transform("cyclic_t int f(void);\n/* c\n */ f.Cycle = 5;\n")
+    assert render(unit).splitlines()[2] == " */ cpm_cycle_set(f, (5));"

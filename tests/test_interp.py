@@ -110,3 +110,19 @@ def test_full_lowered_program_end_to_end():
     assert rt.registry.pipeline_string == "cpm://redundancy/1.1"
     assert rt.replicas["counter"].replicas == (41, 41, 41)
     assert it.env["result"] == 42
+
+
+def test_code_after_block_comment_close_is_executed():
+    rt, it = fresh()
+    it.run_text("int a = 1;\n/* c\n */ a = 2;\n")
+    assert it.env["a"] == 2
+
+
+def test_nested_array_access_evaluates():
+    rt, it = fresh()
+    it.run_text("cpm_arr_register(a);\n")
+    arr = rt.registry.arrays["a"]
+    arr.set_prop(1, "b", "m2")
+    arr.set_prop("m2", "b", 7)
+    it.run_text("x = cpm_arr_get(a, (cpm_arr_get(a, (1), b)), b);\n")
+    assert it.env["x"] == 7

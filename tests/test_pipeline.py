@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from cpm.pipeline import (
     publish_ids,
     run,
 )
+from cpm import srcmodel
 from cpm.srcmodel import load_unit, render
 
 from c_corpus import CORPUS
@@ -179,3 +182,45 @@ def test_config_from_ini(tmp_path):
     cfg = PassConfig.from_ini(ini)
     assert cfg.get_int("redundancy", "replicas") == 5
     assert cfg.get("refractive", "sensors") == "watchdog"
+
+
+def test_strict_tags_lowers_code_after_block_comment_close():
+    cfg = PassConfig({"pipeline.strict_tags": "1"})
+    src = "redundant_t int y;\n/* c\n */ y = 1;\n"
+    out, report = run(compose(["redundancy"], config=cfg), load_unit(src))
+    assert _body(render(out)) == "cpm_red_storage(y, int, 3);\n/* c\n */ cpm_red_write(y, (1));\n"
+    assert not [d for d in report.diagnostics if d.severity == "warning"]
+
+
+def test_strict_tags_reports_keyword_after_block_comment_close():
+    cfg = PassConfig({"pipeline.strict_tags": "1"})
+    src = "/* c\n */ cyclic_t int f(void);\n"
+    out, report = run(compose(["redundancy"], config=cfg), load_unit(src))
+    assert [d.line_no for d in report.diagnostics if "cyclic_t" in d.message] == [3]
+
+
+def test_ext_tag_inside_block_comment_is_comment_text():
+    cfg = PassConfig({"pipeline.strict_tags": "1"})
+    src = "/* c\n@ext:cyclic */ x = 1;\n@ext:redundancy y = 1; /*\n@ext:redundancy */\n"
+    out, report = run(compose(["redundancy"], config=cfg), load_unit(src))
+    assert _body(render(out)) == "/* c\n@ext:cyclic */ x = 1;\ny = 1; /*\n@ext:redundancy */\n"
+    assert not [d for d in report.diagnostics if d.severity == "warning"]
+
+
+def test_run_tokenizes_only_the_preamble_on_plain_c(monkeypatch):
+    real = srcmodel._tokenize
+    calls = []
+
+    def counting(raw, in_block):
+        calls.append(raw)
+        return real(raw, in_block)
+
+    pipeline = compose(["redundancy", "refractive", "array", "cyclic"])
+    for text in CORPUS:
+        unit = load_unit(text)
+        calls.clear()
+        monkeypatch.setattr(srcmodel, "_tokenize", counting)
+        out, report = run(pipeline, unit)
+        monkeypatch.setattr(srcmodel, "_tokenize", real)
+        assert calls == [preamble_line(report.extensions_pipeline)]
+        assert out.lines[1:] == tuple(replace(line, line_no=line.line_no + 1) for line in unit.lines)

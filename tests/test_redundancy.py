@@ -194,3 +194,22 @@ def test_scan_and_lower_ops_compose():
     assert d.replicas == 3 and not d.is_extern and d.base_type == "int" and d.decl_line == 1
     unit, _ = lower_accesses(unit, decls)
     assert render(unit).splitlines()[1] == "cpm_red_write(x, (1));"
+
+
+def test_code_after_block_comment_close_is_lowered():
+    out = transformed_text("redundant_t int y;\n/* c\n */ y = 1;\n")
+    assert out.splitlines()[2] == " */ cpm_red_write(y, (1));"
+
+
+def test_declaration_after_block_comment_close_is_lowered():
+    out = transformed_text("/* c\n */ redundant_t int y; y = 2;\n")
+    assert out.splitlines()[1] == " */ cpm_red_storage(y, int, 3); cpm_red_write(y, (2));"
+
+
+def test_comment_text_is_never_rewritten():
+    src = "redundant_t int y;\n/* y = 1;\n y = 2; */ y = 3; /* y = 4; */\n"
+    out = transformed_text(src)
+    assert out.splitlines()[1:] == [
+        "/* y = 1;",
+        " y = 2; */ cpm_red_write(y, (3)); /* y = 4; */",
+    ]

@@ -206,3 +206,36 @@ def test_scan_context_returns_all_spec_kinds():
     assert arrays[0].properties == (("beacons", "int"),)
     assert [g.body_fn for g in guards] == ["shed_load"]
     assert guards[0].guard_expr == "cpu > 90"
+
+
+def test_nested_array_access_in_key_is_lowered():
+    src = "reflective_array_t a { b:int };\nx = a[a[1].b].b;\n"
+    unit, diags = arrayp(src)
+    assert render(unit).splitlines()[1] == "x = cpm_arr_get(a, (cpm_arr_get(a, (1), b)), b);"
+    assert not diags
+
+
+def test_nested_array_access_in_key_is_warned_when_not_lowerable():
+    cfg = PassConfig({"array.arrays": "a", "array.a": "b:int"})
+    unit, diags = arrayp("x = a[a[1].bogus].b;\n", cfg)
+    assert render(unit) == "x = cpm_arr_get(a, (a[1].bogus), b);\n"
+    assert any("unknown property 'bogus'" in d.message for d in diags)
+
+
+def test_context_declaration_after_block_comment_close_is_lowered():
+    unit, _ = refract("/* c\n */ sensor_t int s;\nx = s;\n")
+    assert render(unit).splitlines()[1:] == [
+        ' */ cpm_ctx_register(s, sensor, "s");',
+        "x = cpm_ctx_read(s);",
+    ]
+
+
+def test_context_access_after_block_comment_close_is_lowered():
+    unit, _ = refract("sensor_t int s;\n/* c\n */ x = s;\n")
+    assert render(unit).splitlines()[2] == " */ x = cpm_ctx_read(s);"
+
+
+def test_array_access_after_block_comment_close_is_lowered():
+    cfg = PassConfig({"array.arrays": "a", "array.a": "b:int"})
+    unit, _ = arrayp("/* c\n */ x = a[k].b;\n", cfg)
+    assert render(unit).splitlines()[1] == " */ x = cpm_arr_get(a, (k), b);"

@@ -6,6 +6,7 @@ from cpm.srcmodel import (
     TokenKind,
     ext_tag,
     load_unit,
+    map_lines,
     render,
     tokenize_line,
     unit_from_raws,
@@ -169,3 +170,61 @@ def test_token_partition_is_lossless(raw):
 @given(st.text(alphabet=st.characters(min_codepoint=1, max_codepoint=0xFF), max_size=200))
 def test_round_trip_random_text(text):
     assert render(load_unit(text)) == text
+
+
+# -- map_lines: incremental re-tokenization -------------------------------------
+
+FRAGMENTS = st.sampled_from(["/*", "*/", "x", " ", "y = 1;", "//", '"', "*", "/"])
+LINE_TEXT = st.lists(FRAGMENTS, max_size=6).map("".join)
+EDITS = st.sampled_from([
+    lambda raw: raw,
+    lambda raw: "/*" + raw,
+    lambda raw: raw + "/*",
+    lambda raw: "*/" + raw,
+    lambda raw: raw + " */",
+    lambda raw: raw.replace("/*", ""),
+    lambda raw: raw.replace("*/", ""),
+    lambda raw: raw.replace("x", "xx"),
+])
+
+
+LINE_NOS = st.integers(1, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(LINE_TEXT, max_size=8),
+    st.booleans(),
+    st.dictionaries(LINE_NOS, EDITS),
+    st.frozensets(LINE_NOS, max_size=3),
+)
+def test_map_lines_equals_full_rebuild(raws, final_newline, edits, skip):
+    unit = unit_from_raws(raws, origin="u.cpm", final_newline=final_newline)
+
+    def fn(line):
+        return edits.get(line.line_no, lambda raw: raw)(line.raw)
+
+    out = map_lines(unit, fn, skip)
+    new_raws = [line.raw if line.line_no in skip else fn(line) for line in unit.lines]
+    assert out == unit_from_raws(new_raws, origin="u.cpm", final_newline=final_newline)
+    for old, new in zip(unit.lines, out.lines):
+        if old == new:
+            assert old is new
+
+
+def test_map_lines_keeps_untouched_line_objects():
+    unit = load_unit("a;\n/* b\nc */ d;\ne;\n")
+    out = map_lines(unit, lambda line: "b" if line.line_no == 2 else line.raw)
+    # line 3 no longer starts inside a comment, so it is re-tokenized too;
+    # line 4 starts outside a comment either way and is kept
+    assert out.lines[0] is unit.lines[0]
+    assert out.lines[2] is not unit.lines[2] and not out.lines[2].in_block_comment
+    assert out.lines[3] is unit.lines[3]
+    assert out == unit_from_raws(["a;", "b", "c */ d;", "e;"])
+
+
+def test_map_lines_leaves_skipped_lines_alone():
+    unit = load_unit("a;\nb;\n")
+    out = map_lines(unit, lambda line: "z;", skip={1})
+    assert out.lines[0] is unit.lines[0]
+    assert [line.raw for line in out.lines] == ["a;", "z;"]
