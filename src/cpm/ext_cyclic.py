@@ -114,7 +114,7 @@ def _lower_line(line, names, diags):
     tokens = line.tokens
     spans = []
     for seg in split_segments(tokens, significant(tokens)):
-        # statement form: fn . Cycle = expr ;
+        # statement form: fn . Cycle = expr ;  (a compound operator is unsupported)
         if len(seg) >= 5:
             t0, t1, t2, t3 = (tokens[i] for i in seg[:4])
             last = tokens[seg[-1]]
@@ -122,10 +122,16 @@ def _lower_line(line, names, diags):
                 t0.kind is TokenKind.IDENTIFIER
                 and t1.lexeme == "."
                 and t2.lexeme == "Cycle"
-                and t3.lexeme == "="
+                and (t3.lexeme == "=" or t3.lexeme in COMPOUND_OPS)
                 and last.lexeme == ";"
                 and t0.lexeme in names
             ):
+                if t3.lexeme != "=":
+                    diags.append(
+                        Diagnostic("warning", line.line_no, f"compound assignment '{t3.lexeme}' to '{t0.lexeme}.Cycle' is unsupported; left unrewritten", str(PASS_ID))
+                    )
+                    spans.extend(_member_spans(line, seg[4:-1], names, diags))
+                    continue
                 lo = t3.end
                 inner = [
                     (start - lo, end - lo, text)

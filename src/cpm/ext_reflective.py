@@ -348,8 +348,8 @@ def lower_array_accesses(unit: SourceUnit, specs, skip=frozenset()):
 
 def _array_spans(line, sig, by_name, diags):
     """Spans lowering each ``A[key].prop`` read among the token indices
-    ``sig``, reads inside a lowered key included; other forms are warned
-    about and left as they are."""
+    ``sig``, reads inside any key included; other forms are warned about and
+    left as they are."""
     tokens = line.tokens
     spans = []
     p = 0
@@ -381,37 +381,29 @@ def _array_spans(line, sig, by_name, diags):
             )
             p += 1
             continue
-        if close_at + 2 >= len(sig) or tokens[sig[close_at + 1]].lexeme != ".":
-            diags.append(
-                Diagnostic("warning", line.line_no, f"'{tok.lexeme}[...]' without a property selector; left unrewritten", str(ARRAY_ID))
-            )
-            p = close_at + 1
-            continue
-        prop_tok = tokens[sig[close_at + 2]]
-        if prop_tok.kind is not TokenKind.IDENTIFIER:
-            diags.append(
-                Diagnostic("warning", line.line_no, f"'{tok.lexeme}[...].' not followed by a property name; left unrewritten", str(ARRAY_ID))
-            )
-            p = close_at + 1
-            continue
-        known = {name for name, _ in spec.properties} | set(BUILTIN_ARRAY_PROPS)
-        if prop_tok.lexeme not in known:
-            diags.append(
-                Diagnostic("warning", line.line_no, f"unknown property '{prop_tok.lexeme}' of reflective array '{tok.lexeme}'; left unrewritten", str(ARRAY_ID))
-            )
-            p = close_at + 3
-            continue
+        key = sig[p + 2 : close_at]
+        prop_tok = None
+        if close_at + 2 < len(sig) and tokens[sig[close_at + 1]].lexeme == ".":
+            prop_tok = tokens[sig[close_at + 2]]
         after = tokens[sig[close_at + 3]] if close_at + 3 < len(sig) else None
-        if after is not None and (after.lexeme == "=" or after.lexeme in COMPOUND_OPS):
-            diags.append(
-                Diagnostic("warning", line.line_no, f"assignment to reflective array property '{tok.lexeme}[...].{prop_tok.lexeme}' is unsupported; left unrewritten", str(ARRAY_ID))
-            )
-            p = close_at + 3
+        problem, p_next = None, close_at + 3
+        if prop_tok is None:
+            problem, p_next = f"'{tok.lexeme}[...]' without a property selector", close_at + 1
+        elif prop_tok.kind is not TokenKind.IDENTIFIER:
+            problem, p_next = f"'{tok.lexeme}[...].' not followed by a property name", close_at + 1
+        elif prop_tok.lexeme not in {name for name, _ in spec.properties} | set(BUILTIN_ARRAY_PROPS):
+            problem = f"unknown property '{prop_tok.lexeme}' of reflective array '{tok.lexeme}'"
+        elif after is not None and (after.lexeme == "=" or after.lexeme in COMPOUND_OPS):
+            problem = f"assignment to reflective array property '{tok.lexeme}[...].{prop_tok.lexeme}' is unsupported"
+        if problem is not None:
+            diags.append(Diagnostic("warning", line.line_no, f"{problem}; left unrewritten", str(ARRAY_ID)))
+            spans.extend(_array_spans(line, key, by_name, diags))  # the key is still code
+            p = p_next
             continue
         lo = tokens[sig[p + 1]].end
         key_spans = [
             (start - lo, end - lo, text)
-            for start, end, text in _array_spans(line, sig[p + 2 : close_at], by_name, diags)
+            for start, end, text in _array_spans(line, key, by_name, diags)
         ]
         key_text = apply_spans(line.raw[lo : tokens[sig[close_at]].column], key_spans).strip()
         spans.append(

@@ -256,7 +256,7 @@ def run(pipeline: Pipeline, unit: SourceUnit):
     final_newline = unit.final_newline if unit.lines else True
     out = SourceUnit(lines=head + body, origin=unit.origin, final_newline=final_newline)
     if pipeline.config.get_bool("pipeline", "strict_tags"):
-        diags.extend(_strict_sweep(out, pipeline))
+        diags.extend(_strict_sweep(unit, pipeline))
     report = PipelineReport(
         applied_ids=[p.id for p in pipeline.passes],
         diagnostics=diags,
@@ -267,10 +267,12 @@ def run(pipeline: Pipeline, unit: SourceUnit):
 
 def _strict_sweep(unit: SourceUnit, pipeline: Pipeline):
     """In strict-tag mode, report extension syntax that survived the whole
-    pipeline: leftover @ext: tags and extension keywords nobody consumed."""
+    pipeline: leftover @ext: tags and extension keywords nobody consumed.
+    ``unit`` is the passes' output before the preamble goes in, so line
+    numbers are input line numbers, as in the passes' own diagnostics."""
     diags = []
     applied = {p.id.name for p in pipeline.passes}
-    for line in unit.lines[1:]:  # skip the injected preamble
+    for line in unit.lines:
         tag = None if line.in_block_comment else ext_tag(line.raw)[0]
         if tag is not None and tag not in applied:
             diags.append(

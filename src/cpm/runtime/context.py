@@ -60,6 +60,7 @@ class ReflectiveArray:
         self.name = name
         self.observation_period_ms = observation_period_ms
         self.entries: dict[str, ArrayEntry] = {}
+        self._keys: list = []  # insertion order; entries are never removed
         self.periods_elapsed = 0
 
     def _entry(self, key) -> ArrayEntry:
@@ -67,6 +68,7 @@ class ReflectiveArray:
         if e is None:
             e = ArrayEntry()
             self.entries[key] = e
+            self._keys.append(key)
         return e
 
     def report_beacon(self, key, at_time=None):
@@ -116,13 +118,12 @@ class ReflectiveArray:
     def anext(self, cursor: int):
         """Iterate keys in insertion order: returns the key at the cursor
         position, or None past the end."""
-        keys = list(self.entries)
-        if 0 <= cursor < len(keys):
-            return keys[cursor]
+        if 0 <= cursor < len(self._keys):
+            return self._keys[cursor]
         return None
 
     def keys(self):
-        return list(self.entries)
+        return list(self._keys)
 
 
 class ContextRegistry:

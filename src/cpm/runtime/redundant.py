@@ -15,7 +15,7 @@ clean windows, staying inside [n_min, n_max] and always odd.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -65,6 +65,7 @@ class ReplicaSet:
         self.bank_stride = bank_stride  # bank-separation layout hint; no effect here
         self.stats = VoteStats(window=deque(maxlen=policy.window))
         self._replicas = [initial] * replicas
+        self._window_risky = 0  # reads in stats.window with discrepancies >= N // 2
         self._window_reads = 0
         self._window_dirty = 0
         self._clean_windows = 0
@@ -95,23 +96,37 @@ class ReplicaSet:
     def read(self):
         """Voted read: strict majority wins, minority replicas are repaired,
         stats and the adaptation policy are updated."""
-        counts = Counter(self._replicas)
-        value, agreeing = counts.most_common(1)[0]
+        reps = self._replicas
+        # Boyer-Moore: a strict majority, if there is one, is the candidate
+        cand, lead = None, 0
+        for v in reps:
+            if lead == 0:
+                cand, lead = v, 1
+            elif v is cand or v == cand:  # identity first, as list.count
+                lead += 1
+            else:
+                lead -= 1
+        agreeing = reps.count(cand)
         if agreeing * 2 <= self.n:
             if self.events is not None:
                 self.events.log(self._now(), "vote_fail", self.name, self.stats.reads, "no-majority")
             raise NoMajorityError(f"no strict majority among replicas of '{self.name}'")
+        value = reps[reps.index(cand)]  # the first agreeing replica
         discrepancies = self.n - agreeing
         if discrepancies:
-            for i in range(len(self._replicas)):
-                self._replicas[i] = value
+            for i in range(len(reps)):
+                reps[i] = value
         st = self.stats
         st.reads += 1
         st.discrepancy_histogram[discrepancies] = st.discrepancy_histogram.get(discrepancies, 0) + 1
-        st.window.append(discrepancies)
         risky = self.n // 2
-        st.failure_risk = sum(1 for d in st.window if d >= risky) / self.policy.window
-        self._adapt(dirty=discrepancies >= risky, majority=value)
+        if len(st.window) == st.window.maxlen and st.window[0] >= risky:
+            self._window_risky -= 1  # about to be evicted
+        st.window.append(discrepancies)
+        dirty = discrepancies >= risky
+        self._window_risky += dirty
+        st.failure_risk = self._window_risky / self.policy.window
+        self._adapt(dirty=dirty, majority=value)
         return value
 
     def _adapt(self, dirty, majority):
@@ -142,6 +157,7 @@ class ReplicaSet:
         # measurements made at the old N no longer apply
         self.stats.window.clear()
         self.stats.failure_risk = 0.0
+        self._window_risky = 0
         self._window_reads = 0
         self._window_dirty = 0
         self._clean_windows = 0

@@ -15,12 +15,13 @@ identical as long as fewer than half the replicas are hit.
 Everything runs on the virtual clock: heartbeats are schedule data counted
 per period boundary (a heartbeat exactly on a boundary counts for the period
 it ends), while boundary checks, fault injections, and restart writes are
-timeout objects. A boundary coinciding with the horizon is not evaluated; the
-run ends in ``WD_END`` instead.
+timeout objects. A boundary or a restart write coinciding with the horizon is
+not evaluated; the run ends in ``WD_END`` instead.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from ..runtime import (
@@ -38,7 +39,7 @@ from ..runtime import (
 class WdtScenarioParams:
     wdt_period: int  # ms
     horizon: int  # ms
-    heartbeat_schedule: tuple = ()  # absolute times, ms
+    heartbeat_schedule: tuple = ()  # absolute times, ms, in any order
     replicas: int = 3  # odd, >= 3
     fault_schedule: tuple = ()  # (time, replica_index, corrupt_value)
     restart_schedule: tuple = ()  # (time, value) actuator writes
@@ -92,6 +93,7 @@ def run_wdt(params: WdtScenarioParams) -> WdtResult:
         reg.register_constant(name, value)
     reg.register_guard(None, "watchdog == WD_FIRED", name="wdt_fired")
 
+    beats = sorted(params.heartbeat_schedule)
     trace: list = []
     ignored: list = []
     tick_holder: dict = {"to": None}
@@ -123,9 +125,8 @@ def run_wdt(params: WdtScenarioParams) -> WdtResult:
         current = rt.red_read("watchdog")
         if current in (WD_FIRED, WD_END, WD_STARTED):
             return
-        window_start = t - params.wdt_period
-        beat = any(window_start < hb <= t for hb in params.heartbeat_schedule)
-        if beat:
+        # a heartbeat in (t - period, t]
+        if bisect_right(beats, t) > bisect_right(beats, t - params.wdt_period):
             publish(current + 1 if current >= 0 else 1)
         else:
             publish(WD_FIRED)
@@ -152,6 +153,8 @@ def run_wdt(params: WdtScenarioParams) -> WdtResult:
             )
         )
     for t, value in params.restart_schedule:
+        if t >= params.horizon:
+            continue  # the horizon ends the run before a write at it lands
         rt.tom.insert(
             TimeoutObject(
                 id=f"write@{t}", subid="restart_write", deadline=t, enabled=True,

@@ -131,6 +131,14 @@ def test_chained_cycle_assignment_warned():
     assert any("outside statement position" in d.message for d in diags)
 
 
+def test_statement_compound_cycle_assignment_warned_as_unsupported():
+    unit, diags = transform("cyclic_t int f(void);\nf.Cycle += f.Cycle;\n")
+    assert render(unit).splitlines()[1] == "f.Cycle += cpm_cycle_get(f);"
+    assert [d.message for d in diags] == [
+        "compound assignment '+=' to 'f.Cycle' is unsupported; left unrewritten"
+    ]
+
+
 def test_cycle_after_block_comment_close_is_lowered():
     unit, _ = transform("cyclic_t int f(void);\n/* c\n */ f.Cycle = 5;\n")
     assert render(unit).splitlines()[2] == " */ cpm_cycle_set(f, (5));"

@@ -196,7 +196,15 @@ def test_strict_tags_reports_keyword_after_block_comment_close():
     cfg = PassConfig({"pipeline.strict_tags": "1"})
     src = "/* c\n */ cyclic_t int f(void);\n"
     out, report = run(compose(["redundancy"], config=cfg), load_unit(src))
-    assert [d.line_no for d in report.diagnostics if "cyclic_t" in d.message] == [3]
+    assert [d.line_no for d in report.diagnostics if "cyclic_t" in d.message] == [2]
+
+
+def test_strict_sweep_and_pass_diagnostics_share_input_line_numbers():
+    cfg = PassConfig({"pipeline.strict_tags": "1"})
+    _, report = run(compose(["cyclic"], config=cfg), load_unit("cyclic_t int f(void);\nf.Cycle += 1;\n"))
+    warnings = [d for d in report.diagnostics if d.severity == "warning"]
+    assert [d.emitted_by for d in warnings] == ["cpm://cyclic/1.0", "pipeline"]
+    assert [d.line_no for d in warnings] == [2, 2]
 
 
 def test_ext_tag_inside_block_comment_is_comment_text():

@@ -7,6 +7,8 @@ from cpm.ext_reflective import (
     lower_context_accesses,
     scan_context,
 )
+import pytest
+
 from cpm.pipeline import PassConfig
 from cpm.srcmodel import load_unit, render
 
@@ -220,6 +222,18 @@ def test_nested_array_access_in_key_is_warned_when_not_lowerable():
     unit, diags = arrayp("x = a[a[1].bogus].b;\n", cfg)
     assert render(unit) == "x = cpm_arr_get(a, (a[1].bogus), b);\n"
     assert any("unknown property 'bogus'" in d.message for d in diags)
+
+
+@pytest.mark.parametrize("stmt, lowered, warning", [
+    ("x = a[a[1].b].bogus;", "x = a[cpm_arr_get(a, (1), b)].bogus;", "unknown property 'bogus'"),
+    ("a[a[1].b].b = 2;", "a[cpm_arr_get(a, (1), b)].b = 2;", "assignment to reflective array property"),
+    ("y = a[a[1].b];", "y = a[cpm_arr_get(a, (1), b)];", "without a property selector"),
+])
+def test_key_of_unlowered_access_is_still_lowered(stmt, lowered, warning):
+    cfg = PassConfig({"array.arrays": "a", "array.a": "b:int"})
+    unit, diags = arrayp(stmt + "\n", cfg)
+    assert render(unit) == lowered + "\n"
+    assert [warning in d.message for d in diags] == [True]
 
 
 def test_context_declaration_after_block_comment_close_is_lowered():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpm.runtime import (
     DEFAULT_OBSERVATION_PERIOD_MS,
@@ -187,6 +189,31 @@ def test_keys_never_removed_and_anext_in_insertion_order():
         cursor += 1
     assert walked == ["m3", "m1", "m2"]
     assert arr.anext(99) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from("abcdefgh"), max_size=10),
+    st.lists(st.lists(st.sampled_from("abcdefghij"), max_size=3), max_size=12),
+)
+def test_hypothesis_anext_walks_insertion_order_including_keys_added_mid_walk(before, during):
+    arr = ReflectiveArray("lb", 1000)
+    for key in before:
+        arr.report_beacon(key)
+    walked = []
+    cursor = 0
+    steps = iter(during)
+    while (key := arr.anext(cursor)) is not None:
+        walked.append(key)
+        cursor += 1
+        for new in next(steps, ()):
+            arr.set_prop(new, "rate", cursor)
+    inserted = list(dict.fromkeys(before + [k for step in during[:cursor] for k in step]))
+    assert walked == inserted == arr.keys() == list(arr.entries)
+    snapshot = arr.keys()
+    snapshot.append("zz")
+    snapshot.reverse()
+    assert arr.keys() == inserted and arr.anext(len(inserted)) is None
 
 
 def test_user_props_via_set_prop():

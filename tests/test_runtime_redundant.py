@@ -201,3 +201,58 @@ def test_hypothesis_single_fault_never_changes_vote(written, corrupt):
     rs.write(written)
     rs.inject_fault(1, corrupt)
     assert rs.read() == written
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0, 1, 2, 1.0, True, "1"]), min_size=3, max_size=9).filter(lambda v: len(v) % 2))
+def test_hypothesis_read_agrees_with_majority_oracle(values):
+    ev = EventLog()
+    rs = ReplicaSet("x", len(values), events=ev, policy=AdaptPolicy(n_min=3, n_max=9))
+    for i, v in enumerate(values):
+        rs.inject_fault(i, v)
+    expected = majority_oracle(values)
+    if expected is None:
+        with pytest.raises(NoMajorityError):
+            rs.read()
+        assert rs.replicas == tuple(values) and len(ev.of("vote_fail")) == 1
+        return
+    value = rs.read()
+    # 1, 1.0 and True vote together; the first agreeing replica is returned
+    assert repr(value) == repr(expected)
+    agreeing = sum(v == expected for v in values)
+    assert rs.stats.discrepancy_histogram == {len(values) - agreeing: 1}
+    if agreeing < len(values):
+        assert repr(rs.replicas) == repr((expected,) * len(values))
+    else:
+        assert rs.replicas == tuple(values)
+
+
+_ops = st.one_of(
+    st.tuples(st.just("fault"), st.integers(0, 8), st.integers(0, 2)),
+    st.tuples(st.just("write"), st.integers(0, 2)),
+    st.tuples(st.just("read")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([0.0, 0.2, 0.5]),
+    st.integers(min_value=1, max_value=3),
+    st.lists(_ops, max_size=80),
+)
+def test_hypothesis_failure_risk_equals_recomputed_window_sum(window, threshold, deescalate, ops):
+    policy = AdaptPolicy(window=window, escalate_threshold=threshold, deescalate_after=deescalate, n_min=3, n_max=9)
+    rs = ReplicaSet("x", 3, policy=policy)
+    for op in ops:
+        if op[0] == "fault":
+            rs.inject_fault(op[1] % rs.n, op[2])
+        elif op[0] == "write":
+            rs.write(op[1])
+        else:
+            try:
+                rs.read()
+            except NoMajorityError:
+                pass
+        risky = sum(1 for d in rs.stats.window if d >= rs.n // 2)
+        assert rs.stats.failure_risk == risky / window

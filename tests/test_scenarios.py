@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpm.runtime import WD_ACTIVE, WD_END, WD_FIRED, WD_STARTED
 from cpm.scenarios import (
@@ -96,6 +98,16 @@ def test_wdt_heartbeat_on_boundary_counts_for_ending_period():
     params = WdtScenarioParams(wdt_period=100, horizon=200, heartbeat_schedule=(100, 200))
     result = run_wdt(params)
     assert result.trace == [(0, WD_STARTED), (0, WD_ACTIVE), (100, 1), (200, WD_END)]
+
+
+def test_wdt_restart_write_at_horizon_is_not_evaluated():
+    fired = run_wdt(WdtScenarioParams(wdt_period=100, horizon=200, restart_schedule=((200, 1),)))
+    assert fired.trace == [(0, WD_STARTED), (0, WD_ACTIVE), (100, WD_FIRED), (200, WD_END)]
+    active = run_wdt(WdtScenarioParams(
+        wdt_period=100, horizon=200, heartbeat_schedule=(50, 150), restart_schedule=((200, 1),)
+    ))
+    assert active.ignored_writes == []
+    assert not active.runtime.events.of("warn")
 
 
 def test_wdt_determinism_byte_identical_csv():
@@ -202,3 +214,28 @@ def test_param_files_round_trip(tmp_path):
     assert period == 1000 and horizon == 2000
     assert len(trace.records) == 2 and trace.records[0].mac == "aa:bb:cc:dd:ee:01"
     run_switchboard(trace, period, horizon)
+
+
+@st.composite
+def wdt_cases(draw):
+    """Small watchdog runs: heartbeats unsorted, duplicated and on period
+    boundaries, with and without restart writes."""
+    period = draw(st.integers(min_value=1, max_value=40))
+    horizon = period * draw(st.integers(min_value=0, max_value=25)) + draw(st.integers(0, period - 1))
+    any_time = st.integers(min_value=0, max_value=horizon)
+    on_boundary = st.integers(min_value=0, max_value=horizon // period).map(lambda k: k * period)
+    beats = draw(st.lists(st.one_of(any_time, on_boundary), max_size=40))
+    beats += draw(st.lists(st.sampled_from(beats), max_size=5)) if beats else []
+    beats = draw(st.permutations(beats))
+    restarts = draw(st.lists(st.tuples(st.one_of(any_time, on_boundary), st.integers(0, 3)), max_size=4))
+    return period, horizon, tuple(beats), tuple(restarts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wdt_cases())
+def test_hypothesis_wdt_matches_oracle_on_generated_schedules(case):
+    period, horizon, beats, restarts = case
+    params = WdtScenarioParams(
+        wdt_period=period, horizon=horizon, heartbeat_schedule=beats, restart_schedule=restarts,
+    )
+    assert run_wdt(params).trace == wdt_trace_oracle(period, horizon, beats, restarts)
