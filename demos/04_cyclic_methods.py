@@ -53,7 +53,11 @@ def main():
     driver.start()
     time.sleep(0.12)
     driver.stop()
-    print(f"~120 ms elapsed, {len(wall.fired_log)} ticks of a 30 ms cycle")
+    wall.poll()  # fire what fell due after the last background poll
+    # at least 120 ms have elapsed, so at least 3 ticks fired; the exact count
+    # depends on timing, and printing it would make the output vary run to run
+    ticks = len(wall.fired_log)
+    print(f"~120 ms elapsed, {'3 or more' if ticks >= 3 else ticks} ticks of a 30 ms cycle")
 
 
 if __name__ == "__main__":

@@ -9,28 +9,22 @@ compared observation-for-observation without a C toolchain.
 Supported statements: the emitted ``cpm_*`` calls, the
 ``extensions_pipeline`` preamble, declarations/assignments of scalar
 variables, ``return``, and bare expression statements. Braces are ignored;
-control flow is not interpreted. Expressions may use ``&&``, ``||`` and ``!``
-alongside Python-compatible arithmetic and comparisons.
+control flow is not interpreted. Expressions follow C rules through
+:func:`cpm.cexpr.compile_expr`: ``/`` and ``%`` truncate toward zero on ints,
+relational and logical operators yield 0 or 1, comparisons never chain, and
+``?:`` works. Each distinct expression text is compiled once.
 """
 
 from __future__ import annotations
 
-from .srcmodel import (
-    SourceUnit,
-    TokenKind,
-    ext_tag,
-    load_unit,
-    significant,
-    split_segments,
-    tokenize_line,
-)
+from .cexpr import HELPERS, NAME_ARGS, compile_expr
+from .srcmodel import SourceUnit, TokenKind, ext_tag, load_unit, significant, split_segments
 
 _TYPE_STARTERS = frozenset(
     {"int", "char", "short", "long", "float", "double", "signed", "unsigned",
      "void", "const", "static", "volatile", "struct", "union", "enum"}
 )
-
-_SINGLE_NAME_HEADS = ("cpm_red_read", "cpm_ctx_read", "cpm_cycle_get")
+_STEPS = {"++": 1, "--": -1}
 
 
 class InterpError(Exception):
@@ -49,6 +43,7 @@ class AbiInterpreter:
         self.rt = runtime
         self.env = dict(env or {})  # program variables and caller-supplied constants
         self.functions = {}  # C function name -> python callable
+        self._scope = dict(HELPERS, **{head: getattr(runtime, head.removeprefix("cpm_")) for head in NAME_ARGS})
 
     def bind_function(self, name, fn):
         """Provide the body for a named C function (cyclic actions, guard
@@ -86,9 +81,8 @@ class AbiInterpreter:
         if self._try_preamble(toks):
             return
         if first.kind is TokenKind.IDENTIFIER and first.lexeme.startswith("cpm_") and len(toks) > 2 and toks[1].lexeme == "(":
-            if self._try_abi_statement(line, toks, first.lexeme):
-                return
-            self.eval_expr(text)
+            if first.lexeme in NAME_ARGS or not self._try_abi_statement(line, toks, first.lexeme):
+                self.eval_expr(text)  # runtime calls whose arguments are C expressions
             return
         if first.lexeme == "return":
             rest = text[first.end - toks[0].column :].strip()
@@ -98,23 +92,18 @@ class AbiInterpreter:
         if first.lexeme in _TYPE_STARTERS:
             self._declaration(line, toks)
             return
-        if first.kind is TokenKind.IDENTIFIER and len(toks) >= 3:
-            op = toks[1].lexeme
-            if op == "=" and toks[1].kind is TokenKind.PUNCTUATOR:
-                rhs = line.raw[toks[1].end : last.column]
+        name, op = (toks[1], first.lexeme) if first.lexeme in _STEPS else (first, toks[1].lexeme)
+        if len(toks) == 3 and op in _STEPS and name.kind is TokenKind.IDENTIFIER:
+            self.env[name.lexeme] = self.eval_expr(name.lexeme) + _STEPS[op]
+            return
+        if first.kind is TokenKind.IDENTIFIER and len(toks) >= 3 and toks[1].kind is TokenKind.PUNCTUATOR:
+            rhs = line.raw[toks[1].end : last.column]
+            if op == "=":
                 self.env[first.lexeme] = self.eval_expr(rhs)
                 return
-            if op.endswith("=") and op not in ("==", "!=", "<=", ">=") and toks[1].kind is TokenKind.PUNCTUATOR:
-                rhs = line.raw[toks[1].end : last.column]
+            if op.endswith("=") and op not in ("==", "!=", "<=", ">="):
                 self.env[first.lexeme] = self.eval_expr(f"{first.lexeme} {op[:-1]} ({rhs.strip()})")
                 return
-            if op in ("++", "--") and len(toks) == 3:
-                self.env[first.lexeme] = self.eval_expr(first.lexeme) + (1 if op == "++" else -1)
-                return
-        if first.lexeme in ("++", "--") and len(toks) == 3 and toks[1].kind is TokenKind.IDENTIFIER:
-            name = toks[1].lexeme
-            self.env[name] = self.eval_expr(name) + (1 if first.lexeme == "++" else -1)
-            return
         self.eval_expr(text)
 
     def _try_preamble(self, toks) -> bool:
@@ -133,50 +122,30 @@ class AbiInterpreter:
             rt.red_storage(args[0], int(args[2]))
         elif head == "cpm_red_extern":
             rt.red_extern(args[0])
-        elif head == "cpm_red_write":
-            rt.red_write(args[0], self.eval_expr(args[1]))
         elif head == "cpm_ctx_register":
             rt.ctx_register(args[0], args[1], _unquote(args[2]) if len(args) > 2 else None)
-        elif head == "cpm_ctx_write":
-            rt.ctx_write(args[0], self.eval_expr(args[1]))
         elif head == "cpm_arr_register":
             rt.arr_register(args[0])
         elif head == "cpm_guard_register":
             rt.guard_register(self.functions.get(args[0]), _unquote(args[1]), name=args[0])
         elif head == "cpm_cycle_register":
             rt.cycle_register(args[0], self.functions.get(args[0]))
-        elif head == "cpm_cycle_set":
-            rt.cycle_set(args[0], self.eval_expr(args[1]))
         else:
             return False
         return True
 
     def _call_args(self, line, toks):
         """Split the argument list of ``head ( ... ) ;`` at top-level commas;
-        returns the trimmed argument texts."""
-        open_tok = toks[1]
-        depth = 0
-        close_tok = None
-        commas = []
+        returns the non-empty trimmed argument texts."""
+        args, pos, depth = [], toks[1].end, 0
         for t in toks[1:]:
-            if t.lexeme == "(":
-                depth += 1
-            elif t.lexeme == ")":
-                depth -= 1
-                if depth == 0:
-                    close_tok = t
-                    break
-            elif t.lexeme == "," and depth == 1:
-                commas.append(t)
-        if close_tok is None:
-            raise InterpError(f"line {line.line_no}: unbalanced call {line.raw.strip()!r}")
-        args = []
-        pos = open_tok.end
-        for c in commas:
-            args.append(line.raw[pos : c.column].strip())
-            pos = c.end
-        args.append(line.raw[pos : close_tok.column].strip())
-        return [a for a in args if a != ""] or []
+            depth += (t.lexeme == "(") - (t.lexeme == ")")
+            if depth == 0 or (depth == 1 and t.lexeme == ","):
+                args.append(line.raw[pos : t.column].strip())
+                pos = t.end
+            if depth == 0:
+                return [a for a in args if a]
+        raise InterpError(f"line {line.line_no}: unbalanced call {line.raw.strip()!r}")
 
     def _declaration(self, line, toks):
         eq_at = None
@@ -205,95 +174,8 @@ class AbiInterpreter:
     # -- expressions ------------------------------------------------------------
 
     def eval_expr(self, text: str):
-        code = self._to_python(text)
-        scope = dict(self._abi_functions())
-        scope.update(self.env)
         try:
-            return eval(code, {"__builtins__": {}}, scope)
-        except InterpError:
-            raise
+            code, _ = compile_expr(text)
+            return eval(code, self._scope, self.env)
         except Exception as exc:
             raise InterpError(f"cannot evaluate {text.strip()!r}: {exc}") from exc
-
-    def _abi_functions(self):
-        rt = self.rt
-        return {
-            "cpm_red_read": rt.red_read,
-            "cpm_ctx_read": rt.ctx_read,
-            "cpm_cycle_get": rt.cycle_get,
-            "cpm_arr_get": rt.arr_get,
-            "anext": rt.anext,
-        }
-
-    def _to_python(self, text: str) -> str:
-        toks = [
-            t for t in tokenize_line(text)
-            if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)
-        ]
-        return " ".join(self._translate(text, toks, 0, len(toks)))
-
-    def _translate(self, text, toks, lo, hi):
-        out = []
-        i = lo
-        while i < hi:
-            t = toks[i]
-            if (
-                t.kind is TokenKind.IDENTIFIER
-                and t.lexeme in _SINGLE_NAME_HEADS
-                and i + 3 < hi
-                and toks[i + 1].lexeme == "("
-                and toks[i + 2].kind is TokenKind.IDENTIFIER
-                and toks[i + 3].lexeme == ")"
-            ):
-                out.append(f'{t.lexeme}("{toks[i + 2].lexeme}")')
-                i += 4
-                continue
-            if t.kind is TokenKind.IDENTIFIER and t.lexeme in ("cpm_arr_get", "anext") and i + 1 < hi and toks[i + 1].lexeme == "(":
-                i = self._translate_call(text, toks, i, hi, out)
-                continue
-            if t.lexeme == "&&":
-                out.append(" and ")
-            elif t.lexeme == "||":
-                out.append(" or ")
-            elif t.lexeme == "!" and t.kind is TokenKind.PUNCTUATOR:
-                out.append(" not ")
-            else:
-                out.append(t.lexeme)
-            i += 1
-        return out
-
-    def _translate_call(self, text, toks, i, hi, out):
-        """Handle ``cpm_arr_get(name, key, prop)`` / ``anext(name, ...)``:
-        the array name (and for cpm_arr_get the property) are identifiers in
-        the source but string keys to the runtime."""
-        head = toks[i].lexeme
-        depth = 0
-        close = None
-        commas = []
-        for j in range(i + 1, hi):
-            lex = toks[j].lexeme
-            if lex == "(":
-                depth += 1
-            elif lex == ")":
-                depth -= 1
-                if depth == 0:
-                    close = j
-                    break
-            elif lex == "," and depth == 1:
-                commas.append(j)
-        if close is None or toks[i + 2].kind is not TokenKind.IDENTIFIER:
-            raise InterpError(f"cannot translate call {head!r} in {text.strip()!r}")
-        pieces = [f'{head}("{toks[i + 2].lexeme}"']
-        if head == "cpm_arr_get":
-            if len(commas) != 2 or toks[close - 1].kind is not TokenKind.IDENTIFIER:
-                raise InterpError(f"cannot translate cpm_arr_get in {text.strip()!r}")
-            pieces.append(", ")
-            pieces.extend(self._translate(text, toks, commas[0] + 1, commas[1]))
-            pieces.append(f', "{toks[close - 1].lexeme}")')
-        else:
-            if commas:
-                pieces.append(", ")
-                pieces.extend(self._translate(text, toks, commas[0] + 1, close))
-            pieces.append(")")
-        out.append("".join(str(p) for p in pieces))
-        return close + 1

@@ -14,22 +14,13 @@ whole period without one turns stale until it is heard again.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
+from ..cexpr import HELPERS, compile_expr
 from .clock import VirtualClock
 from .events import EventLog
 
 DEFAULT_OBSERVATION_PERIOD_MS = 60_000
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-def _translate_guard(expr: str) -> str:
-    """Rewrite the C-flavored operators a guard may use into Python."""
-    out = expr.replace("&&", " and ").replace("||", " or ")
-    out = re.sub(r"!(?!=)", " not ", out)
-    return out
 
 
 @dataclass
@@ -134,8 +125,10 @@ class ContextRegistry:
         self.directions: dict[str, str] = {}
         self.actuators: dict[str, object] = {}  # name -> callback or None
         self.guards: list[_Guard] = []
+        self._guards_by_sensor: dict[str, list[_Guard]] = {}  # registration order
         self.arrays: dict[str, ReflectiveArray] = {}
         self.constants: dict[str, object] = {}
+        self._scope = dict(HELPERS)  # guard globals: helpers and constants
         self.pipeline_string: str = ""
         self._actuations = 0
 
@@ -162,21 +155,24 @@ class ContextRegistry:
     def register_constant(self, name, value):
         """Make a name (e.g. a state constant) visible to guard expressions."""
         self.constants[name] = value
+        self._scope[name] = value
 
     def register_guard(self, body, expr, name=None):
-        """Attach ``body`` to a boolean guard over sensors. The guard is
-        evaluated now to seed its edge detector (registration never fires it)
-        and re-evaluated on every update of a sensor it references."""
-        refs = frozenset(
-            m.group(0) for m in _IDENT_RE.finditer(expr) if m.group(0) in self.sensors
-        )
+        """Attach ``body`` to a boolean guard over sensors, a C expression
+        (:mod:`cpm.cexpr`). The guard is evaluated now to seed its edge
+        detector (registration never fires it) and re-evaluated on every
+        update of a sensor it references. Raises ``ValueError`` for text that
+        is not a C expression or reads no registered sensor."""
+        code, names = compile_expr(expr)
+        refs = frozenset(names & self.sensors.keys())
         if not refs:
             raise ValueError(f"guard {expr!r} references no registered sensor")
-        code = compile(_translate_guard(expr), "<guard>", "eval")
         gname = name or getattr(body, "__name__", None) or f"guard{len(self.guards)}"
         guard = _Guard(name=gname, body=body, source=expr, code=code, refs=refs)
         guard.last_value = self._eval(guard)
         self.guards.append(guard)
+        for ref in refs:
+            self._guards_by_sensor.setdefault(ref, []).append(guard)
         return guard
 
     def register_array(self, name, observation_period_ms=DEFAULT_OBSERVATION_PERIOD_MS) -> ReflectiveArray:
@@ -201,9 +197,7 @@ class ContextRegistry:
             raise KeyError(f"unknown sensor {name!r}")
         self.sensors[name] = value
         fired = []
-        for g in self.guards:
-            if name not in g.refs:
-                continue
+        for g in self._guards_by_sensor.get(name, ()):
             now_true = self._eval(g)
             if now_true and not g.last_value:
                 g.fires += 1
@@ -228,10 +222,8 @@ class ContextRegistry:
         callback(value)
 
     def _eval(self, guard) -> bool:
-        env = dict(self.constants)
-        env.update(self.sensors)
         try:
-            return bool(eval(guard.code, {"__builtins__": {}}, env))
+            return bool(eval(guard.code, self._scope, self.sensors))
         except Exception as exc:  # un-evaluable guards read as false
             self.events.log(self.clock.now, "warn", guard.name, 0, f"guard-eval-error:{exc}")
             return False

@@ -94,3 +94,39 @@ def switchboard_oracle(rows, period, horizon):
                 silent[mac] = 0
                 reports.append((cycle, mac, latest_rate[mac] / (1 + silent[mac])))
     return reports
+
+
+def c_eval(node, env):
+    """Evaluate an expression tree by the C rules for ints: ``/`` and ``%``
+    truncate toward zero in exact integer arithmetic (never through float),
+    relational and logical operators give 0 or 1, ``&&``, ``||`` and ``?:``
+    evaluate only the operands they need. Division by zero raises
+    ZeroDivisionError. Nodes: ("int", value, fmt), ("var", name),
+    ("unary", op, x), ("binary", op, left, right), ("cond", c, then, else)."""
+    kind = node[0]
+    if kind == "int":
+        return node[1]
+    if kind == "var":
+        return env[node[1]]
+    if kind == "cond":
+        return c_eval(node[2] if c_eval(node[1], env) != 0 else node[3], env)
+    if kind == "unary":
+        x = c_eval(node[2], env)
+        return {"-": -x, "~": ~x, "!": 1 if x == 0 else 0}[node[1]]
+    op, a = node[1], c_eval(node[2], env)
+    if op == "&&":
+        return 0 if a == 0 else (1 if c_eval(node[3], env) != 0 else 0)
+    if op == "||":
+        return 1 if a != 0 else (1 if c_eval(node[3], env) != 0 else 0)
+    b = c_eval(node[3], env)
+    if op in ("/", "%"):
+        if b == 0:
+            raise ZeroDivisionError("division by zero")
+        q = abs(a) // abs(b)
+        if (a < 0) != (b < 0):
+            q = -q
+        return q if op == "/" else a - b * q
+    if op in ("<", ">", "<=", ">=", "==", "!="):
+        holds = {"<": a < b, ">": a > b, "<=": a <= b, ">=": a >= b, "==": a == b, "!=": a != b}[op]
+        return 1 if holds else 0
+    return {"+": a + b, "-": a - b, "*": a * b, "&": a & b, "|": a | b, "^": a ^ b}[op]

@@ -81,7 +81,57 @@ def test_cycle_calls_schedule_actions():
 def test_c_logic_operators_in_expressions():
     rt, it = fresh()
     it.run_text("int a = 1;\nint b = 0;\nc = a && !b;\nd = b || a;\n")
-    assert it.env["c"] is True and it.env["d"] == 1
+    assert it.env["c"] == 1 and it.env["d"] == 1
+    assert type(it.env["c"]) is int and type(it.env["d"]) is int
+
+
+# C semantics the interpreter must follow where Python's differ
+C_TABLE = [
+    ("7/2", 3),
+    ("-7/2", -3),
+    ("-7%3", -1),
+    ("1.5/2", 0.75),
+    ("2 == 2 == 1", 1),
+    ("1 && 2", 1),
+    ("!0", 1),
+    ("(a>3)+(a>4)", 2),
+    ("1 ? 2 : 3", 2),
+    ("010", 8),
+    ("10u", 10),
+    ("'a'", 97),
+]
+
+
+@pytest.mark.parametrize("text,value", C_TABLE)
+def test_c_semantics_table(text, value):
+    rt, it = fresh()
+    it.env["a"] = 5
+    result = it.eval_expr(text)
+    assert result == value
+    assert type(result) is type(value)  # truth values are ints, never bool
+
+
+@pytest.mark.parametrize("text", ["a and b", "x if y else z", "2**3", "s >", "a = 1", "(int) a", "a[0]"])
+def test_text_outside_the_c_subset_raises_interp_error(text):
+    rt, it = fresh()
+    it.env.update(a=1, b=2, x=3, y=4, z=5, s=6)
+    with pytest.raises(InterpError):
+        it.eval_expr(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "a % 0", "1.5 % 2"])
+def test_division_by_zero_and_float_remainder_raise_interp_error(text):
+    rt, it = fresh()
+    it.env["a"] = 7
+    with pytest.raises(InterpError):
+        it.eval_expr(text)
+
+
+def test_malformed_guard_in_program_raises_value_error():
+    rt, it = fresh()
+    it.run_text('cpm_ctx_register(s, sensor, "s");\n')
+    with pytest.raises(ValueError, match="not a C expression"):
+        it.run_text('cpm_guard_register(g, "s >");\n')
 
 
 def test_unsupported_statement_raises():

@@ -116,6 +116,60 @@ def test_guard_without_sensor_reference_rejected():
         reg.register_guard(lambda: None, "1 == 1")
 
 
+# guards follow C semantics where Python's differ
+def test_guard_divides_like_c():
+    reg = registry()
+    reg.register("s", "sensor", initial=0)
+    fired = []
+    reg.register_guard(lambda: fired.append(1), "s/2 == 1")
+    reg.sensor_update("s", 3)
+    assert fired == [1]
+
+
+def test_guard_string_literal_is_not_rewritten():
+    reg = registry()
+    reg.register("t", "sensor", initial="")
+    fired = []
+    reg.register_guard(lambda: fired.append(1), 't == "&&"')
+    reg.sensor_update("t", "&&")
+    assert fired == [1]
+
+
+def test_guard_number_is_not_a_sensor_reference():
+    reg = registry()
+    reg.register("x1F", "sensor", initial=0)
+    with pytest.raises(ValueError, match="references no registered sensor"):
+        reg.register_guard(lambda: None, "0x1F == 31")
+
+
+def test_malformed_guard_raises_value_error():
+    reg = registry()
+    reg.register("s", "sensor", initial=0)
+    with pytest.raises(ValueError, match="not a C expression"):
+        reg.register_guard(lambda: None, "s >")
+    assert reg.guards == []
+
+
+def test_guard_division_by_zero_reads_false_and_warns():
+    reg = registry()
+    reg.register("s", "sensor", initial=1)
+    fired = []
+    reg.register_guard(lambda: fired.append(1), "10 / s > 1", name="g")
+    assert reg.sensor_update("s", 0) == [] and fired == []
+    assert reg.events.of("warn")[-1].value.startswith("guard-eval-error")
+    assert reg.sensor_update("s", 2) == ["g"]
+
+
+def test_guards_run_in_registration_order_per_sensor():
+    reg = registry()
+    for name in ("a", "b"):
+        reg.register(name, "sensor", initial=0)
+    for name, expr in (("g1", "a > 0"), ("g2", "b > 0"), ("g3", "a + b > 0"), ("g4", "a > 0 && b == 0")):
+        reg.register_guard(None, expr, name=name)
+    assert reg.sensor_update("a", 1) == ["g1", "g3", "g4"]
+    assert reg.sensor_update("b", 1) == ["g2"]
+
+
 def test_guard_initially_true_does_not_fire_at_registration():
     reg = registry()
     reg.register("a", "sensor", initial=5)

@@ -1,11 +1,14 @@
 """Per-operation cost guards that count work instead of timing it.
 
 A path that rescans a whole collection per operation is quadratic over a
-run; these tests count how often such a collection is iterated and require
-that count not to grow with the run.
+run; these tests count how often such a collection is iterated, or how many
+lines of Python an operation executes, and require that count not to grow
+with the run.
 """
 
-from cpm.runtime import ReflectiveArray
+import sys
+
+from cpm.runtime import ContextRegistry, ReflectiveArray
 from cpm.scenarios import WdtScenarioParams, run_wdt
 
 
@@ -48,3 +51,35 @@ def test_anext_walk_never_iterates_entries():
         cursor += 1
     assert cursor == 500
     assert arr.entries.iterations == 0
+
+
+def lines_executed(fn):
+    """Run ``fn()`` and count the Python lines it executes, callees included."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def sensor_update_lines(k):
+    reg = ContextRegistry()
+    reg.register("a", "sensor", initial=0)
+    reg.register("b", "sensor", initial=0)
+    reg.register_guard(None, "a > 0", name="ga")
+    for g in range(k):
+        reg.register_guard(None, f"b > {g}", name=f"gb{g}")
+    return lines_executed(lambda: reg.sensor_update("a", 1))
+
+
+def test_sensor_update_work_is_independent_of_guards_on_other_sensors():
+    assert sensor_update_lines(10) == sensor_update_lines(200)
