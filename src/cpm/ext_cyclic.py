@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import COMPOUND_OPS, decl_head
+from .rewrite import COMPOUND_OPS, decl_head, decl_statements
 from .srcmodel import (
     Diagnostic,
     SourceUnit,
@@ -38,12 +38,10 @@ class CyclicMethodSpec:
     decl_line: int
 
 
-def _match_decl(raw, tokens, seg):
-    """Match ``cyclic_t <type...> <name> ( params ) ;`` within one segment."""
-    toks = [tokens[i] for i in seg]
-    if len(toks) < 6 or toks[0].lexeme != "cyclic_t":
-        return None
-    if toks[-1].lexeme != ";" or toks[-2].lexeme != ")":
+def _match_decl(raw, toks):
+    """Match ``cyclic_t <type...> <name> ( params ) ;``, the statement's
+    tokens, which hold no brace (a function definition does not match)."""
+    if toks[0].lexeme != "cyclic_t" or toks[-2].lexeme != ")" or any(t.lexeme in ("{", "}") for t in toks):
         return None
     open_at = next((j for j, t in enumerate(toks) if t.lexeme == "("), None)
     decl = decl_head(toks[1:open_at]) if open_at is not None else None
@@ -66,15 +64,8 @@ def scan_cyclic(unit: SourceUnit, config, skip=frozenset()):
     names = set()
 
     def lower_decls(line):
-        raw = line.raw
-        sig = significant(line.tokens)
-        if not any(line.tokens[i].lexeme == "cyclic_t" for i in sig):
-            return raw
         spans = []
-        for seg in split_segments(line.tokens, sig):
-            if not any(line.tokens[i].lexeme == "cyclic_t" for i in seg):
-                continue
-            m = _match_decl(raw, line.tokens, seg)
+        for _, m in decl_statements(line.tokens, CyclicPass.KEYWORDS, lambda toks: _match_decl(line.raw, toks)):
             if m is None:
                 diags.append(
                     Diagnostic("warning", line.line_no, "cyclic_t on something other than a function prototype; line passed through", str(PASS_ID))
@@ -97,7 +88,7 @@ def scan_cyclic(unit: SourceUnit, config, skip=frozenset()):
                 )
             )
             spans.append((m["start"], m["end"], f"{proto} cpm_cycle_register({m['name']});"))
-        return apply_spans(raw, spans)
+        return apply_spans(line.raw, spans)
 
     return map_lines(unit, lower_decls, skip), specs, diags
 

@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import VarTarget, decl_head, rewrite_line
-from .srcmodel import Diagnostic, SourceUnit, apply_spans, map_lines, significant, split_segments
+from .rewrite import VarTarget, decl_head, decl_statements, rewrite_line
+from .srcmodel import Diagnostic, SourceUnit, apply_spans, map_lines
 
 PASS_ID = ExtensionId("redundancy", "1.1")
 
 DEFAULT_REPLICAS = 3
-DEFAULT_BANK_STRIDE = 4096
 
 
 @dataclass(frozen=True)
@@ -61,35 +60,15 @@ def _replica_count(config, diags):
     return n
 
 
-def _match_decl(tokens, seg):
-    """Match ``[extern] redundant_t <type...> <name> [= init] ;`` within one
-    statement segment; returns a dict of the pieces or None."""
-    toks = [tokens[i] for i in seg]
-    i = 0
-    is_extern = False
-    if toks and toks[i].lexeme == "extern":
-        is_extern = True
-        i += 1
-    if i >= len(toks) or toks[i].lexeme != "redundant_t":
+def _match_decl(toks):
+    """Match ``[extern] redundant_t <type...> <name> [= init] ;``, the
+    statement's tokens; returns a dict of the pieces or None. An initializer
+    holding a brace (an aggregate) does not match."""
+    is_extern = toks[0].lexeme == "extern"
+    if toks[is_extern].lexeme != "redundant_t" or any(t.lexeme in ("{", "}") for t in toks):
         return None
-    i += 1
-    head = []
-    init_at = None
-    semi_at = None
-    for j in range(i, len(toks)):
-        lex = toks[j].lexeme
-        if lex == "=":
-            init_at = j
-            break
-        if lex == ";":
-            semi_at = j
-            break
-        head.append(toks[j])
-    if init_at is not None:
-        if toks[-1].lexeme != ";":
-            return None
-        semi_at = len(toks) - 1
-    decl = decl_head(head) if semi_at is not None else None
+    init_at = next((j for j, t in enumerate(toks) if t.lexeme == "="), None)
+    decl = decl_head(toks[is_extern + 1 : init_at if init_at is not None else -1])
     if decl is None:
         return None
     return {
@@ -97,8 +76,8 @@ def _match_decl(tokens, seg):
         "type_text": decl[0],
         "name": decl[1],
         "start": toks[0].column,
-        "end": toks[semi_at].end,
-        "init_span": (toks[init_at].end, toks[semi_at].column) if init_at is not None else None,
+        "end": toks[-1].end,
+        "init_span": (toks[init_at].end, toks[-1].column) if init_at is not None else None,
     }
 
 
@@ -112,14 +91,8 @@ def scan_redundant(unit: SourceUnit, config, skip=frozenset()):
 
     def lower_decls(line):
         raw = line.raw
-        sig = significant(line.tokens)
-        if not any(line.tokens[i].lexeme == "redundant_t" for i in sig):
-            return raw
         spans = []
-        for seg in split_segments(line.tokens, sig):
-            if not any(line.tokens[i].lexeme == "redundant_t" for i in seg):
-                continue
-            m = _match_decl(line.tokens, seg)
+        for _, m in decl_statements(line.tokens, RedundancyPass.KEYWORDS, _match_decl):
             if m is None:
                 diags.append(
                     Diagnostic("warning", line.line_no, "unrecognized redundant_t declaration form; line passed through", str(PASS_ID))
@@ -175,7 +148,7 @@ def lower_accesses(unit: SourceUnit, decls, skip=frozenset()):
 
 class RedundancyPass(ExtensionPass):
     id = PASS_ID
-    KNOWN_KEYS = frozenset({"replicas", "bank_stride"})
+    KNOWN_KEYS = frozenset({"replicas"})
     KEYWORDS = frozenset({"redundant_t"})
 
     def _transform(self, unit, config, skip):

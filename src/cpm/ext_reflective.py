@@ -20,16 +20,18 @@ configuration, or in the source itself:
                                            -> cpm_arr_register(linkbeacons);
     guard_t (watchdog == WD_FIRED) on_fire; -> cpm_guard_register(on_fire, "watchdog == WD_FIRED");
 
-Both passes share one scanner; they are registered separately so that each
-keeps its own pipeline stage and identifier.
+Each pass has its own declaration scanner (``scan_context``,
+``scan_arrays``) and its own pipeline stage and identifier; both find their
+declarations with :func:`cpm.rewrite.decl_statements`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cexpr import compile_expr
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import COMPOUND_OPS, VarTarget, decl_head, rewrite_line
+from .rewrite import COMPOUND_OPS, VarTarget, decl_head, decl_statements, rewrite_line
 from .srcmodel import (
     Diagnostic,
     SourceUnit,
@@ -37,7 +39,6 @@ from .srcmodel import (
     apply_spans,
     map_lines,
     significant,
-    tokenize_line,
 )
 
 REFRACTIVE_ID = ExtensionId("refractive", "0.5")
@@ -59,7 +60,6 @@ class ContextVarSpec:
 @dataclass(frozen=True)
 class ReflectiveArraySpec:
     name: str
-    key_kind: str = "string"
     properties: tuple = ()  # (prop_name, value_type) pairs
 
 
@@ -81,7 +81,7 @@ def _merge_direction(a, b):
     return a if a == b else "both"
 
 
-def _config_scalars(config, diags, emitted_by):
+def _config_scalars(config, diags):
     specs: dict[str, ContextVarSpec] = {}
     for key, direction in (("sensors", "sensor"), ("actuators", "actuator"), ("context", "both")):
         entries = config.get("refractive", key)
@@ -97,13 +97,13 @@ def _config_scalars(config, diags, emitted_by):
             if name in specs:
                 direction = _merge_direction(specs[name].direction, direction)
                 diags.append(
-                    Diagnostic("warning", 0, f"context variable '{name}' configured with two directions; treating as both", emitted_by)
+                    Diagnostic("warning", 0, f"context variable '{name}' configured with two directions; treating as both", str(REFRACTIVE_ID))
                 )
             specs[name] = ContextVarSpec(name, direction, binding=name, value_type=vtype)
     return specs
 
 
-def _config_arrays(config, diags, emitted_by):
+def _config_arrays(config):
     specs: dict[str, ReflectiveArraySpec] = {}
     names = config.get("array", "arrays")
     if not names:
@@ -125,11 +125,10 @@ def _config_arrays(config, diags, emitted_by):
     return specs
 
 
-def _match_scalar_decl(tokens, seg):
-    toks = [tokens[i] for i in seg]
-    if not toks or toks[0].lexeme not in _DECL_KEYWORDS:
+def _match_scalar_decl(toks):
+    if toks[0].lexeme not in _DECL_KEYWORDS:
         return None
-    decl = decl_head(toks[1:-1]) if toks[-1].lexeme == ";" else None
+    decl = decl_head(toks[1:-1])
     if decl is None:
         return None
     return {
@@ -141,13 +140,12 @@ def _match_scalar_decl(tokens, seg):
     }
 
 
-def _match_array_decl(tokens, seg):
-    toks = [tokens[i] for i in seg]
+def _match_array_decl(toks):
     if len(toks) < 5 or toks[0].lexeme != "reflective_array_t":
         return None
     if toks[1].kind is not TokenKind.IDENTIFIER:
         return None
-    if toks[2].lexeme != "{" or toks[-1].lexeme != ";" or toks[-2].lexeme != "}":
+    if toks[2].lexeme != "{" or toks[-2].lexeme != "}":
         return None
     props = []
     body = toks[3:-2]
@@ -176,95 +174,49 @@ def _match_array_decl(tokens, seg):
     }
 
 
-def _match_guard_decl(raw, tokens, seg):
-    toks = [tokens[i] for i in seg]
-    if len(toks) < 6 or toks[0].lexeme != "guard_t" or toks[1].lexeme != "(":
+def _match_guard_decl(raw, toks):
+    """Match ``guard_t ( expr ) fn ;``; the expression is not checked here."""
+    if len(toks) < 6 or toks[0].lexeme != "guard_t" or toks[1].lexeme != "(" or toks[-3].lexeme != ")":
         return None
-    depth = 0
-    close = None
-    for j, t in enumerate(toks[1:], start=1):
-        if t.lexeme == "(":
-            depth += 1
-        elif t.lexeme == ")":
-            depth -= 1
-            if depth == 0:
-                close = j
-                break
-    # shape: guard_t ( expr ) fn ;
-    if close is None or close + 2 != len(toks) - 1:
-        return None
-    fn_tok = toks[close + 1]
-    if fn_tok.kind is not TokenKind.IDENTIFIER or toks[-1].lexeme != ";":
-        return None
-    expr = raw[toks[1].end : toks[close].column].strip()
-    if not expr:
+    if toks[-2].kind is not TokenKind.IDENTIFIER:
         return None
     return {
-        "fn": fn_tok.lexeme,
-        "expr": expr,
+        "fn": toks[-2].lexeme,
+        "expr": raw[toks[1].end : toks[-3].column].strip(),
         "start": toks[0].column,
         "end": toks[-1].end,
     }
 
 
-def scan_context(unit: SourceUnit, config, skip=frozenset(), families=("scalar", "array", "guard")):
-    """Collect context declarations (from config and from the source) and
-    replace in-source declaration lines with runtime registration calls.
+def scan_context(unit: SourceUnit, config, skip=frozenset()):
+    """Collect scalar context variables and guards (from config and from the
+    source) and replace in-source declarations with registration calls.
 
-    Guards are validated after the whole unit is seen, so a guard may precede
-    the sensors it references. Returns
-    (unit, scalar_specs, array_specs, guard_specs, diagnostics).
+    Guards are checked after the whole unit is seen, so a guard may precede
+    the sensors it reads. A guard is kept when its text compiles as a C
+    expression (:func:`cpm.cexpr.compile_expr`) that reads a declared
+    sensor, the rule ``ContextRegistry.register_guard`` applies at run time.
+    Returns (unit, scalar_specs, guard_specs, diagnostics).
     """
-    emitted_by = str(REFRACTIVE_ID if "scalar" in families else ARRAY_ID)
+    emitted_by = str(REFRACTIVE_ID)
     diags: list[Diagnostic] = []
-    scalars = _config_scalars(config, diags, emitted_by) if "scalar" in families else {}
-    arrays = _config_arrays(config, diags, emitted_by) if "array" in families else {}
+    scalars = _config_scalars(config, diags)
     guards: list[GuardedFunctionSpec] = []
-    pending_guards = []  # (seg match dict, line_no)
+    pending_guards = []  # (match dict, line_no)
     line_spans: dict[int, list] = {}  # line_no -> replacement spans
 
     for line in unit.lines:
         if line.line_no in skip:
             continue
-        sig = significant(line.tokens)
-        p = 0
-        while p < len(sig):
-            tok = line.tokens[sig[p]]
-            family = None
-            if tok.kind is TokenKind.IDENTIFIER:
-                if "scalar" in families and tok.lexeme in _DECL_KEYWORDS:
-                    family = "scalar"
-                elif "array" in families and tok.lexeme == "reflective_array_t":
-                    family = "array"
-                elif "guard" in families and tok.lexeme == "guard_t":
-                    family = "guard"
-            if family is None:
-                p += 1
-                continue
-            at_start = p == 0 or line.tokens[sig[p - 1]].lexeme in (";", "{", "}")
-            end_p = next(
-                (q for q in range(p, len(sig)) if line.tokens[sig[q]].lexeme == ";"), None
-            )
-            if not at_start or end_p is None:
-                diags.append(
-                    Diagnostic("warning", line.line_no, f"unrecognized {tok.lexeme} declaration form; line passed through", emitted_by)
-                )
-                p = p + 1 if end_p is None else end_p + 1
-                continue
-            seg = sig[p : end_p + 1]
-            if family == "scalar":
-                m = _match_scalar_decl(line.tokens, seg)
-            elif family == "array":
-                m = _match_array_decl(line.tokens, seg)
-            else:
-                m = _match_guard_decl(line.raw, line.tokens, seg)
+        match = lambda toks, raw=line.raw: _match_scalar_decl(toks) or _match_guard_decl(raw, toks)
+        for kw, m in decl_statements(line.tokens, RefractivePass.KEYWORDS, match):
             if m is None:
                 diags.append(
-                    Diagnostic("warning", line.line_no, f"unrecognized {tok.lexeme} declaration form; line passed through", emitted_by)
+                    Diagnostic("warning", line.line_no, f"unrecognized {kw.lexeme} declaration form; line passed through", emitted_by)
                 )
-                p = end_p + 1
-                continue
-            if family == "scalar":
+            elif kw.lexeme == "guard_t":
+                pending_guards.append((m, line.line_no))
+            else:
                 direction = m["direction"]
                 if m["name"] in scalars:
                     direction = _merge_direction(scalars[m["name"]].direction, direction)
@@ -276,30 +228,15 @@ def scan_context(unit: SourceUnit, config, skip=frozenset(), families=("scalar",
                 )
                 text = f'cpm_ctx_register({m["name"]}, {direction}, "{m["name"]}");'
                 line_spans.setdefault(line.line_no, []).append((m["start"], m["end"], text))
-            elif family == "array":
-                if m["name"] in arrays:
-                    diags.append(
-                        Diagnostic("warning", line.line_no, f"reflective array '{m['name']}' declared more than once; first declaration wins", emitted_by)
-                    )
-                else:
-                    arrays[m["name"]] = ReflectiveArraySpec(name=m["name"], properties=m["properties"])
-                text = f"cpm_arr_register({m['name']});"
-                line_spans.setdefault(line.line_no, []).append((m["start"], m["end"], text))
-            else:
-                pending_guards.append((m, line.line_no))
-            p = end_p + 1
 
     sensor_names = {s.name for s in scalars.values() if s.direction in ("sensor", "both")}
     for m, line_no in pending_guards:
-        refs = {
-            t.lexeme
-            for t in tokenize_line(m["expr"])
-            if t.kind is TokenKind.IDENTIFIER
-        }
-        if not refs & sensor_names:
-            diags.append(
-                Diagnostic("warning", line_no, f"guard for '{m['fn']}' references no declared sensor; guard dropped", emitted_by)
-            )
+        try:
+            problem = None if compile_expr(m["expr"])[1] & sensor_names else "references no declared sensor"
+        except ValueError:
+            problem = "is not a C expression"
+        if problem is not None:
+            diags.append(Diagnostic("warning", line_no, f"guard for '{m['fn']}' {problem}; guard dropped", emitted_by))
             continue
         guards.append(GuardedFunctionSpec(guard_expr=m["expr"], body_fn=m["fn"]))
         expr = m["expr"].replace("\\", "\\\\").replace('"', '\\"')
@@ -307,7 +244,34 @@ def scan_context(unit: SourceUnit, config, skip=frozenset(), families=("scalar",
         line_spans.setdefault(line_no, []).append((m["start"], m["end"], text))
 
     out = map_lines(unit, lambda line: apply_spans(line.raw, line_spans.get(line.line_no)))
-    return out, list(scalars.values()), list(arrays.values()), guards, diags
+    return out, list(scalars.values()), guards, diags
+
+
+def scan_arrays(unit: SourceUnit, config, skip=frozenset()):
+    """Collect reflective arrays (from config and from the source) and
+    replace in-source declarations with registration calls. Returns
+    (unit, array_specs, diagnostics)."""
+    diags: list[Diagnostic] = []
+    arrays = _config_arrays(config)
+
+    def lower_decls(line):
+        spans = []
+        for _, m in decl_statements(line.tokens, ArrayPass.KEYWORDS, _match_array_decl):
+            if m is None:
+                diags.append(
+                    Diagnostic("warning", line.line_no, "unrecognized reflective_array_t declaration form; line passed through", str(ARRAY_ID))
+                )
+                continue
+            if m["name"] in arrays:
+                diags.append(
+                    Diagnostic("warning", line.line_no, f"reflective array '{m['name']}' declared more than once; first declaration wins", str(ARRAY_ID))
+                )
+            else:
+                arrays[m["name"]] = ReflectiveArraySpec(name=m["name"], properties=m["properties"])
+            spans.append((m["start"], m["end"], f"cpm_arr_register({m['name']});"))
+        return apply_spans(line.raw, spans)
+
+    return map_lines(unit, lower_decls, skip), list(arrays.values()), diags
 
 
 def lower_context_accesses(unit: SourceUnit, specs, skip=frozenset()):
@@ -421,7 +385,7 @@ class RefractivePass(ExtensionPass):
     KEYWORDS = frozenset({"sensor_t", "actuator_t", "context_t", "guard_t"})
 
     def _transform(self, unit, config, skip):
-        unit, scalars, _, _, diags = scan_context(unit, config, skip, families=("scalar", "guard"))
+        unit, scalars, _, diags = scan_context(unit, config, skip)
         unit, more = lower_context_accesses(unit, scalars, skip)
         return unit, diags + more
 
@@ -439,6 +403,6 @@ class ArrayPass(ExtensionPass):
         return bool(key) and "." not in key
 
     def _transform(self, unit, config, skip):
-        unit, _, arrays, _, diags = scan_context(unit, config, skip, families=("array",))
+        unit, arrays, diags = scan_arrays(unit, config, skip)
         unit, more = lower_array_accesses(unit, arrays, skip)
         return unit, diags + more

@@ -43,6 +43,43 @@ def decl_head(toks):
     return " ".join(t.lexeme for t in toks[:-1]), toks[-1].lexeme
 
 
+def decl_statements(tokens, keywords, match):
+    """Find the declaration statement of each occurrence of one of a pass's
+    ``keywords`` among one line's ``tokens``; yields ``(keyword_token, m)``.
+
+    The one rule all four passes' declarations obey:
+
+    - A keyword's statement starts at the token after the last ``;``, ``{``
+      or ``}`` before it and ends at the next ``;`` outside parentheses and
+      brackets.
+    - ``match`` sees the statement's significant tokens, its ``;`` last, only
+      if the statement ends on the line and holds no other keyword; ``m`` is
+      what it returns, or None when it does not run. The pass lowers a match
+      and warns once for a None.
+    - After a match, scanning resumes after the statement; otherwise right
+      after the keyword.
+    """
+    if not any(t.lexeme in keywords for t in tokens):
+        return
+    sig = [t for t in tokens if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)]
+    start = 0
+    # a matched statement holds no other keyword and ends at a ';', so taking
+    # every occurrence in turn is the same as resuming after the statement
+    for p, tok in enumerate(sig):
+        if tok.kind is TokenKind.PUNCTUATOR and tok.lexeme in (";", "{", "}"):
+            start = p + 1
+        if tok.kind is not TokenKind.IDENTIFIER or tok.lexeme not in keywords:
+            continue
+        depth, end = 0, p + 1
+        while end < len(sig) and (depth or sig[end].lexeme != ";"):
+            lex = sig[end].lexeme
+            depth = max(0, depth + (lex in ("(", "[")) - (lex in (")", "]")))
+            end += 1
+        stmt = sig[start : end + 1]
+        alone = sum(t.kind is TokenKind.IDENTIFIER and t.lexeme in keywords for t in stmt) == 1
+        yield tok, match(stmt) if end < len(sig) and alone else None
+
+
 @dataclass(frozen=True)
 class VarTarget:
     """How to lower one tracked name. ``read`` / ``write`` may be None when

@@ -41,7 +41,6 @@ class ArrayEntry:
     silent_periods: int = 0
     stale: bool = False
     props: dict = field(default_factory=dict)
-    last_beacon_ms: int | None = None
 
 
 class ReflectiveArray:
@@ -62,17 +61,15 @@ class ReflectiveArray:
             self._keys.append(key)
         return e
 
-    def report_beacon(self, key, at_time=None):
+    def report_beacon(self, key):
         """A beacon arrived for key: the entry exists, counts it for the
         current period, and is no longer stale."""
         e = self._entry(key)
         e.beacons_cur_period += 1
         e.silent_periods = 0
         e.stale = False
-        if at_time is not None:
-            e.last_beacon_ms = int(at_time)
 
-    def rollover(self, at_time=None):
+    def rollover(self):
         """Close the current observation period: current counts become last
         counts, and keys that stayed silent for the whole period go stale."""
         self.periods_elapsed += 1

@@ -71,7 +71,7 @@ class Runtime:
     # -- redundancy ----------------------------------------------------------
 
     @_synchronized
-    def red_storage(self, name, replicas=3, *, initial=0, policy=None, bank_stride=4096) -> ReplicaSet:
+    def red_storage(self, name, replicas=3, *, initial=0, policy=None) -> ReplicaSet:
         if name in self.replicas:
             self.events.log(self.clock.now, "warn", name, 0, "redundant-storage-redefined")
             return self.replicas[name]
@@ -82,7 +82,6 @@ class Runtime:
             policy=policy or self.default_policy or AdaptPolicy(),
             clock=self.clock,
             events=self.events,
-            bank_stride=bank_stride,
         )
         self.replicas[name] = rs
         return rs
@@ -149,11 +148,11 @@ class Runtime:
 
     @_synchronized
     def arr_report_beacon(self, name, key):
-        self._array(name).report_beacon(key, at_time=self.clock.now)
+        self._array(name).report_beacon(key)
 
     @_synchronized
     def arr_rollover(self, name):
-        self._array(name).rollover(at_time=self.clock.now)
+        self._array(name).rollover()
 
     @_synchronized
     def anext(self, name, cursor):

@@ -52,7 +52,7 @@ class ReplicaSet:
     """N-way storage for one redundant variable (N odd, >= 3)."""
 
     def __init__(self, name, replicas=3, *, initial=0, policy=None,
-                 clock=None, events=None, bank_stride=4096):
+                 clock=None, events=None):
         policy = policy or AdaptPolicy()
         if replicas % 2 == 0 or replicas < 3:
             raise ValueError("replica count must be odd and >= 3")
@@ -62,7 +62,6 @@ class ReplicaSet:
         self.policy = policy
         self.clock = clock
         self.events = events
-        self.bank_stride = bank_stride  # bank-separation layout hint; no effect here
         self.stats = VoteStats(window=deque(maxlen=policy.window))
         self._replicas = [initial] * replicas
         self._window_risky = 0  # reads in stats.window with discrepancies >= N // 2

@@ -86,8 +86,8 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
 
     def observe_cycle():
         cycle = linkbeacons.periods_elapsed + 1
-        linkbeacons.rollover(rt.clock.now)
-        linkrates.rollover(rt.clock.now)
+        linkbeacons.rollover()
+        linkrates.rollover()
         cursor = 0
         while (mac := rt.anext("linkbeacons", cursor)) is not None:
             cursor += 1

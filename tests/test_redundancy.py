@@ -1,6 +1,6 @@
 from cpm.ext_redundancy import RedundancyPass, lower_accesses, scan_redundant
 from cpm.interp import AbiInterpreter
-from cpm.pipeline import PassConfig
+from cpm.pipeline import PassConfig, compose
 from cpm.runtime import Runtime
 from cpm.srcmodel import load_unit, render
 
@@ -212,4 +212,11 @@ def test_comment_text_is_never_rewritten():
     assert out.splitlines()[1:] == [
         "/* y = 1;",
         " y = 2; */ cpm_red_write(y, (3)); /* y = 4; */",
+    ]
+
+
+def test_bank_stride_is_not_a_redundancy_key():
+    pipeline = compose(["redundancy"], config=PassConfig({"redundancy.bank_stride": "4096"}))
+    assert [d.message for d in pipeline.compose_diagnostics] == [
+        "config key 'redundancy.bank_stride' is not recognized by pass 'redundancy'"
     ]

@@ -5,12 +5,19 @@ from cpm.ext_reflective import (
     ReflectiveArraySpec,
     lower_array_accesses,
     lower_context_accesses,
+    scan_arrays,
     scan_context,
 )
+from pathlib import Path
+
 import pytest
 
-from cpm.pipeline import PassConfig
+from cpm.interp import AbiInterpreter
+from cpm.pipeline import PassConfig, compose, run
+from cpm.runtime import Runtime
 from cpm.srcmodel import load_unit, render
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def refract(src, config=None):
@@ -109,6 +116,35 @@ def test_guard_without_sensor_dropped_with_warning():
     assert any("no declared sensor" in d.message for d in diags)
 
 
+def test_guard_that_is_not_a_c_expression_dropped_with_warning():
+    unit, diags = refract("sensor_t int s;\nguard_t (s >) f;\n")
+    assert render(unit).splitlines()[1].startswith("guard_t (")
+    assert [d.message for d in diags] == ["guard for 'f' is not a C expression; guard dropped"]
+
+
+def test_guard_over_a_lowered_redundant_read_is_dropped_at_transform_time():
+    # redundancy first turns the guard's 'watchdog' into cpm_red_read(watchdog),
+    # which names no sensor; the runtime would reject the registration
+    src = (DEMOS / "watchdog_task.cpm").read_text(encoding="latin-1")
+    config = PassConfig({"refractive.context": "watchdog"})
+    out, report = run(compose(["redundancy", "refractive", "cyclic"], config=config), load_unit(src))
+    assert "guard_t (cpm_red_read(watchdog) == WD_FIRED) on_watchdog_fired;" in render(out)
+    assert [d.message for d in report.diagnostics] == [
+        "guard for 'on_watchdog_fired' references no declared sensor; guard dropped"
+    ]
+
+
+def test_watchdog_demo_in_demo_order_registers_its_guard_and_runs():
+    src = (DEMOS / "watchdog_task.cpm").read_text(encoding="latin-1")
+    config = PassConfig.from_ini(DEMOS / "extensions.ini")
+    out, report = run(compose(["refractive", "array", "redundancy", "cyclic"], config=config), load_unit(src))
+    assert not report.diagnostics
+    rt = Runtime()
+    rt.ctx_register("watchdog", "both")  # configured out of band, as in extensions.ini
+    AbiInterpreter(rt, env={"WD_FIRED": 2}).run_unit(out)
+    assert [g.name for g in rt.registry.guards] == ["on_watchdog_fired"]
+
+
 def test_array_decl_becomes_registration():
     unit, _ = arrayp("reflective_array_t linkbeacons { beacons:int, silent_periods:int };\n")
     assert render(unit) == "cpm_arr_register(linkbeacons);\n"
@@ -202,7 +238,8 @@ def test_scan_context_returns_all_spec_kinds():
         "reflective_array_t linkbeacons { beacons:int };\n"
         "guard_t (cpu > 90) shed_load;\n"
     )
-    unit, scalars, arrays, guards, diags = scan_context(load_unit(src), PassConfig())
+    unit, scalars, guards, diags = scan_context(load_unit(src), PassConfig())
+    unit, arrays, diags = scan_arrays(unit, PassConfig())
     assert {s.name: s.direction for s in scalars} == {"cpu": "sensor", "vol": "actuator"}
     assert [a.name for a in arrays] == ["linkbeacons"]
     assert arrays[0].properties == (("beacons", "int"),)

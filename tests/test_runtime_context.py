@@ -190,7 +190,7 @@ def test_reflective_array_default_observation_period():
 
 def test_new_key_entry_created_on_first_beacon():
     arr = ReflectiveArray("lb", 1000)
-    arr.report_beacon("aa:bb:cc:dd:ee:ff", at_time=5)
+    arr.report_beacon("aa:bb:cc:dd:ee:ff")
     e = arr.entries["aa:bb:cc:dd:ee:ff"]
     assert e.beacons_cur_period == 1 and not e.stale
 
