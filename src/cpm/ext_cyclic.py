@@ -16,16 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import COMPOUND_OPS, decl_head, decl_statements
-from .srcmodel import (
-    Diagnostic,
-    SourceUnit,
-    TokenKind,
-    apply_spans,
-    map_lines,
-    significant,
-    split_segments,
-)
+from .rewrite import CYCLE, Target, closing, decl_head, decl_statements, lower_lines
+from .srcmodel import Diagnostic, SourceUnit, apply_spans, map_lines
 
 PASS_ID = ExtensionId("cyclic", "1.0")
 
@@ -40,11 +32,14 @@ class CyclicMethodSpec:
 
 def _match_decl(raw, toks):
     """Match ``cyclic_t <type...> <name> ( params ) ;``, the statement's
-    tokens, which hold no brace (a function definition does not match)."""
-    if toks[0].lexeme != "cyclic_t" or toks[-2].lexeme != ")" or any(t.lexeme in ("{", "}") for t in toks):
+    tokens, which hold no brace (a function definition does not match) and
+    whose first ``(`` pairs with the ``)`` before the ``;``."""
+    if toks[0].lexeme != "cyclic_t" or any(t.lexeme in ("{", "}") for t in toks):
         return None
     open_at = next((j for j, t in enumerate(toks) if t.lexeme == "("), None)
-    decl = decl_head(toks[1:open_at]) if open_at is not None else None
+    if open_at is None or closing(toks, open_at) != len(toks) - 2:
+        return None
+    decl = decl_head(toks[1:open_at])
     if decl is None:
         return None
     return {
@@ -93,72 +88,27 @@ def scan_cyclic(unit: SourceUnit, config, skip=frozenset()):
     return map_lines(unit, lower_decls, skip), specs, diags
 
 
+_MESSAGES = {
+    "update": "compound assignment '{op}' to '{o}' is unsupported; left unrewritten",
+    "step": "increment/decrement of '{o}' is unsupported; left unrewritten",
+    "embedded": "assignment to '{o}' outside statement position; left unrewritten",
+    "undeclared": "'.Cycle' on '{name}', which is not a declared cyclic method; left unrewritten",
+}
+
+
 def lower_cycle_member(unit: SourceUnit, specs, skip=frozenset()):
-    """Rewrite ``fn.Cycle`` accesses of declared cyclic methods.
+    """Rewrite ``fn.Cycle`` accesses of declared cyclic methods; a period is
+    set by assignment only, as the runtime dispatches on the value assigned.
     Returns (unit, diagnostics)."""
-    diags: list[Diagnostic] = []
-    names = {s.fn_name for s in specs}
-    return map_lines(unit, lambda line: _lower_line(line, names, diags), skip), diags
-
-
-def _lower_line(line, names, diags):
-    tokens = line.tokens
-    spans = []
-    for seg in split_segments(tokens, significant(tokens)):
-        # statement form: fn . Cycle = expr ;  (a compound operator is unsupported)
-        if len(seg) >= 5:
-            t0, t1, t2, t3 = (tokens[i] for i in seg[:4])
-            last = tokens[seg[-1]]
-            if (
-                t0.kind is TokenKind.IDENTIFIER
-                and t1.lexeme == "."
-                and t2.lexeme == "Cycle"
-                and (t3.lexeme == "=" or t3.lexeme in COMPOUND_OPS)
-                and last.lexeme == ";"
-                and t0.lexeme in names
-            ):
-                if t3.lexeme != "=":
-                    diags.append(
-                        Diagnostic("warning", line.line_no, f"compound assignment '{t3.lexeme}' to '{t0.lexeme}.Cycle' is unsupported; left unrewritten", str(PASS_ID))
-                    )
-                    spans.extend(_member_spans(line, seg[4:-1], names, diags))
-                    continue
-                lo = t3.end
-                inner = [
-                    (start - lo, end - lo, text)
-                    for start, end, text in _member_spans(line, seg[4:-1], names, diags)
-                ]
-                rhs = apply_spans(line.raw[lo : last.column], inner).strip()
-                spans.append((t0.column, last.end, f"cpm_cycle_set({t0.lexeme}, ({rhs}));"))
-                continue
-        spans.extend(_member_spans(line, seg, names, diags))
-    return apply_spans(line.raw, spans)
-
-
-def _member_spans(line, seg, names, diags):
-    """Spans lowering each ``fn.Cycle`` read among the token indices ``seg``;
-    other occurrences are warned about and left as they are."""
-    tokens = line.tokens
-    spans = []
-    for p in range(len(seg) - 2):
-        a, b, c = (tokens[seg[p + k]] for k in range(3))
-        if b.lexeme != "." or c.lexeme != "Cycle" or a.kind is not TokenKind.IDENTIFIER:
-            continue
-        if any(start <= a.column < end for start, end, _ in spans):
-            continue
-        if a.lexeme not in names:
-            diags.append(
-                Diagnostic("warning", line.line_no, f"'.Cycle' on '{a.lexeme}', which is not a declared cyclic method; left unrewritten", str(PASS_ID))
-            )
-            continue
-        after = tokens[seg[p + 3]] if p + 3 < len(seg) else None
-        if after is not None and (after.lexeme == "=" or after.lexeme in COMPOUND_OPS):
-            diags.append(
-                Diagnostic("warning", line.line_no, f"assignment to '{a.lexeme}.Cycle' outside statement position; left unrewritten", str(PASS_ID))
-            )
-            continue
-        spans.append((a.column, c.end, f"cpm_cycle_get({a.lexeme})"))
-    return spans
+    cycle = Target(
+        CYCLE,
+        read="cpm_cycle_get({name})",
+        write="cpm_cycle_set({name}, {value});",
+        update=False,
+        known=frozenset(s.fn_name for s in specs),
+        messages=_MESSAGES,
+    )
+    return lower_lines(unit, {"Cycle": cycle}, CyclicPass.KEYWORDS, str(PASS_ID), skip)
 
 
 class CyclicPass(ExtensionPass):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import VarTarget, decl_head, decl_statements, rewrite_line
+from .rewrite import Target, decl_head, decl_statements, lower_lines
 from .srcmodel import Diagnostic, SourceUnit, apply_spans, map_lines
 
 PASS_ID = ExtensionId("redundancy", "1.1")
@@ -37,12 +37,7 @@ class RedundantDecl:
     decl_line: int
 
 
-def _read_call(name):
-    return f"cpm_red_read({name})"
-
-
-def _write_stmt(name, value):
-    return f"cpm_red_write({name}, {value});"
+_TARGET = Target(read="cpm_red_read({name})", write="cpm_red_write({name}, {value});")
 
 
 def _replica_count(config, diags):
@@ -132,18 +127,8 @@ def scan_redundant(unit: SourceUnit, config, skip=frozenset()):
 def lower_accesses(unit: SourceUnit, decls, skip=frozenset()):
     """Rewrite reads/writes of the declared names into voted-read and
     multiplexed-write calls. Returns (unit, diagnostics)."""
-    diags: list[Diagnostic] = []
-    targets = {
-        d.var_name: VarTarget(d.var_name, read=_read_call, write=_write_stmt) for d in decls
-    }
-    if not targets:
-        return unit, diags
-    out = map_lines(
-        unit,
-        lambda line: rewrite_line(line.raw, line.tokens, targets, line.line_no, str(PASS_ID), diags),
-        skip,
-    )
-    return out, diags
+    targets = {d.var_name: _TARGET for d in decls}
+    return lower_lines(unit, targets, RedundancyPass.KEYWORDS, str(PASS_ID), skip)
 
 
 class RedundancyPass(ExtensionPass):

@@ -22,7 +22,8 @@ configuration, or in the source itself:
 
 Each pass has its own declaration scanner (``scan_context``,
 ``scan_arrays``) and its own pipeline stage and identifier; both find their
-declarations with :func:`cpm.rewrite.decl_statements`.
+declarations with :func:`cpm.rewrite.decl_statements` and lower accesses
+with :func:`cpm.rewrite.rewrite_line`, each from a table of targets.
 """
 
 from __future__ import annotations
@@ -31,15 +32,8 @@ from dataclasses import dataclass
 
 from .cexpr import compile_expr
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import COMPOUND_OPS, VarTarget, decl_head, decl_statements, rewrite_line
-from .srcmodel import (
-    Diagnostic,
-    SourceUnit,
-    TokenKind,
-    apply_spans,
-    map_lines,
-    significant,
-)
+from .rewrite import INDEX, Target, decl_head, decl_statements, lower_lines
+from .srcmodel import Diagnostic, SourceUnit, TokenKind, apply_spans, map_lines
 
 REFRACTIVE_ID = ExtensionId("refractive", "0.5")
 ARRAY_ID = ExtensionId("array", "0.5")
@@ -69,12 +63,22 @@ class GuardedFunctionSpec:
     body_fn: str
 
 
-def _read_call(name):
-    return f"cpm_ctx_read({name})"
+_SCALAR_TARGETS = {  # direction -> target
+    "sensor": Target(read="cpm_ctx_read({name})"),
+    "actuator": Target(write="cpm_ctx_write({name}, {value});"),
+    "both": Target(read="cpm_ctx_read({name})", write="cpm_ctx_write({name}, {value});"),
+}
 
-
-def _write_stmt(name, value):
-    return f"cpm_ctx_write({name}, {value});"
+_ARRAY_MESSAGES = {
+    **dict.fromkeys(
+        ("assign", "update", "embedded"),
+        "assignment to reflective array property '{o}' is unsupported; left unrewritten",
+    ),
+    "unclosed": "'{name}[' access does not close on this line; left unrewritten",
+    "selector": "'{name}[...]' without a property selector; left unrewritten",
+    "prop_name": "'{name}[...].' not followed by a property name; left unrewritten",
+    "unknown": "unknown property '{prop}' of reflective array '{name}'; left unrewritten",
+}
 
 
 def _merge_direction(a, b):
@@ -277,104 +281,24 @@ def scan_arrays(unit: SourceUnit, config, skip=frozenset()):
 def lower_context_accesses(unit: SourceUnit, specs, skip=frozenset()):
     """Wrap sensor reads and actuator writes of the declared scalar context
     variables. Returns (unit, diagnostics)."""
-    diags: list[Diagnostic] = []
-    targets = {}
-    for s in specs:
-        targets[s.name] = VarTarget(
-            s.name,
-            read=_read_call if s.direction in ("sensor", "both") else None,
-            write=_write_stmt if s.direction in ("actuator", "both") else None,
-        )
-    if not targets:
-        return unit, diags
-    out = map_lines(
-        unit,
-        lambda line: rewrite_line(line.raw, line.tokens, targets, line.line_no, str(REFRACTIVE_ID), diags),
-        skip,
-    )
-    return out, diags
+    targets = {s.name: _SCALAR_TARGETS[s.direction] for s in specs}
+    return lower_lines(unit, targets, RefractivePass.KEYWORDS, str(REFRACTIVE_ID), skip)
 
 
 def lower_array_accesses(unit: SourceUnit, specs, skip=frozenset()):
-    """Rewrite ``A[key].prop`` accesses of declared reflective arrays into
-    ``cpm_arr_get(A, (key), prop)``. Returns (unit, diagnostics)."""
-    diags: list[Diagnostic] = []
-    by_name = {s.name: s for s in specs}
-    if not by_name:
-        return unit, diags
-    out = map_lines(
-        unit,
-        lambda line: apply_spans(line.raw, _array_spans(line, significant(line.tokens), by_name, diags)),
-        skip,
-    )
-    return out, diags
-
-
-def _array_spans(line, sig, by_name, diags):
-    """Spans lowering each ``A[key].prop`` read among the token indices
-    ``sig``, reads inside any key included; other forms are warned about and
-    left as they are."""
-    tokens = line.tokens
-    spans = []
-    p = 0
-    while p < len(sig):
-        tok = tokens[sig[p]]
-        if tok.kind is not TokenKind.IDENTIFIER or tok.lexeme not in by_name:
-            p += 1
-            continue
-        if p + 1 >= len(sig) or tokens[sig[p + 1]].lexeme != "[":
-            p += 1
-            continue
-        spec = by_name[tok.lexeme]
-        depth = 0
-        close_at = None
-        q = p + 1
-        while q < len(sig):
-            lex = tokens[sig[q]].lexeme
-            if lex == "[":
-                depth += 1
-            elif lex == "]":
-                depth -= 1
-                if depth == 0:
-                    close_at = q
-                    break
-            q += 1
-        if close_at is None:
-            diags.append(
-                Diagnostic("warning", line.line_no, f"'{tok.lexeme}[' access does not close on this line; left unrewritten", str(ARRAY_ID))
-            )
-            p += 1
-            continue
-        key = sig[p + 2 : close_at]
-        prop_tok = None
-        if close_at + 2 < len(sig) and tokens[sig[close_at + 1]].lexeme == ".":
-            prop_tok = tokens[sig[close_at + 2]]
-        after = tokens[sig[close_at + 3]] if close_at + 3 < len(sig) else None
-        problem, p_next = None, close_at + 3
-        if prop_tok is None:
-            problem, p_next = f"'{tok.lexeme}[...]' without a property selector", close_at + 1
-        elif prop_tok.kind is not TokenKind.IDENTIFIER:
-            problem, p_next = f"'{tok.lexeme}[...].' not followed by a property name", close_at + 1
-        elif prop_tok.lexeme not in {name for name, _ in spec.properties} | set(BUILTIN_ARRAY_PROPS):
-            problem = f"unknown property '{prop_tok.lexeme}' of reflective array '{tok.lexeme}'"
-        elif after is not None and (after.lexeme == "=" or after.lexeme in COMPOUND_OPS):
-            problem = f"assignment to reflective array property '{tok.lexeme}[...].{prop_tok.lexeme}' is unsupported"
-        if problem is not None:
-            diags.append(Diagnostic("warning", line.line_no, f"{problem}; left unrewritten", str(ARRAY_ID)))
-            spans.extend(_array_spans(line, key, by_name, diags))  # the key is still code
-            p = p_next
-            continue
-        lo = tokens[sig[p + 1]].end
-        key_spans = [
-            (start - lo, end - lo, text)
-            for start, end, text in _array_spans(line, key, by_name, diags)
-        ]
-        key_text = apply_spans(line.raw[lo : tokens[sig[close_at]].column], key_spans).strip()
-        spans.append(
-            (tok.column, prop_tok.end, f"cpm_arr_get({tok.lexeme}, ({key_text}), {prop_tok.lexeme})")
+    """Rewrite ``A[key].prop`` reads of declared reflective arrays into
+    ``cpm_arr_get(A, (key), prop)``; the properties are read-only. Returns
+    (unit, diagnostics)."""
+    targets = {
+        s.name: Target(
+            INDEX,
+            read="cpm_arr_get({name}, ({key}), {prop})",
+            known=frozenset(BUILTIN_ARRAY_PROPS).union(p for p, _ in s.properties),
+            messages=_ARRAY_MESSAGES,
         )
-        p = close_at + 3
-    return spans
+        for s in specs
+    }
+    return lower_lines(unit, targets, ArrayPass.KEYWORDS, str(ARRAY_ID), skip)
 
 
 class RefractivePass(ExtensionPass):

@@ -1,24 +1,37 @@
-"""Shared lowering machinery for tracked scalar variables.
+"""Shared lowering machinery for all four passes: one declaration finder and
+one access engine.
 
-The redundancy pass and the context-variable pass rewrite accesses the same
-way: a statement-level assignment to a tracked name becomes a write call, any
-other expression-position occurrence becomes a read call, and compound
-assignments / increments desugar through a read. Only the emitted call text
-and the permitted access directions differ, so the classification logic lives
-here once.
+:func:`decl_statements` finds the statement of each occurrence of a pass's
+keyword by one rule; the pass supplies only a matcher.
 
-Occurrences that cannot be rewritten safely from a single line (address-of,
-assignments buried inside larger expressions, subscripts, apparent shadowing
-declarations) are left untouched and reported as warnings; nothing here ever
-rejects input.
+:func:`rewrite_line` lowers the accesses on one line, given the pass's table
+of targets. A :class:`Target` is a row of data: the form it lowers (a name
+``x``, an indexed property ``a[key].prop`` or a pseudo-member ``f.Cycle``),
+read and write templates, either of which may be None, and the message
+texts in which its form differs. Every form follows one position rule:
+
+- At statement level, ``o = e;`` becomes a write and ``o op= e;``, ``++o;``
+  and ``o++;`` a write of a value read and modified; a target that lacks
+  what this needs is warned about.
+- Anywhere else, an occurrence that is assigned, incremented or
+  decremented, has its address taken, is called, is subscripted or appears
+  to be redeclared is warned about and left as it is.
+- Every other occurrence becomes a read. A name after ``.`` or ``->``, the
+  first argument of a ``cpm_`` call, a label and a name in an ``extern``
+  declaration are not accesses.
+
+Right-hand sides and array keys are lowered by the same rule. A statement
+that still holds one of the pass's own keywords after its declaration scan
+is a declaration the scan dropped with a warning; it is left alone. Nothing
+here ever rejects input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
-from .srcmodel import Diagnostic, Token, TokenKind, apply_spans, significant, split_segments
+from .srcmodel import Diagnostic, TokenKind, apply_spans, map_lines
 
 COMPOUND_OPS = {
     "+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
@@ -28,6 +41,10 @@ COMPOUND_OPS = {
 TYPE_KEYWORDS = frozenset(
     {"int", "char", "short", "long", "float", "double", "signed", "unsigned", "void"}
 )
+
+
+def _significant(tokens):
+    return [t for t in tokens if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)]
 
 
 def decl_head(toks):
@@ -41,6 +58,37 @@ def decl_head(toks):
         if t.kind not in (TokenKind.KEYWORD, TokenKind.IDENTIFIER) and t.lexeme != "*":
             return None
     return " ".join(t.lexeme for t in toks[:-1]), toks[-1].lexeme
+
+
+def closing(toks, at, hi=None):
+    """Index of the token closing the ``(`` or ``[`` at ``toks[at]``, searched
+    before ``hi``; None if it does not close there."""
+    opener = toks[at].lexeme
+    closer = ")" if opener == "(" else "]"
+    depth = 0
+    for j in range(at, len(toks) if hi is None else hi):
+        depth += (toks[j].lexeme == opener) - (toks[j].lexeme == closer)
+        if not depth:
+            return j
+    return None
+
+
+def _keyword_statements(sig, keywords):
+    """Yield ``(p, start, end)`` for each keyword ``sig[p]``: its statement is
+    ``sig[start : end + 1]``, and ``end == len(sig)`` when it does not end on
+    the line."""
+    start = 0
+    for p, tok in enumerate(sig):
+        if tok.kind is TokenKind.PUNCTUATOR and tok.lexeme in (";", "{", "}"):
+            start = p + 1
+        if tok.kind is not TokenKind.IDENTIFIER or tok.lexeme not in keywords:
+            continue
+        depth, end = 0, p + 1
+        while end < len(sig) and (depth or sig[end].lexeme != ";"):
+            lex = sig[end].lexeme
+            depth = max(0, depth + (lex in ("(", "[")) - (lex in (")", "]")))
+            end += 1
+        yield p, start, end
 
 
 def decl_statements(tokens, keywords, match):
@@ -61,242 +109,263 @@ def decl_statements(tokens, keywords, match):
     """
     if not any(t.lexeme in keywords for t in tokens):
         return
-    sig = [t for t in tokens if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)]
-    start = 0
+    sig = _significant(tokens)
     # a matched statement holds no other keyword and ends at a ';', so taking
     # every occurrence in turn is the same as resuming after the statement
-    for p, tok in enumerate(sig):
-        if tok.kind is TokenKind.PUNCTUATOR and tok.lexeme in (";", "{", "}"):
-            start = p + 1
-        if tok.kind is not TokenKind.IDENTIFIER or tok.lexeme not in keywords:
-            continue
-        depth, end = 0, p + 1
-        while end < len(sig) and (depth or sig[end].lexeme != ";"):
-            lex = sig[end].lexeme
-            depth = max(0, depth + (lex in ("(", "[")) - (lex in (")", "]")))
-            end += 1
+    for p, start, end in _keyword_statements(sig, keywords):
         stmt = sig[start : end + 1]
         alone = sum(t.kind is TokenKind.IDENTIFIER and t.lexeme in keywords for t in stmt) == 1
-        yield tok, match(stmt) if end < len(sig) and alone else None
+        yield sig[p], match(stmt) if end < len(sig) and alone else None
+
+
+NAME, INDEX, CYCLE = "name", "index", "cycle"
+
+_LABELS = {NAME: "{name}", INDEX: "{name}[...].{prop}", CYCLE: "{name}.Cycle"}
+
+# what the position rule warns about, in the name form's words
+MESSAGES = {
+    "assign": "assignment to read-only context variable '{o}' left unrewritten",
+    "update": "compound assignment to '{o}' needs both read and write access; left unrewritten",
+    "step": "increment/decrement of '{o}' needs both read and write access; left unrewritten",
+    "embedded": "assignment to '{o}' embedded in a larger expression left unrewritten",
+    "step_expr": "increment/decrement of '{o}' outside statement position left unrewritten",
+    "address": "address of '{o}' taken; occurrence left unrewritten",
+    "redeclared": "'{o}' appears to be redeclared (shadowing is unsupported); left unrewritten",
+    "call": "'{o}' used as a function name; left unrewritten",
+    "subscript": "'{o}' subscripted; aggregate accesses are unsupported",
+    "read": "read of write-only context variable '{o}' left unrewritten",
+}
 
 
 @dataclass(frozen=True)
-class VarTarget:
-    """How to lower one tracked name. ``read`` / ``write`` may be None when
-    the variable only supports the other direction."""
+class Target:
+    """One row of a pass's access table. The table is keyed by the lexeme
+    that triggers the row: the accessed name, or ``Cycle`` for the CYCLE form.
 
+    ``read`` and ``write`` are templates over ``{name}``, ``{key}``,
+    ``{prop}`` and, for a write, ``{value}``. ``update`` says whether
+    ``o op= e;`` and ``++o;`` may lower through read and write. ``known``
+    holds the properties an INDEX access may select, or the methods a CYCLE
+    access may name. ``messages`` replaces entries of :data:`MESSAGES` and
+    adds those only its form uses; each is formatted with ``o`` (the label:
+    ``x``, ``a[...].b`` or ``f.Cycle``), ``name``, ``prop`` and ``op``.
+    """
+
+    form: str = NAME
+    read: Optional[str] = None
+    write: Optional[str] = None
+    update: bool = True
+    known: frozenset = frozenset()
+    messages: dict = field(default_factory=dict)
+
+
+class _Access(NamedTuple):
+    start: int  # significant-token positions of the first and last token
+    end: int
+    target: Target
     name: str
-    read: Optional[Callable[[str], str]] = None          # name -> expression text
-    write: Optional[Callable[[str, str], str]] = None    # (name, value text) -> statement text
+    key: tuple = ()  # INDEX: positions of the key's first token and of its ']'
+    prop: str = ""
 
 
-class _LineRewriter:
-    def __init__(self, raw, tokens, targets, line_no, emitted_by, diags):
-        self.raw = raw
-        self.tokens: tuple[Token, ...] = tokens
-        self.targets = targets
-        self.line_no = line_no
-        self.emitted_by = emitted_by
-        self.diags = diags
-        self.sig = significant(tokens)
-        self.spans = []       # (start_col, end_col, replacement)
-        self.handled = set()  # token indices consumed by a statement rewrite
+class _AccessLine:
+    """The accesses on one line that names a trigger."""
 
-    def warn(self, msg):
-        self.diags.append(Diagnostic("warning", self.line_no, msg, self.emitted_by))
+    def __init__(self, raw, tokens, targets, keywords, line_no, emitted_by, diags):
+        self.raw, self.targets = raw, targets
+        self.line_no, self.emitted_by, self.diags = line_no, emitted_by, diags
+        sig = self.sig = _significant(tokens)
+        # statement start -> position of the ';' ending it, or None; statements
+        # end at ';', '{' and '}' outside parentheses and brackets
+        self.stmts = {}
+        depth = start = 0
+        for p, tok in enumerate(sig):
+            lex = tok.lexeme
+            depth = max(0, depth + (lex in ("(", "[")) - (lex in (")", "]")))
+            if not depth and lex in (";", "{", "}"):
+                self.stmts[start] = p if lex == ";" else None
+                start = p + 1
+        self.stmts.setdefault(start, None)
+        self.dropped = set()
+        for _, lo, hi in _keyword_statements(sig, keywords):
+            self.dropped.update(range(lo, hi + 1))
 
-    def run(self) -> str:
-        if not self.sig:
-            return self.raw
-        for seg in split_segments(self.tokens, self.sig):
-            self._statement(seg)
-        for pos, i in enumerate(self.sig):
-            if i in self.handled:
-                continue
-            tok = self.tokens[i]
-            if tok.kind is not TokenKind.IDENTIFIER or tok.lexeme not in self.targets:
-                continue
-            action, text = self._classify(pos)
-            if action == "wrap":
-                self.spans.append((tok.column, tok.end, text))
-        return apply_spans(self.raw, self.spans)
+    def spans(self, lo, hi):
+        """Replacement spans for the accesses within ``sig[lo:hi]``."""
+        spans, p = [], lo
+        while p < hi:
+            access = None if p in self.dropped else self._find(p, hi)
+            span = None if access is None else self._lower(access)
+            if span is None:
+                p += 1
+            else:
+                spans.append(span[:3])
+                p = span[3]
+        return spans
 
-    def _neighbors(self, pos):
-        prev = self.tokens[self.sig[pos - 1]] if pos > 0 else None
-        prev2 = self.tokens[self.sig[pos - 2]] if pos > 1 else None
-        nxt = self.tokens[self.sig[pos + 1]] if pos + 1 < len(self.sig) else None
-        return prev, prev2, nxt
+    def _text(self, lo, hi):
+        """The text between ``sig[lo - 1]`` and ``sig[hi]``, accesses lowered, trimmed."""
+        a, b = self.sig[lo - 1].end, self.sig[hi].column
+        return apply_spans(self.raw[a:b], [(s - a, e - a, t) for s, e, t in self.spans(lo, hi)]).strip()
 
-    def _classify(self, pos):
-        """Decide what to do with one occurrence outside a recognized
-        statement pattern. Returns ("wrap", text) or ("skip"/"warn", None)."""
-        tok = self.tokens[self.sig[pos]]
-        name = tok.lexeme
-        target = self.targets[name]
-        prev, prev2, nxt = self._neighbors(pos)
+    def _warn(self, target, what, name, prop="", op=""):
+        o = _LABELS[target.form].format(name=name, prop=prop)
+        text = target.messages.get(what) or MESSAGES[what]
+        self.diags.append(
+            Diagnostic("warning", self.line_no, text.format(o=o, name=name, prop=prop, op=op), self.emitted_by)
+        )
 
+    def _find(self, p, hi):
+        """The access that starts at ``sig[p]`` and ends before ``sig[hi]``, or
+        None; a malformed INDEX or CYCLE access is warned about."""
+        sig = self.sig
+        tok = sig[p]
+        if tok.kind is not TokenKind.IDENTIFIER:
+            return None
+        name, target = tok.lexeme, self.targets.get(tok.lexeme)
+        if target is not None and target.form == NAME:
+            return _Access(p, p, target, name)
+        if target is not None and target.form == INDEX and p + 1 < hi and sig[p + 1].lexeme == "[":
+            close = closing(sig, p + 1, hi)
+            if close is None:
+                return self._warn(target, "unclosed", name)
+            prop = sig[close + 2] if close + 2 < hi and sig[close + 1].lexeme == "." else None
+            if prop is None:
+                return self._warn(target, "selector", name)
+            if prop.kind is not TokenKind.IDENTIFIER:
+                return self._warn(target, "prop_name", name)
+            if prop.lexeme not in target.known:
+                return self._warn(target, "unknown", name, prop.lexeme)
+            return _Access(p, close + 2, target, name, (p + 2, close), prop.lexeme)
+        cycle = self.targets.get("Cycle")
         if (
-            prev is not None
-            and prev.lexeme == "("
-            and prev2 is not None
-            and prev2.kind is TokenKind.IDENTIFIER
-            and prev2.lexeme.startswith("cpm_")
+            cycle is not None
+            and cycle.form == CYCLE
+            and p + 2 < hi
+            and sig[p + 1].lexeme == "."
+            and sig[p + 2].lexeme == "Cycle"
         ):
-            return "skip", None  # already lowered
+            if name not in cycle.known:
+                return self._warn(cycle, "undeclared", name)
+            return _Access(p, p + 2, cycle, name)
+        return None
+
+    def _lower(self, a):
+        """Apply the position rule to access ``a``; returns ``(start_col,
+        end_col, text, next position)`` replacing it, or None to leave it."""
+        sig, target, s, e = self.sig, a.target, a.start, a.end
+        prev = sig[s - 1] if s > 0 else None
+        nxt = sig[e + 1] if e + 1 < len(sig) else None
+        semi = self.stmts.get(s)  # a statement's ';' lies past its first access
+        if semi is not None and (nxt.lexeme in ("=", *COMPOUND_OPS) or nxt.lexeme in ("++", "--") and semi == e + 2):
+            first, op = s, nxt.lexeme
+        elif prev is not None and prev.lexeme in ("++", "--") and self.stmts.get(s - 1) == e + 1:
+            first, semi, op = s - 1, e + 1, prev.lexeme
+        else:
+            first = op = None
+        if op is not None:  # statement level
+            what = "assign" if op == "=" else "update" if op in COMPOUND_OPS else "step"
+            if target.write is None or (what != "assign" and (target.read is None or not target.update)):
+                return self._warn(target, what, a.name, a.prop, op)
+            fields = self._fields(a)
+            if what == "step":
+                value = f"{target.read.format(**fields)} {op[0]} (1)"
+            elif what == "update":
+                value = f"{target.read.format(**fields)} {COMPOUND_OPS[op]} ({self._text(e + 2, semi)})"
+            else:
+                value = f"({self._text(e + 2, semi)})"
+            return sig[first].column, sig[semi].end, target.write.format(value=value, **fields), semi + 1
+
+        label = prev is None or prev.lexeme in (";", "{", "}")
+        prev, prev2, nxt = self._around(s, e)
+        if prev is not None and prev.lexeme == "(" and prev2 is not None and prev2.lexeme.startswith("cpm_"):
+            return None  # already lowered
         if prev is not None and prev.lexeme in (".", "->"):
-            return "skip", None  # member of some aggregate, not this variable
-        if nxt is not None and nxt.kind is TokenKind.PUNCTUATOR and (
-            nxt.lexeme == "=" or nxt.lexeme in COMPOUND_OPS
+            return None  # a member of some aggregate, not this variable
+        if nxt is not None and nxt.lexeme in ("=", *COMPOUND_OPS):
+            what = "embedded"
+        elif (nxt is not None and nxt.lexeme in ("++", "--")) or (prev is not None and prev.lexeme in ("++", "--")):
+            what = "step_expr"
+        elif prev is not None and prev.lexeme == "&" and _amp_is_unary(prev2):
+            what = "address"
+        elif prev is not None and _looks_like_decl(prev, prev2):
+            if self._in_extern(s):
+                return None  # extern declaration: a reference, not a definition
+            what = "redeclared"
+        elif nxt is not None and nxt.lexeme == "(":
+            what = "call"
+        elif nxt is not None and nxt.lexeme == "[":
+            what = "subscript"
+        elif target.form == NAME and (
+            (nxt is not None and nxt.lexeme == ":" and label) or (prev is not None and prev.lexeme == "goto")
         ):
-            self.warn(
-                f"assignment to '{name}' embedded in a larger expression left unrewritten"
-            )
-            return "warn", None
-        if (nxt is not None and nxt.lexeme in ("++", "--")) or (
-            prev is not None and prev.lexeme in ("++", "--")
+            return None  # a label
+        elif target.read is None:
+            what = "read"
+        else:
+            return sig[s].column, sig[e].end, target.read.format(**self._fields(a)), e + 1
+        return self._warn(target, what, a.name, a.prop)
+
+    def _fields(self, a):
+        return {"name": a.name, "key": self._text(*a.key) if a.key else "", "prop": a.prop}
+
+    def _around(self, s, e):
+        """The tokens before, two before and after ``sig[s : e + 1]``, looking
+        through grouping parentheses: ``(o)++`` increments ``o``."""
+        sig = self.sig
+        while (
+            s > 0
+            and e + 1 < len(sig)
+            and sig[s - 1].lexeme == "("
+            and sig[e + 1].lexeme == ")"
+            and (s < 2 or (sig[s - 2].kind is TokenKind.PUNCTUATOR and sig[s - 2].lexeme not in (")", "]")))
         ):
-            self.warn(f"increment/decrement of '{name}' outside statement position left unrewritten")
-            return "warn", None
-        if prev is not None and prev.lexeme == "&" and self._amp_is_unary(prev2):
-            self.warn(f"address of '{name}' taken; occurrence left unrewritten")
-            return "warn", None
-        if prev is not None and self._looks_like_decl(prev, prev2):
-            if self._segment_has_extern(pos):
-                return "skip", None  # extern declaration: a reference, not a definition
-            self.warn(f"'{name}' appears to be redeclared (shadowing is unsupported); left unrewritten")
-            return "warn", None
-        if nxt is not None and nxt.lexeme == "(":
-            self.warn(f"'{name}' used as a function name; left unrewritten")
-            return "warn", None
-        if nxt is not None and nxt.lexeme == "[":
-            self.warn(f"'{name}' subscripted; aggregate accesses are unsupported")
-            return "warn", None
-        if nxt is not None and nxt.lexeme == ":" and self._is_segment_start(pos):
-            return "skip", None  # label
-        if target.read is None:
-            self.warn(f"read of write-only context variable '{name}' left unrewritten")
-            return "warn", None
-        return "wrap", target.read(name)
+            s, e = s - 1, e + 1
+        return sig[s - 1] if s > 0 else None, sig[s - 2] if s > 1 else None, sig[e + 1] if e + 1 < len(sig) else None
 
-    @staticmethod
-    def _amp_is_unary(prev2):
-        if prev2 is None:
-            return True
-        if prev2.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER, TokenKind.STRING):
-            return False
-        if prev2.lexeme in (")", "]"):
-            return False
-        return True
-
-    @staticmethod
-    def _looks_like_decl(prev, prev2):
-        if prev.lexeme in TYPE_KEYWORDS:
-            return True
-        if prev.lexeme == "*" and prev2 is not None and prev2.lexeme in TYPE_KEYWORDS:
-            return True
-        if (
-            prev.kind is TokenKind.IDENTIFIER
-            and prev2 is not None
-            and prev2.lexeme in ("struct", "union", "enum")
-        ):
-            return True
-        return False
-
-    def _is_segment_start(self, pos):
-        if pos == 0:
-            return True
-        before = self.tokens[self.sig[pos - 1]]
-        return before.lexeme in (";", "{", "}")
-
-    def _segment_has_extern(self, pos):
-        for q in range(pos - 1, -1, -1):
-            tok = self.tokens[self.sig[q]]
+    def _in_extern(self, p):
+        for tok in reversed(self.sig[:p]):
             if tok.lexeme in (";", "{", "}"):
                 return False
             if tok.lexeme == "extern":
                 return True
         return False
 
-    def _statement(self, seg):
-        toks = self.tokens
-        first = toks[seg[0]]
-        # prefix ++x; / --x;
-        if (
-            len(seg) == 3
-            and first.kind is TokenKind.PUNCTUATOR
-            and first.lexeme in ("++", "--")
-            and toks[seg[1]].kind is TokenKind.IDENTIFIER
-            and toks[seg[1]].lexeme in self.targets
-            and toks[seg[2]].lexeme == ";"
-        ):
-            self._emit_incdec(seg, name_idx=seg[1], op=first.lexeme, start=first.column)
-            return
-        if first.kind is not TokenKind.IDENTIFIER or first.lexeme not in self.targets:
-            return
-        if len(seg) < 3 or toks[seg[-1]].lexeme != ";":
-            return
-        name = first.lexeme
-        second = toks[seg[1]]
-        # postfix x++; / x--;
-        if len(seg) == 3 and second.lexeme in ("++", "--"):
-            self._emit_incdec(seg, name_idx=seg[0], op=second.lexeme, start=first.column)
-            return
-        if second.kind is not TokenKind.PUNCTUATOR:
-            return
-        target = self.targets[name]
-        semi = toks[seg[-1]]
-        if second.lexeme == "=":
-            if target.write is None:
-                self.warn(f"assignment to read-only context variable '{name}' left unrewritten")
-                self.handled.add(seg[0])
-                return
-            rhs = self._lower_range(second.end, semi.column, seg[2:-1])
-            text = target.write(name, f"({rhs})")
-            self._consume(seg, (first.column, semi.end, text))
-        elif second.lexeme in COMPOUND_OPS:
-            if target.write is None or target.read is None:
-                self.warn(
-                    f"compound assignment to '{name}' needs both read and write access; left unrewritten"
-                )
-                self.handled.add(seg[0])
-                return
-            rhs = self._lower_range(second.end, semi.column, seg[2:-1])
-            value = f"{target.read(name)} {COMPOUND_OPS[second.lexeme]} ({rhs})"
-            self._consume(seg, (first.column, semi.end, target.write(name, value)))
 
-    def _emit_incdec(self, seg, name_idx, op, start):
-        name = self.tokens[name_idx].lexeme
-        target = self.targets[name]
-        if target.write is None or target.read is None:
-            self.warn(
-                f"increment/decrement of '{name}' needs both read and write access; left unrewritten"
-            )
-            self.handled.add(name_idx)
-            return
-        value = f"{target.read(name)} {'+' if op == '++' else '-'} (1)"
-        semi = self.tokens[seg[-1]]
-        self._consume(seg, (start, semi.end, target.write(name, value)))
-
-    def _consume(self, seg, span):
-        self.spans.append(span)
-        self.handled.update(seg)
-
-    def _lower_range(self, lo: int, hi: int, sig_indices) -> str:
-        """Lower target occurrences inside a right-hand side and return the
-        rewritten, trimmed text of raw[lo:hi]."""
-        sub_spans = []
-        for i in sig_indices:
-            self.handled.add(i)
-            tok = self.tokens[i]
-            if tok.kind is not TokenKind.IDENTIFIER or tok.lexeme not in self.targets:
-                continue
-            pos = self.sig.index(i)
-            action, text = self._classify(pos)
-            if action == "wrap":
-                sub_spans.append((tok.column - lo, tok.end - lo, text))
-        return apply_spans(self.raw[lo:hi], sub_spans).strip()
+def _amp_is_unary(prev2):
+    if prev2 is None:
+        return True
+    if prev2.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER, TokenKind.STRING):
+        return False
+    return prev2.lexeme not in (")", "]")
 
 
-def rewrite_line(raw, tokens, targets, line_no, emitted_by, diags) -> str:
-    """Lower all tracked-variable accesses on one line; returns the new raw text."""
-    return _LineRewriter(raw, tokens, targets, line_no, emitted_by, diags).run()
+def _looks_like_decl(prev, prev2):
+    if prev.lexeme in TYPE_KEYWORDS:
+        return True
+    if prev.lexeme == "*" and prev2 is not None and prev2.lexeme in TYPE_KEYWORDS:
+        return True
+    return prev.kind is TokenKind.IDENTIFIER and prev2 is not None and prev2.lexeme in ("struct", "union", "enum")
+
+
+def rewrite_line(raw, tokens, targets, keywords, line_no, emitted_by, diags) -> str:
+    """Lower the accesses to ``targets`` on one line; returns the new raw text.
+    ``keywords`` are the pass's own: a statement holding one is left alone."""
+    if not any(t.lexeme in targets for t in tokens):
+        return raw
+    line = _AccessLine(raw, tokens, targets, keywords, line_no, emitted_by, diags)
+    return apply_spans(raw, line.spans(0, len(line.sig)))
+
+
+def lower_lines(unit, targets, keywords, emitted_by, skip=frozenset()):
+    """Run :func:`rewrite_line` over every line of ``unit`` not numbered in
+    ``skip``. Returns (unit, diagnostics)."""
+    diags: list[Diagnostic] = []
+    if not targets:
+        return unit, diags
+    out = map_lines(
+        unit,
+        lambda line: rewrite_line(line.raw, line.tokens, targets, keywords, line.line_no, emitted_by, diags),
+        skip,
+    )
+    return out, diags

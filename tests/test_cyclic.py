@@ -142,3 +142,17 @@ def test_statement_compound_cycle_assignment_warned_as_unsupported():
 def test_cycle_after_block_comment_close_is_lowered():
     unit, _ = transform("cyclic_t int f(void);\n/* c\n */ f.Cycle = 5;\n")
     assert render(unit).splitlines()[2] == " */ cpm_cycle_set(f, (5));"
+
+
+def test_prototype_parentheses_must_pair():
+    unit, diags = transform("cyclic_t int f(a) + g(b);\n")
+    assert render(unit) == "cyclic_t int f(a) + g(b);\n"
+    assert [d.message for d in diags] == [
+        "cyclic_t on something other than a function prototype; line passed through"
+    ]
+
+
+def test_prototype_with_function_pointer_parameter_is_lowered():
+    unit, diags = transform("cyclic_t int f(int (*cb)(void));\n")
+    assert render(unit) == "int f(int (*cb)(void)); cpm_cycle_register(f);\n"
+    assert not diags

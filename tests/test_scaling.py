@@ -8,6 +8,9 @@ with the run.
 
 import sys
 
+import pytest
+
+from cpm import compose, load_unit, rewrite, run
 from cpm.runtime import ContextRegistry, ReflectiveArray
 from cpm.scenarios import WdtScenarioParams, run_wdt
 
@@ -83,3 +86,26 @@ def sensor_update_lines(k):
 
 def test_sensor_update_work_is_independent_of_guards_on_other_sensors():
     assert sensor_update_lines(10) == sensor_update_lines(200)
+
+
+def access_lines(n):
+    """Lines the access engine classifies past its prefilter when all four
+    passes lower one declaration each plus ``n`` plain-C lines."""
+    count = 0
+
+    class Counted(rewrite._AccessLine):
+        def __init__(self, *args):
+            nonlocal count
+            count += 1
+            super().__init__(*args)
+
+    decls = "redundant_t int r;\nsensor_t int s;\nreflective_array_t a { b:int };\ncyclic_t int f(void);\n"
+    plain = "int z = 1; z = z + 2; /* r s a f.Cycle */ g(\"r\");\n" * n
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rewrite, "_AccessLine", Counted)
+        run(compose(["redundancy", "refractive", "array", "cyclic"]), load_unit(decls + plain))
+    return count
+
+
+def test_access_engine_skips_lines_naming_no_target():
+    assert access_lines(10) == access_lines(1_000)
