@@ -15,10 +15,11 @@ texts in which its form differs. Every form follows one position rule:
   what this needs is warned about.
 - Anywhere else, an occurrence that is assigned, incremented or
   decremented, has its address taken, is called, is subscripted or appears
-  to be redeclared is warned about and left as it is.
+  to be redeclared is warned about and left as it is, looking through
+  grouping parentheses: ``(o)++`` increments ``o``.
 - Every other occurrence becomes a read. A name after ``.`` or ``->``, the
-  first argument of a ``cpm_`` call, a label and a name in an ``extern``
-  declaration are not accesses.
+  first argument of a ``cpm_`` call, a label (``x:``, ``goto x``) and a
+  name in an ``extern`` declaration are not accesses.
 
 Right-hand sides and array keys are lowered by the same rule. A statement
 that still holds one of the pass's own keywords after its declaration scan
@@ -185,7 +186,6 @@ class _AccessLine:
             if not depth and lex in (";", "{", "}"):
                 self.stmts[start] = p if lex == ";" else None
                 start = p + 1
-        self.stmts.setdefault(start, None)
         self.dropped = set()
         for _, lo, hi in _keyword_statements(sig, keywords):
             self.dropped.update(range(lo, hi + 1))
