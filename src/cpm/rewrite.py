@@ -16,7 +16,9 @@ texts in which its form differs. Every form follows one position rule:
 - Anywhere else, an occurrence that is assigned, incremented or
   decremented, has its address taken, is called, is subscripted or appears
   to be redeclared is warned about and left as it is, looking through
-  grouping parentheses: ``(o)++`` increments ``o``.
+  grouping parentheses: ``(o)++`` increments ``o``. A name appears
+  redeclared right after a type word, ``*`` or ``struct s``, and after a
+  declarator ``,`` (``int a, o;``) in a statement that starts with one.
 - Every other occurrence becomes a read. A name after ``.`` or ``->``, the
   first argument of a ``cpm_`` call, a label (``x:``, ``goto x``) and a
   name in an ``extern`` declaration are not accesses.
@@ -42,6 +44,10 @@ COMPOUND_OPS = {
 TYPE_KEYWORDS = frozenset(
     {"int", "char", "short", "long", "float", "double", "signed", "unsigned", "void"}
 )
+
+# words that start a declaration whose later declarators follow a ','; an
+# ``extern`` one is then exempt like its first declarator
+_DECL_STARTS = TYPE_KEYWORDS | {"const", "static", "volatile", "register", "struct", "union", "enum", "extern"}
 
 
 def _significant(tokens):
@@ -288,7 +294,7 @@ class _AccessLine:
             what = "step_expr"
         elif prev is not None and prev.lexeme == "&" and _amp_is_unary(prev2):
             what = "address"
-        elif prev is not None and _looks_like_decl(prev, prev2):
+        elif prev is not None and (_looks_like_decl(prev, prev2) or self._after_decl_comma(s)):
             if self._in_extern(s):
                 return None  # extern declaration: a reference, not a definition
             what = "redeclared"
@@ -322,6 +328,24 @@ class _AccessLine:
         ):
             s, e = s - 1, e + 1
         return sig[s - 1] if s > 0 else None, sig[s - 2] if s > 1 else None, sig[e + 1] if e + 1 < len(sig) else None
+
+    def _after_decl_comma(self, p):
+        """Whether ``sig[p]`` follows, ``*`` aside, a ``,`` outside parentheses
+        and brackets in a statement that starts with a type word."""
+        sig, q = self.sig, p - 1
+        while q >= 0 and sig[q].lexeme == "*":
+            q -= 1
+        if q < 0 or sig[q].lexeme != ",":
+            return False
+        depth = 0
+        for j in range(q - 1, -1, -1):
+            lex = sig[j].lexeme
+            if lex in ("(", "[") and not depth:
+                return False  # the ',' separates arguments or subscripts
+            depth += (lex in (")", "]")) - (lex in ("(", "["))
+            if not depth and lex in (";", "{", "}"):
+                return sig[j + 1].lexeme in _DECL_STARTS
+        return sig[0].lexeme in _DECL_STARTS
 
     def _in_extern(self, p):
         for tok in reversed(self.sig[:p]):

@@ -3,9 +3,10 @@
 One :class:`Runtime` bundles a clock, an event log, a timeout manager, the
 context registry, and the replica sets, and exposes methods mirroring the
 calls the passes emit (``cpm_red_write`` -> :meth:`Runtime.red_write`, and so
-on). Public methods are serialized by one re-entrant lock, so callers on any
-number of threads observe a single total order; on the virtual clock nothing
-runs outside the caller's control flow, which keeps every run deterministic.
+on). The facade is single-threaded and takes no lock: on the virtual clock
+nothing runs outside the caller's control flow, which keeps every run
+deterministic. Wall-clock use follows the thread contract stated on
+:class:`~cpm.runtime.tom.WallDriver`.
 
 Watchdog-timer states are reified as integers: the named conditions are the
 negative values below, non-negative values count timer resets since the last
@@ -13,8 +14,6 @@ negative values below, non-negative values count timer resets since the last
 """
 
 from __future__ import annotations
-
-import threading
 
 from .clock import VirtualClock
 from .context import DEFAULT_OBSERVATION_PERIOD_MS, ContextRegistry
@@ -39,16 +38,6 @@ def wd_state_name(value: int) -> str:
     raise ValueError(f"not a watchdog state: {value}")
 
 
-def _synchronized(method):
-    def wrapper(self, *args, **kwargs):
-        with self._lock:
-            return method(self, *args, **kwargs)
-
-    wrapper.__name__ = method.__name__
-    wrapper.__doc__ = method.__doc__
-    return wrapper
-
-
 class Runtime:
     def __init__(self, clock=None, policy=None):
         self.clock = clock if clock is not None else VirtualClock()
@@ -56,21 +45,11 @@ class Runtime:
         self.registry = ContextRegistry(clock=self.clock, events=self.events)
         self.replicas: dict[str, ReplicaSet] = {}
         self.default_policy = policy
-        self._tom: TOM | None = None
+        self.tom = TOM(clock=self.clock, events=self.events)
         self._cycles: dict[str, dict] = {}  # fn -> {"action": ..., "to": TimeoutObject|None}
-        self._lock = threading.RLock()
-
-    @property
-    def tom(self) -> TOM:
-        # created on first use; cyclic methods need no explicit setup
-        with self._lock:
-            if self._tom is None:
-                self._tom = TOM(clock=self.clock, events=self.events)
-            return self._tom
 
     # -- redundancy ----------------------------------------------------------
 
-    @_synchronized
     def red_storage(self, name, replicas=3, *, initial=0, policy=None) -> ReplicaSet:
         if name in self.replicas:
             self.events.log(self.clock.now, "warn", name, 0, "redundant-storage-redefined")
@@ -86,7 +65,6 @@ class Runtime:
         self.replicas[name] = rs
         return rs
 
-    @_synchronized
     def red_extern(self, name, replicas=3) -> ReplicaSet:
         """Declaration-only form: binds to existing storage, creating it on
         first reference."""
@@ -95,72 +73,60 @@ class Runtime:
         return self.red_storage(name, replicas)
 
     def _replica_set(self, name) -> ReplicaSet:
-        if name not in self.replicas:
+        rs = self.replicas.get(name)
+        if rs is None:
             raise KeyError(f"no redundant storage registered for {name!r}")
-        return self.replicas[name]
+        return rs
 
-    @_synchronized
     def red_write(self, name, value):
         self._replica_set(name).write(value)
 
-    @_synchronized
     def red_read(self, name):
         return self._replica_set(name).read()
 
-    @_synchronized
     def red_inject_fault(self, name, replica_index, corrupt_value):
         self._replica_set(name).inject_fault(replica_index, corrupt_value)
 
     # -- context -------------------------------------------------------------
 
-    @_synchronized
     def ctx_register(self, name, direction, binding=None, initial=0):
         return self.registry.register(name, direction, binding=binding, initial=initial)
 
-    @_synchronized
     def ctx_read(self, name):
         return self.registry.sensor_value(name)
 
-    @_synchronized
     def ctx_write(self, name, value):
         self.registry.actuator_write(name, value)
 
-    @_synchronized
     def sensor_update(self, name, value):
         return self.registry.sensor_update(name, value)
 
-    @_synchronized
     def guard_register(self, body, expr, name=None):
         return self.registry.register_guard(body, expr, name=name)
 
-    @_synchronized
     def arr_register(self, name, observation_period_ms=DEFAULT_OBSERVATION_PERIOD_MS):
         return self.registry.register_array(name, observation_period_ms)
 
     def _array(self, name):
-        if name not in self.registry.arrays:
+        arr = self.registry.arrays.get(name)
+        if arr is None:
             raise KeyError(f"unknown reflective array {name!r}")
-        return self.registry.arrays[name]
+        return arr
 
-    @_synchronized
     def arr_get(self, name, key, prop):
         return self._array(name).get(key, prop)
 
-    @_synchronized
     def arr_report_beacon(self, name, key):
         self._array(name).report_beacon(key)
 
-    @_synchronized
     def arr_rollover(self, name):
         self._array(name).rollover()
 
-    @_synchronized
     def anext(self, name, cursor):
         return self._array(name).anext(cursor)
 
     # -- cyclic methods -------------------------------------------------------
 
-    @_synchronized
     def cycle_register(self, fn_name, action=None):
         rec = self._cycles.setdefault(fn_name, {"action": None, "to": None})
         if action is not None:
@@ -168,7 +134,6 @@ class Runtime:
             if rec["to"] is not None:
                 rec["to"].action = action
 
-    @_synchronized
     def cycle_set(self, fn_name, value):
         """Dispatch a ``fn.Cycle = value`` write: the first nonzero value
         declares and inserts the cyclic timeout, later nonzero values re-time
@@ -197,7 +162,6 @@ class Runtime:
             self.tom.set_deadline(rec["to"], value)
             self.tom.renew(rec["to"])
 
-    @_synchronized
     def cycle_get(self, fn_name) -> int:
         rec = self._cycles.get(fn_name)
         if rec is None or rec["to"] is None:
@@ -206,10 +170,8 @@ class Runtime:
 
     # -- driving --------------------------------------------------------------
 
-    @_synchronized
     def advance(self, dt):
         return self.tom.advance(dt)
 
-    @_synchronized
     def set_pipeline_string(self, value: str):
         self.registry.pipeline_string = value

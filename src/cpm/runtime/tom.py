@@ -148,19 +148,27 @@ class TOM:
 
 class WallDriver(threading.Thread):
     """Single timekeeping agent for wall-clock demos: polls the manager until
-    stopped. Actions must not block it."""
+    stopped. Actions must not block it.
+
+    Thread contract: this is the package's only second thread and ``lock``
+    its only lock. Each poll, actions included, runs holding ``lock``; between
+    :meth:`start` and :meth:`stop`, a caller touching the driven :class:`TOM`,
+    or a ``Runtime`` around it, holds it too. Before start and after stop no
+    lock is needed."""
 
     def __init__(self, tom: TOM, interval_ms: int = 5):
         super().__init__(daemon=True)
         self.tom = tom
         self.interval = interval_ms / 1000.0
+        self.lock = threading.RLock()
         self._stopping = threading.Event()
 
     def run(self):
         import time
 
         while not self._stopping.is_set():
-            self.tom.poll()
+            with self.lock:
+                self.tom.poll()
             time.sleep(self.interval)
 
     def stop(self):

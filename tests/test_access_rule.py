@@ -25,6 +25,9 @@ ROWS = [
     ("y = o--;", WARNED),
     ("p = &o;", WARNED),
     ("y = (o = 1);", WARNED),
+    ("int q, o;", WARNED),
+    ("int q = 1, *o;", WARNED),
+    ("int y = h(q, o);", LOWERED),
 ]
 
 # one target per form, each able to read and write, so that only the
@@ -99,6 +102,12 @@ def test_grouping_parentheses_do_not_hide_the_position():
     text, warnings = transform("redundancy", "redundant_t int x;\n(x)++; p = &(x); y = (x);\n")
     assert text.split("\n")[1] == "(x)++; p = &(x); y = (cpm_red_read(x));"
     assert [m.split(" ")[0] for _, m in warnings] == ["increment/decrement", "address"]
+
+
+def test_comma_declarators_follow_the_statement_they_are_in():
+    text, warnings = transform("redundancy", "redundant_t int x;\nextern int a, x; int v[2] = {a, x};\n")
+    assert text.split("\n")[1] == "extern int a, x; int v[2] = {a, cpm_red_read(x)};"
+    assert warnings == []
 
 
 # -- ROADMAP 4(a) for access forms, as properties ------------------------------

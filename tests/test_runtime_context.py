@@ -294,6 +294,28 @@ def test_runtime_facade_wires_shared_clock_and_events():
     assert rt.ctx_read("watchdog") == -1
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda rt: rt.red_read("nope"), "no redundant storage registered for 'nope'"),
+        (lambda rt: rt.red_write("nope", 1), "no redundant storage registered for 'nope'"),
+        (lambda rt: rt.red_inject_fault("nope", 0, 1), "no redundant storage registered for 'nope'"),
+        (lambda rt: rt.arr_get("nope", "m1", "beacons"), "unknown reflective array 'nope'"),
+        (lambda rt: rt.arr_report_beacon("nope", "m1"), "unknown reflective array 'nope'"),
+        (lambda rt: rt.arr_rollover("nope"), "unknown reflective array 'nope'"),
+        (lambda rt: rt.anext("nope", 0), "unknown reflective array 'nope'"),
+        (lambda rt: rt.arr_get("linkbeacons", "ghost", "beacons"), "no entry 'ghost' in reflective array 'linkbeacons'"),
+    ],
+)
+def test_runtime_facade_lookup_errors(call, message):
+    rt = Runtime()
+    rt.red_storage("watchdog", 3)
+    rt.arr_register("linkbeacons", 1000)
+    with pytest.raises(KeyError) as info:
+        call(rt)
+    assert info.value.args == (message,)
+
+
 def test_event_csv_export_shape():
     rt = Runtime()
     rt.ctx_register("volume", "actuator")

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from cpm.runtime import (
     TimeoutObject,
     VirtualClock,
     WallClock,
+    WallDriver,
     tom_init,
     tom_set_deadline,
 )
@@ -223,3 +225,16 @@ def test_fire_events_logged():
     tom.advance(10)
     fires = ev.of("fire")
     assert len(fires) == 1 and fires[0].name == "t" and fires[0].time_ms == 10
+
+
+def test_wall_driver_fires_nothing_while_its_lock_is_held():
+    tom = TOM(clock=WallClock())
+    tom.insert(make("soon", 1))
+    driver = WallDriver(tom, interval_ms=1)
+    with driver.lock:
+        driver.start()
+        time.sleep(0.05)
+        assert tom.fired_log == []
+    driver.stop()
+    tom.poll()
+    assert [f[1:] for f in tom.fired_log] == [("soon", 1)]

@@ -1,11 +1,15 @@
 """The benchmark's span tracer (``perfbench/spans.py``) patches cpm functions
-by name. Building it here makes a rename of any traced function fail this
-suite, not only a traced benchmark run."""
+and ``Runtime``'s facade methods by name. Building and running it here makes
+a rename of any traced function, or a facade method hidden from the tracer,
+fail this suite, not only a traced benchmark run."""
 
 import importlib.util
 from pathlib import Path
 
 from cpm import compose, load_unit, run
+from cpm.interp import AbiInterpreter
+from cpm.runtime import Runtime
+from cpm.scenarios import WdtScenarioParams, run_wdt
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -24,3 +28,28 @@ def test_tracer_builds_and_times_every_pass_layer():
     _, _, selfs, _ = tracer.traced(run, pipeline, load_unit(src))
     for layer in ("ext_redundancy", "ext_reflective", "ext_cyclic", "rewrite", "pipeline"):
         assert selfs[layer] > 0, layer
+
+
+def test_tracer_times_every_runtime_layer():
+    tracer = load_spans().Tracer()
+    params = WdtScenarioParams(
+        wdt_period=10,
+        horizon=100,
+        heartbeat_schedule=(5, 15, 25, 60),
+        fault_schedule=((30, 1, 7),),
+        restart_schedule=((50, 1),),
+    )
+    _, _, wdt_selfs, counts = tracer.traced(run_wdt, params)
+    for layer in ("core", "redundant", "tom", "context", "scenarios"):
+        assert wdt_selfs[layer] > 0, layer
+    assert (counts["redundant.read.calls"], counts["tom.fires"]) == (7, 8)
+
+    def interpret():
+        it = AbiInterpreter(Runtime())
+        it.run_text("cpm_red_storage(x, int, 3);\ncpm_red_write(x, (5));\ny = cpm_red_read(x) + 1;\n")
+        return it.env["y"]
+
+    y, _, interp_selfs, counts = tracer.traced(interpret)
+    assert y == 6 and counts["redundant.read.calls"] == 1
+    for layer in ("interp", "core", "redundant"):
+        assert interp_selfs[layer] > 0, layer
