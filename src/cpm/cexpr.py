@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cache
 from keyword import iskeyword
 
-from .srcmodel import TokenKind, tokenize_line
+from .srcmodel import TokenKind, significant, tokenize_line
 
 # runtime-call head -> positions of the arguments that name a runtime object;
 # the head without its ``cpm_`` prefix is the ``Runtime`` method it calls
@@ -75,7 +75,7 @@ def _literal(lex):
 
 class _Parser:
     def __init__(self, text):
-        self.toks = [t for t in tokenize_line(text) if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)]
+        self.toks = significant(tokenize_line(text))
         self.pos = 0
         self.names = set()
 

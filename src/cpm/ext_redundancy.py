@@ -41,7 +41,14 @@ _TARGET = Target(read="cpm_red_read({name})", write="cpm_red_write({name}, {valu
 
 
 def _replica_count(config, diags):
-    n = config.get_int("redundancy", "replicas", DEFAULT_REPLICAS)
+    value = config.get("redundancy", "replicas", DEFAULT_REPLICAS)
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        diags.append(
+            Diagnostic("warning", 0, f"redundancy.replicas={value!r} is not an integer; using {DEFAULT_REPLICAS}", str(PASS_ID))
+        )
+        n = DEFAULT_REPLICAS
     if n < 3:
         diags.append(
             Diagnostic("warning", 0, f"redundancy.replicas={n} raised to 3 (minimum for a majority)", str(PASS_ID))

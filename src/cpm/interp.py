@@ -60,14 +60,10 @@ class AbiInterpreter:
         for line in unit.lines:
             if not line.in_block_comment and ext_tag(line.raw)[0] is not None:
                 continue  # untransformed tagged line; nothing to execute
-            sig = significant(line.tokens)
-            if not sig:
-                continue
-            for seg in split_segments(line.tokens, sig):
-                self._exec_segment(line, seg)
+            for toks in split_segments(significant(line.tokens)):
+                self._exec_segment(line, toks)
 
-    def _exec_segment(self, line, seg):
-        toks = [line.tokens[i] for i in seg]
+    def _exec_segment(self, line, toks):
         last = toks[-1]
         if last.lexeme in ("{", "}"):
             return  # block structure and function headers are not interpreted

@@ -18,7 +18,7 @@ import configparser
 import re
 from dataclasses import dataclass, field, replace
 
-from .srcmodel import Diagnostic, SourceUnit, TokenKind, ext_tag, map_lines, unit_from_raws
+from .srcmodel import Diagnostic, SourceUnit, TokenKind, ext_tag, map_lines, significant, unit_from_raws
 
 _NAME_RE = re.compile(r"^[a-z0-9_]+$")
 _VERSION_RE = re.compile(r"^[0-9]+(\.[0-9]+)*$")
@@ -70,7 +70,7 @@ class PassConfig:
 
     @classmethod
     def from_ini(cls, path) -> "PassConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         parser.optionxform = str  # keep key case
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -85,10 +85,6 @@ class PassConfig:
 
     def get(self, namespace, key, default=None):
         return self._values.get(f"{namespace}.{key}", default)
-
-    def get_int(self, namespace, key, default=None):
-        val = self.get(namespace, key, default)
-        return default if val is None else int(val)
 
     def get_bool(self, namespace, key, default=False):
         val = self.get(namespace, key)
@@ -283,28 +279,16 @@ def _strict_sweep(unit: SourceUnit, pipeline: Pipeline):
                     PIPELINE_EMITTER,
                 )
             )
-        prev = None
-        for tok in line.tokens:
-            if tok.kind is TokenKind.IDENTIFIER:
-                if tok.lexeme in pipeline.keyword_map:
-                    candidates = ", ".join(pipeline.keyword_map[tok.lexeme])
-                    diags.append(
-                        Diagnostic(
-                            "warning",
-                            line.line_no,
-                            f"unconsumed extension keyword {tok.lexeme!r}; candidate passes: {candidates}",
-                            PIPELINE_EMITTER,
-                        )
-                    )
-                elif tok.lexeme == "Cycle" and prev is not None and prev.lexeme == ".":
-                    diags.append(
-                        Diagnostic(
-                            "warning",
-                            line.line_no,
-                            "unconsumed '.Cycle' member; candidate passes: cyclic",
-                            PIPELINE_EMITTER,
-                        )
-                    )
-            if tok.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT):
-                prev = tok
+        sig = significant(line.tokens)
+        for p, tok in enumerate(sig):
+            if tok.kind is not TokenKind.IDENTIFIER:
+                continue
+            if tok.lexeme in pipeline.keyword_map:
+                candidates = ", ".join(pipeline.keyword_map[tok.lexeme])
+                message = f"unconsumed extension keyword {tok.lexeme!r}; candidate passes: {candidates}"
+            elif tok.lexeme == "Cycle" and p > 0 and sig[p - 1].lexeme == ".":
+                message = "unconsumed '.Cycle' member; candidate passes: cyclic"
+            else:
+                continue
+            diags.append(Diagnostic("warning", line.line_no, message, PIPELINE_EMITTER))
     return diags

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .srcmodel import Diagnostic, TokenKind, apply_spans, map_lines
+from .srcmodel import Diagnostic, TokenKind, apply_spans, map_lines, significant
 
 COMPOUND_OPS = {
     "+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
@@ -48,10 +48,6 @@ TYPE_KEYWORDS = frozenset(
 # words that start a declaration whose later declarators follow a ','; an
 # ``extern`` one is then exempt like its first declarator
 _DECL_STARTS = TYPE_KEYWORDS | {"const", "static", "volatile", "register", "struct", "union", "enum", "extern"}
-
-
-def _significant(tokens):
-    return [t for t in tokens if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)]
 
 
 def decl_head(toks):
@@ -116,7 +112,7 @@ def decl_statements(tokens, keywords, match):
     """
     if not any(t.lexeme in keywords for t in tokens):
         return
-    sig = _significant(tokens)
+    sig = significant(tokens)
     # a matched statement holds no other keyword and ends at a ';', so taking
     # every occurrence in turn is the same as resuming after the statement
     for p, start, end in _keyword_statements(sig, keywords):
@@ -181,7 +177,7 @@ class _AccessLine:
     def __init__(self, raw, tokens, targets, keywords, line_no, emitted_by, diags):
         self.raw, self.targets = raw, targets
         self.line_no, self.emitted_by, self.diags = line_no, emitted_by, diags
-        sig = self.sig = _significant(tokens)
+        sig = self.sig = significant(tokens)
         # statement start -> position of the ';' ending it, or None; statements
         # end at ';', '{' and '}' outside parentheses and brackets
         self.stmts = {}
@@ -283,7 +279,7 @@ class _AccessLine:
             return sig[first].column, sig[semi].end, target.write.format(value=value, **fields), semi + 1
 
         label = prev is None or prev.lexeme in (";", "{", "}")
-        prev, prev2, nxt = self._around(s, e)
+        gs, prev, prev2, nxt = self._around(s, e)
         if prev is not None and prev.lexeme == "(" and prev2 is not None and prev2.lexeme.startswith("cpm_"):
             return None  # already lowered
         if prev is not None and prev.lexeme in (".", "->"):
@@ -294,7 +290,7 @@ class _AccessLine:
             what = "step_expr"
         elif prev is not None and prev.lexeme == "&" and _amp_is_unary(prev2):
             what = "address"
-        elif prev is not None and (_looks_like_decl(prev, prev2) or self._after_decl_comma(s)):
+        elif prev is not None and (_looks_like_decl(prev, prev2) or self._after_decl_comma(gs)):
             if self._in_extern(s):
                 return None  # extern declaration: a reference, not a definition
             what = "redeclared"
@@ -316,8 +312,9 @@ class _AccessLine:
         return {"name": a.name, "key": self._text(*a.key) if a.key else "", "prop": a.prop}
 
     def _around(self, s, e):
-        """The tokens before, two before and after ``sig[s : e + 1]``, looking
-        through grouping parentheses: ``(o)++`` increments ``o``."""
+        """The start of ``sig[s : e + 1]`` and the tokens before, two before
+        and after it, looking through grouping parentheses: ``(o)++``
+        increments ``o``."""
         sig = self.sig
         while (
             s > 0
@@ -327,19 +324,23 @@ class _AccessLine:
             and (s < 2 or (sig[s - 2].kind is TokenKind.PUNCTUATOR and sig[s - 2].lexeme not in (")", "]")))
         ):
             s, e = s - 1, e + 1
-        return sig[s - 1] if s > 0 else None, sig[s - 2] if s > 1 else None, sig[e + 1] if e + 1 < len(sig) else None
+        return s, sig[s - 1] if s > 0 else None, sig[s - 2] if s > 1 else None, sig[e + 1] if e + 1 < len(sig) else None
 
     def _after_decl_comma(self, p):
         """Whether ``sig[p]`` follows, ``*`` aside, a ``,`` outside parentheses
-        and brackets in a statement that starts with a type word."""
+        and brackets in a statement that starts with a type word. A ``}``
+        before a ``,`` closes an initializer, which is skipped to its ``{``."""
         sig, q = self.sig, p - 1
         while q >= 0 and sig[q].lexeme == "*":
             q -= 1
         if q < 0 or sig[q].lexeme != ",":
             return False
-        depth = 0
+        depth = braces = 0
         for j in range(q - 1, -1, -1):
             lex = sig[j].lexeme
+            if braces or (lex == "}" and sig[j + 1].lexeme == ","):
+                braces += (lex == "}") - (lex == "{")
+                continue
             if lex in ("(", "[") and not depth:
                 return False  # the ',' separates arguments or subscripts
             depth += (lex in (")", "]")) - (lex in ("(", "["))

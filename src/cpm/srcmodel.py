@@ -7,8 +7,11 @@ unit reproduces the input exactly, so passes can splice replacement text into
 lines without ever corrupting the parts they do not understand.
 
 Input is treated as bytes: files should be decoded latin-1 so every byte maps
-to one character. Only ASCII bytes take part in token classification; any
-other byte becomes a one-byte punctuator. Tokenizing never fails.
+to one character. ``_TOKEN_RE`` is the one statement of the lexical grammar:
+a single pattern with one named group per token kind, whose character
+classes are all spelled in ASCII, so only ASCII bytes take part in token
+classification and any other byte becomes a one-byte punctuator. Tokenizing
+never fails.
 """
 
 from __future__ import annotations
@@ -36,14 +39,24 @@ C_KEYWORDS = frozenset(
     """.split()
 )
 
-# Longest match first; anything not matched here falls out as 1 byte.
-_PUNCT3 = ("<<=", ">>=", "...")
-_PUNCT2 = (
-    "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=",
-    "&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=", "##",
+# The whole lexical grammar, one named group per token kind, tried in order;
+# the first alternative that matches at a position wins. Every class is
+# spelled in ASCII: Python's \w, \d and \s also match latin-1 letters and
+# spaces (\xaa, \xe9, \xa0, \x85), which must stay one-byte punctuators.
+# OPEN is a block comment the line does not close.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<WHITESPACE> [ \t\r\v\f]+ )
+    | (?P<COMMENT> //[\s\S]* | /\*[\s\S]*?\*/ )
+    | (?P<OPEN> /\*[\s\S]* )
+    | (?P<IDENTIFIER> [A-Za-z_][A-Za-z0-9_]* )
+    | (?P<NUMBER> \.?[0-9] (?: [eEpP][+-] | [.A-Za-z0-9_] )* )  # preprocessing number
+    | (?P<STRING> "(?: [^"\\] | \\[\s\S] )*["\\]? | '(?: [^'\\] | \\[\s\S] )*['\\]? )  # unterminated: to end of line
+    | (?P<PUNCTUATOR> <<= | >>= | \.\.\. | -> | \+\+ | -- | << | >> | [-+*/%&^|<>=!]= | && | \|\| | \#\# | [\s\S] )
+    """,
+    re.VERBOSE,
 )
-
-_WS = " \t\r\v\f"
+_KINDS = {**{k.name: k for k in TokenKind}, "OPEN": TokenKind.COMMENT}
 
 
 @dataclass(frozen=True)
@@ -90,49 +103,9 @@ class Diagnostic:
         return f"{self.severity}: line {self.line_no}: {self.message} [{self.emitted_by}]"
 
 
-def _is_ident_start(c: str) -> bool:
-    return c == "_" or (c.isascii() and c.isalpha())
-
-
-def _is_ident_char(c: str) -> bool:
-    return c == "_" or (c.isascii() and c.isalnum())
-
-
-def _scan_number(raw: str, i: int) -> int:
-    # C preprocessing-number shape: digits, letters, dots, and exponent signs.
-    n = len(raw)
-    i += 1
-    while i < n:
-        c = raw[i]
-        if c in "eEpP" and i + 1 < n and raw[i + 1] in "+-":
-            i += 2
-            continue
-        if c == "." or _is_ident_char(c):
-            i += 1
-            continue
-        break
-    return i
-
-
-def _scan_string(raw: str, i: int) -> int:
-    quote = raw[i]
-    n = len(raw)
-    i += 1
-    while i < n:
-        c = raw[i]
-        if c == "\\" and i + 1 < n:
-            i += 2
-            continue
-        i += 1
-        if c == quote:
-            return i
-    return n  # unterminated: the literal runs to end of line
-
-
 def _tokenize(raw: str, in_block: bool) -> tuple[tuple[Token, ...], bool]:
     tokens: list[Token] = []
     i = 0
-    n = len(raw)
     if in_block:
         end = raw.find("*/")
         if end < 0:
@@ -141,51 +114,14 @@ def _tokenize(raw: str, in_block: bool) -> tuple[tuple[Token, ...], bool]:
             return tuple(tokens), True
         i = end + 2
         tokens.append(Token(TokenKind.COMMENT, raw[:i], 0))
-    while i < n:
-        c = raw[i]
-        start = i
-        if c in _WS:
-            while i < n and raw[i] in _WS:
-                i += 1
-            tokens.append(Token(TokenKind.WHITESPACE, raw[start:i], start))
-            continue
-        if raw.startswith("//", i):
-            tokens.append(Token(TokenKind.COMMENT, raw[i:], i))
-            break
-        if raw.startswith("/*", i):
-            end = raw.find("*/", i + 2)
-            if end < 0:
-                tokens.append(Token(TokenKind.COMMENT, raw[i:], i))
-                return tuple(tokens), True
-            i = end + 2
-            tokens.append(Token(TokenKind.COMMENT, raw[start:i], start))
-            continue
-        if _is_ident_start(c):
-            i += 1
-            while i < n and _is_ident_char(raw[i]):
-                i += 1
-            lex = raw[start:i]
-            kind = TokenKind.KEYWORD if lex in C_KEYWORDS else TokenKind.IDENTIFIER
-            tokens.append(Token(kind, lex, start))
-            continue
-        if (c.isascii() and c.isdigit()) or (
-            c == "." and i + 1 < n and raw[i + 1].isascii() and raw[i + 1].isdigit()
-        ):
-            i = _scan_number(raw, i)
-            tokens.append(Token(TokenKind.NUMBER, raw[start:i], start))
-            continue
-        if c in "\"'":
-            i = _scan_string(raw, i)
-            tokens.append(Token(TokenKind.STRING, raw[start:i], start))
-            continue
-        if raw[i : i + 3] in _PUNCT3:
-            i += 3
-        elif raw[i : i + 2] in _PUNCT2:
-            i += 2
-        else:
-            i += 1
-        tokens.append(Token(TokenKind.PUNCTUATOR, raw[start:i], start))
-    return tuple(tokens), False
+    group = None
+    for m in _TOKEN_RE.finditer(raw, i):
+        group, lex = m.lastgroup, m.group()
+        kind = _KINDS[group]
+        if kind is TokenKind.IDENTIFIER and lex in C_KEYWORDS:
+            kind = TokenKind.KEYWORD
+        tokens.append(Token(kind, lex, m.start()))
+    return tuple(tokens), group == "OPEN"
 
 
 def tokenize_line(raw: str) -> tuple[Token, ...]:
@@ -262,27 +198,22 @@ def ext_tag(raw: str) -> tuple[str | None, str]:
     return m.group(1), raw[m.end() :]
 
 
-def significant(tokens) -> list[int]:
-    """Indices of tokens that are neither whitespace nor comments."""
-    return [
-        i
-        for i, t in enumerate(tokens)
-        if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)
-    ]
+def significant(tokens) -> list[Token]:
+    """The tokens that are neither whitespace nor comments."""
+    return [t for t in tokens if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)]
 
 
-def split_segments(tokens, sig) -> list[list[int]]:
-    """Split significant token indices into statement segments, cutting at
-    ';' outside parens/brackets and at braces. A 'for(;;)' header stays whole."""
+def split_segments(sig) -> list[list[Token]]:
+    """Split significant tokens into statement segments, cutting at ';'
+    outside parens/brackets and at braces. A 'for(;;)' header stays whole."""
     segs, cur, depth = [], [], 0
-    for i in sig:
-        tok = tokens[i]
+    for tok in sig:
         if tok.kind is TokenKind.PUNCTUATOR:
             if tok.lexeme in ("(", "["):
                 depth += 1
             elif tok.lexeme in (")", "]"):
                 depth = max(0, depth - 1)
-        cur.append(i)
+        cur.append(tok)
         if tok.kind is TokenKind.PUNCTUATOR and depth == 0 and tok.lexeme in (";", "{", "}"):
             segs.append(cur)
             cur = []

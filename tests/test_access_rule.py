@@ -28,6 +28,8 @@ ROWS = [
     ("int q, o;", WARNED),
     ("int q = 1, *o;", WARNED),
     ("int y = h(q, o);", LOWERED),
+    ("int q, (o);", WARNED),
+    ("int q[2] = {1, 2}, o;", WARNED),
 ]
 
 # one target per form, each able to read and write, so that only the
@@ -107,6 +109,12 @@ def test_grouping_parentheses_do_not_hide_the_position():
 def test_comma_declarators_follow_the_statement_they_are_in():
     text, warnings = transform("redundancy", "redundant_t int x;\nextern int a, x; int v[2] = {a, x};\n")
     assert text.split("\n")[1] == "extern int a, x; int v[2] = {a, cpm_red_read(x)};"
+    assert warnings == []
+
+
+def test_a_comma_in_a_call_or_an_initializer_still_reads():
+    text, warnings = transform("redundancy", "redundant_t int x;\ng(a, (x)); int v[2] = {a, x};\n")
+    assert text.split("\n")[1] == "g(a, (cpm_red_read(x))); int v[2] = {a, cpm_red_read(x)};"
     assert warnings == []
 
 

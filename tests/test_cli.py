@@ -111,6 +111,44 @@ def test_config_file_feeds_passes(tmp_path):
     assert "cpm_red_storage(x, int, 5);" in out.read_text(encoding="latin-1")
 
 
+def readme_config():
+    """The example INI file of README's configuration section."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("### Configuration") :]
+    start = section.index("```ini\n") + len("```ini\n")
+    return section[start : section.index("```", start)]
+
+
+def transform_with_config(tmp_path, ini_text, source, *args):
+    src = write_input(tmp_path, text=source)
+    ini = tmp_path / "ext.ini"
+    ini.write_text(ini_text)
+    out = tmp_path / "out.c"
+    rc = main([*args, "--config", str(ini), str(src), "-o", str(out)])
+    return rc, out.read_text(encoding="latin-1") if out.exists() else None
+
+
+def test_readme_config_example_feeds_passes(tmp_path):
+    assert "replicas = 3          ; odd, >= 3" in readme_config()
+    rc, text = transform_with_config(tmp_path, readme_config(), "redundant_t int x;\n", "--ext", "redundancy")
+    assert rc == 0
+    assert "cpm_red_storage(x, int, 3);" in text
+
+
+def test_non_integer_replicas_warns_and_uses_the_default(tmp_path, capsys):
+    rc, text = transform_with_config(tmp_path, "[redundancy]\nreplicas = three\n", "redundant_t int x;\n", "--ext", "redundancy")
+    assert rc == 0
+    assert "redundancy.replicas='three' is not an integer; using 3" in capsys.readouterr().err
+    assert "cpm_red_storage(x, int, 3);" in text
+
+
+def test_inline_comment_after_a_config_value_is_not_part_of_it(tmp_path):
+    ini = "[array]\narrays = beacons, rates   ; two arrays\nbeacons = beacons:int\nrates = rate:int\n"
+    rc, text = transform_with_config(tmp_path, ini, "x = rates[m].rate;\n", "--ext", "array", "--strict-tags")
+    assert rc == 0
+    assert text.endswith("\nx = cpm_arr_get(rates, (m), rate);\n")
+
+
 def test_warnings_do_not_change_exit_status(tmp_path, capsys):
     src = write_input(tmp_path, text="redundant_t int x;\np = &x;\n")
     out = tmp_path / "out.c"

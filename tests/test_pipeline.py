@@ -16,7 +16,7 @@ from cpm.pipeline import (
     run,
 )
 from cpm import srcmodel
-from cpm.srcmodel import load_unit, render
+from cpm.srcmodel import load_unit, render, unit_from_raws
 
 from c_corpus import CORPUS
 
@@ -180,7 +180,7 @@ def test_config_from_ini(tmp_path):
     ini = tmp_path / "ext.ini"
     ini.write_text("[redundancy]\nreplicas = 5\n\n[refractive]\nsensors = watchdog\n")
     cfg = PassConfig.from_ini(ini)
-    assert cfg.get_int("redundancy", "replicas") == 5
+    assert cfg.get("redundancy", "replicas") == "5"
     assert cfg.get("refractive", "sensors") == "watchdog"
 
 
@@ -232,3 +232,21 @@ def test_run_tokenizes_only_the_preamble_on_plain_c(monkeypatch):
         monkeypatch.setattr(srcmodel, "_tokenize", real)
         assert calls == [preamble_line(report.extensions_pipeline)]
         assert out.lines[1:] == tuple(replace(line, line_no=line.line_no + 1) for line in unit.lines)
+
+
+# ROADMAP 4(c): no pass raises on arbitrary latin-1 input, whatever extension
+# syntax is mixed into it
+LATIN1 = st.characters(max_codepoint=0xFF, blacklist_characters="\n")
+EXT_FRAGMENTS = ["redundant_t int x;", "x = 1;", "a[k].b", "f.Cycle = 2;", "guard_t (s > 1) g;", "@ext:cyclic "]
+latin1_lines = st.lists(st.one_of(st.text(LATIN1, max_size=12), st.sampled_from(EXT_FRAGMENTS)), max_size=6).map("".join)
+PASS_CHOICES = [[name] for name in builtin_registry()] + [list(builtin_registry())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(latin1_lines, max_size=6).map("\n".join), st.sampled_from(PASS_CHOICES))
+def test_no_pass_raises_on_latin1_input(text, names):
+    config = PassConfig({"pipeline.strict_tags": "1"} if len(names) > 1 else {})
+    out, report = run(compose(names, config=config), load_unit(text))
+    rendered = render(out)
+    assert render(load_unit(rendered)) == rendered
+    assert unit_from_raws([line.raw for line in out.lines]).lines == out.lines

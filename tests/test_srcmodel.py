@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cpm.srcmodel import (
     TokenKind,
+    _tokenize,
     ext_tag,
     load_unit,
     map_lines,
@@ -94,6 +95,39 @@ def test_pp_number_shapes():
     for text in ("0xFF", "0755", "1.5e-3", ".5f", "1e+10", "42L"):
         toks = tokenize_line(text)
         assert len(toks) == 1 and toks[0].kind is TokenKind.NUMBER, text
+
+
+ID, KW, P, N, S, C, W = (
+    TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.PUNCTUATOR, TokenKind.NUMBER,
+    TokenKind.STRING, TokenKind.COMMENT, TokenKind.WHITESPACE,
+)
+
+# (line, starts inside a block comment, exact tokens, ends inside one)
+GRAMMAR = [
+    ("/*/ x", False, [(C, "/*/ x")], True),
+    ("a/**/b", False, [(ID, "a"), (C, "/**/"), (ID, "b")], False),
+    ('s = "a\\', False, [(ID, "s"), (W, " "), (P, "="), (W, " "), (S, '"a\\')], False),
+    ("'\\''", False, [(S, "'\\''")], False),
+    ("1e+", False, [(N, "1e+")], False),
+    ("a.5..5", False, [(ID, "a"), (N, ".5..5")], False),
+    ("x##y", False, [(ID, "x"), (P, "##"), (ID, "y")], False),
+    ("a-->b", False, [(ID, "a"), (P, "--"), (P, ">"), (ID, "b")], False),
+    ("\xaa\xe9\xa0\x85", False, [(P, "\xaa"), (P, "\xe9"), (P, "\xa0"), (P, "\x85")], False),
+    (
+        "*/ int x; /*",
+        True,
+        [(C, "*/"), (W, " "), (KW, "int"), (W, " "), (ID, "x"), (P, ";"), (W, " "), (C, "/*")],
+        True,
+    ),
+    ("a ...b", False, [(ID, "a"), (W, " "), (P, "..."), (ID, "b")], False),
+]
+
+
+@pytest.mark.parametrize("raw, in_block, expected, after", GRAMMAR)
+def test_token_grammar_exactly(raw, in_block, expected, after):
+    tokens, state = _tokenize(raw, in_block)
+    assert [(t.kind, t.lexeme) for t in tokens] == expected
+    assert state is after
 
 
 def test_tokenize_rejects_newlines():
