@@ -1,4 +1,5 @@
-"""C expressions compiled once into Python code objects with C semantics.
+"""C expressions and statements compiled once into Python code objects with C
+semantics.
 
 Guards and :class:`cpm.interp.AbiInterpreter` share :func:`compile_expr`, a
 precedence-climbing parser over :func:`cpm.srcmodel.tokenize_line` tokens.
@@ -6,8 +7,10 @@ precedence-climbing parser over :func:`cpm.srcmodel.tokenize_line` tokens.
 relational and logical operators yield the int 0 or 1 and comparisons never
 chain; ``?:``, unary, bitwise and shift operators follow C precedence; int
 literals may be octal or hex with ``u``/``l`` suffixes, and a character
-constant is its code. Arguments that name runtime objects (:data:`NAME_ARGS`)
-compile to strings. Anything else raises ``ValueError``.
+constant is its code. Arguments that name runtime objects or types
+(:data:`NAME_ARGS`) compile to strings. :func:`compile_stmt` adds the
+statements the interpreter runs on top of the same parser. Anything else
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -17,11 +20,25 @@ from keyword import iskeyword
 
 from .srcmodel import TokenKind, significant, tokenize_line
 
-# runtime-call head -> positions of the arguments that name a runtime object;
-# the head without its ``cpm_`` prefix is the ``Runtime`` method it calls
+# runtime-call head -> positions of the arguments that name a runtime object
+# or a type; the head without its ``cpm_`` prefix is the ``Runtime`` method
+# it calls
 NAME_ARGS = {
     "cpm_red_read": (0,), "cpm_red_write": (0,), "cpm_ctx_read": (0,), "cpm_ctx_write": (0,),
     "cpm_cycle_get": (0,), "cpm_cycle_set": (0,), "anext": (0,), "cpm_arr_get": (0, 2),
+    "cpm_red_storage": (0, 1), "cpm_red_extern": (0, 1), "cpm_ctx_register": (0, 1),
+    "cpm_arr_register": (0,), "cpm_guard_register": (0,), "cpm_cycle_register": (0,),
+}
+
+# the words a declaration starts with; a name right after a type word is
+# being declared
+TYPE_WORDS = frozenset({"int", "char", "short", "long", "float", "double", "signed", "unsigned", "void"})
+DECL_WORDS = TYPE_WORDS | {"const", "static", "volatile", "register", "struct", "union", "enum", "extern"}
+
+# compound assignment -> its binary operator
+COMPOUND_OPS = {
+    "+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
+    "&=": "&", "^=": "^", "|=": "|", "<<=": "<<", ">>=": ">>",
 }
 
 # binary operator -> C precedence (higher binds tighter)
@@ -32,6 +49,7 @@ _BINARY = {
 }
 _TRUTH = {"&&": "and", "||": "or", "==": "==", "!=": "!=", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 _HELPER = {"/": "_c_div", "%": "_c_mod"}
+_WORDS = (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
 
 
 def _c_div(a, b):
@@ -62,6 +80,14 @@ def _number(lex):
     return int(body, 8 if body.startswith("0") else 10)
 
 
+def _binop(op, left, right):
+    if op in _TRUTH:
+        return f"(1 if {left} {_TRUTH[op]} {right} else 0)"
+    if op in _HELPER:
+        return f"{_HELPER[op]}({left}, {right})"
+    return f"({left} {op} {right})"
+
+
 def _literal(lex):
     if len(lex) < 2 or lex[-1] != lex[0]:
         raise ValueError(f"unterminated literal {lex}")
@@ -79,8 +105,9 @@ class _Parser:
         self.pos = 0
         self.names = set()
 
-    def peek(self):
-        return self.toks[self.pos].lexeme if self.pos < len(self.toks) else None
+    def peek(self, ahead=0):
+        at = self.pos + ahead
+        return self.toks[at].lexeme if at < len(self.toks) else None
 
     def take(self, lexeme=None):
         if self.pos == len(self.toks):
@@ -104,13 +131,7 @@ class _Parser:
         left = self.unary()
         while (prec := _BINARY.get(self.peek(), 0)) >= min_prec:
             op = self.take().lexeme
-            right = self.binary(prec + 1)
-            if op in _TRUTH:
-                left = f"(1 if {left} {_TRUTH[op]} {right} else 0)"
-            elif op in _HELPER:
-                left = f"{_HELPER[op]}({left}, {right})"
-            else:
-                left = f"({left} {op} {right})"
+            left = _binop(op, left, self.binary(prec + 1))
         return left
 
     def unary(self):
@@ -129,10 +150,9 @@ class _Parser:
             return repr(_number(tok.lexeme))
         if tok.kind is TokenKind.STRING:
             return repr(_literal(tok.lexeme))
-        if tok.kind is not TokenKind.IDENTIFIER or iskeyword(tok.lexeme):
-            raise ValueError(f"unexpected {tok.lexeme!r}")
-        self.names.add(tok.lexeme)
-        return self.call(tok.lexeme) if self.peek() == "(" else tok.lexeme
+        name = _identifier(tok)
+        self.names.add(name)
+        return self.call(name) if self.peek() == "(" else name
 
     def call(self, head):
         self.take("(")
@@ -142,14 +162,85 @@ class _Parser:
             if args:
                 self.take(",")
             if len(args) in named:
-                tok = self.take()
-                if tok.kind is not TokenKind.IDENTIFIER:
-                    raise ValueError(f"argument {len(args)} of {head} must name an object")
-                args.append(repr(tok.lexeme))
+                words = self.words()
+                if not words:
+                    raise ValueError(f"argument {len(args)} of {head} must name an object or a type")
+                args.append(repr(" ".join(words)))
             else:
                 args.append(self.expr())
         self.take(")")
         return f"{head}({', '.join(args)})"
+
+    def words(self):
+        """Take a run of identifiers, keywords and ``*``; returns their lexemes."""
+        start = self.pos
+        while self.pos < len(self.toks) and (self.toks[self.pos].kind in _WORDS or self.peek() == "*"):
+            self.pos += 1
+        return [t.lexeme for t in self.toks[start : self.pos]]
+
+    def statement(self):
+        """One statement of the interpreter's subset, as Python source."""
+        first = self.peek()
+        if first == "return":
+            self.take()
+            return "" if self.peek() is None else self.expr()
+        if first in DECL_WORDS:
+            return "\n".join(self.declarators())
+        if first in ("++", "--"):
+            op = self.take().lexeme
+            name = _identifier(self.take())
+        elif self.peek(1) in ("=", "++", "--", *COMPOUND_OPS):
+            name = _identifier(self.take())
+            op = self.take().lexeme
+        else:
+            return self.expr()
+        if op == "=":
+            value = self.expr()
+        elif op in COMPOUND_OPS:
+            value = _binop(COMPOUND_OPS[op], name, self.expr())
+        else:  # ++ or --
+            value = _binop(op[0], name, "1")
+        return f"{name} = {value}"
+
+    def declarators(self):
+        """``T a [= e], *b ...``: yields one assignment per declarator, of 0
+        when it has no initializer; a function declarator and an ``extern``
+        one without an initializer declare nothing."""
+        extern = "extern" in self.words()
+        while True:
+            name = _identifier(self.toks[self.pos - 1])  # the last word taken
+            if self.peek() == "(":  # a function declarator
+                depth = 1
+                self.take()
+                while depth:
+                    lex = self.take().lexeme
+                    depth += (lex == "(") - (lex == ")")
+            elif self.peek() == "=":
+                self.take()
+                yield f"{name} = {self.expr()}"
+            elif not extern:
+                yield f"{name} = 0"
+            if self.peek() != ",":
+                return
+            self.take()
+            self.words()
+
+
+def _identifier(tok):
+    if tok.kind is not TokenKind.IDENTIFIER or iskeyword(tok.lexeme):
+        raise ValueError(f"unexpected {tok.lexeme!r}")
+    return tok.lexeme
+
+
+def _compile(text, rule, mode, what):
+    parser = _Parser(text)
+    try:
+        source = rule(parser)
+        if parser.pos < len(parser.toks):
+            raise ValueError(f"unexpected {parser.peek()!r}")
+        return compile(source, "<cexpr>", mode), frozenset(parser.names)
+    except (ValueError, SyntaxError, RecursionError) as exc:  # nesting past the parser's limits
+        raise ValueError(f"not a C {what} {text.strip()!r}: {exc}") from None
 
 
 @cache
@@ -158,12 +249,25 @@ def compile_expr(text):
     object and the frozenset of free identifiers it reads. Raises
     ``ValueError`` for text that is not a supported C expression; failures
     are not cached."""
-    parser = _Parser(text)
-    try:
-        source = parser.expr()
-        if parser.pos < len(parser.toks):
-            raise ValueError(f"unexpected {parser.peek()!r}")
-        code = compile(source, "<cexpr>", "eval")
-    except (ValueError, SyntaxError, RecursionError) as exc:  # nesting past the parser's limits
-        raise ValueError(f"not a C expression {text.strip()!r}: {exc}") from None
-    return code, frozenset(parser.names)
+    return _compile(text, _Parser.expr, "eval", "expression")
+
+
+@cache
+def compile_stmt(text):
+    """Compile one statement of the interpreter's subset, ``text`` without
+    its ``;``, into an ``exec`` code object that stores what it assigns or
+    declares in its locals:
+
+    - an expression;
+    - ``x = e`` and ``x op= e``, with the operator semantics of
+      :func:`compile_expr`;
+    - ``++x``, ``x++``, ``--x`` and ``x--``;
+    - ``return [e]``, which evaluates ``e``;
+    - a declaration ``T a [= e], *b ...`` starting with one of
+      :data:`DECL_WORDS`: each declarator is set in turn, to 0 when it has no
+      initializer; a prototype, and an ``extern`` declarator without an
+      initializer, declare nothing.
+
+    Raises ``ValueError`` for anything else, such as an array declarator;
+    failures are not cached."""
+    return _compile(text, _Parser.statement, "exec", "statement")[0]

@@ -25,6 +25,7 @@ _VERSION_RE = re.compile(r"^[0-9]+(\.[0-9]+)*$")
 _CANONICAL_RE = re.compile(r"^cpm://([a-z0-9_]+)/([0-9]+(?:\.[0-9]+)*)$")
 
 PIPELINE_EMITTER = "pipeline"
+_PIPELINE_KEYS = frozenset({"strict_tags"})  # the pipeline's own config keys
 
 
 class UnknownExtensionError(ValueError):
@@ -209,8 +210,11 @@ def compose(names, registry=None, config=None) -> Pipeline:
     for key, _ in config.items():
         ns, _, rest = key.partition(".")
         if ns == "pipeline":
-            continue
-        if ns not in registry:
+            if rest not in _PIPELINE_KEYS:
+                diags.append(
+                    Diagnostic("warning", 0, f"config key {key!r} is not recognized by the pipeline", PIPELINE_EMITTER)
+                )
+        elif ns not in registry:
             diags.append(
                 Diagnostic("warning", 0, f"config key {key!r} names no registered extension", PIPELINE_EMITTER)
             )

@@ -34,20 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
+from .cexpr import COMPOUND_OPS, DECL_WORDS, TYPE_WORDS
 from .srcmodel import Diagnostic, TokenKind, apply_spans, map_lines, significant
-
-COMPOUND_OPS = {
-    "+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
-    "&=": "&", "^=": "^", "|=": "|", "<<=": "<<", ">>=": ">>",
-}
-
-TYPE_KEYWORDS = frozenset(
-    {"int", "char", "short", "long", "float", "double", "signed", "unsigned", "void"}
-)
-
-# words that start a declaration whose later declarators follow a ','; an
-# ``extern`` one is then exempt like its first declarator
-_DECL_STARTS = TYPE_KEYWORDS | {"const", "static", "volatile", "register", "struct", "union", "enum", "extern"}
 
 
 def decl_head(toks):
@@ -328,7 +316,8 @@ class _AccessLine:
 
     def _after_decl_comma(self, p):
         """Whether ``sig[p]`` follows, ``*`` aside, a ``,`` outside parentheses
-        and brackets in a statement that starts with a type word. A ``}``
+        and brackets in a statement that starts with a declaration word (an
+        ``extern`` one is then exempt like its first declarator). A ``}``
         before a ``,`` closes an initializer, which is skipped to its ``{``."""
         sig, q = self.sig, p - 1
         while q >= 0 and sig[q].lexeme == "*":
@@ -345,8 +334,8 @@ class _AccessLine:
                 return False  # the ',' separates arguments or subscripts
             depth += (lex in (")", "]")) - (lex in ("(", "["))
             if not depth and lex in (";", "{", "}"):
-                return sig[j + 1].lexeme in _DECL_STARTS
-        return sig[0].lexeme in _DECL_STARTS
+                return sig[j + 1].lexeme in DECL_WORDS
+        return sig[0].lexeme in DECL_WORDS
 
     def _in_extern(self, p):
         for tok in reversed(self.sig[:p]):
@@ -366,9 +355,9 @@ def _amp_is_unary(prev2):
 
 
 def _looks_like_decl(prev, prev2):
-    if prev.lexeme in TYPE_KEYWORDS:
+    if prev.lexeme in TYPE_WORDS:
         return True
-    if prev.lexeme == "*" and prev2 is not None and prev2.lexeme in TYPE_KEYWORDS:
+    if prev.lexeme == "*" and prev2 is not None and prev2.lexeme in TYPE_WORDS:
         return True
     return prev.kind is TokenKind.IDENTIFIER and prev2 is not None and prev2.lexeme in ("struct", "union", "enum")
 

@@ -125,7 +125,6 @@ class ContextRegistry:
         self.guards: list[_Guard] = []
         self._guards_by_sensor: dict[str, list[_Guard]] = {}  # registration order
         self.arrays: dict[str, ReflectiveArray] = {}
-        self.constants: dict[str, object] = {}
         self._scope = dict(HELPERS)  # guard globals: helpers and constants
         self.pipeline_string: str = ""
         self._actuations = 0
@@ -152,7 +151,6 @@ class ContextRegistry:
 
     def register_constant(self, name, value):
         """Make a name (e.g. a state constant) visible to guard expressions."""
-        self.constants[name] = value
         self._scope[name] = value
 
     def register_guard(self, body, expr, name=None):

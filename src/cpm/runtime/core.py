@@ -18,7 +18,7 @@ from __future__ import annotations
 from .clock import VirtualClock
 from .context import DEFAULT_OBSERVATION_PERIOD_MS, ContextRegistry
 from .events import EventLog
-from .redundant import AdaptPolicy, NoMajorityError, ReplicaSet
+from .redundant import NoMajorityError, ReplicaSet
 from .tom import TOM, TimeoutObject
 
 WD_STARTED = -1  # task running, waiting for an activation message
@@ -39,29 +39,21 @@ def wd_state_name(value: int) -> str:
 
 
 class Runtime:
-    def __init__(self, clock=None, policy=None):
+    def __init__(self, clock=None):
         self.clock = clock if clock is not None else VirtualClock()
         self.events = EventLog()
         self.registry = ContextRegistry(clock=self.clock, events=self.events)
         self.replicas: dict[str, ReplicaSet] = {}
-        self.default_policy = policy
         self.tom = TOM(clock=self.clock, events=self.events)
         self._cycles: dict[str, dict] = {}  # fn -> {"action": ..., "to": TimeoutObject|None}
 
     # -- redundancy ----------------------------------------------------------
 
-    def red_storage(self, name, replicas=3, *, initial=0, policy=None) -> ReplicaSet:
+    def red_storage(self, name, replicas=3, *, initial=0) -> ReplicaSet:
         if name in self.replicas:
             self.events.log(self.clock.now, "warn", name, 0, "redundant-storage-redefined")
             return self.replicas[name]
-        rs = ReplicaSet(
-            name,
-            replicas,
-            initial=initial,
-            policy=policy or self.default_policy or AdaptPolicy(),
-            clock=self.clock,
-            events=self.events,
-        )
+        rs = ReplicaSet(name, replicas, initial=initial, clock=self.clock, events=self.events)
         self.replicas[name] = rs
         return rs
 

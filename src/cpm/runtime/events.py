@@ -35,11 +35,10 @@ class EventLog:
     def of(self, kind) -> list[Event]:
         return [e for e in self.events if e.kind == kind]
 
-    def to_csv(self, header: bool = True) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if header:
-            buf.write(CSV_HEADER + "\n")
+        buf.write(CSV_HEADER + "\n")
         for e in self.events:
             writer.writerow([e.time_ms, e.kind, e.name, e.instance, e.value])
         return buf.getvalue()

@@ -66,7 +66,6 @@ class ReplicaSet:
         self._replicas = [initial] * replicas
         self._window_risky = 0  # reads in stats.window with discrepancies >= N // 2
         self._window_reads = 0
-        self._window_dirty = 0
         self._clean_windows = 0
 
     @property
@@ -122,21 +121,18 @@ class ReplicaSet:
         if len(st.window) == st.window.maxlen and st.window[0] >= risky:
             self._window_risky -= 1  # about to be evicted
         st.window.append(discrepancies)
-        dirty = discrepancies >= risky
-        self._window_risky += dirty
+        self._window_risky += discrepancies >= risky
         st.failure_risk = self._window_risky / self.policy.window
-        self._adapt(dirty=dirty, majority=value)
+        self._adapt(majority=value)
         return value
 
-    def _adapt(self, dirty, majority):
+    def _adapt(self, majority):
         self._window_reads += 1
-        if dirty:
-            self._window_dirty += 1
         if self.stats.failure_risk > self.policy.escalate_threshold and self.n + 2 <= self.policy.n_max:
             self._resize(self.n + 2, majority)
             return
         if self._window_reads >= self.policy.window:
-            if self._window_dirty == 0:
+            if self._window_risky == 0:  # stats.window holds just the reads of this window
                 self._clean_windows += 1
                 if self._clean_windows >= self.policy.deescalate_after:
                     if self.n - 2 >= self.policy.n_min:
@@ -145,7 +141,6 @@ class ReplicaSet:
             else:
                 self._clean_windows = 0
             self._window_reads = 0
-            self._window_dirty = 0
 
     def _resize(self, new_n, majority):
         old_n = self.n
@@ -158,7 +153,6 @@ class ReplicaSet:
         self.stats.failure_risk = 0.0
         self._window_risky = 0
         self._window_reads = 0
-        self._window_dirty = 0
         self._clean_windows = 0
         if self.events is not None:
             self.events.log(self._now(), "adapt", self.name, new_n, f"{old_n}->{new_n}")

@@ -59,8 +59,8 @@ class SwitchboardResult:
     records: list
     runtime: Runtime = field(repr=False, default=None)
 
-    def to_csv(self, header: bool = True) -> str:
-        lines = ["cycle,mac,metric_or_stale"] if header else []
+    def to_csv(self) -> str:
+        lines = ["cycle,mac,metric_or_stale"]
         for r in self.records:
             lines.append(f"{r.cycle},{r.mac},{'stale' if r.stale else r.metric}")
         return "\n".join(lines) + "\n"

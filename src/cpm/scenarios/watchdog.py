@@ -70,12 +70,11 @@ class WdtResult:
     ignored_writes: list  # (time_ms, value) writes that arrived while not fired
     runtime: Runtime = field(repr=False, default=None)
 
-    def to_csv(self, header: bool = True) -> str:
+    def to_csv(self) -> str:
         rows = [(t, "state", str(v)) for t, v in self.trace]
         rows += [(t, "ignored_write", str(v)) for t, v in self.ignored_writes]
         rows.sort(key=lambda r: r[0])
-        lines = ["time_ms,event,detail"] if header else []
-        lines += [f"{t},{e},{d}" for t, e, d in rows]
+        lines = ["time_ms,event,detail"] + [f"{t},{e},{d}" for t, e, d in rows]
         return "\n".join(lines) + "\n"
 
     def describe(self) -> str:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cpm.cexpr
-from cpm.cexpr import compile_expr
+from cpm.cexpr import compile_expr, compile_stmt
 from cpm.interp import AbiInterpreter, InterpError
 from cpm.runtime import ContextRegistry, Runtime
 from oracles import c_eval
@@ -131,18 +131,20 @@ def test_compiled_once_per_text():
         it = AbiInterpreter(Runtime(), env={"a": 3})
         text = "a * 1234567 + 7654321"  # no other test compiles this text
         assert it.eval_expr(text) == it.eval_expr(text) == 3 * 1234567 + 7654321
+        it.run_text(f"b = {text};\nb = {text};\n")
     finally:
         cpm.cexpr.tokenize_line = tokenize
-    assert calls == [text]
+    assert calls == [text, f"b = {text}"]
 
 
 def test_failed_compiles_are_not_cached():
     text = "s > > 7654321"
-    size = compile_expr.cache_info().currsize
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            compile_expr(text)
-    assert compile_expr.cache_info().currsize == size
+    for compiler in (compile_expr, compile_stmt):
+        size = compiler.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                compiler(text)
+        assert compiler.cache_info().currsize == size
 
 
 def test_names_are_the_identifiers_read():

@@ -30,10 +30,29 @@ def test_declarations_and_assignments():
     assert it.env == {"a": 2, "b": 8}
 
 
+def test_every_declarator_is_set_in_turn():
+    rt, it = fresh()
+    it.run_text("int a, b;\nint c = 1, *d = c + 1, e;\nunsigned long f = -7 / 2;\n")
+    assert it.env == {"a": 0, "b": 0, "c": 1, "d": 2, "e": 0, "f": -3}
+
+
+def test_updates_and_returns_follow_c_semantics():
+    rt, it = fresh()
+    it.run_text("int a = -7;\na /= 2;\nint b = 7;\nb %= -3;\n++b;\nb--;\n--b;\nint c = 1;\nc <<= 3;\nreturn c;\nreturn;\n")
+    assert it.env == {"a": -3, "b": 0, "c": 8}
+
+
 def test_prototypes_and_braces_are_ignored():
     rt, it = fresh()
-    it.run_text("int f(int);\nint main(void) {\n}\nreturn 0;\n")
-    assert "f" not in it.env
+    it.env["x"] = 5
+    it.run_text("int f(int);\nint main(void) {\n}\nreturn 0;\nextern int x;\nint g(int), h(void (*)(int));\n")
+    assert it.env == {"x": 5}  # an extern declarator without an initializer sets nothing
+
+
+def test_storage_type_may_take_several_words():
+    rt, it = fresh()
+    it.run_text("cpm_red_storage(x, unsigned int, 5);\ncpm_red_extern(x, unsigned int);\ncpm_red_storage(p, int *, 3);\n")
+    assert (rt.replicas["x"].n, rt.replicas["p"].n) == (5, 3)
 
 
 def test_context_registration_and_access():
@@ -132,6 +151,14 @@ def test_malformed_guard_in_program_raises_value_error():
     it.run_text('cpm_ctx_register(s, sensor, "s");\n')
     with pytest.raises(ValueError, match="not a C expression"):
         it.run_text('cpm_guard_register(g, "s >");\n')
+
+
+@pytest.mark.parametrize("text", ["cpm_red_storage(x);", "cpm_guard_register(g);", "int a[3];", "int a, ;", "x++ + 1;"])
+def test_malformed_statement_raises_interp_error(text):
+    rt, it = fresh()
+    it.env["x"] = 1
+    with pytest.raises(InterpError):
+        it.run_text(text + "\n")
 
 
 def test_unsupported_statement_raises():

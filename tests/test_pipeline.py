@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from cpm.pipeline import (
 )
 from cpm import srcmodel
 from cpm.srcmodel import load_unit, render, unit_from_raws
+from test_decl_rule import lines
 
 from c_corpus import CORPUS
 
@@ -133,6 +135,18 @@ def test_order_confluence_on_disjoint_lines():
     assert _body(render(a)) == _body(render(b))
 
 
+# ROADMAP 4(b): the four passes are orthogonal, so on untagged text every
+# order renders the same text; diagnostics may differ by order
+ORDERS = list(itertools.permutations(builtin_registry()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(lines, min_size=1, max_size=6).map(lambda ls: "\n".join(ls) + "\n"))
+def test_every_pass_order_renders_the_same_text(src):
+    texts = {_body(render(run(compose(order), load_unit(src))[0])) for order in ORDERS}
+    assert len(texts) == 1, texts
+
+
 def test_order_confluence_refractive_array():
     src = (
         "sensor_t int cpu_load;\n"
@@ -169,6 +183,12 @@ def test_strict_tags_silent_when_everything_consumed():
     src = "redundant_t int x;\nx = 1;\n"
     out, report = run(compose(["redundancy"], config=cfg), load_unit(src))
     assert not [d for d in report.diagnostics if d.severity == "warning"]
+
+
+def test_unknown_pipeline_config_key_is_warned():
+    cfg = PassConfig({"pipeline.strict_tag": "1", "pipeline.strict_tags": "0"})
+    messages = [d.message for d in compose(["redundancy"], config=cfg).compose_diagnostics]
+    assert messages == ["config key 'pipeline.strict_tag' is not recognized by the pipeline"]
 
 
 def test_preamble_on_empty_unit():
