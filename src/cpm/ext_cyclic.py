@@ -13,21 +13,11 @@ dispatches on the value, since it is generally unknown at transform time:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pipeline import ExtensionId, ExtensionPass
 from .rewrite import CYCLE, Target, closing, decl_head, decl_statements, lower_lines
 from .srcmodel import Diagnostic, SourceUnit, apply_spans, map_lines
 
 PASS_ID = ExtensionId("cyclic", "1.0")
-
-
-@dataclass(frozen=True)
-class CyclicMethodSpec:
-    fn_name: str
-    return_type: str
-    param_types: str
-    decl_line: int
 
 
 def _match_decl(raw, toks):
@@ -53,9 +43,8 @@ def _match_decl(raw, toks):
 
 def scan_cyclic(unit: SourceUnit, config, skip=frozenset()):
     """Replace cyclic prototypes with plain prototypes plus registration
-    calls. Returns (unit, specs, diagnostics)."""
+    calls. Returns (unit, declared names, diagnostics)."""
     diags: list[Diagnostic] = []
-    specs: list[CyclicMethodSpec] = []
     names = set()
 
     def lower_decls(line):
@@ -74,18 +63,10 @@ def scan_cyclic(unit: SourceUnit, config, skip=frozenset()):
                 spans.append((m["start"], m["end"], proto))
                 continue
             names.add(m["name"])
-            specs.append(
-                CyclicMethodSpec(
-                    fn_name=m["name"],
-                    return_type=m["type_text"],
-                    param_types=m["params"],
-                    decl_line=line.line_no,
-                )
-            )
             spans.append((m["start"], m["end"], f"{proto} cpm_cycle_register({m['name']});"))
         return apply_spans(line.raw, spans)
 
-    return map_lines(unit, lower_decls, skip), specs, diags
+    return map_lines(unit, lower_decls, skip), names, diags
 
 
 _MESSAGES = {
@@ -96,16 +77,16 @@ _MESSAGES = {
 }
 
 
-def lower_cycle_member(unit: SourceUnit, specs, skip=frozenset()):
-    """Rewrite ``fn.Cycle`` accesses of declared cyclic methods; a period is
-    set by assignment only, as the runtime dispatches on the value assigned.
-    Returns (unit, diagnostics)."""
+def lower_cycle_member(unit: SourceUnit, names, skip=frozenset()):
+    """Rewrite ``fn.Cycle`` accesses of the cyclic methods in ``names``; a
+    period is set by assignment only, as the runtime dispatches on the value
+    assigned. Returns (unit, diagnostics)."""
     cycle = Target(
         CYCLE,
         read="cpm_cycle_get({name})",
         write="cpm_cycle_set({name}, {value});",
         update=False,
-        known=frozenset(s.fn_name for s in specs),
+        known=frozenset(names),
         messages=_MESSAGES,
     )
     return lower_lines(unit, {"Cycle": cycle}, CyclicPass.KEYWORDS, str(PASS_ID), skip)
@@ -116,6 +97,6 @@ class CyclicPass(ExtensionPass):
     KEYWORDS = frozenset({"cyclic_t"})
 
     def _transform(self, unit, config, skip):
-        unit, specs, diags = scan_cyclic(unit, config, skip)
-        unit, more = lower_cycle_member(unit, specs, skip)
+        unit, names, diags = scan_cyclic(unit, config, skip)
+        unit, more = lower_cycle_member(unit, names, skip)
         return unit, diags + more

@@ -17,8 +17,6 @@ with a warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pipeline import ExtensionId, ExtensionPass
 from .rewrite import Target, decl_head, decl_statements, lower_lines
 from .srcmodel import Diagnostic, SourceUnit, apply_spans, map_lines
@@ -26,15 +24,6 @@ from .srcmodel import Diagnostic, SourceUnit, apply_spans, map_lines
 PASS_ID = ExtensionId("redundancy", "1.1")
 
 DEFAULT_REPLICAS = 3
-
-
-@dataclass(frozen=True)
-class RedundantDecl:
-    var_name: str
-    base_type: str
-    replicas: int  # odd, >= 3
-    is_extern: bool
-    decl_line: int
 
 
 _TARGET = Target(read="cpm_red_read({name})", write="cpm_red_write({name}, {value});")
@@ -85,10 +74,9 @@ def _match_decl(toks):
 
 def scan_redundant(unit: SourceUnit, config, skip=frozenset()):
     """Replace redundant declarations with their runtime storage/registration
-    forms. Returns (unit, decls, diagnostics)."""
+    forms. Returns (unit, declared names, diagnostics)."""
     diags: list[Diagnostic] = []
     replicas = _replica_count(config, diags)
-    decls: list[RedundantDecl] = []
     names = set()
 
     def lower_decls(line):
@@ -106,15 +94,6 @@ def scan_redundant(unit: SourceUnit, config, skip=frozenset()):
                 )
                 continue
             names.add(m["name"])
-            decls.append(
-                RedundantDecl(
-                    var_name=m["name"],
-                    base_type=m["type_text"],
-                    replicas=replicas,
-                    is_extern=m["extern"],
-                    decl_line=line.line_no,
-                )
-            )
             if m["extern"]:
                 text = f"cpm_red_extern({m['name']}, {m['type_text']});"
             else:
@@ -128,13 +107,13 @@ def scan_redundant(unit: SourceUnit, config, skip=frozenset()):
             spans.append((m["start"], m["end"], text))
         return apply_spans(raw, spans)
 
-    return map_lines(unit, lower_decls, skip), decls, diags
+    return map_lines(unit, lower_decls, skip), names, diags
 
 
-def lower_accesses(unit: SourceUnit, decls, skip=frozenset()):
-    """Rewrite reads/writes of the declared names into voted-read and
+def lower_accesses(unit: SourceUnit, names, skip=frozenset()):
+    """Rewrite reads/writes of the declared ``names`` into voted-read and
     multiplexed-write calls. Returns (unit, diagnostics)."""
-    targets = {d.var_name: _TARGET for d in decls}
+    targets = dict.fromkeys(names, _TARGET)
     return lower_lines(unit, targets, RedundancyPass.KEYWORDS, str(PASS_ID), skip)
 
 
@@ -144,6 +123,6 @@ class RedundancyPass(ExtensionPass):
     KEYWORDS = frozenset({"redundant_t"})
 
     def _transform(self, unit, config, skip):
-        unit, decls, diags = scan_redundant(unit, config, skip)
-        unit, more = lower_accesses(unit, decls, skip)
+        unit, names, diags = scan_redundant(unit, config, skip)
+        unit, more = lower_accesses(unit, names, skip)
         return unit, diags + more

@@ -28,8 +28,6 @@ with :func:`cpm.rewrite.rewrite_line`, each from a table of targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cexpr import compile_expr
 from .pipeline import ExtensionId, ExtensionPass
 from .rewrite import INDEX, Target, decl_head, decl_statements, lower_lines
@@ -41,26 +39,6 @@ ARRAY_ID = ExtensionId("array", "0.5")
 _DECL_KEYWORDS = {"sensor_t": "sensor", "actuator_t": "actuator", "context_t": "both"}
 
 BUILTIN_ARRAY_PROPS = ("beacons", "silent_periods", "stale")
-
-
-@dataclass(frozen=True)
-class ContextVarSpec:
-    name: str
-    direction: str  # "sensor" | "actuator" | "both"
-    binding: str
-    value_type: str = "int"
-
-
-@dataclass(frozen=True)
-class ReflectiveArraySpec:
-    name: str
-    properties: tuple = ()  # (prop_name, value_type) pairs
-
-
-@dataclass(frozen=True)
-class GuardedFunctionSpec:
-    guard_expr: str
-    body_fn: str
 
 
 _SCALAR_TARGETS = {  # direction -> target
@@ -85,48 +63,27 @@ def _merge_direction(a, b):
     return a if a == b else "both"
 
 
+def _config_names(text):
+    """The names of a config list of ``name`` or ``name:type`` items."""
+    return [item.partition(":")[0].strip() for item in str(text or "").split(",") if item.strip()]
+
+
 def _config_scalars(config, diags):
-    specs: dict[str, ContextVarSpec] = {}
+    directions: dict[str, str] = {}
     for key, direction in (("sensors", "sensor"), ("actuators", "actuator"), ("context", "both")):
-        entries = config.get("refractive", key)
-        if not entries:
-            continue
-        for item in str(entries).split(","):
-            item = item.strip()
-            if not item:
-                continue
-            name, _, vtype = item.partition(":")
-            name = name.strip()
-            vtype = vtype.strip() or "int"
-            if name in specs:
-                direction = _merge_direction(specs[name].direction, direction)
+        for name in _config_names(config.get("refractive", key)):
+            before = directions.get(name, direction)
+            directions[name] = _merge_direction(before, direction)
+            if directions[name] != before:
                 diags.append(
                     Diagnostic("warning", 0, f"context variable '{name}' configured with two directions; treating as both", str(REFRACTIVE_ID))
                 )
-            specs[name] = ContextVarSpec(name, direction, binding=name, value_type=vtype)
-    return specs
+    return directions
 
 
 def _config_arrays(config):
-    specs: dict[str, ReflectiveArraySpec] = {}
-    names = config.get("array", "arrays")
-    if not names:
-        return specs
-    for name in str(names).split(","):
-        name = name.strip()
-        if not name:
-            continue
-        props = []
-        prop_text = config.get("array", name)
-        if prop_text:
-            for item in str(prop_text).split(","):
-                item = item.strip()
-                if not item:
-                    continue
-                pname, _, ptype = item.partition(":")
-                props.append((pname.strip(), ptype.strip() or "int"))
-        specs[name] = ReflectiveArraySpec(name=name, properties=tuple(props))
-    return specs
+    names = (name.strip() for name in str(config.get("array", "arrays") or "").split(","))
+    return {name: tuple(_config_names(config.get("array", name))) for name in names if name}
 
 
 def _match_scalar_decl(toks):
@@ -138,7 +95,6 @@ def _match_scalar_decl(toks):
     return {
         "direction": _DECL_KEYWORDS[toks[0].lexeme],
         "name": decl[1],
-        "type_text": decl[0],
         "start": toks[0].column,
         "end": toks[-1].end,
     }
@@ -162,13 +118,13 @@ def _match_array_decl(toks):
             return None
         if i + 2 >= len(body) or body[i + 2].kind not in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
             return None
-        props.append((pname, body[i + 2].lexeme))
+        props.append(pname)
         i += 3
         if i < len(body):
             if body[i].lexeme != ",":
                 return None
             i += 1
-    if not props or len({p for p, _ in props}) != len(props):
+    if not props or len(set(props)) != len(props):
         return None
     return {
         "name": toks[1].lexeme,
@@ -193,19 +149,19 @@ def _match_guard_decl(raw, toks):
 
 
 def scan_context(unit: SourceUnit, config, skip=frozenset()):
-    """Collect scalar context variables and guards (from config and from the
-    source) and replace in-source declarations with registration calls.
+    """Collect scalar context variables (from config and from the source)
+    and replace in-source context and guard declarations with registration
+    calls.
 
     Guards are checked after the whole unit is seen, so a guard may precede
     the sensors it reads. A guard is kept when its text compiles as a C
     expression (:func:`cpm.cexpr.compile_expr`) that reads a declared
     sensor, the rule ``ContextRegistry.register_guard`` applies at run time.
-    Returns (unit, scalar_specs, guard_specs, diagnostics).
+    Returns (unit, {name: direction}, diagnostics).
     """
     emitted_by = str(REFRACTIVE_ID)
     diags: list[Diagnostic] = []
     scalars = _config_scalars(config, diags)
-    guards: list[GuardedFunctionSpec] = []
     pending_guards = []  # (match dict, line_no)
     line_spans: dict[int, list] = {}  # line_no -> replacement spans
 
@@ -223,17 +179,15 @@ def scan_context(unit: SourceUnit, config, skip=frozenset()):
             else:
                 direction = m["direction"]
                 if m["name"] in scalars:
-                    direction = _merge_direction(scalars[m["name"]].direction, direction)
+                    direction = _merge_direction(scalars[m["name"]], direction)
                     diags.append(
                         Diagnostic("warning", line.line_no, f"context variable '{m['name']}' declared more than once; directions merged", emitted_by)
                     )
-                scalars[m["name"]] = ContextVarSpec(
-                    m["name"], direction, binding=m["name"], value_type=m["type_text"]
-                )
+                scalars[m["name"]] = direction
                 text = f'cpm_ctx_register({m["name"]}, {direction}, "{m["name"]}");'
                 line_spans.setdefault(line.line_no, []).append((m["start"], m["end"], text))
 
-    sensor_names = {s.name for s in scalars.values() if s.direction in ("sensor", "both")}
+    sensor_names = {name for name, direction in scalars.items() if direction != "actuator"}
     for m, line_no in pending_guards:
         try:
             problem = None if compile_expr(m["expr"])[1] & sensor_names else "references no declared sensor"
@@ -242,19 +196,18 @@ def scan_context(unit: SourceUnit, config, skip=frozenset()):
         if problem is not None:
             diags.append(Diagnostic("warning", line_no, f"guard for '{m['fn']}' {problem}; guard dropped", emitted_by))
             continue
-        guards.append(GuardedFunctionSpec(guard_expr=m["expr"], body_fn=m["fn"]))
         expr = m["expr"].replace("\\", "\\\\").replace('"', '\\"')
         text = f'cpm_guard_register({m["fn"]}, "{expr}");'
         line_spans.setdefault(line_no, []).append((m["start"], m["end"], text))
 
     out = map_lines(unit, lambda line: apply_spans(line.raw, line_spans.get(line.line_no)))
-    return out, list(scalars.values()), guards, diags
+    return out, scalars, diags
 
 
 def scan_arrays(unit: SourceUnit, config, skip=frozenset()):
     """Collect reflective arrays (from config and from the source) and
     replace in-source declarations with registration calls. Returns
-    (unit, array_specs, diagnostics)."""
+    (unit, {name: property names}, diagnostics)."""
     diags: list[Diagnostic] = []
     arrays = _config_arrays(config)
 
@@ -271,32 +224,32 @@ def scan_arrays(unit: SourceUnit, config, skip=frozenset()):
                     Diagnostic("warning", line.line_no, f"reflective array '{m['name']}' declared more than once; first declaration wins", str(ARRAY_ID))
                 )
             else:
-                arrays[m["name"]] = ReflectiveArraySpec(name=m["name"], properties=m["properties"])
+                arrays[m["name"]] = m["properties"]
             spans.append((m["start"], m["end"], f"cpm_arr_register({m['name']});"))
         return apply_spans(line.raw, spans)
 
-    return map_lines(unit, lower_decls, skip), list(arrays.values()), diags
+    return map_lines(unit, lower_decls, skip), arrays, diags
 
 
-def lower_context_accesses(unit: SourceUnit, specs, skip=frozenset()):
-    """Wrap sensor reads and actuator writes of the declared scalar context
-    variables. Returns (unit, diagnostics)."""
-    targets = {s.name: _SCALAR_TARGETS[s.direction] for s in specs}
+def lower_context_accesses(unit: SourceUnit, directions, skip=frozenset()):
+    """Wrap sensor reads and actuator writes of the scalar context variables
+    in ``directions`` ({name: direction}). Returns (unit, diagnostics)."""
+    targets = {name: _SCALAR_TARGETS[d] for name, d in directions.items()}
     return lower_lines(unit, targets, RefractivePass.KEYWORDS, str(REFRACTIVE_ID), skip)
 
 
-def lower_array_accesses(unit: SourceUnit, specs, skip=frozenset()):
-    """Rewrite ``A[key].prop`` reads of declared reflective arrays into
-    ``cpm_arr_get(A, (key), prop)``; the properties are read-only. Returns
-    (unit, diagnostics)."""
+def lower_array_accesses(unit: SourceUnit, arrays, skip=frozenset()):
+    """Rewrite ``A[key].prop`` reads of the reflective arrays in ``arrays``
+    ({name: property names}) into ``cpm_arr_get(A, (key), prop)``; the
+    properties are read-only. Returns (unit, diagnostics)."""
     targets = {
-        s.name: Target(
+        name: Target(
             INDEX,
             read="cpm_arr_get({name}, ({key}), {prop})",
-            known=frozenset(BUILTIN_ARRAY_PROPS).union(p for p, _ in s.properties),
+            known=frozenset(BUILTIN_ARRAY_PROPS).union(props),
             messages=_ARRAY_MESSAGES,
         )
-        for s in specs
+        for name, props in arrays.items()
     }
     return lower_lines(unit, targets, ArrayPass.KEYWORDS, str(ARRAY_ID), skip)
 
@@ -309,7 +262,7 @@ class RefractivePass(ExtensionPass):
     KEYWORDS = frozenset({"sensor_t", "actuator_t", "context_t", "guard_t"})
 
     def _transform(self, unit, config, skip):
-        unit, scalars, _, diags = scan_context(unit, config, skip)
+        unit, scalars, diags = scan_context(unit, config, skip)
         unit, more = lower_context_accesses(unit, scalars, skip)
         return unit, diags + more
 

@@ -105,7 +105,13 @@ class ExtensionPass:
     Subclasses set ``id``, ``KNOWN_KEYS`` (their config keys), ``KEYWORDS``
     (the identifier lexemes introducing their syntax, used for strict-mode
     reporting) and implement ``_transform``. ``transform`` never rejects
-    input and must leave units without the pass's syntax byte-identical.
+    input and must leave units without the pass's syntax byte-identical;
+    lines numbered in ``skip`` keep their text.
+
+    ``transform`` does not read ``@ext:`` tags: to a bare pass a tag is text.
+    :func:`run` strips the tags of the pipeline's passes before the first
+    pass runs and hands each pass the lines tagged for any other pass as
+    ``skip``.
 
     Passes hold no mutable state; one instance may transform any number of
     units, concurrently when the units are distinct.
@@ -118,30 +124,11 @@ class ExtensionPass:
     def known_key(self, key: str) -> bool:
         return key in self.KNOWN_KEYS
 
-    def transform(self, unit: SourceUnit, config: PassConfig):
-        work, skip = self._tag_view(unit)
-        return self._transform(work, config, skip)
+    def transform(self, unit: SourceUnit, config: PassConfig, skip=frozenset()):
+        return self._transform(unit, config, skip)
 
     def _transform(self, unit, config, skip):
         raise NotImplementedError
-
-    def _tag_view(self, unit: SourceUnit):
-        """Strip ``@ext:`` tags addressed to this pass and collect the line
-        numbers tagged for other passes (those lines must not be touched)."""
-        skip = set()
-
-        def strip_tag(line):
-            if line.in_block_comment:
-                return line.raw  # an "@ext:" here is comment text
-            tag, content = ext_tag(line.raw)
-            if tag is None:
-                return line.raw
-            if tag == self.id.name:
-                return content
-            skip.add(line.line_no)
-            return line.raw
-
-        return map_lines(unit, strip_tag), skip
 
 
 @dataclass(frozen=True)
@@ -243,12 +230,33 @@ def preamble_line(ids_string: str) -> str:
     return f'const char *extensions_pipeline = "{ids_string}"; /* cpm preamble */'
 
 
+def _strip_tags(unit: SourceUnit, applied):
+    """Strip the ``@ext:`` tag of every line tagged for a pass in
+    ``applied``. Returns (unit, {line_no: tag}) with every tagged line in the
+    map, whether its tag was stripped or not."""
+    tags = {}
+
+    def strip_tag(line):
+        if line.in_block_comment:
+            return line.raw  # an "@ext:" here is comment text
+        tag, content = ext_tag(line.raw)
+        if tag is None:
+            return line.raw
+        tags[line.line_no] = tag
+        return content if tag in applied else line.raw
+
+    return map_lines(unit, strip_tag), tags
+
+
 def run(pipeline: Pipeline, unit: SourceUnit):
-    """Apply the passes in order, then inject the identifier preamble as the
-    first line. Returns (unit, report)."""
+    """Route tagged lines, apply the passes in order, then inject the
+    identifier preamble as the first line. Returns (unit, report)."""
     diags = list(pipeline.compose_diagnostics)
+    applied = {p.id.name for p in pipeline.passes}
+    unit, tags = _strip_tags(unit, applied)
+    skips = {name: frozenset(n for n, tag in tags.items() if tag != name) for name in applied}
     for p in pipeline.passes:
-        unit, pass_diags = p.transform(unit, pipeline.config)
+        unit, pass_diags = p.transform(unit, pipeline.config, skips[p.id.name])
         diags.extend(pass_diags)
     ids_string = publish_ids(pipeline)
     head = unit_from_raws([preamble_line(ids_string)]).lines
@@ -256,7 +264,7 @@ def run(pipeline: Pipeline, unit: SourceUnit):
     final_newline = unit.final_newline if unit.lines else True
     out = SourceUnit(lines=head + body, origin=unit.origin, final_newline=final_newline)
     if pipeline.config.get_bool("pipeline", "strict_tags"):
-        diags.extend(_strict_sweep(unit, pipeline))
+        diags.extend(_strict_sweep(unit, pipeline, applied, tags))
     report = PipelineReport(
         applied_ids=[p.id for p in pipeline.passes],
         diagnostics=diags,
@@ -265,15 +273,15 @@ def run(pipeline: Pipeline, unit: SourceUnit):
     return out, report
 
 
-def _strict_sweep(unit: SourceUnit, pipeline: Pipeline):
+def _strict_sweep(unit: SourceUnit, pipeline: Pipeline, applied, tags):
     """In strict-tag mode, report extension syntax that survived the whole
-    pipeline: leftover @ext: tags and extension keywords nobody consumed.
-    ``unit`` is the passes' output before the preamble goes in, so line
-    numbers are input line numbers, as in the passes' own diagnostics."""
+    pipeline: tags for passes not in ``applied`` (from the ``tags`` map of
+    :func:`_strip_tags`) and extension keywords nobody consumed. ``unit`` is
+    the passes' output before the preamble goes in, so line numbers are
+    input line numbers, as in the passes' own diagnostics."""
     diags = []
-    applied = {p.id.name for p in pipeline.passes}
     for line in unit.lines:
-        tag = None if line.in_block_comment else ext_tag(line.raw)[0]
+        tag = tags.get(line.line_no)
         if tag is not None and tag not in applied:
             diags.append(
                 Diagnostic(

@@ -129,8 +129,11 @@ class Runtime:
     def cycle_set(self, fn_name, value):
         """Dispatch a ``fn.Cycle = value`` write: the first nonzero value
         declares and inserts the cyclic timeout, later nonzero values re-time
-        and restart it, zero cancels it."""
+        and restart it, zero cancels it. A negative value raises ValueError
+        and leaves the schedule as it was."""
         value = int(value)
+        if value < 0:
+            raise ValueError(f"period of cycle '{fn_name}' must not be negative")
         rec = self._cycles.get(fn_name)
         if rec is None:
             self.events.log(self.clock.now, "warn", fn_name, 0, "cycle-set-before-register")

@@ -39,6 +39,15 @@ class TimeoutObject:
     _inserted: bool = field(default=False, repr=False)
 
 
+def _period(to: TimeoutObject, deadline) -> int:
+    """``deadline`` as an int; raises ValueError, before anything changes,
+    for a cyclic object whose period would not be positive."""
+    deadline = int(deadline)
+    if to.cyclic and deadline <= 0:
+        raise ValueError(f"cyclic deadline of '{to.subid}' must be positive")
+    return deadline
+
+
 class TOM:
     def __init__(self, clock=None, events=None):
         self.clock = clock if clock is not None else VirtualClock()
@@ -55,6 +64,7 @@ class TOM:
         if to._queued:
             self.events.log(self.clock.now, "warn", to.subid, 0, "insert-while-queued")
             return
+        _period(to, to.deadline)
         if to._seq is None:
             to._seq = self._next_seq
             self._next_seq += 1
@@ -83,21 +93,20 @@ class TOM:
     def set_deadline(self, to: TimeoutObject, deadline: int):
         """Change the period without re-arming; takes effect at the next
         (re)arming."""
-        to.deadline = int(deadline)
+        to.deadline = _period(to, deadline)
 
     def renew(self, to: TimeoutObject):
         """Re-arm at now + deadline and enable. Requires a prior insert."""
         if not to._inserted:
             raise ValueError(f"renew of '{to.subid}' before insert")
-        to.enabled = True
         self._arm(to, self.clock.now + to.deadline)
+        to.enabled = True
 
     def set_action(self, to: TimeoutObject, action):
         to.action = action
 
     def _arm(self, to: TimeoutObject, when: int):
-        if to.cyclic and to.deadline <= 0:
-            raise ValueError(f"cyclic deadline of '{to.subid}' must be positive")
+        _period(to, to.deadline)
         to._version += 1
         to.next_fire = when
         to._queued = True
@@ -199,7 +208,7 @@ def tom_disable(tom: TOM, to: TimeoutObject):
 
 
 def tom_set_deadline(to: TimeoutObject, deadline: int):
-    to.deadline = int(deadline)
+    to.deadline = _period(to, deadline)
 
 
 def tom_renew(tom: TOM, to: TimeoutObject):

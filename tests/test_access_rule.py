@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpm.pipeline import PassConfig, builtin_registry
+from cpm.pipeline import PassConfig, builtin_registry, compose, run
 from cpm.rewrite import CYCLE, INDEX, NAME, Target, rewrite_line
 from cpm.srcmodel import TokenKind, ext_tag, load_unit, render, tokenize_line
 
@@ -220,9 +220,10 @@ def unlowered_occurrences(name, sig):
 def test_every_access_is_lowered_or_warned_and_no_read_is_an_lvalue(src):
     raws = src.split("\n")[:-1]
     for name, p in PASSES.items():
-        out, diags = p.transform(load_unit(src), PassConfig())
-        for line in out.lines:
-            if ext_tag(raws[line.line_no - 1])[0] is not None:
+        out, report = run(compose([name]), load_unit(src))
+        for line in out.lines[1:]:  # after the preamble; diagnostics number input lines
+            line_no = line.line_no - 1
+            if ext_tag(raws[line_no - 1])[0] is not None:
                 continue
             sig = significant(line.raw)
             for q, tok in enumerate(sig):
@@ -230,6 +231,7 @@ def test_every_access_is_lowered_or_warned_and_no_read_is_an_lvalue(src):
                     assert not operand_of_step_or_address(sig, q, closing(sig, q + 1)), (name, line.raw)
             if unlowered_occurrences(name, sig):
                 warned = any(
-                    d.severity == "warning" and d.line_no == line.line_no and d.emitted_by == str(p.id) for d in diags
+                    d.severity == "warning" and d.line_no == line_no and d.emitted_by == str(p.id)
+                    for d in report.diagnostics
                 )
-                assert warned, (name, line.raw, diags)
+                assert warned, (name, line.raw, report.diagnostics)

@@ -112,10 +112,9 @@ def test_equivalence_across_other_timings():
 
 def test_scan_and_lower_ops_direct():
     unit = load_unit("cyclic_t int f(void);\nf.Cycle = 10;\n")
-    unit, specs, _ = scan_cyclic(unit, PassConfig())
-    assert [s.fn_name for s in specs] == ["f"]
-    assert specs[0].return_type == "int" and specs[0].param_types == "void"
-    unit, _ = lower_cycle_member(unit, specs)
+    unit, names, _ = scan_cyclic(unit, PassConfig())
+    assert names == {"f"}
+    unit, _ = lower_cycle_member(unit, names)
     assert render(unit).splitlines()[1] == "cpm_cycle_set(f, (10));"
 
 

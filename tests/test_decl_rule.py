@@ -5,7 +5,7 @@ of that pass left on a line has a warning of that pass on the line."""
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpm.pipeline import PassConfig, builtin_registry
+from cpm.pipeline import PassConfig, builtin_registry, compose, run
 from cpm.rewrite import decl_statements
 from cpm.srcmodel import TokenKind, ext_tag, load_unit, render, tokenize_line
 
@@ -49,13 +49,14 @@ def keyword_count(raw, keywords):
 def test_every_surviving_keyword_has_a_warning_on_its_line(src):
     raws = src.split("\n")[:-1]
     for name, p in PASSES.items():
-        out, diags = p.transform(load_unit(src), PassConfig())
-        for line in out.lines:
-            if ext_tag(raws[line.line_no - 1])[0] is not None:
+        out, report = run(compose([name]), load_unit(src))
+        for line in out.lines[1:]:  # after the preamble; diagnostics number input lines
+            line_no = line.line_no - 1
+            if ext_tag(raws[line_no - 1])[0] is not None:
                 continue
             warned = sum(
-                d.severity == "warning" and d.line_no == line.line_no and d.emitted_by == str(p.id)
-                for d in diags
+                d.severity == "warning" and d.line_no == line_no and d.emitted_by == str(p.id)
+                for d in report.diagnostics
             )
             assert keyword_count(line.raw, p.KEYWORDS) <= warned, (name, line.raw, diags)
 

@@ -2,7 +2,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cpm.pipeline import (
@@ -135,13 +135,17 @@ def test_order_confluence_on_disjoint_lines():
     assert _body(render(a)) == _body(render(b))
 
 
-# ROADMAP 4(b): the four passes are orthogonal, so on untagged text every
-# order renders the same text; diagnostics may differ by order
+# ROADMAP 4(b): the four passes are orthogonal, so every order renders the
+# same text, tagged lines included, since a tagged line goes to its own pass
+# alone; diagnostics may differ by order
 ORDERS = list(itertools.permutations(builtin_registry()))
+TAGS = ["", "", "", "@ext:other "] + [f"@ext:{name} " for name in builtin_registry()]
+tagged_lines = st.tuples(st.sampled_from(TAGS), lines).map("".join)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(lines, min_size=1, max_size=6).map(lambda ls: "\n".join(ls) + "\n"))
+@given(st.lists(tagged_lines, min_size=1, max_size=6).map(lambda ls: "\n".join(ls) + "\n"))
+@example("@ext:cyclic redundant_t int r1;\n")
 def test_every_pass_order_renders_the_same_text(src):
     texts = {_body(render(run(compose(order), load_unit(src))[0])) for order in ORDERS}
     assert len(texts) == 1, texts

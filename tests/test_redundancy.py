@@ -188,11 +188,9 @@ def test_multiple_statements_on_one_line():
 
 def test_scan_and_lower_ops_compose():
     unit = load_unit("redundant_t int x;\nx = 1;\n")
-    unit, decls, _ = scan_redundant(unit, PassConfig())
-    assert [d.var_name for d in decls] == ["x"]
-    d = decls[0]
-    assert d.replicas == 3 and not d.is_extern and d.base_type == "int" and d.decl_line == 1
-    unit, _ = lower_accesses(unit, decls)
+    unit, names, _ = scan_redundant(unit, PassConfig())
+    assert names == {"x"}
+    unit, _ = lower_accesses(unit, names)
     assert render(unit).splitlines()[1] == "cpm_red_write(x, (1));"
 
 

@@ -1,8 +1,6 @@
 from cpm.ext_reflective import (
     ArrayPass,
-    ContextVarSpec,
     RefractivePass,
-    ReflectiveArraySpec,
     lower_array_accesses,
     lower_context_accesses,
     scan_arrays,
@@ -54,6 +52,23 @@ def test_config_declared_sensor_is_lowerable():
     cfg = PassConfig({"refractive.sensors": "watchdog:int"})
     unit, _ = refract("state = watchdog;\n", cfg)
     assert render(unit) == "state = cpm_ctx_read(watchdog);\n"
+
+
+def test_config_name_with_two_directions_is_both_and_warned_once():
+    cfg = PassConfig({"refractive.sensors": "a", "refractive.actuators": "a, b"})
+    unit, diags = refract("a = a + 1;\nv = b;\n", cfg)
+    assert render(unit) == "cpm_ctx_write(a, (cpm_ctx_read(a) + 1));\nv = b;\n"
+    assert [(d.line_no, d.message) for d in diags] == [
+        (0, "context variable 'a' configured with two directions; treating as both"),
+        (2, "read of write-only context variable 'b' left unrewritten"),
+    ]
+
+
+def test_config_name_repeated_in_one_direction_is_not_warned():
+    cfg = PassConfig({"refractive.sensors": "a, a"})
+    unit, diags = refract("a = 1;\nv = a;\n", cfg)
+    assert render(unit) == "a = 1;\nv = cpm_ctx_read(a);\n"
+    assert [d.line_no for d in diags] == [1]  # the write to the sensor, no config warning
 
 
 def test_sensor_only_assignment_warned():
@@ -217,16 +232,11 @@ def test_idempotence_of_both_passes():
 
 
 def test_lower_ops_direct():
-    unit, diags = lower_context_accesses(
-        load_unit("watchdog = 1;\n"), [ContextVarSpec("watchdog", "both", "watchdog")]
-    )
+    unit, diags = lower_context_accesses(load_unit("watchdog = 1;\n"), {"watchdog": "both"})
     assert render(unit) == "cpm_ctx_write(watchdog, (1));\n"
     assert not diags
 
-    unit, diags = lower_array_accesses(
-        load_unit("r = linkrates[mac].rate;\n"),
-        [ReflectiveArraySpec("linkrates", properties=(("rate", "int"),))],
-    )
+    unit, diags = lower_array_accesses(load_unit("r = linkrates[mac].rate;\n"), {"linkrates": ("rate",)})
     assert render(unit) == "r = cpm_arr_get(linkrates, (mac), rate);\n"
     assert not diags
 
@@ -238,13 +248,11 @@ def test_scan_context_returns_all_spec_kinds():
         "reflective_array_t linkbeacons { beacons:int };\n"
         "guard_t (cpu > 90) shed_load;\n"
     )
-    unit, scalars, guards, diags = scan_context(load_unit(src), PassConfig())
+    unit, scalars, diags = scan_context(load_unit(src), PassConfig())
     unit, arrays, diags = scan_arrays(unit, PassConfig())
-    assert {s.name: s.direction for s in scalars} == {"cpu": "sensor", "vol": "actuator"}
-    assert [a.name for a in arrays] == ["linkbeacons"]
-    assert arrays[0].properties == (("beacons", "int"),)
-    assert [g.body_fn for g in guards] == ["shed_load"]
-    assert guards[0].guard_expr == "cpu > 90"
+    assert scalars == {"cpu": "sensor", "vol": "actuator"}
+    assert arrays == {"linkbeacons": ("beacons",)}
+    assert render(unit).splitlines()[3] == 'cpm_guard_register(shed_load, "cpu > 90");'
 
 
 def test_nested_array_access_in_key_is_lowered():

@@ -6,6 +6,7 @@ import pytest
 from cpm.runtime import (
     TOM,
     EventLog,
+    Runtime,
     TimeoutObject,
     VirtualClock,
     WallClock,
@@ -138,6 +139,51 @@ def test_delete_of_non_inserted_warns_in_event_channel():
     tom.delete(make("t", 10))
     warns = tom.events.of("warn")
     assert len(warns) == 1 and "delete-before-insert" in warns[0].value
+
+
+# a rejected period leaves the schedule as it was
+
+
+def test_rejected_cyclic_insert_leaves_the_object_uninserted():
+    tom = tom_init()
+    t = make("pm", 0, cyclic=True)
+    with pytest.raises(ValueError, match="must be positive"):
+        tom.insert(t)
+    tom.delete(t)
+    assert [e.value for e in tom.events.of("warn")] == ["delete-before-insert"]
+    with pytest.raises(ValueError, match="before insert"):
+        tom.renew(t)
+    assert t.next_fire is None and not tom.advance(100)
+
+
+def test_rejected_cyclic_deadline_keeps_the_period():
+    tom = tom_init()
+    t = make("pm", 100, cyclic=True)
+    tom.insert(t)
+    for set_deadline in (tom.set_deadline, tom_set_deadline):
+        with pytest.raises(ValueError, match="must be positive"):
+            set_deadline(t, -5)
+    assert t.deadline == 100
+    assert [when for when, _, _ in tom.advance(250)] == [100, 200]
+
+
+def test_rejected_period_leaves_an_unstarted_cycle_unstarted():
+    rt = Runtime()
+    rt.cycle_register("f")
+    with pytest.raises(ValueError, match="must not be negative"):
+        rt.cycle_set("f", -5)
+    assert rt.cycle_get("f") == 0
+    assert not rt.advance(100)
+
+
+def test_rejected_period_leaves_a_running_cycle_running():
+    rt = Runtime()
+    rt.cycle_register("f")
+    rt.cycle_set("f", 100)
+    with pytest.raises(ValueError, match="must not be negative"):
+        rt.cycle_set("f", -5)
+    assert rt.cycle_get("f") == 100
+    assert [when for when, _, _ in rt.advance(250)] == [100, 200]
 
 
 def test_actions_may_reschedule_during_advance():
