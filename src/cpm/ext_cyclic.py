@@ -49,7 +49,7 @@ def scan_cyclic(unit: SourceUnit, config, skip=frozenset()):
 
     def lower_decls(line):
         spans = []
-        for _, m in decl_statements(line.tokens, CyclicPass.KEYWORDS, lambda toks: _match_decl(line.raw, toks)):
+        for _, m in decl_statements(line, CyclicPass.KEYWORDS, lambda toks: _match_decl(line.raw, toks)):
             if m is None:
                 diags.append(
                     Diagnostic("warning", line.line_no, "cyclic_t on something other than a function prototype; line passed through", str(PASS_ID))

@@ -82,7 +82,7 @@ def scan_redundant(unit: SourceUnit, config, skip=frozenset()):
     def lower_decls(line):
         raw = line.raw
         spans = []
-        for _, m in decl_statements(line.tokens, RedundancyPass.KEYWORDS, _match_decl):
+        for _, m in decl_statements(line, RedundancyPass.KEYWORDS, _match_decl):
             if m is None:
                 diags.append(
                     Diagnostic("warning", line.line_no, "unrecognized redundant_t declaration form; line passed through", str(PASS_ID))

@@ -169,7 +169,7 @@ def scan_context(unit: SourceUnit, config, skip=frozenset()):
         if line.line_no in skip:
             continue
         match = lambda toks, raw=line.raw: _match_scalar_decl(toks) or _match_guard_decl(raw, toks)
-        for kw, m in decl_statements(line.tokens, RefractivePass.KEYWORDS, match):
+        for kw, m in decl_statements(line, RefractivePass.KEYWORDS, match):
             if m is None:
                 diags.append(
                     Diagnostic("warning", line.line_no, f"unrecognized {kw.lexeme} declaration form; line passed through", emitted_by)
@@ -213,7 +213,7 @@ def scan_arrays(unit: SourceUnit, config, skip=frozenset()):
 
     def lower_decls(line):
         spans = []
-        for _, m in decl_statements(line.tokens, ArrayPass.KEYWORDS, _match_array_decl):
+        for _, m in decl_statements(line, ArrayPass.KEYWORDS, _match_array_decl):
             if m is None:
                 diags.append(
                     Diagnostic("warning", line.line_no, "unrecognized reflective_array_t declaration form; line passed through", str(ARRAY_ID))

@@ -19,7 +19,7 @@ truncate toward zero on ints, relational and logical operators yield 0 or
 from __future__ import annotations
 
 from .cexpr import HELPERS, NAME_ARGS, _literal, compile_expr, compile_stmt
-from .srcmodel import SourceUnit, TokenKind, ext_tag, load_unit, significant, split_segments
+from .srcmodel import SourceUnit, TokenKind, ext_tag, load_unit, split_segments
 
 
 class InterpError(ValueError):
@@ -56,7 +56,7 @@ class AbiInterpreter:
         for line in unit.lines:
             if not line.in_block_comment and ext_tag(line.raw)[0] is not None:
                 continue  # untransformed tagged line; nothing to execute
-            for toks in split_segments(significant(line.tokens)):
+            for toks in split_segments(line.sig):
                 self._exec_segment(line, toks)
 
     def _exec_segment(self, line, toks):

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .srcmodel import Diagnostic, SourceUnit, TokenKind, ext_tag, map_lines, significant, unit_from_raws
+from .srcmodel import Diagnostic, SourceUnit, TokenKind, ext_tag, map_lines, unit_from_raws
 
 _NAME_RE = re.compile(r"^[a-z0-9_]+$")
 _VERSION_RE = re.compile(r"^[0-9]+(\.[0-9]+)*$")
@@ -260,7 +260,7 @@ def run(pipeline: Pipeline, unit: SourceUnit):
         diags.extend(pass_diags)
     ids_string = publish_ids(pipeline)
     head = unit_from_raws([preamble_line(ids_string)]).lines
-    body = tuple(replace(line, line_no=line.line_no + 1) for line in unit.lines)
+    body = tuple(line.renumbered(line.line_no + 1) for line in unit.lines)
     final_newline = unit.final_newline if unit.lines else True
     out = SourceUnit(lines=head + body, origin=unit.origin, final_newline=final_newline)
     if pipeline.config.get_bool("pipeline", "strict_tags"):
@@ -280,6 +280,7 @@ def _strict_sweep(unit: SourceUnit, pipeline: Pipeline, applied, tags):
     the passes' output before the preamble goes in, so line numbers are
     input line numbers, as in the passes' own diagnostics."""
     diags = []
+    watched = frozenset(pipeline.keyword_map) | {"Cycle"}
     for line in unit.lines:
         tag = tags.get(line.line_no)
         if tag is not None and tag not in applied:
@@ -291,7 +292,9 @@ def _strict_sweep(unit: SourceUnit, pipeline: Pipeline, applied, tags):
                     PIPELINE_EMITTER,
                 )
             )
-        sig = significant(line.tokens)
+        if line.names.isdisjoint(watched):
+            continue
+        sig = line.sig
         for p, tok in enumerate(sig):
             if tok.kind is not TokenKind.IDENTIFIER:
                 continue

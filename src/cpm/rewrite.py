@@ -35,18 +35,24 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .cexpr import COMPOUND_OPS, DECL_WORDS, TYPE_WORDS
-from .srcmodel import Diagnostic, TokenKind, apply_spans, map_lines, significant
+from .srcmodel import Diagnostic, TokenKind, apply_spans, map_lines
+
+
+# the keywords of the built-in passes; none of them is ever a type word
+PASS_KEYWORDS = frozenset(
+    {"redundant_t", "sensor_t", "actuator_t", "context_t", "guard_t", "reflective_array_t", "cyclic_t"}
+)
 
 
 def decl_head(toks):
     """Split the tokens of ``<type...> <name>`` into (type_text, name), the
     type words joined by single spaces. None unless there is at least one
-    type token, each a keyword, identifier or ``*``, and the name is an
-    identifier."""
+    type token, each a keyword, identifier or ``*`` but no pass keyword, and
+    the name is an identifier."""
     if len(toks) < 2 or toks[-1].kind is not TokenKind.IDENTIFIER:
         return None
     for t in toks[:-1]:
-        if t.kind not in (TokenKind.KEYWORD, TokenKind.IDENTIFIER) and t.lexeme != "*":
+        if t.lexeme in PASS_KEYWORDS or (t.kind not in (TokenKind.KEYWORD, TokenKind.IDENTIFIER) and t.lexeme != "*"):
             return None
     return " ".join(t.lexeme for t in toks[:-1]), toks[-1].lexeme
 
@@ -82,9 +88,10 @@ def _keyword_statements(sig, keywords):
         yield p, start, end
 
 
-def decl_statements(tokens, keywords, match):
+def decl_statements(line, keywords, match):
     """Find the declaration statement of each occurrence of one of a pass's
-    ``keywords`` among one line's ``tokens``; yields ``(keyword_token, m)``.
+    ``keywords`` on a :class:`~cpm.srcmodel.SourceLine`; returns a list of
+    ``(keyword_token, m)``.
 
     The one rule all four passes' declarations obey:
 
@@ -98,15 +105,16 @@ def decl_statements(tokens, keywords, match):
     - After a match, scanning resumes after the statement; otherwise right
       after the keyword.
     """
-    if not any(t.lexeme in keywords for t in tokens):
-        return
-    sig = significant(tokens)
+    if line.names.isdisjoint(keywords):
+        return []
+    sig, found = line.sig, []
     # a matched statement holds no other keyword and ends at a ';', so taking
     # every occurrence in turn is the same as resuming after the statement
     for p, start, end in _keyword_statements(sig, keywords):
         stmt = sig[start : end + 1]
         alone = sum(t.kind is TokenKind.IDENTIFIER and t.lexeme in keywords for t in stmt) == 1
-        yield sig[p], match(stmt) if end < len(sig) and alone else None
+        found.append((sig[p], match(stmt) if end < len(sig) and alone else None))
+    return found
 
 
 NAME, INDEX, CYCLE = "name", "index", "cycle"
@@ -162,10 +170,9 @@ class _Access(NamedTuple):
 class _AccessLine:
     """The accesses on one line that names a trigger."""
 
-    def __init__(self, raw, tokens, targets, keywords, line_no, emitted_by, diags):
-        self.raw, self.targets = raw, targets
+    def __init__(self, raw, sig, targets, keywords, line_no, emitted_by, diags):
+        self.raw, self.sig, self.targets = raw, sig, targets
         self.line_no, self.emitted_by, self.diags = line_no, emitted_by, diags
-        sig = self.sig = significant(tokens)
         # statement start -> position of the ';' ending it, or None; statements
         # end at ';', '{' and '}' outside parentheses and brackets
         self.stmts = {}
@@ -177,7 +184,7 @@ class _AccessLine:
                 self.stmts[start] = p if lex == ";" else None
                 start = p + 1
         self.dropped = set()
-        for _, lo, hi in _keyword_statements(sig, keywords):
+        for _, lo, hi in _keyword_statements(sig, keywords) if keywords else ():
             self.dropped.update(range(lo, hi + 1))
 
     def spans(self, lo, hi):
@@ -362,24 +369,26 @@ def _looks_like_decl(prev, prev2):
     return prev.kind is TokenKind.IDENTIFIER and prev2 is not None and prev2.lexeme in ("struct", "union", "enum")
 
 
-def rewrite_line(raw, tokens, targets, keywords, line_no, emitted_by, diags) -> str:
-    """Lower the accesses to ``targets`` on one line; returns the new raw text.
-    ``keywords`` are the pass's own: a statement holding one is left alone."""
-    if not any(t.lexeme in targets for t in tokens):
-        return raw
-    line = _AccessLine(raw, tokens, targets, keywords, line_no, emitted_by, diags)
-    return apply_spans(raw, line.spans(0, len(line.sig)))
+def rewrite_line(raw, sig, targets, keywords, line_no, emitted_by, diags) -> str:
+    """Lower the accesses to ``targets`` on one line, given its text and its
+    significant tokens; returns the new raw text. ``keywords`` are the pass's
+    own, of which only those the line names matter: a statement holding one
+    is left alone."""
+    line = _AccessLine(raw, sig, targets, keywords, line_no, emitted_by, diags)
+    return apply_spans(raw, line.spans(0, len(sig)))
 
 
 def lower_lines(unit, targets, keywords, emitted_by, skip=frozenset()):
-    """Run :func:`rewrite_line` over every line of ``unit`` not numbered in
-    ``skip``. Returns (unit, diagnostics)."""
+    """Run :func:`rewrite_line` over every line of ``unit`` that names a
+    target and is not numbered in ``skip``. Returns (unit, diagnostics)."""
     diags: list[Diagnostic] = []
     if not targets:
         return unit, diags
-    out = map_lines(
-        unit,
-        lambda line: rewrite_line(line.raw, line.tokens, targets, keywords, line.line_no, emitted_by, diags),
-        skip,
-    )
-    return out, diags
+    triggers = frozenset(targets)
+
+    def lower(line):
+        if line.names.isdisjoint(triggers):
+            return line.raw
+        return rewrite_line(line.raw, line.sig, targets, keywords & line.names, line.line_no, emitted_by, diags)
+
+    return map_lines(unit, lower, skip), diags

@@ -1,10 +1,12 @@
 """Line-oriented model of augmented C source.
 
 A translation unit is a sequence of physical lines, each carried both as its
-raw text and as a token partition of that text. Concatenating a line's token
-lexemes always reproduces the raw line byte-for-byte, and rendering a loaded
-unit reproduces the input exactly, so passes can splice replacement text into
-lines without ever corrupting the parts they do not understand.
+raw text and as a token partition of that text, with the two views every
+pass reads: its significant tokens and its set of identifiers. All three
+come from one tokenization when the line is built. Concatenating a line's
+token lexemes always reproduces the raw line byte-for-byte, and rendering a
+loaded unit reproduces the input exactly, so passes can splice replacement
+text into lines without ever corrupting the parts they do not understand.
 
 Input is treated as bytes: files should be decoded latin-1 so every byte maps
 to one character. ``_TOKEN_RE`` is the one statement of the lexical grammar:
@@ -17,8 +19,9 @@ never fails.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -57,10 +60,11 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _KINDS = {**{k.name: k for k in TokenKind}, "OPEN": TokenKind.COMMENT}
+_TRIVIA = frozenset({"WHITESPACE", "COMMENT", "OPEN"})  # groups of insignificant tokens
+_NO_NAMES = frozenset()  # shared by the lines that name no identifier
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     column: int  # 0-based byte offset within the line
@@ -70,12 +74,38 @@ class Token:
         return self.column + len(self.lexeme)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceLine:
+    """One physical line. Everything past ``in_block_comment`` is derived
+    from ``raw`` and ``in_block_comment`` by one tokenization when the line
+    is built, so it is never missing or stale: ``tokens`` partition the
+    line, ``sig`` are the significant ones (:func:`significant`), ``names``
+    the lexemes of its identifiers, and ``ends_in_block_comment`` tells
+    whether the next line begins inside a comment."""
+
     raw: str  # no trailing newline
-    tokens: tuple[Token, ...]
     line_no: int  # 1-based
     in_block_comment: bool = False  # line begins inside a /* ... */ comment
+    tokens: tuple[Token, ...] = field(init=False)
+    sig: tuple[Token, ...] = field(init=False)
+    names: frozenset[str] = field(init=False)
+    ends_in_block_comment: bool = field(init=False)
+
+    def __post_init__(self):
+        for name, value in zip(_DERIVED, _tokenize(self.raw, self.in_block_comment)):
+            object.__setattr__(self, name, value)
+
+    def renumbered(self, line_no: int) -> "SourceLine":
+        """This line as line ``line_no``, built without tokenizing it again."""
+        line = object.__new__(SourceLine)
+        for name in _FIELDS:
+            object.__setattr__(line, name, getattr(self, name))
+        object.__setattr__(line, "line_no", line_no)
+        return line
+
+
+_DERIVED = ("tokens", "sig", "names", "ends_in_block_comment")
+_FIELDS = SourceLine.__slots__
 
 
 @dataclass(frozen=True)
@@ -103,25 +133,37 @@ class Diagnostic:
         return f"{self.severity}: line {self.line_no}: {self.message} [{self.emitted_by}]"
 
 
-def _tokenize(raw: str, in_block: bool) -> tuple[tuple[Token, ...], bool]:
+def _tokenize(raw: str, in_block: bool):
+    """Tokenize ``raw``, which begins inside a block comment if ``in_block``.
+    Returns (tokens, significant tokens, identifier lexemes, whether it ends
+    inside a block comment)."""
     tokens: list[Token] = []
+    sig: list[Token] = []
+    names = set()
     i = 0
     if in_block:
         end = raw.find("*/")
         if end < 0:
-            if raw:
-                tokens.append(Token(TokenKind.COMMENT, raw, 0))
-            return tuple(tokens), True
+            return ((Token(TokenKind.COMMENT, raw, 0),) if raw else ()), (), _NO_NAMES, True
         i = end + 2
         tokens.append(Token(TokenKind.COMMENT, raw[:i], 0))
     group = None
+    new = tuple.__new__  # Token(...) without the Python-level constructor
     for m in _TOKEN_RE.finditer(raw, i):
         group, lex = m.lastgroup, m.group()
-        kind = _KINDS[group]
-        if kind is TokenKind.IDENTIFIER and lex in C_KEYWORDS:
-            kind = TokenKind.KEYWORD
-        tokens.append(Token(kind, lex, m.start()))
-    return tuple(tokens), group == "OPEN"
+        if group in _TRIVIA:
+            tokens.append(new(Token, (_KINDS[group], lex, m.start())))
+            continue
+        if group != "IDENTIFIER":
+            tok = new(Token, (_KINDS[group], lex, m.start()))
+        elif lex in C_KEYWORDS:
+            tok = new(Token, (TokenKind.KEYWORD, lex, m.start()))
+        else:
+            tok = new(Token, (TokenKind.IDENTIFIER, lex, m.start()))
+            names.add(lex)
+        tokens.append(tok)
+        sig.append(tok)
+    return tuple(tokens), tuple(sig), frozenset(names) if names else _NO_NAMES, group == "OPEN"
 
 
 def tokenize_line(raw: str) -> tuple[Token, ...]:
@@ -136,11 +178,9 @@ def unit_from_raws(raws, origin: str = "<memory>", final_newline: bool = True) -
     lines = []
     in_block = False
     for idx, raw in enumerate(raws):
-        started_inside = in_block
-        tokens, in_block = _tokenize(raw, in_block)
-        lines.append(
-            SourceLine(raw=raw, tokens=tokens, line_no=idx + 1, in_block_comment=started_inside)
-        )
+        line = SourceLine(raw, idx + 1, in_block)
+        lines.append(line)
+        in_block = line.ends_in_block_comment
     return SourceUnit(lines=tuple(lines), origin=origin, final_newline=final_newline)
 
 
@@ -153,17 +193,13 @@ def map_lines(unit: SourceUnit, fn, skip=frozenset()) -> SourceUnit:
     block-comment state the change flipped. Every other line keeps its
     ``SourceLine`` object.
     """
-    old = unit.lines
-    lines = list(old)
+    lines = list(unit.lines)
     in_block = False  # block-comment state entering the line, in the new unit
-    for idx, line in enumerate(old):
+    for idx, line in enumerate(unit.lines):
         raw = line.raw if line.line_no in skip else fn(line)
-        if raw == line.raw and in_block == line.in_block_comment:
-            in_block = old[idx + 1].in_block_comment if idx + 1 < len(old) else False
-            continue
-        tokens, after = _tokenize(raw, in_block)
-        lines[idx] = SourceLine(raw=raw, tokens=tokens, line_no=line.line_no, in_block_comment=in_block)
-        in_block = after
+        if raw != line.raw or in_block != line.in_block_comment:
+            line = lines[idx] = SourceLine(raw, line.line_no, in_block)
+        in_block = line.ends_in_block_comment
     return SourceUnit(lines=tuple(lines), origin=unit.origin, final_newline=unit.final_newline)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cpm.pipeline import PassConfig, builtin_registry, compose, run
 from cpm.rewrite import CYCLE, INDEX, NAME, Target, rewrite_line
-from cpm.srcmodel import TokenKind, ext_tag, load_unit, render, tokenize_line
+from cpm.srcmodel import TokenKind, ext_tag, load_unit, render, tokenize_line, unit_from_raws
 
 PASSES = builtin_registry()
 
@@ -43,7 +43,7 @@ FORMS = {
 
 def outcome(raw, targets, keywords=frozenset()):
     diags = []
-    out = rewrite_line(raw, tokenize_line(raw), targets, keywords, 1, "test", diags)
+    out = rewrite_line(raw, unit_from_raws([raw]).lines[0].sig, targets, keywords, 1, "test", diags)
     if out != raw and not diags:
         return LOWERED
     if out == raw and len(diags) == 1:

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpm.pipeline import PassConfig, builtin_registry, compose, run
-from cpm.rewrite import decl_statements
-from cpm.srcmodel import TokenKind, ext_tag, load_unit, render, tokenize_line
+from cpm.rewrite import PASS_KEYWORDS, decl_head, decl_statements
+from cpm.srcmodel import TokenKind, ext_tag, load_unit, render, tokenize_line, unit_from_raws
 
 PASSES = builtin_registry()
 
@@ -29,6 +29,8 @@ FRAGMENTS = [
     "sensor_t int", "sensor_t sensor_t int s;", "sensor_t int s[2];", "x = context_t;",
     "guard_t (s1 >) f;", "guard_t (zz > 1) f;", "guard_t s1 f;", "guard_t (s1 > 1) (x) f;",
     "guard_t (sensor_t > 1) f;", "guard_t (s1 > 1) f",
+    # a pass keyword where a type word goes
+    "sensor_t redundant_t int x;",
 ]
 
 lines = st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=3).map(" ".join)
@@ -58,11 +60,11 @@ def test_every_surviving_keyword_has_a_warning_on_its_line(src):
                 d.severity == "warning" and d.line_no == line_no and d.emitted_by == str(p.id)
                 for d in report.diagnostics
             )
-            assert keyword_count(line.raw, p.KEYWORDS) <= warned, (name, line.raw, diags)
+            assert keyword_count(line.raw, p.KEYWORDS) <= warned, (name, line.raw, report.diagnostics)
 
 
 def statements(raw, keywords, match=lambda toks: " ".join(t.lexeme for t in toks)):
-    return [(kw.lexeme, m) for kw, m in decl_statements(tokenize_line(raw), keywords, match)]
+    return [(kw.lexeme, m) for kw, m in decl_statements(unit_from_raws([raw]).lines[0], keywords, match)]
 
 
 def test_statement_runs_from_last_boundary_to_next_semicolon_outside_parens():
@@ -123,3 +125,25 @@ def test_aggregate_initializer_on_redundant_is_rejected():
     text, warnings = transform("redundancy", "redundant_t int y = {1, 2}; redundant_t int z;\n")
     assert text == "redundant_t int y = {1, 2}; cpm_red_storage(z, int, 3);\n"
     assert warnings == [(1, "unrecognized redundant_t declaration form; line passed through")]
+
+
+def test_pass_keywords_are_the_keywords_of_every_builtin_pass():
+    assert PASS_KEYWORDS == frozenset().union(*(p.KEYWORDS for p in PASSES.values()))
+
+
+def test_no_pass_keyword_is_a_type_word():
+    assert decl_head(unit_from_raws(["unsigned int x"]).lines[0].sig) == ("unsigned int", "x")
+    for kw in PASS_KEYWORDS:
+        assert decl_head(unit_from_raws([f"{kw} int x"]).lines[0].sig) is None
+        assert decl_head(unit_from_raws([f"int {kw} x"]).lines[0].sig) is None
+
+
+def test_pass_keyword_read_as_type_word_is_warned_in_both_orders():
+    src = "sensor_t redundant_t int x;\n"
+    for order in (["refractive", "redundancy"], ["redundancy", "refractive"]):
+        out, report = run(compose(order), load_unit(src))
+        assert render(out).split("\n", 1)[1] == src, order
+        assert sorted((d.line_no, d.message) for d in report.diagnostics) == [
+            (1, "unrecognized redundant_t declaration form; line passed through"),
+            (1, "unrecognized sensor_t declaration form; line passed through"),
+        ], order

@@ -10,7 +10,11 @@ import sys
 
 import pytest
 
-from cpm import compose, load_unit, rewrite, run
+from cpm import PassConfig, compose, load_unit, rewrite, run, srcmodel
+from cpm.ext_cyclic import scan_cyclic
+from cpm.ext_redundancy import scan_redundant
+from cpm.ext_reflective import scan_arrays, scan_context
+from cpm.pipeline import _strict_sweep, preamble_line
 from cpm.runtime import ContextRegistry, ReflectiveArray
 from cpm.scenarios import WdtScenarioParams, run_wdt
 
@@ -109,3 +113,82 @@ def access_lines(n):
 
 def test_access_engine_skips_lines_naming_no_target():
     assert access_lines(10) == access_lines(1_000)
+
+
+# A four-pass run over lines of every extension, one tagged and one inside a
+# block comment, plus ``n`` plain-C lines that name no keyword and no target.
+KINDS_OF_LINE = (
+    "redundant_t int r;\nsensor_t int s;\nreflective_array_t a { b:int };\ncyclic_t int f(void);\n"
+    "@ext:cyclic f.Cycle = r;\nr = s + a[k].b;\n/* r = s;\n*/ z = r;\nsensor_t q;\n"
+)
+PLAIN = "int z = 1; z = z + 2; /* r s a f.Cycle */ g(\"r\");\n"
+FOUR_PASSES = ["redundancy", "refractive", "array", "cyclic"]
+
+
+def tokenized_after_load(n):
+    """The texts ``_tokenize`` sees in a strict four-pass run, after the
+    input was loaded."""
+    unit = load_unit(KINDS_OF_LINE + PLAIN * n)
+    real, calls = srcmodel._tokenize, []
+
+    def counting(raw, in_block):
+        calls.append(raw)
+        return real(raw, in_block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(srcmodel, "_tokenize", counting)
+        _, report = run(compose(FOUR_PASSES, config=PassConfig({"pipeline.strict_tags": "1"})), unit)
+    return calls, report
+
+
+def test_run_tokenizes_each_changed_line_once_more_and_the_preamble():
+    # each change of a line's text re-tokenizes that line once, and nothing
+    # else is tokenized again
+    lowered = [
+        "f.Cycle = r;",  # tag stripped
+        "cpm_red_storage(r, int, 3);",
+        "cpm_red_write(r, (s + a[k].b));",
+        "*/ z = cpm_red_read(r);",
+        'cpm_ctx_register(s, sensor, "s");',
+        "cpm_red_write(r, (cpm_ctx_read(s) + a[k].b));",
+        "cpm_arr_register(a);",
+        "cpm_red_write(r, (cpm_ctx_read(s) + cpm_arr_get(a, (k), b)));",
+        "int f(void); cpm_cycle_register(f);",
+        "cpm_cycle_set(f, (r));",
+    ]
+    for n in (10, 1_000):
+        calls, report = tokenized_after_load(n)
+        assert calls == lowered + [preamble_line(report.extensions_pipeline)]
+
+
+def sig_iterations(n, fn):
+    """How often ``fn`` iterates the significant tokens of the lines of a
+    unit of :data:`KINDS_OF_LINE` and ``n`` plain lines."""
+    unit = load_unit(KINDS_OF_LINE + PLAIN * n)
+    sigs = []
+    for line in unit.lines:
+        sigs.append(CountingTuple(line.sig))
+        object.__setattr__(line, "sig", sigs[-1])
+    fn(unit)
+    return sum(sig.iterations for sig in sigs)
+
+
+def declaration_scans(unit):
+    config = PassConfig()
+    scan_redundant(unit, config)
+    scan_context(unit, config)
+    scan_arrays(unit, config)
+    scan_cyclic(unit, config)
+
+
+def test_declaration_scans_skip_lines_naming_no_keyword():
+    assert sig_iterations(10, declaration_scans) == sig_iterations(1_000, declaration_scans) > 0
+
+
+def strict_sweep(unit):
+    pipeline = compose(FOUR_PASSES)
+    _strict_sweep(unit, pipeline, set(FOUR_PASSES), {})
+
+
+def test_strict_sweep_skips_lines_naming_no_keyword_and_no_cycle():
+    assert sig_iterations(10, strict_sweep) == sig_iterations(1_000, strict_sweep) > 0

@@ -1,14 +1,19 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpm.pipeline import builtin_registry, compose, run
 from cpm.srcmodel import (
+    SourceLine,
     TokenKind,
     _tokenize,
     ext_tag,
     load_unit,
     map_lines,
     render,
+    significant,
     tokenize_line,
     unit_from_raws,
 )
@@ -125,7 +130,7 @@ GRAMMAR = [
 
 @pytest.mark.parametrize("raw, in_block, expected, after", GRAMMAR)
 def test_token_grammar_exactly(raw, in_block, expected, after):
-    tokens, state = _tokenize(raw, in_block)
+    tokens, _, _, state = _tokenize(raw, in_block)
     assert [(t.kind, t.lexeme) for t in tokens] == expected
     assert state is after
 
@@ -262,3 +267,69 @@ def test_map_lines_leaves_skipped_lines_alone():
     out = map_lines(unit, lambda line: "z;", skip={1})
     assert out.lines[0] is unit.lines[0]
     assert [line.raw for line in out.lines] == ["a;", "z;"]
+
+
+# -- the fields a line derives from its text ---------------------------------
+
+
+def assert_derived_fields(unit):
+    """Every line carries the significant tokens and identifier lexemes of its
+    own tokens, and ends in the block-comment state the next line begins in."""
+    for line in unit.lines:
+        assert line.tokens == _tokenize(line.raw, line.in_block_comment)[0]
+        assert line.sig == tuple(significant(line.tokens))
+        assert line.names == {t.lexeme for t in line.tokens if t.kind is TokenKind.IDENTIFIER}
+    for line, nxt in zip(unit.lines, unit.lines[1:]):
+        assert line.ends_in_block_comment == nxt.in_block_comment
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LINE_TEXT, max_size=8), st.dictionaries(LINE_NOS, EDITS), st.frozensets(LINE_NOS, max_size=3))
+def test_built_and_mapped_lines_carry_their_derived_fields(raws, edits, skip):
+    unit = unit_from_raws(raws)
+    assert_derived_fields(unit)
+    assert_derived_fields(map_lines(unit, lambda line: edits.get(line.line_no, lambda raw: raw)(line.raw), skip))
+
+
+EXT_TEXT = st.lists(
+    st.sampled_from([
+        "redundant_t int x;", "sensor_t int y;", "cyclic_t int f(void);", "x = y;", "f.Cycle = x;",
+        "@ext:cyclic ", "/*", "*/", " ", "int z;",
+    ]),
+    max_size=4,
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(EXT_TEXT, max_size=6))
+def test_pipeline_output_lines_carry_their_derived_fields(raws):
+    out, _ = run(compose(list(builtin_registry())), unit_from_raws(raws))
+    assert [line.line_no for line in out.lines] == list(range(1, len(raws) + 2))
+    assert_derived_fields(out)
+
+
+DERIVED = ("tokens", "sig", "names", "ends_in_block_comment")
+
+
+def test_source_line_cannot_be_built_with_missing_or_stale_derived_fields():
+    line = SourceLine("int x = y; /* z", 3)
+    assert [t.lexeme for t in line.sig] == ["int", "x", "=", "y", ";"]
+    assert line.names == {"x", "y"} and line.ends_in_block_comment
+    for name in DERIVED:
+        with pytest.raises(TypeError):
+            SourceLine("int x;", 1, False, **{name: getattr(line, name)})
+        with pytest.raises(ValueError):
+            dataclasses.replace(line, **{name: getattr(line, name)})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(line, name, ())
+    changed = dataclasses.replace(line, raw="w = v;")
+    assert changed.names == {"w", "v"} and len(changed.sig) == 4 and not changed.ends_in_block_comment
+    inside = dataclasses.replace(line, in_block_comment=True)
+    assert inside.sig == () and inside.names == frozenset()
+
+
+def test_renumbered_line_equals_the_line_built_at_that_number():
+    line = SourceLine("*/ a = b; /*", 4, True)
+    moved = line.renumbered(5)
+    assert moved == SourceLine("*/ a = b; /*", 5, True) and moved.line_no == 5
+    assert moved.sig is line.sig and moved.names is line.names and line.line_no == 4

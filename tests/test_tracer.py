@@ -53,3 +53,16 @@ def test_tracer_times_every_runtime_layer():
     assert y == 6 and counts["redundant.read.calls"] == 1
     for layer in ("interp", "core", "redundant"):
         assert interp_selfs[layer] > 0, layer
+
+
+def test_tracer_counts_each_lowered_line_once():
+    # the tracer counts a changed line when rewrite_line's result differs
+    # from its first argument, so that argument must stay the raw line
+    tracer = load_spans().Tracer()
+    decls = "redundant_t int r;\nsensor_t int s;\nreflective_array_t a { b:int };\ncyclic_t int f(void);\n"
+    lowered = "r = 1;\nz = s;\nz = a[k].b;\nf.Cycle = 5;\n"
+    plain = "int z = 1; /* r s a f.Cycle */ g(\"r\");\n" * 20
+    pipeline = compose(["redundancy", "refractive", "array", "cyclic"])
+    (out, _), _, _, counts = tracer.traced(run, pipeline, load_unit(decls + plain + lowered + plain))
+    assert counts["rewrite.changed_lines"] == 4
+    assert "cpm_cycle_set(f, (5));" in [line.raw for line in out.lines]
