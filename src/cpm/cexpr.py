@@ -7,10 +7,10 @@ precedence-climbing parser over :func:`cpm.srcmodel.tokenize_line` tokens.
 relational and logical operators yield the int 0 or 1 and comparisons never
 chain; ``?:``, unary, bitwise and shift operators follow C precedence; int
 literals may be octal or hex with ``u``/``l`` suffixes, and a character
-constant is its code. Arguments that name runtime objects or types
-(:data:`NAME_ARGS`) compile to strings. :func:`compile_stmt` adds the
-statements the interpreter runs on top of the same parser. Anything else
-raises ``ValueError``.
+constant is its code. A runtime call (:data:`ABI`) compiles its arguments by
+kind and must have each one. :func:`compile_stmt` adds the statements the
+interpreter runs on top of the same parser. Anything else raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -20,14 +20,16 @@ from keyword import iskeyword
 
 from .srcmodel import TokenKind, significant, tokenize_line
 
-# runtime-call head -> positions of the arguments that name a runtime object
-# or a type; the head without its ``cpm_`` prefix is the ``Runtime`` method
-# it calls
-NAME_ARGS = {
-    "cpm_red_read": (0,), "cpm_red_write": (0,), "cpm_ctx_read": (0,), "cpm_ctx_write": (0,),
-    "cpm_cycle_get": (0,), "cpm_cycle_set": (0,), "anext": (0,), "cpm_arr_get": (0, 2),
-    "cpm_red_storage": (0, 1), "cpm_red_extern": (0, 1), "cpm_ctx_register": (0, 1),
-    "cpm_arr_register": (0,), "cpm_guard_register": (0,), "cpm_cycle_register": (0,),
+# the runtime calls the passes emit: head -> the kind of each argument. A
+# ``name`` compiles to its text, a ``type`` (words and ``*``, for the C
+# compiler) is checked and not passed, a ``value`` is an expression. The head
+# less ``cpm_`` is the ``Runtime`` method it calls, on the non-type arguments.
+ABI = {
+    "cpm_red_storage": ("name", "type", "value"), "cpm_red_extern": ("name", "type"), "cpm_red_read": ("name",),
+    "cpm_red_write": ("name", "value"), "cpm_ctx_register": ("name", "name", "value"), "cpm_ctx_read": ("name",),
+    "cpm_ctx_write": ("name", "value"), "cpm_guard_register": ("name", "value"), "cpm_arr_register": ("name",),
+    "cpm_arr_get": ("name", "value", "name"), "anext": ("name", "value"), "cpm_cycle_register": ("name",),
+    "cpm_cycle_get": ("name",), "cpm_cycle_set": ("name", "value"),
 }
 
 # the words a declaration starts with; a name right after a type word is
@@ -156,20 +158,21 @@ class _Parser:
 
     def call(self, head):
         self.take("(")
-        named = NAME_ARGS.get(head, ())
-        args = []
+        kinds, args = ABI.get(head), []
         while self.peek() != ")":
             if args:
                 self.take(",")
-            if len(args) in named:
-                words = self.words()
-                if not words:
-                    raise ValueError(f"argument {len(args)} of {head} must name an object or a type")
-                args.append(repr(" ".join(words)))
-            else:
+            kind = kinds[len(args)] if len(args) < len(kinds or ()) else "value"
+            if kind == "value":
                 args.append(self.expr())
+            elif words := self.words():
+                args.append(repr(" ".join(words)) if kind == "name" else None)
+            else:
+                raise ValueError(f"argument {len(args)} of {head} must be a {kind}")
         self.take(")")
-        return f"{head}({', '.join(args)})"
+        if kinds is not None and len(args) != len(kinds):
+            raise ValueError(f"{head} takes {len(kinds)} arguments, not {len(args)}")
+        return f"{head}({', '.join(a for a in args if a is not None)})"
 
     def words(self):
         """Take a run of identifiers, keywords and ``*``; returns their lexemes."""

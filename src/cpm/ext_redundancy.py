@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from .pipeline import ExtensionId, ExtensionPass
 from .rewrite import Target, decl_head, decl_statements, lower_lines
+from .runtime.redundant import AdaptPolicy
 from .srcmodel import Diagnostic, SourceUnit, apply_spans, map_lines
 
 PASS_ID = ExtensionId("redundancy", "1.1")
@@ -38,6 +39,11 @@ def _replica_count(config, diags):
             Diagnostic("warning", 0, f"redundancy.replicas={value!r} is not an integer; using {DEFAULT_REPLICAS}", str(PASS_ID))
         )
         n = DEFAULT_REPLICAS
+    if n > AdaptPolicy.n_max:
+        diags.append(
+            Diagnostic("warning", 0, f"redundancy.replicas={n} lowered to {AdaptPolicy.n_max} (the runtime's maximum)", str(PASS_ID))
+        )
+        n = AdaptPolicy.n_max
     if n < 3:
         diags.append(
             Diagnostic("warning", 0, f"redundancy.replicas={n} raised to 3 (minimum for a majority)", str(PASS_ID))

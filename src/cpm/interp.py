@@ -7,7 +7,8 @@ hand-coded runtime-call sequence be compared observation-for-observation
 without a C toolchain.
 
 Each statement is compiled once per distinct text by
-:func:`cpm.cexpr.compile_stmt`: the emitted ``cpm_*`` calls, bare
+:func:`cpm.cexpr.compile_stmt`: the emitted calls of :data:`cpm.cexpr.ABI`
+(each the ``Runtime`` method of its head, less the type arguments), bare
 expressions, ``x = e``, ``x op= e``, ``++``/``--``, ``return [e]`` and
 scalar declarations ``T a [= e], *b ...``. The ``extensions_pipeline``
 preamble sets the runtime's pipeline string. Braces are ignored; control
@@ -18,7 +19,7 @@ truncate toward zero on ints, relational and logical operators yield 0 or
 
 from __future__ import annotations
 
-from .cexpr import HELPERS, NAME_ARGS, _literal, compile_expr, compile_stmt
+from .cexpr import ABI, HELPERS, _literal, compile_expr, compile_stmt
 from .srcmodel import SourceUnit, TokenKind, ext_tag, load_unit, split_segments
 
 
@@ -30,22 +31,12 @@ class AbiInterpreter:
     def __init__(self, runtime, env=None):
         self.rt = runtime
         self.env = dict(env or {})  # program variables and caller-supplied constants
-        self.functions = {}  # C function name -> python callable
-        self._scope = {
-            **HELPERS,
-            **{head: getattr(runtime, head.removeprefix("cpm_")) for head in NAME_ARGS},
-            # the emitted calls whose arguments differ from the Runtime method's
-            "cpm_red_storage": lambda name, _type, replicas: runtime.red_storage(name, replicas),
-            "cpm_red_extern": lambda name, _type: runtime.red_extern(name),
-            "cpm_guard_register": lambda fn, expr: runtime.guard_register(self.functions.get(fn), expr, name=fn),
-            "cpm_cycle_register": lambda fn: runtime.cycle_register(fn, self.functions.get(fn)),
-        }
+        self._scope = {**HELPERS, **{head: getattr(runtime, head.removeprefix("cpm_")) for head in ABI}}
 
     def bind_function(self, name, fn):
         """Provide the body for a named C function (cyclic actions, guard
         bodies). May be called before or after the program registers it."""
-        self.functions[name] = fn
-        self.rt.cycle_register(name, fn)
+        self.rt.bind_function(name, fn)
 
     # -- program execution ----------------------------------------------------
 

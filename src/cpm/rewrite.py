@@ -19,9 +19,11 @@ texts in which its form differs. Every form follows one position rule:
   grouping parentheses: ``(o)++`` increments ``o``. A name appears
   redeclared right after a type word, ``*`` or ``struct s``, and after a
   declarator ``,`` (``int a, o;``) in a statement that starts with one.
-- Every other occurrence becomes a read. A name after ``.`` or ``->``, the
-  first argument of a ``cpm_`` call, a label (``x:``, ``goto x``) and a
-  name in an ``extern`` declaration are not accesses.
+- Every other occurrence becomes a read. A name after ``.`` or ``->``, a
+  name or type argument of a runtime call (:data:`~cpm.cexpr.ABI`, looking
+  through grouping parentheses), a type name (``T x``), a label (``x:``,
+  ``goto x``) and a name in an ``extern`` declaration are not accesses; a
+  value argument of a runtime call, and any argument of another call, is.
 
 Right-hand sides and array keys are lowered by the same rule. A statement
 that still holds one of the pass's own keywords after its declaration scan
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .cexpr import COMPOUND_OPS, DECL_WORDS, TYPE_WORDS
+from .cexpr import ABI, COMPOUND_OPS, DECL_WORDS, TYPE_WORDS
 from .srcmodel import Diagnostic, TokenKind, apply_spans, map_lines
 
 
@@ -275,10 +277,12 @@ class _AccessLine:
 
         label = prev is None or prev.lexeme in (";", "{", "}")
         gs, prev, prev2, nxt = self._around(s, e)
-        if prev is not None and prev.lexeme == "(" and prev2 is not None and prev2.lexeme.startswith("cpm_"):
-            return None  # already lowered
+        if self._abi_arg(gs):
+            return None  # names what a runtime call acts on
         if prev is not None and prev.lexeme in (".", "->"):
             return None  # a member of some aggregate, not this variable
+        if nxt is not None and nxt.kind is TokenKind.IDENTIFIER:
+            return None  # a type name: ``T x`` declares x
         if nxt is not None and nxt.lexeme in ("=", *COMPOUND_OPS):
             what = "embedded"
         elif (nxt is not None and nxt.lexeme in ("++", "--")) or (prev is not None and prev.lexeme in ("++", "--")):
@@ -320,6 +324,20 @@ class _AccessLine:
         ):
             s, e = s - 1, e + 1
         return s, sig[s - 1] if s > 0 else None, sig[s - 2] if s > 1 else None, sig[e + 1] if e + 1 < len(sig) else None
+
+    def _abi_arg(self, p):
+        """Whether ``sig[p]`` lies in a name or type argument of a runtime call."""
+        sig, depth, arg = self.sig, 0, 0
+        for q in range(p - 1, -1, -1):
+            lex = sig[q].lexeme
+            if lex in (";", "{", "}"):
+                return False
+            depth += (lex in (")", "]")) - (lex in ("(", "["))
+            if depth < 0:  # the '(' of the call, or of a group or subscript holding sig[p]
+                kinds = ABI.get(sig[q - 1].lexeme, ()) if q and lex == "(" else ()
+                return arg < len(kinds) and kinds[arg] != "value"
+            arg += not depth and lex == ","
+        return False
 
     def _after_decl_comma(self, p):
         """Whether ``sig[p]`` follows, ``*`` aside, a ``,`` outside parentheses

@@ -1,12 +1,14 @@
 """The execution environment behind the emitted runtime calls.
 
 One :class:`Runtime` bundles a clock, an event log, a timeout manager, the
-context registry, and the replica sets, and exposes methods mirroring the
-calls the passes emit (``cpm_red_write`` -> :meth:`Runtime.red_write`, and so
-on). The facade is single-threaded and takes no lock: on the virtual clock
-nothing runs outside the caller's control flow, which keeps every run
-deterministic. Wall-clock use follows the thread contract stated on
-:class:`~cpm.runtime.tom.WallDriver`.
+context registry, and the replica sets, and exposes one method per call the
+passes emit (:data:`cpm.cexpr.ABI`), taking its non-type arguments:
+``cpm_red_write`` -> :meth:`Runtime.red_write`, and so on. Function bodies
+bind late, by name, in :attr:`Runtime.functions`: a guard or a cycle looks
+its body up when it fires. The facade is single-threaded and takes no lock:
+on the virtual clock nothing runs outside the caller's control flow, which
+keeps every run deterministic. Wall-clock use follows the thread contract
+stated on :class:`~cpm.runtime.tom.WallDriver`.
 
 Watchdog-timer states are reified as integers: the named conditions are the
 negative values below, non-negative values count timer resets since the last
@@ -14,6 +16,8 @@ negative values below, non-negative values count timer resets since the last
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .clock import VirtualClock
 from .context import DEFAULT_OBSERVATION_PERIOD_MS, ContextRegistry
@@ -45,7 +49,8 @@ class Runtime:
         self.registry = ContextRegistry(clock=self.clock, events=self.events)
         self.replicas: dict[str, ReplicaSet] = {}
         self.tom = TOM(clock=self.clock, events=self.events)
-        self._cycles: dict[str, dict] = {}  # fn -> {"action": ..., "to": TimeoutObject|None}
+        self.functions: dict[str, object] = {}  # C function name -> python callable
+        self._cycles: dict[str, TimeoutObject | None] = {}  # cyclic method -> its timeout, once started
 
     # -- redundancy ----------------------------------------------------------
 
@@ -57,12 +62,10 @@ class Runtime:
         self.replicas[name] = rs
         return rs
 
-    def red_extern(self, name, replicas=3) -> ReplicaSet:
+    def red_extern(self, name) -> ReplicaSet:
         """Declaration-only form: binds to existing storage, creating it on
         first reference."""
-        if name in self.replicas:
-            return self.replicas[name]
-        return self.red_storage(name, replicas)
+        return self.replicas[name] if name in self.replicas else self.red_storage(name)
 
     def _replica_set(self, name) -> ReplicaSet:
         rs = self.replicas.get(name)
@@ -93,8 +96,8 @@ class Runtime:
     def sensor_update(self, name, value):
         return self.registry.sensor_update(name, value)
 
-    def guard_register(self, body, expr, name=None):
-        return self.registry.register_guard(body, expr, name=name)
+    def guard_register(self, fn, expr):
+        return self.registry.register_guard(partial(self._call, fn), expr, name=fn)
 
     def arr_register(self, name, observation_period_ms=DEFAULT_OBSERVATION_PERIOD_MS):
         return self.registry.register_array(name, observation_period_ms)
@@ -119,12 +122,15 @@ class Runtime:
 
     # -- cyclic methods -------------------------------------------------------
 
-    def cycle_register(self, fn_name, action=None):
-        rec = self._cycles.setdefault(fn_name, {"action": None, "to": None})
-        if action is not None:
-            rec["action"] = action
-            if rec["to"] is not None:
-                rec["to"].action = action
+    def bind_function(self, name, fn):
+        self.functions[name] = fn
+
+    def _call(self, name):
+        if (fn := self.functions.get(name)) is not None:
+            fn()
+
+    def cycle_register(self, fn_name):
+        self._cycles.setdefault(fn_name, None)
 
     def cycle_set(self, fn_name, value):
         """Dispatch a ``fn.Cycle = value`` write: the first nonzero value
@@ -134,34 +140,23 @@ class Runtime:
         value = int(value)
         if value < 0:
             raise ValueError(f"period of cycle '{fn_name}' must not be negative")
-        rec = self._cycles.get(fn_name)
-        if rec is None:
+        if fn_name not in self._cycles:
             self.events.log(self.clock.now, "warn", fn_name, 0, "cycle-set-before-register")
-            rec = self._cycles.setdefault(fn_name, {"action": None, "to": None})
+        to = self._cycles.get(fn_name)
         if value == 0:
-            self.tom.delete(rec["to"])
-            rec["to"] = None
-            return
-        if rec["to"] is None:
-            to = TimeoutObject(
-                id=f"cycle:{fn_name}",
-                subid=fn_name,
-                deadline=value,
-                cyclic=True,
-                enabled=True,
-                action=rec["action"],
-            )
-            rec["to"] = to
+            self.tom.delete(to)
+            self._cycles[fn_name] = None
+        elif to is None:
+            to = TimeoutObject(f"cycle:{fn_name}", fn_name, value, cyclic=True, action=partial(self._call, fn_name))
             self.tom.insert(to)
+            self._cycles[fn_name] = to
         else:
-            self.tom.set_deadline(rec["to"], value)
-            self.tom.renew(rec["to"])
+            self.tom.set_deadline(to, value)
+            self.tom.renew(to)
 
     def cycle_get(self, fn_name) -> int:
-        rec = self._cycles.get(fn_name)
-        if rec is None or rec["to"] is None:
-            return 0
-        return rec["to"].deadline
+        to = self._cycles.get(fn_name)
+        return 0 if to is None else to.deadline
 
     # -- driving --------------------------------------------------------------
 

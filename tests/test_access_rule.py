@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cpm.cexpr import ABI
 from cpm.pipeline import PassConfig, builtin_registry, compose, run
 from cpm.rewrite import CYCLE, INDEX, NAME, Target, rewrite_line
 from cpm.srcmodel import TokenKind, ext_tag, load_unit, render, tokenize_line, unit_from_raws
@@ -130,7 +131,7 @@ POSITIONS = [
     "h(@);", "@(1);", "@[2] = 1;", "y = @[2];", "int @;", "extern int @;", "if (@) y = @;",
     "for (@ = 0; @ < 3; @++) {", "y = q.@;", "y = q->@;", "y = k ? @ : 1;", "y = @ = 2;", "@ = @;",
     "@ *= @;", "(@)++;", "p = &(@);", "(@) = 1;", "y = (@);", "@:", "y = sizeof(@);", "return -@;",
-    "y = -(@)--;", "y = @ & 1;", "h(&(@), @);", "goto @;",
+    "y = -(@)--;", "y = @ & 1;", "h(&(@), @);", "goto @;", "cpm_log(@);",
 ]
 OTHERS = [
     "{", "}", "/* c */", "redundant_t int x = x;", "guard_t (s >) g;", "sensor_t int s = 1;",
@@ -182,15 +183,19 @@ def operand_of_step_or_address(sig, lo, hi):
 
 def unlowered_occurrences(name, sig):
     """Positions of the occurrences of ``name``'s access forms in ``sig``
-    outside the parentheses of a ``cpm_`` call, less the exempt ones."""
-    found, stack = [], []
+    outside the name and type arguments of the runtime calls (``cexpr.ABI``),
+    less the exempt ones."""
+    found, stack = [], []  # per open parenthesis: its call's argument kinds and the current argument
     for p, tok in enumerate(sig):
         prev = sig[p - 1] if p else None
         if is_punct(tok, "("):
-            stack.append(prev is not None and prev.lexeme.startswith("cpm_"))
+            stack.append([ABI.get(prev.lexeme, ()) if prev is not None else (), 0])
         elif is_punct(tok, ")") and stack:
             stack.pop()
-        if any(stack) or tok.kind is not TokenKind.IDENTIFIER or is_punct(prev, ".", "->"):
+        elif is_punct(tok, ",") and stack:
+            stack[-1][1] += 1
+        in_name_arg = any(at < len(kinds) and kinds[at] != "value" for kinds, at in stack)
+        if in_name_arg or tok.kind is not TokenKind.IDENTIFIER or is_punct(prev, ".", "->"):
             continue
         nxt = [t.lexeme for t in sig[p + 1 : p + 3]]
         statement = []
@@ -217,6 +222,7 @@ def unlowered_occurrences(name, sig):
 @given(programs)
 @example(PRELUDE + "\na[1].b++; p = &f.Cycle; --f.Cycle;\n")
 @example(PRELUDE + "\nguard_t (s >) g; redundant_t int x = x;\n")
+@example(PRELUDE + "\ncpm_log(x);\n")
 def test_every_access_is_lowered_or_warned_and_no_read_is_an_lvalue(src):
     raws = src.split("\n")[:-1]
     for name, p in PASSES.items():

@@ -75,6 +75,25 @@ def test_guard_registration_binds_python_body():
     assert hits == [0]
 
 
+def test_guard_body_bound_after_registration_runs_on_the_next_edge():
+    rt, it = fresh()
+    hits = []
+    it.run_text('cpm_ctx_register(s, sensor, "s");\ncpm_guard_register(f, "s > 1");\n')
+    it.bind_function("f", lambda: hits.append(rt.registry.sensor_value("s")))
+    rt.sensor_update("s", 5)
+    assert hits == [5]
+
+
+def test_cycle_body_bound_after_registration_runs_on_the_next_fire():
+    rt, it = fresh()
+    ticks = []
+    it.run_text("cpm_cycle_register(Tick);\ncpm_cycle_set(Tick, (10));\n")
+    rt.advance(10)
+    it.bind_function("Tick", lambda: ticks.append(rt.clock.now))
+    rt.advance(20)
+    assert ticks == [20, 30]
+
+
 def test_array_calls_translate_names():
     rt, it = fresh()
     it.run_text("cpm_arr_register(linkrates);\n")

@@ -146,6 +146,10 @@ tagged_lines = st.tuples(st.sampled_from(TAGS), lines).map("".join)
 @settings(max_examples=100, deadline=None)
 @given(st.lists(tagged_lines, min_size=1, max_size=6).map(lambda ls: "\n".join(ls) + "\n"))
 @example("@ext:cyclic redundant_t int r1;\n")
+# a name or type argument of a runtime call another pass emitted is no access
+@example("reflective_array_t lb { rate:int }; redundant_t int rate; y = lb[k].rate;\n")
+@example("sensor_t int x; redundant_t int sensor;\n")
+@example("redundant_t T x; sensor_t int T;\n")
 def test_every_pass_order_renders_the_same_text(src):
     texts = {_body(render(run(compose(order), load_unit(src))[0])) for order in ORDERS}
     assert len(texts) == 1, texts

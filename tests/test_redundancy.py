@@ -2,6 +2,7 @@ from cpm.ext_redundancy import RedundancyPass, lower_accesses, scan_redundant
 from cpm.interp import AbiInterpreter
 from cpm.pipeline import PassConfig, compose
 from cpm.runtime import Runtime
+from cpm.runtime.redundant import AdaptPolicy
 from cpm.srcmodel import load_unit, render
 
 
@@ -35,6 +36,16 @@ def test_scan_coerces_bad_replica_config():
     unit, diags = transform("redundant_t int x;\n", cfg)
     assert render(unit) == "cpm_red_storage(x, int, 5);\n"
     assert any("odd" in d.message for d in diags)
+
+
+def test_replica_count_above_the_runtime_maximum_is_lowered_to_it():
+    cfg = PassConfig({"redundancy.replicas": "11"})
+    unit, diags = transform("redundant_t int x;\n", cfg)
+    assert render(unit) == f"cpm_red_storage(x, int, {AdaptPolicy.n_max});\n"
+    assert [d.message for d in diags] == ["redundancy.replicas=11 lowered to 9 (the runtime's maximum)"]
+    rt = Runtime()
+    AbiInterpreter(rt).run_unit(unit)  # the runtime accepts the count the pass emits
+    assert rt.replicas["x"].n == AdaptPolicy.n_max
 
 
 def test_scan_multiword_type():
