@@ -14,8 +14,8 @@ dispatches on the value, since it is generally unknown at transform time:
 from __future__ import annotations
 
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import CYCLE, Target, closing, decl_head, decl_statements, lower_lines
-from .srcmodel import Diagnostic, SourceUnit, apply_spans, map_lines
+from .rewrite import CYCLE, Target, closing, decl_head, lower_decls, lower_lines
+from .srcmodel import Diagnostic, SourceUnit
 
 PASS_ID = ExtensionId("cyclic", "1.0")
 
@@ -23,7 +23,8 @@ PASS_ID = ExtensionId("cyclic", "1.0")
 def _match_decl(raw, toks):
     """Match ``cyclic_t <type...> <name> ( params ) ;``, the statement's
     tokens, which hold no brace (a function definition does not match) and
-    whose first ``(`` pairs with the ``)`` before the ``;``."""
+    whose first ``(`` pairs with the ``)`` before the ``;``; returns
+    (type_text, name, params)."""
     if toks[0].lexeme != "cyclic_t" or any(t.lexeme in ("{", "}") for t in toks):
         return None
     open_at = next((j for j, t in enumerate(toks) if t.lexeme == "("), None)
@@ -32,13 +33,7 @@ def _match_decl(raw, toks):
     decl = decl_head(toks[1:open_at])
     if decl is None:
         return None
-    return {
-        "name": decl[1],
-        "type_text": decl[0],
-        "params": raw[toks[open_at].end : toks[-2].column],
-        "start": toks[0].column,
-        "end": toks[-1].end,
-    }
+    return decl[0], decl[1], raw[toks[open_at].end : toks[-2].column]
 
 
 def scan_cyclic(unit: SourceUnit, config, skip=frozenset()):
@@ -47,26 +42,19 @@ def scan_cyclic(unit: SourceUnit, config, skip=frozenset()):
     diags: list[Diagnostic] = []
     names = set()
 
-    def lower_decls(line):
-        spans = []
-        for _, m in decl_statements(line, CyclicPass.KEYWORDS, lambda toks: _match_decl(line.raw, toks)):
-            if m is None:
-                diags.append(
-                    Diagnostic("warning", line.line_no, "cyclic_t on something other than a function prototype; line passed through", str(PASS_ID))
-                )
-                continue
-            proto = f"{m['type_text']} {m['name']}({m['params']});"
-            if m["name"] in names:
-                diags.append(
-                    Diagnostic("warning", line.line_no, f"duplicate cyclic declaration of '{m['name']}'; not registered again", str(PASS_ID))
-                )
-                spans.append((m["start"], m["end"], proto))
-                continue
-            names.add(m["name"])
-            spans.append((m["start"], m["end"], f"{proto} cpm_cycle_register({m['name']});"))
-        return apply_spans(line.raw, spans)
+    def declare(m, line_no):
+        type_text, name, params = m
+        proto = f"{type_text} {name}({params});"
+        if name in names:
+            diags.append(
+                Diagnostic("warning", line_no, f"duplicate cyclic declaration of '{name}'; not registered again", str(PASS_ID))
+            )
+            return proto
+        names.add(name)
+        return f"{proto} cpm_cycle_register({name});"
 
-    return map_lines(unit, lower_decls, skip), names, diags
+    unrecognized = "cyclic_t on something other than a function prototype; line passed through"
+    return lower_decls(unit, CyclicPass.KEYWORDS, _match_decl, declare, str(PASS_ID), diags, skip, unrecognized), names, diags
 
 
 _MESSAGES = {

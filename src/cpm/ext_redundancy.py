@@ -18,9 +18,9 @@ with a warning.
 from __future__ import annotations
 
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import Target, decl_head, decl_statements, lower_lines
+from .rewrite import Target, decl_head, lower_decls, lower_lines
 from .runtime.redundant import AdaptPolicy
-from .srcmodel import Diagnostic, SourceUnit, apply_spans, map_lines
+from .srcmodel import Diagnostic, SourceUnit
 
 PASS_ID = ExtensionId("redundancy", "1.1")
 
@@ -57,10 +57,10 @@ def _replica_count(config, diags):
     return n
 
 
-def _match_decl(toks):
-    """Match ``[extern] redundant_t <type...> <name> [= init] ;``, the
-    statement's tokens; returns a dict of the pieces or None. An initializer
-    holding a brace (an aggregate) does not match."""
+def _match_decl(raw, toks):
+    """Match ``[extern] redundant_t <type...> <name> [= init] ;``; returns
+    (extern, type_text, name, init text or None). An initializer holding a
+    brace (an aggregate) does not match."""
     is_extern = toks[0].lexeme == "extern"
     if toks[is_extern].lexeme != "redundant_t" or any(t.lexeme in ("{", "}") for t in toks):
         return None
@@ -68,14 +68,8 @@ def _match_decl(toks):
     decl = decl_head(toks[is_extern + 1 : init_at if init_at is not None else -1])
     if decl is None:
         return None
-    return {
-        "extern": is_extern,
-        "type_text": decl[0],
-        "name": decl[1],
-        "start": toks[0].column,
-        "end": toks[-1].end,
-        "init_span": (toks[init_at].end, toks[-1].column) if init_at is not None else None,
-    }
+    init = raw[toks[init_at].end : toks[-1].column].strip() if init_at is not None else None
+    return is_extern, decl[0], decl[1], init
 
 
 def scan_redundant(unit: SourceUnit, config, skip=frozenset()):
@@ -85,35 +79,26 @@ def scan_redundant(unit: SourceUnit, config, skip=frozenset()):
     replicas = _replica_count(config, diags)
     names = set()
 
-    def lower_decls(line):
-        raw = line.raw
-        spans = []
-        for _, m in decl_statements(line, RedundancyPass.KEYWORDS, _match_decl):
-            if m is None:
-                diags.append(
-                    Diagnostic("warning", line.line_no, "unrecognized redundant_t declaration form; line passed through", str(PASS_ID))
-                )
-                continue
-            if m["name"] in names:
-                diags.append(
-                    Diagnostic("warning", line.line_no, f"duplicate redundant declaration of '{m['name']}'; line passed through", str(PASS_ID))
-                )
-                continue
-            names.add(m["name"])
-            if m["extern"]:
-                text = f"cpm_red_extern({m['name']}, {m['type_text']});"
-            else:
-                text = f"cpm_red_storage({m['name']}, {m['type_text']}, {replicas});"
-            if m["init_span"] is not None:
-                init = raw[m["init_span"][0] : m["init_span"][1]].strip()
-                text += f" cpm_red_write({m['name']}, ({init}));"
-                diags.append(
-                    Diagnostic("info", line.line_no, f"initializer on redundant '{m['name']}' rewritten as a multiplexed write", str(PASS_ID))
-                )
-            spans.append((m["start"], m["end"], text))
-        return apply_spans(raw, spans)
+    def declare(m, line_no):
+        is_extern, type_text, name, init = m
+        if name in names:
+            diags.append(
+                Diagnostic("warning", line_no, f"duplicate redundant declaration of '{name}'; line passed through", str(PASS_ID))
+            )
+            return None
+        names.add(name)
+        if is_extern:
+            text = f"cpm_red_extern({name}, {type_text});"
+        else:
+            text = f"cpm_red_storage({name}, {type_text}, {replicas});"
+        if init is not None:
+            text += f" cpm_red_write({name}, ({init}));"
+            diags.append(
+                Diagnostic("info", line_no, f"initializer on redundant '{name}' rewritten as a multiplexed write", str(PASS_ID))
+            )
+        return text
 
-    return map_lines(unit, lower_decls, skip), names, diags
+    return lower_decls(unit, RedundancyPass.KEYWORDS, _match_decl, declare, str(PASS_ID), diags, skip), names, diags
 
 
 def lower_accesses(unit: SourceUnit, names, skip=frozenset()):

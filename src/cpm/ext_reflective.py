@@ -20,18 +20,18 @@ configuration, or in the source itself:
                                            -> cpm_arr_register(linkbeacons);
     guard_t (watchdog == WD_FIRED) on_fire; -> cpm_guard_register(on_fire, "watchdog == WD_FIRED");
 
-Each pass has its own declaration scanner (``scan_context``,
-``scan_arrays``) and its own pipeline stage and identifier; both find their
-declarations with :func:`cpm.rewrite.decl_statements` and lower accesses
-with :func:`cpm.rewrite.rewrite_line`, each from a table of targets.
+Each pass has its own pipeline stage and identifier. Its declaration scan
+(``scan_context``, ``scan_arrays``) is a matcher and a ``declare`` handed to
+:func:`cpm.rewrite.lower_decls`, and its accesses are lowered by
+:func:`cpm.rewrite.lower_lines` from a table of targets.
 """
 
 from __future__ import annotations
 
 from .cexpr import compile_expr
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import INDEX, Target, decl_head, decl_statements, lower_lines
-from .srcmodel import Diagnostic, SourceUnit, TokenKind, apply_spans, map_lines
+from .rewrite import INDEX, Target, decl_head, lower_decls, lower_lines
+from .srcmodel import Diagnostic, SourceUnit, TokenKind
 
 REFRACTIVE_ID = ExtensionId("refractive", "0.5")
 ARRAY_ID = ExtensionId("array", "0.5")
@@ -86,66 +86,36 @@ def _config_arrays(config):
     return {name: tuple(_config_names(config.get("array", name))) for name in names if name}
 
 
-def _match_scalar_decl(toks):
-    if toks[0].lexeme not in _DECL_KEYWORDS:
-        return None
-    decl = decl_head(toks[1:-1])
-    if decl is None:
-        return None
-    return {
-        "direction": _DECL_KEYWORDS[toks[0].lexeme],
-        "name": decl[1],
-        "start": toks[0].column,
-        "end": toks[-1].end,
-    }
+def _match_context_decl(raw, toks):
+    """Match ``sensor_t <type...> <name> ;`` (or ``actuator_t``,
+    ``context_t``), giving (direction, name), or ``guard_t ( expr ) fn ;``,
+    giving ("guard", fn, expr); the expression is not checked here."""
+    if toks[0].lexeme == "guard_t":
+        if len(toks) < 6 or toks[1].lexeme != "(" or toks[-3].lexeme != ")" or toks[-2].kind is not TokenKind.IDENTIFIER:
+            return None
+        return "guard", toks[-2].lexeme, raw[toks[1].end : toks[-3].column].strip()
+    decl = decl_head(toks[1:-1]) if toks[0].lexeme in _DECL_KEYWORDS else None
+    return None if decl is None else (_DECL_KEYWORDS[toks[0].lexeme], decl[1])
 
 
-def _match_array_decl(toks):
-    if len(toks) < 5 or toks[0].lexeme != "reflective_array_t":
+def _match_array_decl(raw, toks):
+    """Match ``reflective_array_t <name> { prop:type, ... } ;``, a trailing
+    ``,`` allowed; returns (name, property names)."""
+    if len(toks) < 6 or toks[0].lexeme != "reflective_array_t" or toks[1].kind is not TokenKind.IDENTIFIER:
         return None
-    if toks[1].kind is not TokenKind.IDENTIFIER:
-        return None
-    if toks[2].lexeme != "{" or toks[-2].lexeme != "}":
-        return None
-    props = []
     body = toks[3:-2]
-    i = 0
-    while i < len(body):
-        if body[i].kind is not TokenKind.IDENTIFIER:
-            return None
-        pname = body[i].lexeme
-        if i + 1 >= len(body) or body[i + 1].lexeme != ":":
-            return None
-        if i + 2 >= len(body) or body[i + 2].kind not in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
-            return None
-        props.append(pname)
-        i += 3
-        if i < len(body):
-            if body[i].lexeme != ",":
-                return None
-            i += 1
-    if not props or len(set(props)) != len(props):
+    if toks[2].lexeme != "{" or toks[-2].lexeme != "}" or len(body) % 4 in (1, 2):
         return None
-    return {
-        "name": toks[1].lexeme,
-        "properties": tuple(props),
-        "start": toks[0].column,
-        "end": toks[-1].end,
-    }
-
-
-def _match_guard_decl(raw, toks):
-    """Match ``guard_t ( expr ) fn ;``; the expression is not checked here."""
-    if len(toks) < 6 or toks[0].lexeme != "guard_t" or toks[1].lexeme != "(" or toks[-3].lexeme != ")":
-        return None
-    if toks[-2].kind is not TokenKind.IDENTIFIER:
-        return None
-    return {
-        "fn": toks[-2].lexeme,
-        "expr": raw[toks[1].end : toks[-3].column].strip(),
-        "start": toks[0].column,
-        "end": toks[-1].end,
-    }
+    for i in range(0, len(body), 4):
+        if (
+            body[i].kind is not TokenKind.IDENTIFIER
+            or body[i + 1].lexeme != ":"
+            or body[i + 2].kind not in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
+            or (i + 3 < len(body) and body[i + 3].lexeme != ",")
+        ):
+            return None
+    props = tuple(t.lexeme for t in body[::4])
+    return None if len(set(props)) != len(props) else (toks[1].lexeme, props)
 
 
 def scan_context(unit: SourceUnit, config, skip=frozenset()):
@@ -162,46 +132,32 @@ def scan_context(unit: SourceUnit, config, skip=frozenset()):
     emitted_by = str(REFRACTIVE_ID)
     diags: list[Diagnostic] = []
     scalars = _config_scalars(config, diags)
-    pending_guards = []  # (match dict, line_no)
-    line_spans: dict[int, list] = {}  # line_no -> replacement spans
 
-    for line in unit.lines:
-        if line.line_no in skip:
-            continue
-        match = lambda toks, raw=line.raw: _match_scalar_decl(toks) or _match_guard_decl(raw, toks)
-        for kw, m in decl_statements(line, RefractivePass.KEYWORDS, match):
-            if m is None:
-                diags.append(
-                    Diagnostic("warning", line.line_no, f"unrecognized {kw.lexeme} declaration form; line passed through", emitted_by)
-                )
-            elif kw.lexeme == "guard_t":
-                pending_guards.append((m, line.line_no))
-            else:
-                direction = m["direction"]
-                if m["name"] in scalars:
-                    direction = _merge_direction(scalars[m["name"]], direction)
-                    diags.append(
-                        Diagnostic("warning", line.line_no, f"context variable '{m['name']}' declared more than once; directions merged", emitted_by)
-                    )
-                scalars[m["name"]] = direction
-                text = f'cpm_ctx_register({m["name"]}, {direction}, "{m["name"]}");'
-                line_spans.setdefault(line.line_no, []).append((m["start"], m["end"], text))
-
-    sensor_names = {name for name, direction in scalars.items() if direction != "actuator"}
-    for m, line_no in pending_guards:
+    def guard(fn, expr, line_no):
         try:
-            problem = None if compile_expr(m["expr"])[1] & sensor_names else "references no declared sensor"
+            refs = compile_expr(expr)[1]
+            problem = None if any(scalars.get(n, "actuator") != "actuator" for n in refs) else "references no declared sensor"
         except ValueError:
             problem = "is not a C expression"
         if problem is not None:
-            diags.append(Diagnostic("warning", line_no, f"guard for '{m['fn']}' {problem}; guard dropped", emitted_by))
-            continue
-        expr = m["expr"].replace("\\", "\\\\").replace('"', '\\"')
-        text = f'cpm_guard_register({m["fn"]}, "{expr}");'
-        line_spans.setdefault(line_no, []).append((m["start"], m["end"], text))
+            diags.append(Diagnostic("warning", line_no, f"guard for '{fn}' {problem}; guard dropped", emitted_by))
+            return None
+        expr = expr.replace("\\", "\\\\").replace('"', '\\"')
+        return f'cpm_guard_register({fn}, "{expr}");'
 
-    out = map_lines(unit, lambda line: apply_spans(line.raw, line_spans.get(line.line_no)))
-    return out, scalars, diags
+    def declare(m, line_no):
+        if m[0] == "guard":
+            return lambda: guard(m[1], m[2], line_no)
+        direction, name = m
+        if name in scalars:
+            direction = _merge_direction(scalars[name], direction)
+            diags.append(
+                Diagnostic("warning", line_no, f"context variable '{name}' declared more than once; directions merged", emitted_by)
+            )
+        scalars[name] = direction
+        return f'cpm_ctx_register({name}, {direction}, "{name}");'
+
+    return lower_decls(unit, RefractivePass.KEYWORDS, _match_context_decl, declare, emitted_by, diags, skip), scalars, diags
 
 
 def scan_arrays(unit: SourceUnit, config, skip=frozenset()):
@@ -211,24 +167,17 @@ def scan_arrays(unit: SourceUnit, config, skip=frozenset()):
     diags: list[Diagnostic] = []
     arrays = _config_arrays(config)
 
-    def lower_decls(line):
-        spans = []
-        for _, m in decl_statements(line, ArrayPass.KEYWORDS, _match_array_decl):
-            if m is None:
-                diags.append(
-                    Diagnostic("warning", line.line_no, "unrecognized reflective_array_t declaration form; line passed through", str(ARRAY_ID))
-                )
-                continue
-            if m["name"] in arrays:
-                diags.append(
-                    Diagnostic("warning", line.line_no, f"reflective array '{m['name']}' declared more than once; first declaration wins", str(ARRAY_ID))
-                )
-            else:
-                arrays[m["name"]] = m["properties"]
-            spans.append((m["start"], m["end"], f"cpm_arr_register({m['name']});"))
-        return apply_spans(line.raw, spans)
+    def declare(m, line_no):
+        name, props = m
+        if name in arrays:
+            diags.append(
+                Diagnostic("warning", line_no, f"reflective array '{name}' declared more than once; first declaration wins", str(ARRAY_ID))
+            )
+        else:
+            arrays[name] = props
+        return f"cpm_arr_register({name});"
 
-    return map_lines(unit, lower_decls, skip), arrays, diags
+    return lower_decls(unit, ArrayPass.KEYWORDS, _match_array_decl, declare, str(ARRAY_ID), diags, skip), arrays, diags
 
 
 def lower_context_accesses(unit: SourceUnit, directions, skip=frozenset()):
@@ -273,11 +222,9 @@ class ArrayPass(ExtensionPass):
     id = ARRAY_ID
     KEYWORDS = frozenset({"reflective_array_t"})
 
-    def known_key(self, key: str) -> bool:
-        if key == "arrays":
-            return True
-        # per-array property lists live under the array's own name
-        return bool(key) and "." not in key
+    def known_key(self, key: str, config) -> bool:
+        # per-array property lists live under the name of a listed array
+        return key == "arrays" or key in _config_arrays(config)
 
     def _transform(self, unit, config, skip):
         unit, arrays, diags = scan_arrays(unit, config, skip)

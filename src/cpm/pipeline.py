@@ -121,7 +121,7 @@ class ExtensionPass:
     KNOWN_KEYS: frozenset = frozenset()
     KEYWORDS: frozenset = frozenset()
 
-    def known_key(self, key: str) -> bool:
+    def known_key(self, key: str, config: PassConfig) -> bool:
         return key in self.KNOWN_KEYS
 
     def transform(self, unit: SourceUnit, config: PassConfig, skip=frozenset()):
@@ -205,7 +205,7 @@ def compose(names, registry=None, config=None) -> Pipeline:
             diags.append(
                 Diagnostic("warning", 0, f"config key {key!r} names no registered extension", PIPELINE_EMITTER)
             )
-        elif not registry[ns].known_key(rest):
+        elif not registry[ns].known_key(rest, config):
             diags.append(
                 Diagnostic("warning", 0, f"config key {key!r} is not recognized by pass {ns!r}", PIPELINE_EMITTER)
             )

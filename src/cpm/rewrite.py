@@ -1,8 +1,9 @@
-"""Shared lowering machinery for all four passes: one declaration finder and
+"""Shared lowering machinery for all four passes: one declaration engine and
 one access engine.
 
-:func:`decl_statements` finds the statement of each occurrence of a pass's
-keyword by one rule; the pass supplies only a matcher.
+:func:`lower_decls` lowers a pass's declarations: :func:`decl_statements`
+finds the statement of each occurrence of a pass's keyword by one rule, and
+the pass supplies a matcher and a ``declare`` that turns a match into text.
 
 :func:`rewrite_line` lowers the accesses on one line, given the pass's table
 of targets. A :class:`Target` is a row of data: the form it lowers (a name
@@ -21,8 +22,10 @@ texts in which its form differs. Every form follows one position rule:
   declarator ``,`` (``int a, o;``) in a statement that starts with one.
 - Every other occurrence becomes a read. A name after ``.`` or ``->``, a
   name or type argument of a runtime call (:data:`~cpm.cexpr.ABI`, looking
-  through grouping parentheses), a type name (``T x``), a label (``x:``,
-  ``goto x``) and a name in an ``extern`` declaration are not accesses; a
+  through grouping parentheses), a type name (``T x``), a name right after a
+  pass keyword, ``const`` and ``volatile`` aside (the type in
+  ``redundant_t T *x;``), a label (``x:``, ``goto x``) and a name in an
+  ``extern`` declaration are not accesses; a
   value argument of a runtime call, and any argument of another call, is.
 
 Right-hand sides and array keys are lowered by the same rule. A statement
@@ -102,8 +105,8 @@ def decl_statements(line, keywords, match):
       brackets.
     - ``match`` sees the statement's significant tokens, its ``;`` last, only
       if the statement ends on the line and holds no other keyword; ``m`` is
-      what it returns, or None when it does not run. The pass lowers a match
-      and warns once for a None.
+      what it returns, or None when it does not run. :func:`lower_decls`
+      lowers a match and warns once for a None.
     - After a match, scanning resumes after the statement; otherwise right
       after the keyword.
     """
@@ -279,6 +282,11 @@ class _AccessLine:
         gs, prev, prev2, nxt = self._around(s, e)
         if self._abi_arg(gs):
             return None  # names what a runtime call acts on
+        q = gs - 1
+        while q >= 0 and sig[q].lexeme in ("const", "volatile"):
+            q -= 1
+        if q >= 0 and sig[q].lexeme in PASS_KEYWORDS:
+            return None  # the type of a pass's declaration: ``redundant_t T *x;``
         if prev is not None and prev.lexeme in (".", "->"):
             return None  # a member of some aggregate, not this variable
         if nxt is not None and nxt.kind is TokenKind.IDENTIFIER:
@@ -410,3 +418,42 @@ def lower_lines(unit, targets, keywords, emitted_by, skip=frozenset()):
         return rewrite_line(line.raw, line.sig, targets, keywords & line.names, line.line_no, emitted_by, diags)
 
     return map_lines(unit, lower, skip), diags
+
+
+def lower_decls(
+    unit, keywords, match, declare, emitted_by, diags, skip=frozenset(),
+    unrecognized="unrecognized {kw} declaration form; line passed through",
+):
+    """Lower the declarations of a pass's ``keywords`` on every line of
+    ``unit`` not numbered in ``skip``; returns the new unit.
+
+    :func:`decl_statements` finds each statement, and ``match(raw, toks)``
+    returns its pieces or None. An occurrence left unmatched is warned about
+    with ``unrecognized``, formatted with ``kw``. For each match ``m``,
+    ``declare(m, line_no)`` runs in unit order and returns the statement's
+    new text, None to keep it, or a callable that returns either and is
+    called once the whole unit is seen. Warnings go to ``diags``.
+    """
+    spans = {}  # line_no -> [(start_col, end_col, text or callable)]
+    for line in unit.lines:
+        if line.names.isdisjoint(keywords) or line.line_no in skip:
+            continue
+        raw = line.raw
+        spanned = lambda toks: None if (m := match(raw, toks)) is None else (toks[0].column, toks[-1].end, m)
+        for kw, found in decl_statements(line, keywords, spanned):
+            if found is None:
+                diags.append(Diagnostic("warning", line.line_no, unrecognized.format(kw=kw.lexeme), emitted_by))
+                continue
+            start, end, m = found
+            text = declare(m, line.line_no)
+            if text is not None:
+                spans.setdefault(line.line_no, []).append((start, end, text))
+
+    def splice(line):
+        found = spans.get(line.line_no)
+        if found is None:
+            return line.raw
+        texts = [(s, e, t() if callable(t) else t) for s, e, t in found]
+        return apply_spans(line.raw, [span for span in texts if span[2] is not None])
+
+    return map_lines(unit, splice)

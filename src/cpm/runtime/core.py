@@ -144,7 +144,10 @@ class Runtime:
             self.events.log(self.clock.now, "warn", fn_name, 0, "cycle-set-before-register")
         to = self._cycles.get(fn_name)
         if value == 0:
-            self.tom.delete(to)
+            if to is None:
+                self.events.log(self.clock.now, "warn", fn_name, 0, "delete-before-insert")
+            else:
+                self.tom.delete(to)
             self._cycles[fn_name] = None
         elif to is None:
             to = TimeoutObject(f"cycle:{fn_name}", fn_name, value, cyclic=True, action=partial(self._call, fn_name))

@@ -71,12 +71,11 @@ class TOM:
         to._inserted = True
         self._arm(to, self.clock.now + to.deadline)
 
-    def delete(self, to: Optional[TimeoutObject]):
+    def delete(self, to: TimeoutObject):
         """Remove from the schedule. Deleting something never inserted is a
         no-op that leaves a warn event."""
-        if to is None or not to._inserted:
-            name = to.subid if to is not None else "<none>"
-            self.events.log(self.clock.now, "warn", name, 0, "delete-before-insert")
+        if not to._inserted:
+            self.events.log(self.clock.now, "warn", to.subid, 0, "delete-before-insert")
             return
         to._version += 1
         to._queued = False

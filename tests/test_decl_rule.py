@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpm.pipeline import PassConfig, builtin_registry, compose, run
-from cpm.rewrite import PASS_KEYWORDS, decl_head, decl_statements
+from cpm.rewrite import PASS_KEYWORDS, decl_head, decl_statements, lower_decls
 from cpm.srcmodel import TokenKind, ext_tag, load_unit, render, tokenize_line, unit_from_raws
 
 PASSES = builtin_registry()
@@ -90,6 +90,23 @@ def test_keyword_in_comment_or_string_is_not_an_occurrence():
 def test_matcher_rejection_yields_none_and_scanning_goes_on():
     reject = lambda toks: None if toks[1].lexeme == "bad" else len(toks)
     assert statements("k_t bad; k_t good;", {"k_t"}, reject) == [("k_t", None), ("k_t", 3)]
+
+
+def test_lower_decls_declares_in_unit_order_and_splices_after_the_last_line():
+    unit = unit_from_raws(["k_t a; k_t b;", "k_t c; k_t 1;", "k_t d;", "k_t e;"])
+    declared, diags = [], []
+    match = lambda raw, toks: toks[1].lexeme if len(toks) == 3 and toks[1].kind is TokenKind.IDENTIFIER else None
+
+    def declare(name, line_no):
+        declared.append((name, line_no))
+        if name == "a":  # resolved once the unit is seen: names the last declaration
+            return lambda: f"A({declared[-1][0]});"
+        return None if name == "b" else f"{name.upper()}();"
+
+    out = lower_decls(unit, {"k_t"}, match, declare, "k", diags, skip={3}, unrecognized="odd {kw}")
+    assert declared == [("a", 1), ("b", 1), ("c", 2), ("e", 4)]
+    assert [line.raw for line in out.lines] == ["A(e); k_t b;", "C(); k_t 1;", "k_t d;", "E();"]
+    assert [(d.severity, d.line_no, d.message, d.emitted_by) for d in diags] == [("warning", 2, "odd k_t", "k")]
 
 
 def transform(name, src):

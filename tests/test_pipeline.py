@@ -97,6 +97,10 @@ def test_unknown_config_keys_are_warned():
     assert any("redundancy.bogus" in m for m in messages)
     assert any("nonext.k" in m for m in messages)
     assert not any("redundancy.replicas" in m for m in messages)
+    # a property list for an array that array.arrays does not list
+    cfg = PassConfig({"array.arrays": "lb", "array.lb": "rate:int", "array.lbb": "rate:int"})
+    messages = [d.message for d in compose(["array"], config=cfg).compose_diagnostics]
+    assert messages == ["config key 'array.lbb' is not recognized by pass 'array'"]
 
 
 def test_pass_through_full_pipeline_on_corpus():
@@ -150,6 +154,9 @@ tagged_lines = st.tuples(st.sampled_from(TAGS), lines).map("".join)
 @example("reflective_array_t lb { rate:int }; redundant_t int rate; y = lb[k].rate;\n")
 @example("sensor_t int x; redundant_t int sensor;\n")
 @example("redundant_t T x; sensor_t int T;\n")
+# a name after a pass keyword is the type of its declaration, not an access
+@example("redundant_t T *x; sensor_t int T;\n")
+@example("redundant_t const T *x; sensor_t int T;\n")
 def test_every_pass_order_renders_the_same_text(src):
     texts = {_body(render(run(compose(order), load_unit(src))[0])) for order in ORDERS}
     assert len(texts) == 1, texts

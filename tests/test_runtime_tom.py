@@ -186,6 +186,17 @@ def test_rejected_period_leaves_a_running_cycle_running():
     assert [when for when, _, _ in rt.advance(250)] == [100, 200]
 
 
+def test_cancelling_a_stopped_cycle_warns_under_its_name():
+    rt = Runtime()
+    rt.cycle_register("f")
+    rt.cycle_set("f", 0)  # never started
+    rt.cycle_set("f", 100)
+    rt.cycle_set("f", 0)
+    rt.cycle_set("f", 0)  # already cancelled
+    assert [(e.name, e.value) for e in rt.events.of("warn")] == [("f", "delete-before-insert")] * 2
+    assert not rt.advance(200)
+
+
 def test_actions_may_reschedule_during_advance():
     tom = tom_init()
     follow = make("follow", 5)
