@@ -10,17 +10,17 @@ Each statement is compiled once per distinct text by
 :func:`cpm.cexpr.compile_stmt`: the emitted calls of :data:`cpm.cexpr.ABI`
 (each the ``Runtime`` method of its head, less the type arguments), bare
 expressions, ``x = e``, ``x op= e``, ``++``/``--``, ``return [e]`` and
-scalar declarations ``T a [= e], *b ...``. The ``extensions_pipeline``
-preamble sets the runtime's pipeline string. Braces are ignored; control
-flow is not interpreted. Expressions follow C rules: ``/`` and ``%``
-truncate toward zero on ints, relational and logical operators yield 0 or
-1, comparisons never chain, and ``?:`` works.
+scalar declarations ``T a [= e], *b ...``, the ``extensions_pipeline``
+preamble among them (it binds the string in :attr:`env`). Braces are
+ignored; control flow is not interpreted. Expressions follow C rules: ``/``
+and ``%`` truncate toward zero on ints, relational and logical operators
+yield 0 or 1, comparisons never chain, and ``?:`` works.
 """
 
 from __future__ import annotations
 
-from .cexpr import ABI, HELPERS, _literal, compile_expr, compile_stmt
-from .srcmodel import SourceUnit, TokenKind, ext_tag, load_unit, split_segments
+from .cexpr import ABI, HELPERS, compile_expr, compile_stmt
+from .srcmodel import SourceUnit, ext_tag, load_unit, split_segments
 
 
 class InterpError(ValueError):
@@ -56,22 +56,13 @@ class AbiInterpreter:
             return  # block structure and function headers are not interpreted
         if last.lexeme != ";":
             raise InterpError(f"line {line.line_no}: unsupported statement {line.raw.strip()!r}")
-        if len(toks) == 1 or self._try_preamble(toks):
-            return  # an empty statement or the preamble
+        if len(toks) == 1:
+            return  # an empty statement
         text = line.raw[toks[0].column : last.column]
         try:
             exec(compile_stmt(text), self._scope, self.env)
         except Exception as exc:
             raise InterpError(f"line {line.line_no}: cannot run {text.strip()!r}: {exc}") from exc
-
-    def _try_preamble(self, toks) -> bool:
-        if len(toks) < 7:
-            return False
-        shape = [t.lexeme for t in toks[:5]]
-        if shape == ["const", "char", "*", "extensions_pipeline", "="] and toks[5].kind is TokenKind.STRING:
-            self.rt.set_pipeline_string(_literal(toks[5].lexeme))
-            return True
-        return False
 
     # -- expressions ------------------------------------------------------------
 

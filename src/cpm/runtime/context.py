@@ -120,13 +120,11 @@ class ContextRegistry:
         self.clock = clock if clock is not None else VirtualClock()
         self.events = events if events is not None else EventLog()
         self.sensors: dict[str, object] = {}
-        self.directions: dict[str, str] = {}
         self.actuators: dict[str, object] = {}  # name -> callback or None
         self.guards: list[_Guard] = []
         self._guards_by_sensor: dict[str, list[_Guard]] = {}  # registration order
         self.arrays: dict[str, ReflectiveArray] = {}
         self._scope = dict(HELPERS)  # guard globals: helpers and constants
-        self.pipeline_string: str = ""
         self._actuations = 0
 
     # -- registration --------------------------------------------------------
@@ -134,13 +132,10 @@ class ContextRegistry:
     def register(self, name, direction, binding=None, initial=0):
         if direction not in ("sensor", "actuator", "both"):
             raise ValueError(f"direction must be sensor/actuator/both, got {direction!r}")
-        old = self.directions.get(name)
-        if old is not None and old != direction:
-            direction = "both"
-        self.directions[name] = direction
-        if direction in ("sensor", "both") and name not in self.sensors:
-            self.sensors[name] = initial
-        if direction in ("actuator", "both"):
+        # a name registered in both directions, at once or in turn, is both
+        if direction != "actuator":
+            self.sensors.setdefault(name, initial)
+        if direction != "sensor":
             self.actuators.setdefault(name, None)
         return name if binding is None else binding
 
@@ -195,21 +190,22 @@ class ContextRegistry:
         fired = []
         for g in self._guards_by_sensor.get(name, ()):
             now_true = self._eval(g)
-            if now_true and not g.last_value:
+            rising = now_true and not g.last_value
+            g.last_value = now_true  # before the body, which may update this sensor again
+            if rising:
                 g.fires += 1
                 self.events.log(self.clock.now, "guard", g.name, g.fires)
                 fired.append(g.name)
                 if g.body is not None:
                     g.body()
-            g.last_value = now_true
         return fired
 
     def actuator_write(self, name, value):
         """Run the side-effect bound to an actuator. With nothing bound the
         write is a tolerated no-op (warn event)."""
-        if self.directions.get(name) not in ("actuator", "both"):
+        if name not in self.actuators:
             raise KeyError(f"unknown actuator {name!r}")
-        callback = self.actuators.get(name)
+        callback = self.actuators[name]
         if callback is None:
             self.events.log(self.clock.now, "warn", name, 0, "actuator-write-without-callback")
             return

@@ -5,7 +5,8 @@ context registry, and the replica sets, and exposes one method per call the
 passes emit (:data:`cpm.cexpr.ABI`), taking its non-type arguments:
 ``cpm_red_write`` -> :meth:`Runtime.red_write`, and so on. Function bodies
 bind late, by name, in :attr:`Runtime.functions`: a guard or a cycle looks
-its body up when it fires. The facade is single-threaded and takes no lock:
+its body up when it fires. The scenarios drive the runtime through these
+same calls. The facade is single-threaded and takes no lock:
 on the virtual clock nothing runs outside the caller's control flow, which
 keeps every run deterministic. Wall-clock use follows the thread contract
 stated on :class:`~cpm.runtime.tom.WallDriver`.
@@ -165,6 +166,3 @@ class Runtime:
 
     def advance(self, dt):
         return self.tom.advance(dt)
-
-    def set_pipeline_string(self, value: str):
-        self.registry.pipeline_string = value

@@ -8,10 +8,11 @@ peers with ``anext`` and emits one routing-metric adjustment per live peer,
 actually does with the numbers), or a staleness record for peers that went a
 whole period without a beacon.
 
-Beacons are synthetic trace data. A beacon falling exactly on a cycle
-boundary counts for the period it ends (beacon one-shots are inserted before
-the cycle tick, so they win the tie); a cycle boundary on the horizon still
-reports.
+The observation cycle is the cyclic method ``observation_cycle``, started
+through ``Runtime.cycle_set``. Beacons are synthetic trace data, delivered by
+one-shot timeout objects. A beacon falling exactly on a cycle boundary counts
+for the period it ends (the one-shots are inserted before the cycle starts,
+so they win the tie); a cycle boundary on the horizon still reports.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
     trace.validate(horizon)
 
     rt = Runtime()
-    linkbeacons = rt.arr_register("linkbeacons", observation_period)
+    rt.arr_register("linkbeacons", observation_period)
     linkrates = rt.arr_register("linkrates", observation_period)
     records: list = []
 
@@ -85,9 +86,9 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
         linkrates.set_prop(rec.mac, "rate", rec.rate_estimate)
 
     def observe_cycle():
-        cycle = linkbeacons.periods_elapsed + 1
-        linkbeacons.rollover()
-        linkrates.rollover()
+        cycle = rt.clock.now // observation_period  # the cycle fires on each multiple, without drift
+        rt.arr_rollover("linkbeacons")
+        rt.arr_rollover("linkrates")
         cursor = 0
         while (mac := rt.anext("linkbeacons", cursor)) is not None:
             cursor += 1
@@ -108,11 +109,8 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
                 enabled=True, action=lambda rec=rec: deliver(rec),
             )
         )
-    rt.tom.insert(
-        TimeoutObject(
-            id="observation_cycle", subid="observation_cycle",
-            deadline=observation_period, cyclic=True, enabled=True, action=observe_cycle,
-        )
-    )
+    rt.cycle_register("observation_cycle")
+    rt.bind_function("observation_cycle", observe_cycle)
+    rt.cycle_set("observation_cycle", observation_period)
     rt.advance(horizon)
     return SwitchboardResult(records=records, runtime=rt)

@@ -14,9 +14,11 @@ identical as long as fewer than half the replicas are hit.
 
 Everything runs on the virtual clock: heartbeats are schedule data counted
 per period boundary (a heartbeat exactly on a boundary counts for the period
-it ends), while boundary checks, fault injections, and restart writes are
-timeout objects. A boundary or a restart write coinciding with the horizon is
-not evaluated; the run ends in ``WD_END`` instead.
+it ends). The boundary check is the cyclic method ``wdt_tick``, run through
+``Runtime.cycle_set``; the guard ``wdt_fired`` watches for ``WD_FIRED``, and
+a body bound to it by name may restart the watchdog. Fault injections and
+restart writes are one-shot timeout objects. A boundary or a restart write
+coinciding with the horizon is not evaluated; the run ends in ``WD_END``.
 """
 
 from __future__ import annotations
@@ -85,37 +87,21 @@ def run_wdt(params: WdtScenarioParams) -> WdtResult:
     params.validate()
     rt = Runtime()
     rt.red_storage("watchdog", params.replicas, initial=WD_STARTED)
-    reg = rt.registry
-    reg.register("watchdog", "both", initial=WD_STARTED)
+    rt.ctx_register("watchdog", "both", initial=WD_STARTED)
     for name, value in (("WD_STARTED", WD_STARTED), ("WD_ACTIVE", WD_ACTIVE),
                         ("WD_FIRED", WD_FIRED), ("WD_END", WD_END)):
-        reg.register_constant(name, value)
-    reg.register_guard(None, "watchdog == WD_FIRED", name="wdt_fired")
+        rt.registry.register_constant(name, value)
+    rt.guard_register("wdt_fired", "watchdog == WD_FIRED")
 
     beats = sorted(params.heartbeat_schedule)
     trace: list = []
     ignored: list = []
-    tick_holder: dict = {"to": None}
 
     def publish(value):
-        t = rt.clock.now
+        # traced before the guards run, so what a guard body publishes comes after
         rt.red_write("watchdog", value)
-        reg.sensor_update("watchdog", value)
-        trace.append((t, value))
-
-    def stop_tick():
-        if tick_holder["to"] is not None:
-            rt.tom.delete(tick_holder["to"])
-            tick_holder["to"] = None
-
-    def start_tick():
-        stop_tick()
-        to = TimeoutObject(
-            id="wdt_tick", subid="wdt_tick", deadline=params.wdt_period,
-            cyclic=True, enabled=True, action=check_period,
-        )
-        tick_holder["to"] = to
-        rt.tom.insert(to)
+        trace.append((rt.clock.now, value))
+        rt.sensor_update("watchdog", value)
 
     def check_period():
         t = rt.clock.now
@@ -128,19 +114,23 @@ def run_wdt(params: WdtScenarioParams) -> WdtResult:
         if bisect_right(beats, t) > bisect_right(beats, t - params.wdt_period):
             publish(current + 1 if current >= 0 else 1)
         else:
+            rt.cycle_set("wdt_tick", 0)  # first, so a guard body may restart the tick
             publish(WD_FIRED)
-            stop_tick()
 
     def on_actuator_write(value):
         current = rt.red_read("watchdog")
         if current == WD_FIRED:
             publish(WD_ACTIVE)
-            start_tick()
+            if rt.cycle_get("wdt_tick"):
+                rt.cycle_set("wdt_tick", 0)  # a fresh tick: a renewed one keeps its instance count
+            rt.cycle_set("wdt_tick", params.wdt_period)
         else:
             ignored.append((rt.clock.now, value))
             rt.events.log(rt.clock.now, "warn", "watchdog", 0, f"restart-write-ignored:{value}")
 
-    reg.bind_actuator("watchdog", on_actuator_write)
+    rt.registry.bind_actuator("watchdog", on_actuator_write)
+    rt.cycle_register("wdt_tick")
+    rt.bind_function("wdt_tick", check_period)
 
     # fault injections and restart writes ride the schedule as one-shots,
     # inserted before the periodic check so they win boundary ties
@@ -163,7 +153,7 @@ def run_wdt(params: WdtScenarioParams) -> WdtResult:
 
     publish(WD_STARTED)
     publish(WD_ACTIVE)  # activation message arrives at t=0
-    start_tick()
+    rt.cycle_set("wdt_tick", params.wdt_period)
     rt.advance(params.horizon)
     publish(WD_END)
     return WdtResult(trace=trace, ignored_writes=ignored, runtime=rt)

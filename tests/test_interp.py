@@ -14,7 +14,14 @@ def fresh():
 def test_preamble_sets_pipeline_string():
     rt, it = fresh()
     it.run_text('const char *extensions_pipeline = "cpm://cyclic/1.0"; /* cpm preamble */\n')
-    assert rt.registry.pipeline_string == "cpm://cyclic/1.0"
+    assert it.env["extensions_pipeline"] == "cpm://cyclic/1.0"
+
+
+def test_lowered_program_reads_the_pipeline_string():
+    out, _ = run(compose(["redundancy", "cyclic"]), load_unit("const char *p = extensions_pipeline;\n"))
+    rt, it = fresh()
+    it.run_unit(out)
+    assert it.env["p"] == "cpm://redundancy/1.1;cpm://cyclic/1.0"
 
 
 def test_storage_write_read_cycle():
@@ -203,7 +210,7 @@ def test_full_lowered_program_end_to_end():
     out, _ = run(compose(["redundancy"]), load_unit(src))
     rt, it = fresh()
     it.run_unit(out)
-    assert rt.registry.pipeline_string == "cpm://redundancy/1.1"
+    assert it.env["extensions_pipeline"] == "cpm://redundancy/1.1"
     assert rt.replicas["counter"].replicas == (41, 41, 41)
     assert it.env["result"] == 42
 

@@ -50,6 +50,17 @@ def test_actuator_without_callback_warns_and_noops():
     assert not reg.events.of("actuate")
 
 
+def test_a_name_registered_in_turn_as_sensor_and_actuator_is_both():
+    reg = registry()
+    reg.register("level", "sensor", initial=4)
+    reg.register("level", "actuator", initial=9)
+    reg.register("level", "sensor", initial=9)
+    seen = []
+    reg.bind_actuator("level", seen.append)
+    reg.actuator_write("level", 7)
+    assert (seen, reg.sensor_value("level")) == ([7], 4)  # the first registration seeds the snapshot
+
+
 def test_unknown_actuator_errors():
     reg = registry()
     reg.register("cpu", "sensor")
@@ -292,6 +303,15 @@ def test_runtime_facade_wires_shared_clock_and_events():
     rt.red_write("watchdog", -2)
     assert rt.red_read("watchdog") == -2
     assert rt.ctx_read("watchdog") == -1
+
+
+def test_guard_body_that_clears_its_own_sensor_fires_on_every_edge():
+    rt = Runtime()
+    rt.ctx_register("s", "sensor")
+    rt.bind_function("g", lambda: rt.sensor_update("s", 0))
+    rt.guard_register("g", "s > 0")
+    assert [rt.sensor_update("s", 1) for _ in range(3)] == [["g"]] * 3
+    assert rt.ctx_read("s") == 0
 
 
 @pytest.mark.parametrize(
