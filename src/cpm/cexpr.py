@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 from keyword import iskeyword
 
-from .srcmodel import TokenKind, significant, tokenize_line
+from .srcmodel import IDENTIFIER, KEYWORD, NUMBER, STRING, significant, tokenize_line
 
 # the runtime calls the passes emit: head -> the kind of each argument. A
 # ``name`` compiles to its text, a ``type`` (words and ``*``, for the C
@@ -51,7 +51,7 @@ _BINARY = {
 }
 _TRUTH = {"&&": "and", "||": "or", "==": "==", "!=": "!=", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 _HELPER = {"/": "_c_div", "%": "_c_mod"}
-_WORDS = (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
+_WORDS = (IDENTIFIER, KEYWORD)
 
 
 def _c_div(a, b):
@@ -148,9 +148,9 @@ class _Parser:
             inner = self.expr()
             self.take(")")
             return inner
-        if tok.kind is TokenKind.NUMBER:
+        if tok.kind is NUMBER:
             return repr(_number(tok.lexeme))
-        if tok.kind is TokenKind.STRING:
+        if tok.kind is STRING:
             return repr(_literal(tok.lexeme))
         name = _identifier(tok)
         self.names.add(name)
@@ -230,7 +230,7 @@ class _Parser:
 
 
 def _identifier(tok):
-    if tok.kind is not TokenKind.IDENTIFIER or iskeyword(tok.lexeme):
+    if tok.kind is not IDENTIFIER or iskeyword(tok.lexeme):
         raise ValueError(f"unexpected {tok.lexeme!r}")
     return tok.lexeme
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from .cexpr import compile_expr
 from .pipeline import ExtensionId, ExtensionPass
 from .rewrite import INDEX, Target, decl_head, lower_decls, lower_lines
-from .srcmodel import Diagnostic, SourceUnit, TokenKind
+from .srcmodel import IDENTIFIER, KEYWORD, Diagnostic, SourceUnit
 
 REFRACTIVE_ID = ExtensionId("refractive", "0.5")
 ARRAY_ID = ExtensionId("array", "0.5")
@@ -91,7 +91,7 @@ def _match_context_decl(raw, toks):
     ``context_t``), giving (direction, name), or ``guard_t ( expr ) fn ;``,
     giving ("guard", fn, expr); the expression is not checked here."""
     if toks[0].lexeme == "guard_t":
-        if len(toks) < 6 or toks[1].lexeme != "(" or toks[-3].lexeme != ")" or toks[-2].kind is not TokenKind.IDENTIFIER:
+        if len(toks) < 6 or toks[1].lexeme != "(" or toks[-3].lexeme != ")" or toks[-2].kind is not IDENTIFIER:
             return None
         return "guard", toks[-2].lexeme, raw[toks[1].end : toks[-3].column].strip()
     decl = decl_head(toks[1:-1]) if toks[0].lexeme in _DECL_KEYWORDS else None
@@ -101,16 +101,16 @@ def _match_context_decl(raw, toks):
 def _match_array_decl(raw, toks):
     """Match ``reflective_array_t <name> { prop:type, ... } ;``, a trailing
     ``,`` allowed; returns (name, property names)."""
-    if len(toks) < 6 or toks[0].lexeme != "reflective_array_t" or toks[1].kind is not TokenKind.IDENTIFIER:
+    if len(toks) < 6 or toks[0].lexeme != "reflective_array_t" or toks[1].kind is not IDENTIFIER:
         return None
     body = toks[3:-2]
     if toks[2].lexeme != "{" or toks[-2].lexeme != "}" or len(body) % 4 in (1, 2):
         return None
     for i in range(0, len(body), 4):
         if (
-            body[i].kind is not TokenKind.IDENTIFIER
+            body[i].kind is not IDENTIFIER
             or body[i + 1].lexeme != ":"
-            or body[i + 2].kind not in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
+            or body[i + 2].kind not in (IDENTIFIER, KEYWORD)
             or (i + 3 < len(body) and body[i + 3].lexeme != ",")
         ):
             return None

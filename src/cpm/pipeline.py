@@ -18,7 +18,7 @@ import configparser
 import re
 from dataclasses import dataclass, field
 
-from .srcmodel import Diagnostic, SourceUnit, TokenKind, ext_tag, map_lines, unit_from_raws
+from .srcmodel import IDENTIFIER, Diagnostic, SourceUnit, ext_tag, map_lines, unit_from_raws
 
 _NAME_RE = re.compile(r"^[a-z0-9_]+$")
 _VERSION_RE = re.compile(r"^[0-9]+(\.[0-9]+)*$")
@@ -296,7 +296,7 @@ def _strict_sweep(unit: SourceUnit, pipeline: Pipeline, applied, tags):
             continue
         sig = line.sig
         for p, tok in enumerate(sig):
-            if tok.kind is not TokenKind.IDENTIFIER:
+            if tok.kind is not IDENTIFIER:
                 continue
             if tok.lexeme in pipeline.keyword_map:
                 candidates = ", ".join(pipeline.keyword_map[tok.lexeme])

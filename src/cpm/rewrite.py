@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .cexpr import ABI, COMPOUND_OPS, DECL_WORDS, TYPE_WORDS
-from .srcmodel import Diagnostic, TokenKind, apply_spans, map_lines
+from .srcmodel import IDENTIFIER, KEYWORD, NUMBER, PUNCTUATOR, STRING, Diagnostic, apply_spans, map_lines
 
 
 # the keywords of the built-in passes; none of them is ever a type word
@@ -54,10 +54,10 @@ def decl_head(toks):
     type words joined by single spaces. None unless there is at least one
     type token, each a keyword, identifier or ``*`` but no pass keyword, and
     the name is an identifier."""
-    if len(toks) < 2 or toks[-1].kind is not TokenKind.IDENTIFIER:
+    if len(toks) < 2 or toks[-1].kind is not IDENTIFIER:
         return None
     for t in toks[:-1]:
-        if t.lexeme in PASS_KEYWORDS or (t.kind not in (TokenKind.KEYWORD, TokenKind.IDENTIFIER) and t.lexeme != "*"):
+        if t.lexeme in PASS_KEYWORDS or (t.kind not in (KEYWORD, IDENTIFIER) and t.lexeme != "*"):
             return None
     return " ".join(t.lexeme for t in toks[:-1]), toks[-1].lexeme
 
@@ -81,9 +81,9 @@ def _keyword_statements(sig, keywords):
     the line."""
     start = 0
     for p, tok in enumerate(sig):
-        if tok.kind is TokenKind.PUNCTUATOR and tok.lexeme in (";", "{", "}"):
+        if tok.kind is PUNCTUATOR and tok.lexeme in (";", "{", "}"):
             start = p + 1
-        if tok.kind is not TokenKind.IDENTIFIER or tok.lexeme not in keywords:
+        if tok.kind is not IDENTIFIER or tok.lexeme not in keywords:
             continue
         depth, end = 0, p + 1
         while end < len(sig) and (depth or sig[end].lexeme != ";"):
@@ -117,7 +117,7 @@ def decl_statements(line, keywords, match):
     # every occurrence in turn is the same as resuming after the statement
     for p, start, end in _keyword_statements(sig, keywords):
         stmt = sig[start : end + 1]
-        alone = sum(t.kind is TokenKind.IDENTIFIER and t.lexeme in keywords for t in stmt) == 1
+        alone = sum(t.kind is IDENTIFIER and t.lexeme in keywords for t in stmt) == 1
         found.append((sig[p], match(stmt) if end < len(sig) and alone else None))
     return found
 
@@ -222,7 +222,7 @@ class _AccessLine:
         None; a malformed INDEX or CYCLE access is warned about."""
         sig = self.sig
         tok = sig[p]
-        if tok.kind is not TokenKind.IDENTIFIER:
+        if tok.kind is not IDENTIFIER:
             return None
         name, target = tok.lexeme, self.targets.get(tok.lexeme)
         if target is not None and target.form == NAME:
@@ -234,7 +234,7 @@ class _AccessLine:
             prop = sig[close + 2] if close + 2 < hi and sig[close + 1].lexeme == "." else None
             if prop is None:
                 return self._warn(target, "selector", name)
-            if prop.kind is not TokenKind.IDENTIFIER:
+            if prop.kind is not IDENTIFIER:
                 return self._warn(target, "prop_name", name)
             if prop.lexeme not in target.known:
                 return self._warn(target, "unknown", name, prop.lexeme)
@@ -289,7 +289,7 @@ class _AccessLine:
             return None  # the type of a pass's declaration: ``redundant_t T *x;``
         if prev is not None and prev.lexeme in (".", "->"):
             return None  # a member of some aggregate, not this variable
-        if nxt is not None and nxt.kind is TokenKind.IDENTIFIER:
+        if nxt is not None and nxt.kind is IDENTIFIER:
             return None  # a type name: ``T x`` declares x
         if nxt is not None and nxt.lexeme in ("=", *COMPOUND_OPS):
             what = "embedded"
@@ -328,7 +328,7 @@ class _AccessLine:
             and e + 1 < len(sig)
             and sig[s - 1].lexeme == "("
             and sig[e + 1].lexeme == ")"
-            and (s < 2 or (sig[s - 2].kind is TokenKind.PUNCTUATOR and sig[s - 2].lexeme not in (")", "]")))
+            and (s < 2 or (sig[s - 2].kind is PUNCTUATOR and sig[s - 2].lexeme not in (")", "]")))
         ):
             s, e = s - 1, e + 1
         return s, sig[s - 1] if s > 0 else None, sig[s - 2] if s > 1 else None, sig[e + 1] if e + 1 < len(sig) else None
@@ -382,7 +382,7 @@ class _AccessLine:
 def _amp_is_unary(prev2):
     if prev2 is None:
         return True
-    if prev2.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER, TokenKind.STRING):
+    if prev2.kind in (IDENTIFIER, NUMBER, STRING):
         return False
     return prev2.lexeme not in (")", "]")
 
@@ -392,7 +392,7 @@ def _looks_like_decl(prev, prev2):
         return True
     if prev.lexeme == "*" and prev2 is not None and prev2.lexeme in TYPE_WORDS:
         return True
-    return prev.kind is TokenKind.IDENTIFIER and prev2 is not None and prev2.lexeme in ("struct", "union", "enum")
+    return prev.kind is IDENTIFIER and prev2 is not None and prev2.lexeme in ("struct", "union", "enum")
 
 
 def rewrite_line(raw, sig, targets, keywords, line_no, emitted_by, diags) -> str:

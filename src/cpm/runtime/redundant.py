@@ -93,31 +93,38 @@ class ReplicaSet:
 
     def read(self):
         """Voted read: strict majority wins, minority replicas are repaired,
-        stats and the adaptation policy are updated."""
+        stats and the adaptation policy are updated. When every replica
+        agrees with the first, the read returns it without voting; there is
+        nothing to repair."""
         reps = self._replicas
-        # Boyer-Moore: a strict majority, if there is one, is the candidate
-        cand, lead = None, 0
-        for v in reps:
-            if lead == 0:
-                cand, lead = v, 1
-            elif v is cand or v == cand:  # identity first, as list.count
-                lead += 1
-            else:
-                lead -= 1
-        agreeing = reps.count(cand)
-        if agreeing * 2 <= self.n:
-            if self.events is not None:
-                self.events.log(self._now(), "vote_fail", self.name, self.stats.reads, "no-majority")
-            raise NoMajorityError(f"no strict majority among replicas of '{self.name}'")
-        value = reps[reps.index(cand)]  # the first agreeing replica
-        discrepancies = self.n - agreeing
-        if discrepancies:
-            for i in range(len(reps)):
-                reps[i] = value
+        n = len(reps)
+        value = reps[0]
+        if reps.count(value) == n:
+            discrepancies = 0
+        else:
+            # Boyer-Moore: a strict majority, if there is one, is the candidate
+            cand, lead = None, 0
+            for v in reps:
+                if lead == 0:
+                    cand, lead = v, 1
+                elif v is cand or v == cand:  # identity first, as list.count
+                    lead += 1
+                else:
+                    lead -= 1
+            agreeing = reps.count(cand)
+            if agreeing * 2 <= n:
+                if self.events is not None:
+                    self.events.log(self._now(), "vote_fail", self.name, self.stats.reads, "no-majority")
+                raise NoMajorityError(f"no strict majority among replicas of '{self.name}'")
+            value = reps[reps.index(cand)]  # the first agreeing replica
+            discrepancies = n - agreeing
+            if discrepancies:
+                for i in range(n):
+                    reps[i] = value
         st = self.stats
         st.reads += 1
         st.discrepancy_histogram[discrepancies] = st.discrepancy_histogram.get(discrepancies, 0) + 1
-        risky = self.n // 2
+        risky = n // 2
         if len(st.window) == st.window.maxlen and st.window[0] >= risky:
             self._window_risky -= 1  # about to be evicted
         st.window.append(discrepancies)

@@ -14,6 +14,12 @@ a single pattern with one named group per token kind, whose character
 classes are all spelled in ASCII, so only ASCII bytes take part in token
 classification and any other byte becomes a one-byte punctuator. Tokenizing
 never fails.
+
+Code compares a token's kind against the module constants ``IDENTIFIER``,
+``KEYWORD`` and so on, bound once at import, and never reads
+``TokenKind.<member>`` in a function body: on CPython 3.11 an Enum member
+lookup costs several times a global read, and the interpreter and the
+passes compare kinds once or twice per token.
 """
 
 from __future__ import annotations
@@ -33,6 +39,14 @@ class TokenKind(Enum):
     COMMENT = "comment"
     WHITESPACE = "whitespace"
 
+
+IDENTIFIER = TokenKind.IDENTIFIER
+KEYWORD = TokenKind.KEYWORD
+PUNCTUATOR = TokenKind.PUNCTUATOR
+NUMBER = TokenKind.NUMBER
+STRING = TokenKind.STRING
+COMMENT = TokenKind.COMMENT
+WHITESPACE = TokenKind.WHITESPACE
 
 C_KEYWORDS = frozenset(
     """
@@ -59,7 +73,7 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-_KINDS = {**{k.name: k for k in TokenKind}, "OPEN": TokenKind.COMMENT}
+_KINDS = {**{k.name: k for k in TokenKind}, "OPEN": COMMENT}
 _TRIVIA = frozenset({"WHITESPACE", "COMMENT", "OPEN"})  # groups of insignificant tokens
 _NO_NAMES = frozenset()  # shared by the lines that name no identifier
 
@@ -144,9 +158,9 @@ def _tokenize(raw: str, in_block: bool):
     if in_block:
         end = raw.find("*/")
         if end < 0:
-            return ((Token(TokenKind.COMMENT, raw, 0),) if raw else ()), (), _NO_NAMES, True
+            return ((Token(COMMENT, raw, 0),) if raw else ()), (), _NO_NAMES, True
         i = end + 2
-        tokens.append(Token(TokenKind.COMMENT, raw[:i], 0))
+        tokens.append(Token(COMMENT, raw[:i], 0))
     group = None
     new = tuple.__new__  # Token(...) without the Python-level constructor
     for m in _TOKEN_RE.finditer(raw, i):
@@ -157,9 +171,9 @@ def _tokenize(raw: str, in_block: bool):
         if group != "IDENTIFIER":
             tok = new(Token, (_KINDS[group], lex, m.start()))
         elif lex in C_KEYWORDS:
-            tok = new(Token, (TokenKind.KEYWORD, lex, m.start()))
+            tok = new(Token, (KEYWORD, lex, m.start()))
         else:
-            tok = new(Token, (TokenKind.IDENTIFIER, lex, m.start()))
+            tok = new(Token, (IDENTIFIER, lex, m.start()))
             names.add(lex)
         tokens.append(tok)
         sig.append(tok)
@@ -236,21 +250,24 @@ def ext_tag(raw: str) -> tuple[str | None, str]:
 
 def significant(tokens) -> list[Token]:
     """The tokens that are neither whitespace nor comments."""
-    return [t for t in tokens if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT)]
+    return [t for t in tokens if t.kind not in (WHITESPACE, COMMENT)]
 
 
 def split_segments(sig) -> list[list[Token]]:
     """Split significant tokens into statement segments, cutting at ';'
     outside parens/brackets and at braces. A 'for(;;)' header stays whole."""
     segs, cur, depth = [], [], 0
-    for tok in sig:
-        if tok.kind is TokenKind.PUNCTUATOR:
-            if tok.lexeme in ("(", "["):
-                depth += 1
-            elif tok.lexeme in (")", "]"):
-                depth = max(0, depth - 1)
+    for tok in sig:  # tok[0], tok[1]: the kind and lexeme, by the cheaper tuple index
         cur.append(tok)
-        if tok.kind is TokenKind.PUNCTUATOR and depth == 0 and tok.lexeme in (";", "{", "}"):
+        if tok[0] is not PUNCTUATOR:
+            continue
+        lex = tok[1]
+        if lex == "(" or lex == "[":
+            depth += 1
+        elif lex == ")" or lex == "]":
+            if depth:
+                depth -= 1
+        elif not depth and (lex == ";" or lex == "{" or lex == "}"):
             segs.append(cur)
             cur = []
     if cur:

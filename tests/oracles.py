@@ -1,8 +1,13 @@
 """Independent oracles for the semantic tests.
 
 Everything here is straight-line arithmetic/enumeration over the declared
-behavior, sharing no code with the runtime or the scheduler it checks.
+behavior, sharing no code with the runtime or the scheduler it checks, except
+the two references at the end: plain, slower forms of the statement splitter
+and the voted read that the fast forms must agree with exactly.
 """
+
+from cpm.runtime.redundant import NoMajorityError, ReplicaSet
+from cpm.srcmodel import TokenKind
 
 WD_STARTED, WD_ACTIVE, WD_FIRED, WD_END = -1, -2, -3, -4
 
@@ -130,3 +135,59 @@ def c_eval(node, env):
         holds = {"<": a < b, ">": a > b, "<=": a <= b, ">=": a >= b, "==": a == b, "!=": a != b}[op]
         return 1 if holds else 0
     return {"+": a + b, "-": a - b, "*": a * b, "&": a & b, "|": a | b, "^": a ^ b}[op]
+
+
+def reference_split_segments(sig):
+    """:func:`cpm.srcmodel.split_segments` in its plain form: attribute
+    access, an Enum lookup per comparison and ``max`` for the depth."""
+    segs, cur, depth = [], [], 0
+    for tok in sig:
+        if tok.kind is TokenKind.PUNCTUATOR:
+            if tok.lexeme in ("(", "["):
+                depth += 1
+            elif tok.lexeme in (")", "]"):
+                depth = max(0, depth - 1)
+        cur.append(tok)
+        if tok.kind is TokenKind.PUNCTUATOR and depth == 0 and tok.lexeme in (";", "{", "}"):
+            segs.append(cur)
+            cur = []
+    if cur:
+        segs.append(cur)
+    return segs
+
+
+class ReferenceReplicaSet(ReplicaSet):
+    """A replica set whose read always votes: no unanimous short-circuit."""
+
+    def read(self):
+        reps = self._replicas
+        # Boyer-Moore: a strict majority, if there is one, is the candidate
+        cand, lead = None, 0
+        for v in reps:
+            if lead == 0:
+                cand, lead = v, 1
+            elif v is cand or v == cand:  # identity first, as list.count
+                lead += 1
+            else:
+                lead -= 1
+        agreeing = reps.count(cand)
+        if agreeing * 2 <= self.n:
+            if self.events is not None:
+                self.events.log(self._now(), "vote_fail", self.name, self.stats.reads, "no-majority")
+            raise NoMajorityError(f"no strict majority among replicas of '{self.name}'")
+        value = reps[reps.index(cand)]  # the first agreeing replica
+        discrepancies = self.n - agreeing
+        if discrepancies:
+            for i in range(len(reps)):
+                reps[i] = value
+        st = self.stats
+        st.reads += 1
+        st.discrepancy_histogram[discrepancies] = st.discrepancy_histogram.get(discrepancies, 0) + 1
+        risky = self.n // 2
+        if len(st.window) == st.window.maxlen and st.window[0] >= risky:
+            self._window_risky -= 1  # about to be evicted
+        st.window.append(discrepancies)
+        self._window_risky += discrepancies >= risky
+        st.failure_risk = self._window_risky / self.policy.window
+        self._adapt(majority=value)
+        return value

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpm.runtime import AdaptPolicy, EventLog, NoMajorityError, ReplicaSet
+from cpm.runtime import AdaptPolicy, EventLog, NoMajorityError, ReplicaSet, VirtualClock
 
-from oracles import majority_oracle
+from oracles import ReferenceReplicaSet, majority_oracle
 
 
 def test_write_multiplexes_to_all_replicas():
@@ -256,3 +256,60 @@ def test_hypothesis_failure_risk_equals_recomputed_window_sum(window, threshold,
                 pass
         risky = sum(1 for d in rs.stats.window if d >= rs.n // 2)
         assert rs.stats.failure_risk == risky / window
+
+
+_SHARED_NAN = float("nan")
+# 1, 1.0 and True vote together; a NaN agrees only with itself, by identity
+_values = st.one_of(st.sampled_from([1, 1.0, True, _SHARED_NAN]), st.builds(float, st.just("nan")))
+_vote_ops = st.one_of(
+    st.tuples(st.just("write"), _values),
+    st.tuples(st.just("fault"), st.integers(0, 8), _values),
+    st.tuples(st.just("read")),
+)
+
+
+def _voted(rs):
+    st_ = rs.stats
+    return rs.replicas, st_.reads, st_.discrepancy_histogram, list(st_.window), st_.failure_risk
+
+
+def _same(a, b):
+    """Equal, with every value compared by identity (a NaN equals nothing)."""
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a is b or (type(a) is type(b) and a == b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0.0, 0.3, 0.6]),
+    st.integers(min_value=1, max_value=2),
+    st.lists(_vote_ops, max_size=60),
+)
+def test_hypothesis_read_matches_the_always_voting_reference(window, threshold, deescalate, ops):
+    """The unanimous short-circuit changes nothing observable: return values,
+    failures, replicas, stats and the event log (``adapt`` and ``vote_fail``
+    rows among them) match a replica set whose every read votes."""
+    sets = []
+    for cls in (ReplicaSet, ReferenceReplicaSet):
+        policy = AdaptPolicy(window=window, escalate_threshold=threshold, deescalate_after=deescalate)
+        sets.append(cls("x", 3, policy=policy, clock=VirtualClock(), events=EventLog()))
+    for t, op in enumerate(ops, 1):
+        outcomes = []
+        for rs in sets:
+            rs.clock.advance_to(t)
+            if op[0] == "write":
+                outcomes.append(rs.write(op[1]))
+            elif op[0] == "fault":
+                outcomes.append(rs.inject_fault(op[1] % rs.n, op[2]))
+            else:
+                try:
+                    outcomes.append(rs.read())
+                except NoMajorityError:
+                    outcomes.append(NoMajorityError)
+        assert _same(outcomes[0], outcomes[1])
+        assert _same(_voted(sets[0]), _voted(sets[1]))
+    assert sets[0].events.to_csv() == sets[1].events.to_csv()

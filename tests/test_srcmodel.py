@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpm
 from cpm.pipeline import builtin_registry, compose, run
 from cpm.srcmodel import (
     SourceLine,
@@ -14,11 +17,13 @@ from cpm.srcmodel import (
     map_lines,
     render,
     significant,
+    split_segments,
     tokenize_line,
     unit_from_raws,
 )
 
 from c_corpus import CORPUS
+from oracles import reference_split_segments
 
 
 def kinds_and_lexemes(raw):
@@ -333,3 +338,53 @@ def test_renumbered_line_equals_the_line_built_at_that_number():
     moved = line.renumbered(5)
     assert moved == SourceLine("*/ a = b; /*", 5, True) and moved.line_no == 5
     assert moved.sig is line.sig and moved.names is line.names and line.line_no == 4
+
+
+# C fragments that exercise every cut and depth rule of the statement split
+_SPLIT_FRAGMENTS = [
+    "for (;;) {", "for (i = 0; i < n; i++)", "a[b[(c)]] = f(g(x), [y]);", "(", "[", ")", "]", ")))", "]]",
+    '"a;b{}"', "'{'", "';'", "/* ; { } */", "// ; } (", "/* ; (", "*/ x;", "*/", "{", "}", "{ }",
+    "x = 1; y = 2;", "int a, *b; return (a);", ";", "while (x) { y--; }", "x", "1.5e+3", " ",
+]
+_split_pieces = st.one_of(
+    st.sampled_from(_SPLIT_FRAGMENTS),
+    st.text(st.characters(max_codepoint=255, blacklist_characters="\n"), max_size=4),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_split_pieces, max_size=10), st.booleans())
+def test_split_segments_agrees_with_the_reference(pieces, in_block):
+    sig = SourceLine(" ".join(pieces), 1, in_block).sig
+    assert split_segments(sig) == reference_split_segments(sig)
+
+
+def token_kind_reads(source):
+    """Line numbers of the ``TokenKind.<member>`` reads inside function bodies."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and (
+                    (isinstance(node.value, ast.Name) and node.value.id == "TokenKind")
+                    or (isinstance(node.value, ast.Attribute) and node.value.attr == "TokenKind")
+                ):
+                    found.append(node.lineno)
+    return found
+
+
+def test_token_kind_reads_finds_reads_in_bodies_only():
+    assert token_kind_reads("K = TokenKind.COMMENT\nALL = [k for k in TokenKind]") == []
+    assert token_kind_reads("def f(t):\n    return t.kind is TokenKind.IDENTIFIER") == [2]
+    assert token_kind_reads("g = lambda t: t.kind is srcmodel.TokenKind.NUMBER") == [1]
+
+
+def test_no_function_body_looks_up_a_token_kind():
+    """Kinds are compared against the constants ``srcmodel`` binds at import;
+    an Enum member lookup in a function body is several times slower."""
+    package = Path(cpm.__file__).parent
+    reads = {
+        str(path.relative_to(package)): token_kind_reads(path.read_text(encoding="utf-8"))
+        for path in sorted(package.rglob("*.py"))
+    }
+    assert {name: lines for name, lines in reads.items() if lines} == {}
