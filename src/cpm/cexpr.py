@@ -10,7 +10,8 @@ literals may be octal or hex with ``u``/``l`` suffixes, and a character
 constant is its code. A runtime call (:data:`ABI`) compiles its arguments by
 kind and must have each one. :func:`compile_stmt` adds the statements the
 interpreter runs on top of the same parser. Anything else raises
-``ValueError``.
+``ValueError``, and so does a name of :data:`HELPERS`, which the compiled
+code calls (C reserves file-scope names with a leading underscore).
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ def _c_mod(a, b):
 
 
 HELPERS = {"__builtins__": {}, "_c_div": _c_div, "_c_mod": _c_mod}
+
+
+def check_name(name):
+    """Refuse a name of :data:`HELPERS` for a variable, sensor or constant:
+    compiled code looks names up in its locals first, so it would shadow the
+    helper."""
+    if name in HELPERS:
+        raise ValueError(f"{name!r} is reserved for the compiled code's helpers")
 
 
 def _number(lex):
@@ -232,6 +241,8 @@ class _Parser:
 def _identifier(tok):
     if tok.kind is not IDENTIFIER or iskeyword(tok.lexeme):
         raise ValueError(f"unexpected {tok.lexeme!r}")
+    if tok.lexeme in HELPERS:  # C reserves file-scope names with a leading underscore
+        raise ValueError(f"reserved identifier {tok.lexeme!r}")
     return tok.lexeme
 
 

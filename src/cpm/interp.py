@@ -15,11 +15,18 @@ preamble among them (it binds the string in :attr:`env`). Braces are
 ignored; control flow is not interpreted. Expressions follow C rules: ``/``
 and ``%`` truncate toward zero on ints, relational and logical operators
 yield 0 or 1, comparisons never chain, and ``?:`` works.
+
+Each distinct line is compiled once per process into its statements' code
+objects, keyed by its text and whether it opens inside a block comment, and
+every interpreter reuses them. Only a line not seen before is checked for an
+``@ext:`` tag and cut by :func:`cpm.srcmodel.split_segments`, so running a
+line again costs its ``exec`` calls and the runtime work they do. The
+caller's ``env`` may not name a helper of :data:`cpm.cexpr.HELPERS`.
 """
 
 from __future__ import annotations
 
-from .cexpr import ABI, HELPERS, compile_expr, compile_stmt
+from .cexpr import ABI, HELPERS, check_name, compile_expr, compile_stmt
 from .srcmodel import SourceUnit, ext_tag, load_unit, split_segments
 
 
@@ -27,10 +34,45 @@ class InterpError(ValueError):
     pass
 
 
+# the code of a statement that is not one: its text is the whole stripped line
+_UNSUPPORTED = object()
+
+# (raw, in_block_comment) -> the line's statements; shared by every
+# interpreter, since a code object holds no interpreter state
+_LINES: dict[tuple[str, bool], tuple] = {}
+
+
+def _statements(line):
+    """The statements of ``line`` as ``(text, code)`` pairs in order: ``text``
+    without its ``;``, ``code`` its :func:`compile_stmt` object or None if it
+    does not compile. Braces and empty statements are left out; a final
+    segment that is not a statement is ``(stripped line, _UNSUPPORTED)``."""
+    raw = line.raw
+    if not line.in_block_comment and ext_tag(raw)[0] is not None:
+        return ()  # untransformed tagged line; nothing to execute
+    statements = []
+    for toks in split_segments(line.sig):
+        last = toks[-1]
+        if last.lexeme in ("{", "}"):
+            continue  # block structure and function headers are not interpreted
+        if last.lexeme != ";":
+            statements.append((raw.strip(), _UNSUPPORTED))
+        elif len(toks) > 1:  # not an empty statement
+            text = raw[toks[0].column : last.column]
+            try:
+                code = compile_stmt(text)
+            except Exception:
+                code = None  # failures are not cached: run compiles it again and raises
+            statements.append((text, code))
+    return tuple(statements)
+
+
 class AbiInterpreter:
     def __init__(self, runtime, env=None):
         self.rt = runtime
         self.env = dict(env or {})  # program variables and caller-supplied constants
+        for name in self.env:
+            check_name(name)
         self._scope = {**HELPERS, **{head: getattr(runtime, head.removeprefix("cpm_")) for head in ABI}}
 
     def bind_function(self, name, fn):
@@ -44,25 +86,33 @@ class AbiInterpreter:
         self.run_unit(load_unit(text))
 
     def run_unit(self, unit: SourceUnit):
-        for line in unit.lines:
-            if not line.in_block_comment and ext_tag(line.raw)[0] is not None:
-                continue  # untransformed tagged line; nothing to execute
-            for toks in split_segments(line.sig):
-                self._exec_segment(line, toks)
+        self._run(self._compile(unit))
 
-    def _exec_segment(self, line, toks):
-        last = toks[-1]
-        if last.lexeme in ("{", "}"):
-            return  # block structure and function headers are not interpreted
-        if last.lexeme != ";":
-            raise InterpError(f"line {line.line_no}: unsupported statement {line.raw.strip()!r}")
-        if len(toks) == 1:
-            return  # an empty statement
-        text = line.raw[toks[0].column : last.column]
-        try:
-            exec(compile_stmt(text), self._scope, self.env)
-        except Exception as exc:
-            raise InterpError(f"line {line.line_no}: cannot run {text.strip()!r}: {exc}") from exc
+    def _compile(self, unit: SourceUnit) -> tuple:
+        """The program of ``unit``: ``(line, statements)`` for each line that
+        has statements, in order. Never raises; what cannot run raises when
+        :meth:`_run` reaches it."""
+        program = []
+        for line in unit.lines:
+            key = (line.raw, line.in_block_comment)
+            statements = _LINES.get(key)
+            if statements is None:
+                statements = _LINES[key] = _statements(line)
+            if statements:
+                program.append((line, statements))
+        return tuple(program)
+
+    def _run(self, program: tuple):
+        """Execute a program from :meth:`_compile`, statement by statement."""
+        scope, env = self._scope, self.env
+        for line, statements in program:
+            for text, code in statements:
+                if code is _UNSUPPORTED:
+                    raise InterpError(f"line {line.line_no}: unsupported statement {text!r}")
+                try:
+                    exec(compile_stmt(text) if code is None else code, scope, env)
+                except Exception as exc:
+                    raise InterpError(f"line {line.line_no}: cannot run {text.strip()!r}: {exc}") from exc
 
     # -- expressions ------------------------------------------------------------
 

@@ -22,12 +22,7 @@ from .tom import (
     TOM,
     TimeoutObject,
     WallDriver,
-    tom_delete,
-    tom_disable,
-    tom_enable,
     tom_init,
-    tom_insert,
-    tom_renew,
     tom_set_action,
     tom_set_deadline,
 )
@@ -54,12 +49,7 @@ __all__ = [
     "WD_END",
     "WD_FIRED",
     "WD_STARTED",
-    "tom_delete",
-    "tom_disable",
-    "tom_enable",
     "tom_init",
-    "tom_insert",
-    "tom_renew",
     "tom_set_action",
     "tom_set_deadline",
     "wd_state_name",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cexpr import HELPERS, compile_expr
+from ..cexpr import HELPERS, check_name, compile_expr
 from .clock import VirtualClock
 from .events import EventLog
 
@@ -130,6 +130,7 @@ class ContextRegistry:
     # -- registration --------------------------------------------------------
 
     def register(self, name, direction, binding=None, initial=0):
+        check_name(name)
         if direction not in ("sensor", "actuator", "both"):
             raise ValueError(f"direction must be sensor/actuator/both, got {direction!r}")
         # a name registered in both directions, at once or in turn, is both
@@ -146,6 +147,7 @@ class ContextRegistry:
 
     def register_constant(self, name, value):
         """Make a name (e.g. a state constant) visible to guard expressions."""
+        check_name(name)
         self._scope[name] = value
 
     def register_guard(self, body, expr, name=None):

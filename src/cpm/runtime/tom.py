@@ -190,28 +190,8 @@ def tom_init(clock=None, events=None) -> TOM:
     return TOM(clock=clock, events=events)
 
 
-def tom_insert(tom: TOM, to: TimeoutObject):
-    tom.insert(to)
-
-
-def tom_delete(tom: TOM, to: TimeoutObject):
-    tom.delete(to)
-
-
-def tom_enable(tom: TOM, to: TimeoutObject):
-    tom.enable(to)
-
-
-def tom_disable(tom: TOM, to: TimeoutObject):
-    tom.disable(to)
-
-
 def tom_set_deadline(to: TimeoutObject, deadline: int):
     to.deadline = _period(to, deadline)
-
-
-def tom_renew(tom: TOM, to: TimeoutObject):
-    tom.renew(to)
 
 
 def tom_set_action(to: TimeoutObject, action):

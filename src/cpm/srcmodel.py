@@ -255,7 +255,8 @@ def significant(tokens) -> list[Token]:
 
 def split_segments(sig) -> list[list[Token]]:
     """Split significant tokens into statement segments, cutting at ';'
-    outside parens/brackets and at braces. A 'for(;;)' header stays whole."""
+    outside parens/brackets and at braces. A 'for(;;)' header stays whole.
+    The interpreter splits a line only the first time it compiles it."""
     segs, cur, depth = [], [], 0
     for tok in sig:  # tok[0], tok[1]: the kind and lexeme, by the cheaper tuple index
         cur.append(tok)

@@ -2,12 +2,15 @@
 
 Everything here is straight-line arithmetic/enumeration over the declared
 behavior, sharing no code with the runtime or the scheduler it checks, except
-the two references at the end: plain, slower forms of the statement splitter
-and the voted read that the fast forms must agree with exactly.
+the three references at the end: plain, slower forms of the statement
+splitter, the interpreter's statement loop and the voted read that the fast
+forms must agree with exactly.
 """
 
+from cpm.cexpr import compile_stmt
+from cpm.interp import InterpError
 from cpm.runtime.redundant import NoMajorityError, ReplicaSet
-from cpm.srcmodel import TokenKind
+from cpm.srcmodel import TokenKind, ext_tag, split_segments
 
 WD_STARTED, WD_ACTIVE, WD_FIRED, WD_END = -1, -2, -3, -4
 
@@ -154,6 +157,32 @@ def reference_split_segments(sig):
     if cur:
         segs.append(cur)
     return segs
+
+
+def reference_run_unit(interp, unit):
+    """:meth:`cpm.interp.AbiInterpreter.run_unit` as a loop over the lines
+    that splits, slices and looks up every statement on every run, with
+    ``interp``'s scope and env."""
+    for line in unit.lines:
+        if not line.in_block_comment and ext_tag(line.raw)[0] is not None:
+            continue  # untransformed tagged line; nothing to execute
+        for toks in split_segments(line.sig):
+            _reference_exec_segment(interp, line, toks)
+
+
+def _reference_exec_segment(interp, line, toks):
+    last = toks[-1]
+    if last.lexeme in ("{", "}"):
+        return  # block structure and function headers are not interpreted
+    if last.lexeme != ";":
+        raise InterpError(f"line {line.line_no}: unsupported statement {line.raw.strip()!r}")
+    if len(toks) == 1:
+        return  # an empty statement
+    text = line.raw[toks[0].column : last.column]
+    try:
+        exec(compile_stmt(text), interp._scope, interp.env)
+    except Exception as exc:
+        raise InterpError(f"line {line.line_no}: cannot run {text.strip()!r}: {exc}") from exc
 
 
 class ReferenceReplicaSet(ReplicaSet):

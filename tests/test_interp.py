@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cpm import interp
+from cpm.cexpr import compile_stmt
 from cpm.interp import AbiInterpreter, InterpError
 from cpm.pipeline import compose, run
 from cpm.runtime import Runtime
 from cpm.srcmodel import load_unit
+
+from oracles import reference_run_unit
 
 
 def fresh():
@@ -187,6 +193,24 @@ def test_malformed_statement_raises_interp_error(text):
         it.run_text(text + "\n")
 
 
+@pytest.mark.parametrize("helper", ["_c_div", "_c_mod"])
+def test_helper_names_are_reserved(helper):
+    # compiled code looks names up in its locals first, so a C variable named
+    # like a helper would shadow it: ``7 / 2`` then called an int
+    rt, it = fresh()
+    with pytest.raises(InterpError, match="reserved identifier"):
+        it.run_text(f"int {helper} = 5;\n")
+    for text in (f"x = {helper};", f"{helper}++;", f"y = {helper}(7, 2);"):
+        with pytest.raises(InterpError, match="reserved identifier"):
+            it.run_text(text + "\n")
+    with pytest.raises(InterpError):
+        it.run_text(f'cpm_ctx_register({helper}, sensor, "s");\n')
+    it.run_text("int a = 7 / 2;\nint b = -7 % 3;\n")
+    assert it.env == {"a": 3, "b": -1}
+    with pytest.raises(ValueError, match="reserved"):
+        AbiInterpreter(rt, env={helper: 1})
+
+
 def test_unsupported_statement_raises():
     rt, it = fresh()
     with pytest.raises(InterpError):
@@ -221,6 +245,19 @@ def test_code_after_block_comment_close_is_executed():
     assert it.env["a"] == 2
 
 
+def test_the_same_text_compiles_by_whether_it_opens_in_a_comment():
+    for first_in_comment in (True, False):
+        rt, it = fresh()
+        runs = ["/* c\n*/ a = 2;\n", "*/ a = 2;\n"]
+        for text in runs if first_in_comment else runs[::-1]:
+            if text.startswith("/*"):
+                it.run_text(text)
+                assert it.env == {"a": 2}
+            else:
+                with pytest.raises(InterpError, match="line 1: cannot run '\\*/ a = 2'"):
+                    it.run_text(text)
+
+
 def test_nested_array_access_evaluates():
     rt, it = fresh()
     it.run_text("cpm_arr_register(a);\n")
@@ -229,3 +266,67 @@ def test_nested_array_access_evaluates():
     arr.set_prop("m2", "b", 7)
     it.run_text("x = cpm_arr_get(a, (cpm_arr_get(a, (1), b)), b);\n")
     assert it.env["x"] == 7
+
+
+# pieces of lines: statements and emitted calls that run; braces, empty
+# statements and comments; and statements that are unsupported, do not
+# compile or fail while they run
+_RUNS = [
+    "int a = 4;", "a = a + 2;", "b += a;", "a++;", "--a;", "int c = a / 2, d;", "return a;", "x = ';';",
+    "cpm_red_storage(r, int, 3);", "cpm_red_write(r, (a));", "x = cpm_red_read(r) + 1;", "int f(int);",
+    "cpm_ctx_write(act, (a));", "cpm_ctx_write(act, (0));", 'cpm_guard_register(g, "act > 2");',
+    'cpm_ctx_register(s, sensor, "s");', "cpm_arr_register(arr);", "cpm_cycle_register(T);", "cpm_cycle_set(T, (10));",
+]
+_SKIPPED = [
+    "{", "}", "int main(void) {", "if (a) {", ";;", ";", "/* a = 9; */", "/* open\n*/ a = 7;", "/* open\n*/",
+    "/* open\n@ext:cyclic */ a = 8;",  # inside a comment, a tag is not a tag
+]
+_FAILS = [
+    "y = nothere + 1;", "z = 1 / 0;", "z = a % 0;", "int q[3];", "x++ + 1;", "a and b;", "*/ a = 7;",
+    "v = cpm_arr_get(arr, (1), p);", 'cpm_guard_register(h, "act ==");', "while (1) x = 1", "a = 1",
+]
+
+
+@st.composite
+def _line(draw, pieces):
+    tag = draw(st.sampled_from(["", "", "", "@ext:cyclic "]))
+    return tag + " ".join(draw(st.lists(pieces, min_size=1, max_size=3)))
+
+
+@st.composite
+def _program(draw):
+    """Lines that run or are skipped, and at most one that fails."""
+    lines = draw(st.lists(_line(st.sampled_from(_RUNS + _SKIPPED)), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_line(st.sampled_from(_RUNS + _FAILS))))
+    return "\n".join(lines) + "\n"
+
+
+def run_observed(runner, text):
+    """Run ``text`` with ``runner(interpreter, unit)`` on a fresh runtime
+    with a guard body and an actuator feeding its sensor; returns what the
+    run left behind and what it raised."""
+    rt = Runtime()
+    it = AbiInterpreter(rt, {"a": 3, "b": 0})
+    fires = []
+    it.bind_function("g", lambda: fires.append(rt.clock.now))
+    rt.registry.register("act", "both")
+    rt.registry.bind_actuator("act", lambda value: rt.sensor_update("act", value))
+    rt.red_storage("r")
+    try:
+        runner(it, load_unit(text))
+        raised = None
+    except Exception as exc:
+        raised = (type(exc), str(exc), type(exc.__cause__))
+    replicas = {name: rs.replicas for name, rs in rt.replicas.items()}
+    return it.env, rt.events.to_csv(), replicas, fires, rt.registry.sensors, raised
+
+
+@settings(max_examples=300, deadline=None)
+@given(_program())
+def test_compiled_programs_run_like_the_reference_loop(text):
+    expected = run_observed(reference_run_unit, text)
+    interp._LINES.clear()
+    compile_stmt.cache_clear()
+    assert run_observed(AbiInterpreter.run_unit, text) == expected  # cold
+    assert run_observed(AbiInterpreter.run_unit, text) == expected  # warm, a second interpreter

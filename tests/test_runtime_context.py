@@ -161,6 +161,25 @@ def test_malformed_guard_raises_value_error():
     assert reg.guards == []
 
 
+@pytest.mark.parametrize("helper", ["_c_div", "_c_mod"])
+def test_helper_names_cannot_be_registered(helper):
+    # a sensor or constant named like a helper would shadow it in every
+    # guard: with a sensor ``_c_mod``, ``s % 3 == 1`` called an int
+    reg = registry()
+    with pytest.raises(ValueError, match="reserved"):
+        reg.register(helper, "sensor", initial=0)
+    with pytest.raises(ValueError, match="reserved"):
+        reg.register_constant(helper, 0)
+    assert reg.sensors == {}
+    reg.register("s", "sensor", initial=0)
+    with pytest.raises(ValueError, match="reserved"):
+        reg.register_guard(lambda: None, f"s % 3 == 1 && {helper} == 0")
+    fired = []
+    reg.register_guard(lambda: fired.append(1), "s % 3 == 1 && s / 2 == 2", name="g")
+    assert reg.sensor_update("s", 4) == ["g"] and fired == [1]
+    assert reg.events.of("warn") == []
+
+
 def test_guard_division_by_zero_reads_false_and_warns():
     reg = registry()
     reg.register("s", "sensor", initial=1)

@@ -10,12 +10,12 @@ import sys
 
 import pytest
 
-from cpm import PassConfig, compose, load_unit, rewrite, run, srcmodel
+from cpm import PassConfig, compose, interp, load_unit, rewrite, run, srcmodel
 from cpm.ext_cyclic import scan_cyclic
 from cpm.ext_redundancy import scan_redundant
 from cpm.ext_reflective import scan_arrays, scan_context
 from cpm.pipeline import _strict_sweep, preamble_line
-from cpm.runtime import ContextRegistry, ReflectiveArray
+from cpm.runtime import ContextRegistry, ReflectiveArray, Runtime
 from cpm.scenarios import WdtScenarioParams, run_wdt
 
 
@@ -192,3 +192,18 @@ def strict_sweep(unit):
 
 def test_strict_sweep_skips_lines_naming_no_keyword_and_no_cycle():
     assert sig_iterations(10, strict_sweep) == sig_iterations(1_000, strict_sweep) > 0
+
+
+def test_a_line_run_again_is_not_split_or_checked_for_a_tag_again():
+    unit = load_unit("@ext:cyclic f.Cycle = 1;\nint a = 1; a += 2; {\n/* x;\n*/ a++;\nb = a * 2;\n")
+    interp.AbiInterpreter(Runtime()).run_unit(unit)
+
+    def refuse(*args):
+        raise AssertionError("a compiled line was split again")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interp, "split_segments", refuse)
+        patch.setattr(interp, "ext_tag", refuse)
+        it = interp.AbiInterpreter(Runtime())
+        it.run_unit(unit)
+    assert it.env == {"a": 4, "b": 8}
