@@ -8,8 +8,10 @@ relational and logical operators yield the int 0 or 1 and comparisons never
 chain; ``?:``, unary, bitwise and shift operators follow C precedence; int
 literals may be octal or hex with ``u``/``l`` suffixes, and a character
 constant is its code. A runtime call (:data:`ABI`) compiles its arguments by
-kind and must have each one. :func:`compile_stmt` adds the statements the
-interpreter runs on top of the same parser. Anything else raises
+kind and must have each one. :func:`translate_stmt` turns the statements the
+interpreter runs into Python source with the same parser, and
+:func:`compile_stmt` compiles that source; the interpreter compiles the
+sources of many statements together. Anything else raises
 ``ValueError``, and so does a name of :data:`HELPERS`, which the compiled
 code calls (C reserves file-scope names with a leading underscore).
 """
@@ -246,15 +248,27 @@ def _identifier(tok):
     return tok.lexeme
 
 
-def _compile(text, rule, mode, what):
+def _not_c(text, what, exc):
+    return ValueError(f"not a C {what} {text.strip()!r}: {exc}")
+
+
+def _translate(text, rule, what):
+    """``text`` parsed whole by ``rule``: ``(Python source, names read)``."""
     parser = _Parser(text)
     try:
         source = rule(parser)
         if parser.pos < len(parser.toks):
             raise ValueError(f"unexpected {parser.peek()!r}")
-        return compile(source, "<cexpr>", mode), frozenset(parser.names)
-    except (ValueError, SyntaxError, RecursionError) as exc:  # nesting past the parser's limits
-        raise ValueError(f"not a C {what} {text.strip()!r}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # nesting past the parser's limits
+        raise _not_c(text, what, exc) from None
+    return source, frozenset(parser.names)
+
+
+def _compile(text, source, mode, what):
+    try:
+        return compile(source, "<cexpr>", mode)
+    except (SyntaxError, RecursionError) as exc:  # nesting past Python's limits
+        raise _not_c(text, what, exc) from None
 
 
 @cache
@@ -263,14 +277,15 @@ def compile_expr(text):
     object and the frozenset of free identifiers it reads. Raises
     ``ValueError`` for text that is not a supported C expression; failures
     are not cached."""
-    return _compile(text, _Parser.expr, "eval", "expression")
+    source, names = _translate(text, _Parser.expr, "expression")
+    return _compile(text, source, "eval", "expression"), names
 
 
 @cache
-def compile_stmt(text):
-    """Compile one statement of the interpreter's subset, ``text`` without
-    its ``;``, into an ``exec`` code object that stores what it assigns or
-    declares in its locals:
+def translate_stmt(text):
+    """Translate one statement of the interpreter's subset, ``text`` without
+    its ``;``, into Python source that stores what it assigns or declares in
+    its locals:
 
     - an expression;
     - ``x = e`` and ``x op= e``, with the operator semantics of
@@ -282,6 +297,18 @@ def compile_stmt(text):
       initializer; a prototype, and an ``extern`` declarator without an
       initializer, declare nothing.
 
-    Raises ``ValueError`` for anything else, such as an array declarator;
-    failures are not cached."""
-    return _compile(text, _Parser.statement, "exec", "statement")[0]
+    The source is whole unindented lines, one per declarator in a
+    declaration, so the sources of several statements joined by newlines
+    run as their sequence. Raises ``ValueError`` for anything else, such as
+    an array declarator; failures are not cached. The source may still be
+    past Python's nesting limits, which only :func:`compile_stmt` finds."""
+    return _translate(text, _Parser.statement, "statement")[0]
+
+
+@cache
+def compile_stmt(text):
+    """Compile the source :func:`translate_stmt` gives ``text`` into an
+    ``exec`` code object. Raises ``ValueError`` where :func:`translate_stmt`
+    does and for source past Python's nesting limits; failures are not
+    cached."""
+    return _compile(text, translate_stmt(text), "exec", "statement")

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpm import interp
-from cpm.cexpr import compile_stmt
+from cpm.cexpr import compile_stmt, translate_stmt
 from cpm.interp import AbiInterpreter, InterpError
 from cpm.pipeline import compose, run
 from cpm.runtime import Runtime
@@ -330,3 +330,57 @@ def test_compiled_programs_run_like_the_reference_loop(text):
     compile_stmt.cache_clear()
     assert run_observed(AbiInterpreter.run_unit, text) == expected  # cold
     assert run_observed(AbiInterpreter.run_unit, text) == expected  # warm, a second interpreter
+
+
+# past Python's nesting limits: translates, but compiles neither alone nor
+# in a chunk
+_TOO_DEEP = "z = " + "+".join(["1"] * 300) + ";"
+
+
+@st.composite
+def _long_program(draw):
+    """More statements than one chunk, then at most one line that fails, so
+    the failure falls in a later chunk, and lines after it."""
+    lines = [f"b += {k % 7};" for k in range(draw(st.integers(interp.CHUNK, 3 * interp.CHUNK)))]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_line(st.sampled_from(_RUNS + _SKIPPED))))
+    if draw(st.booleans()):
+        fails = _FAILS + [_TOO_DEEP, "int m = 1, n = m / 0;"]
+        lines.append(draw(_line(st.sampled_from(_RUNS + fails))))
+    lines += draw(st.lists(_line(st.sampled_from(_RUNS + _SKIPPED)), max_size=3))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_program())
+def test_programs_longer_than_a_chunk_run_like_the_reference_loop(text):
+    expected = run_observed(reference_run_unit, text)
+    interp._LINES.clear()
+    interp._CHUNKS.clear()
+    translate_stmt.cache_clear()
+    compile_stmt.cache_clear()
+    assert run_observed(AbiInterpreter.run_unit, text) == expected  # cold
+    assert run_observed(AbiInterpreter.run_unit, text) == expected  # warm, a second interpreter
+
+
+def test_a_failure_names_its_own_line_wherever_its_chunk_starts():
+    bad = interp.CHUNK + 37  # the second declarator of one statement in the second chunk
+    body = "".join(f"int v{k} = {k}, w{k} = v{k} / {k - bad};\n" for k in range(interp.CHUNK * 2))
+    for head in ("", "a = 1; b = 2;\n/* x; */\n"):  # moves the chunk boundary and the line numbers
+        rt, it = fresh()
+        with pytest.raises(InterpError) as info:
+            it.run_text(head + body)
+        line, text = bad + 1 + head.count("\n"), f"int v{bad} = {bad}, w{bad} = v{bad} / 0"
+        assert str(info.value) == f"line {line}: cannot run {text!r}: integer division or modulo by zero"
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        assert (it.env[f"v{bad}"], it.env[f"w{bad - 1}"], f"w{bad}" in it.env) == (bad, 1 - bad, False)
+
+
+def test_a_statement_past_pythons_nesting_limits_ends_its_chunk():
+    rt, it = fresh()
+    it.env["b"] = 0
+    text = "b += 1;\n" * (interp.CHUNK + 5) + _TOO_DEEP + "\nb = 0;\n"
+    with pytest.raises(InterpError, match=f"^line {interp.CHUNK + 6}: cannot run 'z = 1\\+1.*too many nested") as info:
+        it.run_text(text)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert it.env == {"b": interp.CHUNK + 5}

@@ -190,6 +190,32 @@ def test_guard_division_by_zero_reads_false_and_warns():
     assert reg.sensor_update("s", 2) == ["g"]
 
 
+def test_a_failing_guard_is_evaluated_once_per_update_and_reads_false():
+    reg = registry()
+    reg.register("s", "sensor", initial=0)
+    calls = []
+
+    def probe(value):
+        calls.append(value)
+        if value < 0:
+            raise ValueError("negative")
+        return value
+
+    reg.register_constant("probe", probe)
+    fired = []
+    reg.register_guard(lambda: fired.append(reg.sensors["s"]), "probe(s) > 0", name="g")
+    warns = 0
+    for value, fires in ((1, ["g"]), (-1, []), (2, ["g"]), (3, []), (-4, []), (-5, []), (6, ["g"])):
+        before = len(calls)
+        assert reg.sensor_update("s", value) == fires
+        assert calls[before:] == [value]
+        warns += value < 0
+        assert len(reg.events.of("warn")) == warns
+    assert reg.events.of("warn")[-1].value == "guard-eval-error:negative"
+    assert fired == [1, 2, 6]
+    assert reg.guards[0].fires == 3
+
+
 def test_guards_run_in_registration_order_per_sensor():
     reg = registry()
     for name in ("a", "b"):

@@ -6,6 +6,7 @@ lines of Python an operation executes, and require that count not to grow
 with the run.
 """
 
+import math
 import sys
 
 import pytest
@@ -207,3 +208,27 @@ def test_a_line_run_again_is_not_split_or_checked_for_a_tag_again():
         it = interp.AbiInterpreter(Runtime())
         it.run_unit(unit)
     assert it.env == {"a": 4, "b": 8}
+
+
+@pytest.mark.parametrize("repeats", [1, 100, 200, 1000])
+def test_a_unit_run_again_takes_one_exec_per_chunk_and_compiles_nothing(repeats):
+    unit = load_unit("int a = 1, b; a += 2;\nb = a * 2; {\n" * repeats)
+    interp.AbiInterpreter(Runtime()).run_unit(unit)
+    execs = 0
+
+    def counting_exec(*args):
+        nonlocal execs
+        execs += 1
+        return exec(*args)
+
+    def refuse(*args):
+        raise AssertionError("a compiled statement was translated or compiled again")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interp, "exec", counting_exec, raising=False)
+        patch.setattr(interp, "translate_stmt", refuse)
+        patch.setattr(interp, "compile_stmt", refuse)
+        it = interp.AbiInterpreter(Runtime())
+        it.run_unit(unit)
+    assert it.env == {"a": 3, "b": 6}
+    assert execs <= math.ceil(3 * repeats / interp.CHUNK)
