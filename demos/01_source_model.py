@@ -33,16 +33,16 @@ def main():
     show_tokens("a @ \xe9 $")
 
     print("\n== units round-trip exactly ==")
-    unit = load_unit(SAMPLE, origin="sample.c")
+    unit = load_unit(SAMPLE)
     assert render(unit) == SAMPLE
     print(f"  {len(unit.lines)} lines, render(load_unit(text)) == text: True")
 
     print("\n== multi-line block comments are tracked across lines ==")
     tricky = "/* comment opens here\n   redundant_t int x;  <- still comment\n*/ int real = 1;\n"
     unit = load_unit(tricky)
-    for line in unit.lines:
+    for line_no, line in enumerate(unit.lines, 1):  # a line's number is its position
         kinds = {t.kind.value for t in line.tokens}
-        print(f"  line {line.line_no}: starts_in_comment={line.in_block_comment} kinds={sorted(kinds)}")
+        print(f"  line {line_no}: starts_in_comment={line.in_block_comment} kinds={sorted(kinds)}")
     assert render(unit) == tricky
 
 

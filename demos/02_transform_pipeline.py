@@ -28,7 +28,7 @@ def main():
     pipeline = compose(["refractive", "array", "redundancy", "cyclic"], config=config)
     print("pipeline:", publish_ids(pipeline))
 
-    out_unit, report = run(pipeline, load_unit(source, origin="watchdog_task.cpm"))
+    out_unit, report = run(pipeline, load_unit(source))
 
     print("\n== transformed output ==")
     print(render(out_unit))

@@ -30,7 +30,7 @@ def build_trace():
 
 def main():
     source = (HERE / "switchboard.cpm").read_text(encoding="latin-1")
-    lowered, _ = run(compose(["array"]), load_unit(source, origin="switchboard.cpm"))
+    lowered, _ = run(compose(["array"]), load_unit(source))
     print("== lowered switchboard source (array pass) ==")
     print(render(lowered))
 

@@ -2,7 +2,8 @@
 semantics.
 
 Guards and :class:`cpm.interp.AbiInterpreter` share :func:`compile_expr`, a
-precedence-climbing parser over :func:`cpm.srcmodel.tokenize_line` tokens.
+precedence-climbing parser over the significant tokens of
+:class:`cpm.srcmodel.SourceLine`, the lexer the passes read.
 ``/`` and ``%`` truncate toward zero on ints (exact integer arithmetic);
 relational and logical operators yield the int 0 or 1 and comparisons never
 chain; ``?:``, unary, bitwise and shift operators follow C precedence; int
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import cache
 from keyword import iskeyword
 
-from .srcmodel import IDENTIFIER, KEYWORD, NUMBER, STRING, significant, tokenize_line
+from .srcmodel import IDENTIFIER, KEYWORD, NUMBER, STRING, SourceLine
 
 # the runtime calls the passes emit: head -> the kind of each argument. A
 # ``name`` compiles to its text, a ``type`` (words and ``*``, for the C
@@ -114,7 +115,9 @@ def _literal(lex):
 
 class _Parser:
     def __init__(self, text):
-        self.toks = significant(tokenize_line(text))
+        if "\n" in text:
+            raise ValueError("a C expression or statement takes a single line (no newline bytes)")
+        self.toks = SourceLine(text).sig
         self.pos = 0
         self.names = set()
 

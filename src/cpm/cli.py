@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     except (UnknownExtensionError, VersionMismatchError) as exc:
         return _fail(str(exc))
 
-    unit = load_unit(text, origin=str(in_path))
+    unit = load_unit(text)
     out_unit, report = run(pipeline, unit)
 
     out_path = Path(args.output) if args.output else in_path.with_suffix(".c")

@@ -170,17 +170,17 @@ class AbiInterpreter:
                 tb = exc.__traceback__
                 while tb.tb_frame.f_code is not code:
                     tb = tb.tb_next
-                line, text = _locate(unit, at + bisect_right(starts, tb.tb_lineno) - 1)
-                raise InterpError(f"line {line.line_no}: cannot run {text.strip()!r}: {exc}") from exc
+                line_no, text = _locate(unit, at + bisect_right(starts, tb.tb_lineno) - 1)
+                raise InterpError(f"line {line_no}: cannot run {text.strip()!r}: {exc}") from exc
             at += len(starts)
             if len(starts) < len(key):  # the chunk ended at a statement that cannot join one
-                line, text = _locate(unit, at)
+                line_no, text = _locate(unit, at)
                 if sources[at] is _UNSUPPORTED:
-                    raise InterpError(f"line {line.line_no}: unsupported statement {text!r}")
+                    raise InterpError(f"line {line_no}: unsupported statement {text!r}")
                 try:
                     exec(compile_stmt(text), scope, env)
                 except Exception as exc:
-                    raise InterpError(f"line {line.line_no}: cannot run {text.strip()!r}: {exc}") from exc
+                    raise InterpError(f"line {line_no}: cannot run {text.strip()!r}: {exc}") from exc
                 at += 1
 
     # -- expressions ------------------------------------------------------------
@@ -194,9 +194,10 @@ class AbiInterpreter:
 
 
 def _locate(unit, index):
-    """The line and text of statement ``index`` of a compiled ``unit``."""
-    for line in unit.lines:
+    """The line number and text of statement ``index`` of a compiled
+    ``unit``."""
+    for line_no, line in enumerate(unit.lines, 1):
         texts = _LINES[line.raw, line.in_block_comment][0]
         if index < len(texts):
-            return line, texts[index]
+            return line_no, texts[index]
         index -= len(texts)

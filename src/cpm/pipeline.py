@@ -236,13 +236,13 @@ def _strip_tags(unit: SourceUnit, applied):
     map, whether its tag was stripped or not."""
     tags = {}
 
-    def strip_tag(line):
+    def strip_tag(line_no, line):
         if line.in_block_comment:
             return line.raw  # an "@ext:" here is comment text
         tag, content = ext_tag(line.raw)
         if tag is None:
             return line.raw
-        tags[line.line_no] = tag
+        tags[line_no] = tag
         return content if tag in applied else line.raw
 
     return map_lines(unit, strip_tag), tags
@@ -250,7 +250,8 @@ def _strip_tags(unit: SourceUnit, applied):
 
 def run(pipeline: Pipeline, unit: SourceUnit):
     """Route tagged lines, apply the passes in order, then inject the
-    identifier preamble as the first line. Returns (unit, report)."""
+    identifier preamble as the first line, in front of the passes' own line
+    objects. Returns (unit, report)."""
     diags = list(pipeline.compose_diagnostics)
     applied = {p.id.name for p in pipeline.passes}
     unit, tags = _strip_tags(unit, applied)
@@ -260,9 +261,8 @@ def run(pipeline: Pipeline, unit: SourceUnit):
         diags.extend(pass_diags)
     ids_string = publish_ids(pipeline)
     head = unit_from_raws([preamble_line(ids_string)]).lines
-    body = tuple(line.renumbered(line.line_no + 1) for line in unit.lines)
     final_newline = unit.final_newline if unit.lines else True
-    out = SourceUnit(lines=head + body, origin=unit.origin, final_newline=final_newline)
+    out = SourceUnit(lines=head + tuple(unit.lines), final_newline=final_newline)
     if pipeline.config.get_bool("pipeline", "strict_tags"):
         diags.extend(_strict_sweep(unit, pipeline, applied, tags))
     report = PipelineReport(
@@ -281,13 +281,13 @@ def _strict_sweep(unit: SourceUnit, pipeline: Pipeline, applied, tags):
     input line numbers, as in the passes' own diagnostics."""
     diags = []
     watched = frozenset(pipeline.keyword_map) | {"Cycle"}
-    for line in unit.lines:
-        tag = tags.get(line.line_no)
+    for line_no, line in enumerate(unit.lines, 1):
+        tag = tags.get(line_no)
         if tag is not None and tag not in applied:
             diags.append(
                 Diagnostic(
                     "warning",
-                    line.line_no,
+                    line_no,
                     f"line tagged for pass {tag!r}, which is not in the pipeline",
                     PIPELINE_EMITTER,
                 )
@@ -305,5 +305,5 @@ def _strict_sweep(unit: SourceUnit, pipeline: Pipeline, applied, tags):
                 message = "unconsumed '.Cycle' member; candidate passes: cyclic"
             else:
                 continue
-            diags.append(Diagnostic("warning", line.line_no, message, PIPELINE_EMITTER))
+            diags.append(Diagnostic("warning", line_no, message, PIPELINE_EMITTER))
     return diags

@@ -412,10 +412,10 @@ def lower_lines(unit, targets, keywords, emitted_by, skip=frozenset()):
         return unit, diags
     triggers = frozenset(targets)
 
-    def lower(line):
+    def lower(line_no, line):
         if line.names.isdisjoint(triggers):
             return line.raw
-        return rewrite_line(line.raw, line.sig, targets, keywords & line.names, line.line_no, emitted_by, diags)
+        return rewrite_line(line.raw, line.sig, targets, keywords & line.names, line_no, emitted_by, diags)
 
     return map_lines(unit, lower, skip), diags
 
@@ -435,22 +435,22 @@ def lower_decls(
     called once the whole unit is seen. Warnings go to ``diags``.
     """
     spans = {}  # line_no -> [(start_col, end_col, text or callable)]
-    for line in unit.lines:
-        if line.names.isdisjoint(keywords) or line.line_no in skip:
+    for line_no, line in enumerate(unit.lines, 1):
+        if line.names.isdisjoint(keywords) or line_no in skip:
             continue
         raw = line.raw
         spanned = lambda toks: None if (m := match(raw, toks)) is None else (toks[0].column, toks[-1].end, m)
         for kw, found in decl_statements(line, keywords, spanned):
             if found is None:
-                diags.append(Diagnostic("warning", line.line_no, unrecognized.format(kw=kw.lexeme), emitted_by))
+                diags.append(Diagnostic("warning", line_no, unrecognized.format(kw=kw.lexeme), emitted_by))
                 continue
             start, end, m = found
-            text = declare(m, line.line_no)
+            text = declare(m, line_no)
             if text is not None:
-                spans.setdefault(line.line_no, []).append((start, end, text))
+                spans.setdefault(line_no, []).append((start, end, text))
 
-    def splice(line):
-        found = spans.get(line.line_no)
+    def splice(line_no, line):
+        found = spans.get(line_no)
         if found is None:
             return line.raw
         texts = [(s, e, t() if callable(t) else t) for s, e, t in found]

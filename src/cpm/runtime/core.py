@@ -123,7 +123,10 @@ class Runtime:
         self._array(name).rollover()
 
     def anext(self, name, cursor):
-        return self._array(name).anext(cursor)
+        """The key at ``cursor`` in insertion order, or C's NULL (0) past
+        the end, so a program tests it with ``!= 0`` as in C."""
+        key = self._array(name).anext(cursor)
+        return 0 if key is None else key
 
     # -- cyclic methods -------------------------------------------------------
 

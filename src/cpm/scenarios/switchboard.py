@@ -90,7 +90,7 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
         rt.arr_rollover("linkbeacons")
         rt.arr_rollover("linkrates")
         cursor = 0
-        while (mac := rt.anext("linkbeacons", cursor)) is not None:
+        while (mac := rt.anext("linkbeacons", cursor)) != 0:
             cursor += 1
             if rt.arr_get("linkbeacons", mac, "stale"):
                 rec = AdjustmentRecord(cycle, mac, None, True)

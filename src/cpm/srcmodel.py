@@ -8,6 +8,12 @@ token lexemes always reproduces the raw line byte-for-byte, and rendering a
 loaded unit reproduces the input exactly, so passes can splice replacement
 text into lines without ever corrupting the parts they do not understand.
 
+A line does not know its number: its number is its 1-based position in the
+unit that holds it. So one line object can sit in any unit at any position
+(the pipeline puts the preamble in front of the passes' own lines without
+copying one), and code that reports a line number takes it from
+``enumerate(unit.lines, 1)``.
+
 Input is treated as bytes: files should be decoded latin-1 so every byte maps
 to one character. ``_TOKEN_RE`` is the one statement of the lexical grammar:
 a single pattern with one named group per token kind, whose character
@@ -90,15 +96,15 @@ class Token(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class SourceLine:
-    """One physical line. Everything past ``in_block_comment`` is derived
-    from ``raw`` and ``in_block_comment`` by one tokenization when the line
-    is built, so it is never missing or stale: ``tokens`` partition the
-    line, ``sig`` are the significant ones (:func:`significant`), ``names``
-    the lexemes of its identifiers, and ``ends_in_block_comment`` tells
-    whether the next line begins inside a comment."""
+    """One physical line, at whatever position of a unit it sits. Everything
+    past ``in_block_comment`` is derived from ``raw`` and
+    ``in_block_comment`` by one tokenization when the line is built, so it
+    is never missing or stale: ``tokens`` partition the line, ``sig`` are
+    the significant ones (neither whitespace nor comments), ``names`` the
+    lexemes of its identifiers, and ``ends_in_block_comment`` tells whether
+    the next line begins inside a comment."""
 
     raw: str  # no trailing newline
-    line_no: int  # 1-based
     in_block_comment: bool = False  # line begins inside a /* ... */ comment
     tokens: tuple[Token, ...] = field(init=False)
     sig: tuple[Token, ...] = field(init=False)
@@ -109,23 +115,13 @@ class SourceLine:
         for name, value in zip(_DERIVED, _tokenize(self.raw, self.in_block_comment)):
             object.__setattr__(self, name, value)
 
-    def renumbered(self, line_no: int) -> "SourceLine":
-        """This line as line ``line_no``, built without tokenizing it again."""
-        line = object.__new__(SourceLine)
-        for name in _FIELDS:
-            object.__setattr__(line, name, getattr(self, name))
-        object.__setattr__(line, "line_no", line_no)
-        return line
-
 
 _DERIVED = ("tokens", "sig", "names", "ends_in_block_comment")
-_FIELDS = SourceLine.__slots__
 
 
 @dataclass(frozen=True)
 class SourceUnit:
-    lines: tuple[SourceLine, ...]
-    origin: str = "<memory>"
+    lines: tuple[SourceLine, ...]  # line N is lines[N - 1]
     final_newline: bool = True
 
 
@@ -187,20 +183,21 @@ def tokenize_line(raw: str) -> tuple[Token, ...]:
     return _tokenize(raw, False)[0]
 
 
-def unit_from_raws(raws, origin: str = "<memory>", final_newline: bool = True) -> SourceUnit:
+def unit_from_raws(raws, final_newline: bool = True) -> SourceUnit:
     """Build a unit from raw line strings, tracking block-comment state across lines."""
     lines = []
     in_block = False
-    for idx, raw in enumerate(raws):
-        line = SourceLine(raw, idx + 1, in_block)
+    for raw in raws:
+        line = SourceLine(raw, in_block)
         lines.append(line)
         in_block = line.ends_in_block_comment
-    return SourceUnit(lines=tuple(lines), origin=origin, final_newline=final_newline)
+    return SourceUnit(lines=tuple(lines), final_newline=final_newline)
 
 
 def map_lines(unit: SourceUnit, fn, skip=frozenset()) -> SourceUnit:
-    """Return ``unit`` with each line's raw text replaced by ``fn(line)``;
-    lines numbered in ``skip`` keep their text.
+    """Return ``unit`` with each line's raw text replaced by
+    ``fn(line_no, line)``, ``line_no`` its 1-based position; lines numbered
+    in ``skip`` keep their text.
 
     The result equals ``unit_from_raws`` of the new raw lines, but only the
     lines that changed are re-tokenized, plus the lines after them whose
@@ -209,22 +206,22 @@ def map_lines(unit: SourceUnit, fn, skip=frozenset()) -> SourceUnit:
     """
     lines = list(unit.lines)
     in_block = False  # block-comment state entering the line, in the new unit
-    for idx, line in enumerate(unit.lines):
-        raw = line.raw if line.line_no in skip else fn(line)
+    for line_no, line in enumerate(unit.lines, 1):
+        raw = line.raw if line_no in skip else fn(line_no, line)
         if raw != line.raw or in_block != line.in_block_comment:
-            line = lines[idx] = SourceLine(raw, line.line_no, in_block)
+            line = lines[line_no - 1] = SourceLine(raw, in_block)
         in_block = line.ends_in_block_comment
-    return SourceUnit(lines=tuple(lines), origin=unit.origin, final_newline=unit.final_newline)
+    return SourceUnit(lines=tuple(lines), final_newline=unit.final_newline)
 
 
-def load_unit(text: str, origin: str = "<memory>") -> SourceUnit:
+def load_unit(text: str) -> SourceUnit:
     if text == "":
-        return SourceUnit(lines=(), origin=origin, final_newline=False)
+        return SourceUnit(lines=(), final_newline=False)
     final_newline = text.endswith("\n")
     raws = text.split("\n")
     if final_newline:
         raws.pop()
-    return unit_from_raws(raws, origin=origin, final_newline=final_newline)
+    return unit_from_raws(raws, final_newline=final_newline)
 
 
 def render(unit: SourceUnit) -> str:
@@ -246,11 +243,6 @@ def ext_tag(raw: str) -> tuple[str | None, str]:
     if not m:
         return None, raw
     return m.group(1), raw[m.end() :]
-
-
-def significant(tokens) -> list[Token]:
-    """The tokens that are neither whitespace nor comments."""
-    return [t for t in tokens if t.kind not in (WHITESPACE, COMMENT)]
 
 
 def split_segments(sig) -> list[list[Token]]:

@@ -163,26 +163,26 @@ def reference_run_unit(interp, unit):
     """:meth:`cpm.interp.AbiInterpreter.run_unit` as a loop over the lines
     that splits, slices and looks up every statement on every run, with
     ``interp``'s scope and env."""
-    for line in unit.lines:
+    for line_no, line in enumerate(unit.lines, 1):
         if not line.in_block_comment and ext_tag(line.raw)[0] is not None:
             continue  # untransformed tagged line; nothing to execute
         for toks in split_segments(line.sig):
-            _reference_exec_segment(interp, line, toks)
+            _reference_exec_segment(interp, line_no, line, toks)
 
 
-def _reference_exec_segment(interp, line, toks):
+def _reference_exec_segment(interp, line_no, line, toks):
     last = toks[-1]
     if last.lexeme in ("{", "}"):
         return  # block structure and function headers are not interpreted
     if last.lexeme != ";":
-        raise InterpError(f"line {line.line_no}: unsupported statement {line.raw.strip()!r}")
+        raise InterpError(f"line {line_no}: unsupported statement {line.raw.strip()!r}")
     if len(toks) == 1:
         return  # an empty statement
     text = line.raw[toks[0].column : last.column]
     try:
         exec(compile_stmt(text), interp._scope, interp.env)
     except Exception as exc:
-        raise InterpError(f"line {line.line_no}: cannot run {text.strip()!r}: {exc}") from exc
+        raise InterpError(f"line {line_no}: cannot run {text.strip()!r}: {exc}") from exc
 
 
 class ReferenceReplicaSet(ReplicaSet):

@@ -227,8 +227,7 @@ def test_every_access_is_lowered_or_warned_and_no_read_is_an_lvalue(src):
     raws = src.split("\n")[:-1]
     for name, p in PASSES.items():
         out, report = run(compose([name]), load_unit(src))
-        for line in out.lines[1:]:  # after the preamble; diagnostics number input lines
-            line_no = line.line_no - 1
+        for line_no, line in enumerate(out.lines[1:], 1):  # after the preamble; diagnostics number input lines
             if ext_tag(raws[line_no - 1])[0] is not None:
                 continue
             sig = significant(line.raw)

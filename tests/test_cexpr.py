@@ -125,15 +125,15 @@ def test_hypothesis_division_is_exact_past_2_53(a, b):
 
 def test_compiled_once_per_text():
     calls = []
-    tokenize = cpm.cexpr.tokenize_line
-    cpm.cexpr.tokenize_line = lambda raw: calls.append(raw) or tokenize(raw)
+    line = cpm.cexpr.SourceLine
+    cpm.cexpr.SourceLine = lambda raw: calls.append(raw) or line(raw)
     try:
         it = AbiInterpreter(Runtime(), env={"a": 3})
         text = "a * 1234567 + 7654321"  # no other test compiles this text
         assert it.eval_expr(text) == it.eval_expr(text) == 3 * 1234567 + 7654321
         it.run_text(f"b = {text};\nb = {text};\n")
     finally:
-        cpm.cexpr.tokenize_line = tokenize
+        cpm.cexpr.SourceLine = line
     assert calls == [text, f"b = {text}"]
 
 

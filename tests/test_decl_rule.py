@@ -52,8 +52,7 @@ def test_every_surviving_keyword_has_a_warning_on_its_line(src):
     raws = src.split("\n")[:-1]
     for name, p in PASSES.items():
         out, report = run(compose([name]), load_unit(src))
-        for line in out.lines[1:]:  # after the preamble; diagnostics number input lines
-            line_no = line.line_no - 1
+        for line_no, line in enumerate(out.lines[1:], 1):  # after the preamble; diagnostics number input lines
             if ext_tag(raws[line_no - 1])[0] is not None:
                 continue
             warned = sum(

@@ -7,7 +7,7 @@ from cpm.cexpr import compile_stmt, translate_stmt
 from cpm.interp import AbiInterpreter, InterpError
 from cpm.pipeline import compose, run
 from cpm.runtime import Runtime
-from cpm.srcmodel import load_unit
+from cpm.srcmodel import SourceUnit, load_unit
 
 from oracles import reference_run_unit
 
@@ -115,6 +115,19 @@ def test_array_calls_translate_names():
     it.run_text("r = cpm_arr_get(linkrates, (mac), rate);\nfirst = anext(linkrates, 0);\n")
     assert it.env["r"] == 10.0
     assert it.env["first"] == "m1"
+
+
+def test_anext_reads_as_a_c_pointer_in_range_and_past_the_end():
+    rt, it = fresh()
+    it.run_text("cpm_arr_register(a);\n")
+    rt.arr_report_beacon("a", "m1")
+    it.run_text(
+        "in_ne = anext(a, 0) != 0; in_eq = anext(a, 0) == 0; in_not = !anext(a, 0);\n"
+        "past_ne = anext(a, 1) != 0; past_eq = anext(a, 1) == 0; past_not = !anext(a, 1);\n"
+    )
+    assert it.env == {"in_ne": 1, "in_eq": 0, "in_not": 0, "past_ne": 0, "past_eq": 1, "past_not": 1}
+    assert rt.anext("a", 1) == 0 and type(rt.anext("a", 1)) is int  # C's NULL at the ABI
+    assert rt.registry.arrays["a"].anext(1) is None  # the Python API keeps None
 
 
 def test_cycle_calls_schedule_actions():
@@ -374,6 +387,15 @@ def test_a_failure_names_its_own_line_wherever_its_chunk_starts():
         assert str(info.value) == f"line {line}: cannot run {text!r}: integer division or modulo by zero"
         assert isinstance(info.value.__cause__, ZeroDivisionError)
         assert (it.env[f"v{bad}"], it.env[f"w{bad - 1}"], f"w{bad}" in it.env) == (bad, 1 - bad, False)
+
+
+def test_an_error_names_the_position_of_its_line_in_the_unit_run():
+    lines = load_unit("x = x + 1;\ny = 1 / (x - 2);\n").lines
+    it = AbiInterpreter(Runtime(), env={"x": 0})
+    with pytest.raises(InterpError) as info:
+        it.run_unit(SourceUnit(lines * 2))  # the same two line objects at lines 1-2 and 3-4
+    assert str(info.value) == "line 4: cannot run 'y = 1 / (x - 2)': integer division or modulo by zero"
+    assert it.env == {"x": 2, "y": -1}
 
 
 def test_a_statement_past_pythons_nesting_limits_ends_its_chunk():

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,6 @@ from cpm.srcmodel import (
     load_unit,
     map_lines,
     render,
-    significant,
     split_segments,
     tokenize_line,
     unit_from_raws,
@@ -154,11 +154,6 @@ def test_load_unit_counts_lines_and_final_newline():
     assert len(u.lines) == 0
 
 
-def test_line_numbers_consecutive_from_one():
-    u = load_unit("a\nb\nc\n")
-    assert [line.line_no for line in u.lines] == [1, 2, 3]
-
-
 def test_render_round_trip_simple():
     for text in ("int x;\n", "", "a", "\n", "a\n\nb"):
         assert render(load_unit(text)) == text
@@ -243,14 +238,14 @@ LINE_NOS = st.integers(1, 8)
     st.frozensets(LINE_NOS, max_size=3),
 )
 def test_map_lines_equals_full_rebuild(raws, final_newline, edits, skip):
-    unit = unit_from_raws(raws, origin="u.cpm", final_newline=final_newline)
+    unit = unit_from_raws(raws, final_newline=final_newline)
 
-    def fn(line):
-        return edits.get(line.line_no, lambda raw: raw)(line.raw)
+    def fn(line_no, line):
+        return edits.get(line_no, lambda raw: raw)(line.raw)
 
     out = map_lines(unit, fn, skip)
-    new_raws = [line.raw if line.line_no in skip else fn(line) for line in unit.lines]
-    assert out == unit_from_raws(new_raws, origin="u.cpm", final_newline=final_newline)
+    new_raws = [line.raw if n in skip else fn(n, line) for n, line in enumerate(unit.lines, 1)]
+    assert out == unit_from_raws(new_raws, final_newline=final_newline)
     for old, new in zip(unit.lines, out.lines):
         if old == new:
             assert old is new
@@ -258,7 +253,7 @@ def test_map_lines_equals_full_rebuild(raws, final_newline, edits, skip):
 
 def test_map_lines_keeps_untouched_line_objects():
     unit = load_unit("a;\n/* b\nc */ d;\ne;\n")
-    out = map_lines(unit, lambda line: "b" if line.line_no == 2 else line.raw)
+    out = map_lines(unit, lambda line_no, line: "b" if line_no == 2 else line.raw)
     # line 3 no longer starts inside a comment, so it is re-tokenized too;
     # line 4 starts outside a comment either way and is kept
     assert out.lines[0] is unit.lines[0]
@@ -269,7 +264,7 @@ def test_map_lines_keeps_untouched_line_objects():
 
 def test_map_lines_leaves_skipped_lines_alone():
     unit = load_unit("a;\nb;\n")
-    out = map_lines(unit, lambda line: "z;", skip={1})
+    out = map_lines(unit, lambda line_no, line: "z;", skip={1})
     assert out.lines[0] is unit.lines[0]
     assert [line.raw for line in out.lines] == ["a;", "z;"]
 
@@ -282,7 +277,7 @@ def assert_derived_fields(unit):
     own tokens, and ends in the block-comment state the next line begins in."""
     for line in unit.lines:
         assert line.tokens == _tokenize(line.raw, line.in_block_comment)[0]
-        assert line.sig == tuple(significant(line.tokens))
+        assert line.sig == tuple(t for t in line.tokens if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT))
         assert line.names == {t.lexeme for t in line.tokens if t.kind is TokenKind.IDENTIFIER}
     for line, nxt in zip(unit.lines, unit.lines[1:]):
         assert line.ends_in_block_comment == nxt.in_block_comment
@@ -293,7 +288,7 @@ def assert_derived_fields(unit):
 def test_built_and_mapped_lines_carry_their_derived_fields(raws, edits, skip):
     unit = unit_from_raws(raws)
     assert_derived_fields(unit)
-    assert_derived_fields(map_lines(unit, lambda line: edits.get(line.line_no, lambda raw: raw)(line.raw), skip))
+    assert_derived_fields(map_lines(unit, lambda line_no, line: edits.get(line_no, lambda raw: raw)(line.raw), skip))
 
 
 EXT_TEXT = st.lists(
@@ -309,7 +304,7 @@ EXT_TEXT = st.lists(
 @given(st.lists(EXT_TEXT, max_size=6))
 def test_pipeline_output_lines_carry_their_derived_fields(raws):
     out, _ = run(compose(list(builtin_registry())), unit_from_raws(raws))
-    assert [line.line_no for line in out.lines] == list(range(1, len(raws) + 2))
+    assert len(out.lines) == len(raws) + 1  # the preamble, then one line per input line
     assert_derived_fields(out)
 
 
@@ -317,12 +312,12 @@ DERIVED = ("tokens", "sig", "names", "ends_in_block_comment")
 
 
 def test_source_line_cannot_be_built_with_missing_or_stale_derived_fields():
-    line = SourceLine("int x = y; /* z", 3)
+    line = SourceLine("int x = y; /* z")
     assert [t.lexeme for t in line.sig] == ["int", "x", "=", "y", ";"]
     assert line.names == {"x", "y"} and line.ends_in_block_comment
     for name in DERIVED:
         with pytest.raises(TypeError):
-            SourceLine("int x;", 1, False, **{name: getattr(line, name)})
+            SourceLine("int x;", False, **{name: getattr(line, name)})
         with pytest.raises(ValueError):
             dataclasses.replace(line, **{name: getattr(line, name)})
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -331,13 +326,6 @@ def test_source_line_cannot_be_built_with_missing_or_stale_derived_fields():
     assert changed.names == {"w", "v"} and len(changed.sig) == 4 and not changed.ends_in_block_comment
     inside = dataclasses.replace(line, in_block_comment=True)
     assert inside.sig == () and inside.names == frozenset()
-
-
-def test_renumbered_line_equals_the_line_built_at_that_number():
-    line = SourceLine("*/ a = b; /*", 4, True)
-    moved = line.renumbered(5)
-    assert moved == SourceLine("*/ a = b; /*", 5, True) and moved.line_no == 5
-    assert moved.sig is line.sig and moved.names is line.names and line.line_no == 4
 
 
 # C fragments that exercise every cut and depth rule of the statement split
@@ -355,7 +343,7 @@ _split_pieces = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_split_pieces, max_size=10), st.booleans())
 def test_split_segments_agrees_with_the_reference(pieces, in_block):
-    sig = SourceLine(" ".join(pieces), 1, in_block).sig
+    sig = SourceLine(" ".join(pieces), in_block).sig
     assert split_segments(sig) == reference_split_segments(sig)
 
 
@@ -388,3 +376,31 @@ def test_no_function_body_looks_up_a_token_kind():
         for path in sorted(package.rglob("*.py"))
     }
     assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def imported_modules(source):
+    """The modules a module's import statements name, a relative import as
+    ``"."``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." if node.level else node.module)
+    return found
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    """The north star keeps ``cpm`` pure stdlib: every import names ``cpm``
+    (or is relative) or names a module of ``sys.stdlib_module_names``."""
+    package = Path(cpm.__file__).parent
+    imports = {
+        str(path.relative_to(package)): imported_modules(path.read_text(encoding="utf-8"))
+        for path in sorted(package.rglob("*.py"))
+    }
+    assert "re" in imports["srcmodel.py"] and "." in imports["pipeline.py"]
+    outside = {
+        name: sorted(m for m in found if m != "." and m.split(".")[0] not in ("cpm", *sys.stdlib_module_names))
+        for name, found in imports.items()
+    }
+    assert {name: found for name, found in outside.items() if found} == {}
