@@ -31,14 +31,13 @@ from __future__ import annotations
 from .cexpr import compile_expr
 from .pipeline import ExtensionId, ExtensionPass
 from .rewrite import INDEX, Target, decl_head, lower_decls, lower_lines
+from .runtime.context import BUILTIN_ARRAY_PROPS
 from .srcmodel import IDENTIFIER, KEYWORD, Diagnostic, SourceUnit
 
 REFRACTIVE_ID = ExtensionId("refractive", "0.5")
 ARRAY_ID = ExtensionId("array", "0.5")
 
 _DECL_KEYWORDS = {"sensor_t": "sensor", "actuator_t": "actuator", "context_t": "both"}
-
-BUILTIN_ARRAY_PROPS = ("beacons", "silent_periods", "stale")
 
 
 _SCALAR_TARGETS = {  # direction -> target

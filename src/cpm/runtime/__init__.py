@@ -3,7 +3,6 @@ time-out manager, and the context registry, behind one facade."""
 
 from .clock import VirtualClock, WallClock
 from .context import (
-    DEFAULT_OBSERVATION_PERIOD_MS,
     ArrayEntry,
     ContextRegistry,
     ReflectiveArray,
@@ -22,9 +21,6 @@ from .tom import (
     TOM,
     TimeoutObject,
     WallDriver,
-    tom_init,
-    tom_set_action,
-    tom_set_deadline,
 )
 
 __all__ = [
@@ -32,7 +28,6 @@ __all__ = [
     "ArrayEntry",
     "CSV_HEADER",
     "ContextRegistry",
-    "DEFAULT_OBSERVATION_PERIOD_MS",
     "Event",
     "EventLog",
     "NoMajorityError",
@@ -49,8 +44,5 @@ __all__ = [
     "WD_END",
     "WD_FIRED",
     "WD_STARTED",
-    "tom_init",
-    "tom_set_action",
-    "tom_set_deadline",
     "wd_state_name",
 ]

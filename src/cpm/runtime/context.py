@@ -8,9 +8,10 @@ never updates a same-named sensor snapshot (the callback owns that state
 change). Guarded functions attach a boolean expression over sensors to a body
 that runs once per false->true transition.
 
-Reflective arrays grow one entry per string key (never removed) and track,
-per observation period, how many beacons each key produced; a key that goes a
-whole period without one turns stale until it is heard again.
+Reflective arrays grow one entry per string key (never removed) and count
+each key's beacons per observation period, which the caller's ``rollover``
+closes. A key silent for a whole period turns stale until it is heard again;
+``get`` derives ``stale`` from ``silent_periods`` as C's int 1 or 0.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..cexpr import HELPERS, check_name, compile_expr
 from .clock import VirtualClock
 from .events import EventLog
 
-DEFAULT_OBSERVATION_PERIOD_MS = 60_000
+BUILTIN_ARRAY_PROPS = ("beacons", "silent_periods", "stale")
 
 
 @dataclass
@@ -30,7 +31,6 @@ class _Guard:
     body: object  # callable or None
     source: str
     code: object
-    refs: frozenset
     last_value: bool = False
     fires: int = 0
 
@@ -40,19 +40,16 @@ class ArrayEntry:
     beacons_cur_period: int = 0
     beacons_last_period: int = 0
     silent_periods: int = 0
-    stale: bool = False
     props: dict = field(default_factory=dict)
 
 
 class ReflectiveArray:
     """String-keyed, insertion-ordered context array with staleness tracking."""
 
-    def __init__(self, name, observation_period_ms=DEFAULT_OBSERVATION_PERIOD_MS):
+    def __init__(self, name):
         self.name = name
-        self.observation_period_ms = observation_period_ms
         self.entries: dict[str, ArrayEntry] = {}
         self._keys: list = []  # insertion order; entries are never removed
-        self.periods_elapsed = 0
 
     def _entry(self, key) -> ArrayEntry:
         e = self.entries.get(key)
@@ -68,28 +65,24 @@ class ReflectiveArray:
         e = self._entry(key)
         e.beacons_cur_period += 1
         e.silent_periods = 0
-        e.stale = False
 
     def rollover(self):
         """Close the current observation period: current counts become last
         counts, and keys that stayed silent for the whole period go stale."""
-        self.periods_elapsed += 1
         for e in self.entries.values():
             e.beacons_last_period = e.beacons_cur_period
             e.beacons_cur_period = 0
             if e.beacons_last_period == 0:
                 e.silent_periods += 1
-                e.stale = True
             else:
                 e.silent_periods = 0
-                e.stale = False
 
     def set_prop(self, key, prop, value):
         self._entry(key).props[prop] = value
 
     def get(self, key, prop):
         """Read a property of one entry. ``beacons`` is the count over the
-        last closed period; ``silent_periods`` and ``stale`` are the
+        last closed period; ``silent_periods`` and ``stale`` (1 or 0) are the
         staleness state; anything else is a user property."""
         if key not in self.entries:
             raise KeyError(f"no entry {key!r} in reflective array '{self.name}'")
@@ -99,7 +92,7 @@ class ReflectiveArray:
         if prop == "silent_periods":
             return e.silent_periods
         if prop == "stale":
-            return e.stale
+            return 1 if e.silent_periods else 0
         if prop not in e.props:
             raise KeyError(f"no property {prop!r} on entry {key!r} of '{self.name}'")
         return e.props[prop]
@@ -161,17 +154,17 @@ class ContextRegistry:
         if not refs:
             raise ValueError(f"guard {expr!r} references no registered sensor")
         gname = name or getattr(body, "__name__", None) or f"guard{len(self.guards)}"
-        guard = _Guard(name=gname, body=body, source=expr, code=code, refs=refs)
+        guard = _Guard(name=gname, body=body, source=expr, code=code)
         guard.last_value = self._eval(guard)
         self.guards.append(guard)
         for ref in refs:
             self._guards_by_sensor.setdefault(ref, []).append(guard)
         return guard
 
-    def register_array(self, name, observation_period_ms=DEFAULT_OBSERVATION_PERIOD_MS) -> ReflectiveArray:
+    def register_array(self, name) -> ReflectiveArray:
         arr = self.arrays.get(name)
         if arr is None:
-            arr = ReflectiveArray(name, observation_period_ms)
+            arr = ReflectiveArray(name)
             self.arrays[name] = arr
         return arr
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import partial
 
 from .clock import VirtualClock
-from .context import DEFAULT_OBSERVATION_PERIOD_MS, ContextRegistry
+from .context import ContextRegistry
 from .events import EventLog
 from .redundant import NoMajorityError, ReplicaSet
 from .tom import TOM, TimeoutObject
@@ -104,8 +104,8 @@ class Runtime:
     def guard_register(self, fn, expr):
         return self.registry.register_guard(partial(self._call, fn), expr, name=fn)
 
-    def arr_register(self, name, observation_period_ms=DEFAULT_OBSERVATION_PERIOD_MS):
-        return self.registry.register_array(name, observation_period_ms)
+    def arr_register(self, name):
+        return self.registry.register_array(name)
 
     def _array(self, name):
         arr = self.registry.arrays.get(name)

@@ -101,9 +101,6 @@ class TOM:
         self._arm(to, self.clock.now + to.deadline)
         to.enabled = True
 
-    def set_action(self, to: TimeoutObject, action):
-        to.action = action
-
     def _arm(self, to: TimeoutObject, when: int):
         _period(to, to.deadline)
         to._version += 1
@@ -182,17 +179,3 @@ class WallDriver(threading.Thread):
     def stop(self):
         self._stopping.set()
         self.join()
-
-
-# Free-function aliases matching the runtime's C-flavored surface.
-
-def tom_init(clock=None, events=None) -> TOM:
-    return TOM(clock=clock, events=events)
-
-
-def tom_set_deadline(to: TimeoutObject, deadline: int):
-    to.deadline = _period(to, deadline)
-
-
-def tom_set_action(to: TimeoutObject, action):
-    to.action = action

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..runtime import DEFAULT_OBSERVATION_PERIOD_MS, Runtime, TimeoutObject
+from ..runtime import Runtime, TimeoutObject
+
+DEFAULT_OBSERVATION_PERIOD_MS = 60_000
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class SwitchboardResult:
 
 
 def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_PERIOD_MS,
-                    horizon=None, metric_sink=None) -> SwitchboardResult:
+                    horizon=None) -> SwitchboardResult:
     if observation_period <= 0:
         raise ValueError("observation_period must be positive")
     if horizon is None:
@@ -76,8 +78,8 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
     trace.validate(horizon)
 
     rt = Runtime()
-    rt.arr_register("linkbeacons", observation_period)
-    linkrates = rt.arr_register("linkrates", observation_period)
+    rt.arr_register("linkbeacons")
+    linkrates = rt.arr_register("linkrates")
     records: list = []
 
     def deliver(rec: BeaconRecord):
@@ -99,8 +101,6 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
                 silent = rt.arr_get("linkbeacons", mac, "silent_periods")
                 rec = AdjustmentRecord(cycle, mac, rate / (1 + silent), False)
             records.append(rec)
-            if metric_sink is not None:
-                metric_sink(rec)
 
     for rec in trace.records:  # before the tick: boundary beacons count backward
         rt.tom.insert(

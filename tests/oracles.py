@@ -2,9 +2,10 @@
 
 Everything here is straight-line arithmetic/enumeration over the declared
 behavior, sharing no code with the runtime or the scheduler it checks, except
-the three references at the end: plain, slower forms of the statement
+the four references at the end: plain, slower forms of the statement
 splitter, the interpreter's statement loop and the voted read that the fast
-forms must agree with exactly.
+forms must agree with exactly, and the reflective array as it was when it
+stored its staleness flag.
 """
 
 from cpm.cexpr import compile_stmt
@@ -220,3 +221,46 @@ class ReferenceReplicaSet(ReplicaSet):
         st.failure_risk = self._window_risky / self.policy.window
         self._adapt(majority=value)
         return value
+
+
+class ReferenceArray:
+    """The reflective array with a stored ``stale`` flag, kept beside
+    ``silent_periods`` and set by every beacon and rollover; keys live in a
+    plain dict, whose order is insertion order."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def _entry(self, key):
+        return self.entries.setdefault(key, {"cur": 0, "last": 0, "silent": 0, "stale": False, "props": {}})
+
+    def report_beacon(self, key):
+        e = self._entry(key)
+        e["cur"] += 1
+        e["silent"] = 0
+        e["stale"] = False
+
+    def rollover(self):
+        for e in self.entries.values():
+            e["last"], e["cur"] = e["cur"], 0
+            if e["last"] == 0:
+                e["silent"] += 1
+                e["stale"] = True
+            else:
+                e["silent"] = 0
+                e["stale"] = False
+
+    def set_prop(self, key, prop, value):
+        self._entry(key)["props"][prop] = value
+
+    def get(self, key, prop):
+        e = self.entries[key]
+        builtin = {"beacons": e["last"], "silent_periods": e["silent"], "stale": e["stale"]}
+        return builtin[prop] if prop in builtin else e["props"][prop]
+
+    def keys(self):
+        return list(self.entries)
+
+    def anext(self, cursor):
+        keys = self.keys()
+        return keys[cursor] if 0 <= cursor < len(keys) else None

@@ -13,6 +13,7 @@ from cpm.ext_cyclic import CyclicPass
 from cpm.interp import AbiInterpreter
 from cpm.pipeline import PassConfig, compose, preamble_line, publish_ids, run
 from cpm.runtime import (
+    TOM,
     EventLog,
     NoMajorityError,
     ReplicaSet,
@@ -22,9 +23,6 @@ from cpm.runtime import (
     WD_END,
     WD_FIRED,
     WD_STARTED,
-    tom_init,
-    tom_set_action,
-    tom_set_deadline,
 )
 from cpm.scenarios import BeaconTrace, WdtScenarioParams, run_switchboard, run_wdt
 from cpm.srcmodel import load_unit, render
@@ -81,15 +79,15 @@ def test_c2_cyclic_syntax_equals_hand_coded_timeout_calls():
         rt.advance(horizon)
         lowered_log = rt.tom.fired_log
 
-        tom = tom_init()
-        t1 = TimeoutObject(id="t1", subid="PeriodicMethod1", deadline=deadline1, cyclic=True)
-        t2 = TimeoutObject(id="t2", subid="PeriodicMethod2", deadline=deadline2, cyclic=True)
-        tom_set_action(t1, lambda: None)
-        tom_set_action(t2, lambda: None)
+        tom = TOM()
+        t1 = TimeoutObject(id="t1", subid="PeriodicMethod1", deadline=deadline1, cyclic=True,
+                           action=lambda: None)
+        t2 = TimeoutObject(id="t2", subid="PeriodicMethod2", deadline=deadline2, cyclic=True,
+                           action=lambda: None)
         tom.insert(t1)
         tom.insert(t2)
         tom.disable(t2)
-        tom_set_deadline(t2, new_deadline2)
+        tom.set_deadline(t2, new_deadline2)
         tom.renew(t2)
         tom.delete(t1)
         tom.advance(horizon)
@@ -159,7 +157,7 @@ def test_c5_cyclic_firing_count():
             period = rng.randint(max(1, horizon // 4000), horizon)
             pairs.append((period, horizon))
         for period, horizon in pairs:
-            tom = tom_init()
+            tom = TOM()
             tom.insert(TimeoutObject(id="pm", subid="pm", deadline=period, cyclic=True))
             fired = tom.advance(horizon)
             assert len(fired) == horizon // period, (period, horizon)

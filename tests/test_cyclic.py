@@ -1,7 +1,7 @@
 from cpm.ext_cyclic import CyclicPass, lower_cycle_member, scan_cyclic
 from cpm.interp import AbiInterpreter
 from cpm.pipeline import PassConfig
-from cpm.runtime import Runtime, TimeoutObject, tom_init, tom_set_action, tom_set_deadline
+from cpm.runtime import TOM, Runtime, TimeoutObject
 from cpm.srcmodel import load_unit, render
 
 TABLE2_SOURCE = """cyclic_t int PeriodicMethod1(TOM*);
@@ -86,15 +86,15 @@ def _run_lowered(deadline1=100, deadline2=250, new_deadline2=400, horizon=1000):
 
 
 def _run_hand_coded(deadline1=100, deadline2=250, new_deadline2=400, horizon=1000):
-    tom = tom_init()
-    t1 = TimeoutObject(id="t1", subid="PeriodicMethod1", deadline=deadline1, cyclic=True)
-    tom_set_action(t1, lambda: None)
-    t2 = TimeoutObject(id="t2", subid="PeriodicMethod2", deadline=deadline2, cyclic=True)
-    tom_set_action(t2, lambda: None)
+    tom = TOM()
+    t1 = TimeoutObject(id="t1", subid="PeriodicMethod1", deadline=deadline1, cyclic=True,
+                       action=lambda: None)
+    t2 = TimeoutObject(id="t2", subid="PeriodicMethod2", deadline=deadline2, cyclic=True,
+                       action=lambda: None)
     tom.insert(t1)
     tom.insert(t2)
     tom.disable(t2)
-    tom_set_deadline(t2, new_deadline2)
+    tom.set_deadline(t2, new_deadline2)
     tom.renew(t2)
     tom.delete(t1)
     tom.advance(horizon)

@@ -130,6 +130,27 @@ def test_anext_reads_as_a_c_pointer_in_range_and_past_the_end():
     assert rt.registry.arrays["a"].anext(1) is None  # the Python API keeps None
 
 
+def test_array_staleness_reads_as_a_c_int():
+    rt, it = fresh()
+    written = []
+    rt.ctx_register("vol", "actuator")
+    rt.registry.bind_actuator("vol", written.append)
+    it.run_text("cpm_arr_register(a);\n")
+    rt.arr_report_beacon("a", "m1")
+    rt.arr_rollover("a")
+    rt.arr_rollover("a")  # a whole period without a beacon: stale
+    it.env["mac"] = "m1"
+    read = "int {0} = cpm_arr_get(a, (mac), stale); int {0}_not = !cpm_arr_get(a, (mac), stale); cpm_ctx_write(vol, ({0}));\n"
+    it.run_text(read.format("s"))
+    rt.arr_report_beacon("a", "m1")  # heard again: live
+    it.run_text(read.format("live"))
+    got = {k: it.env[k] for k in ("s", "s_not", "live", "live_not")}
+    assert got == {"s": 1, "s_not": 0, "live": 0, "live_not": 1}
+    assert all(type(v) is int for v in got.values())
+    assert written == [1, 0] and all(type(v) is int for v in written)
+    assert rt.events.to_csv().splitlines()[1:] == ["0,actuate,vol,1,1", "0,actuate,vol,2,0"]
+
+
 def test_cycle_calls_schedule_actions():
     rt, it = fresh()
     ticks = []

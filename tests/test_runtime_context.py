@@ -3,13 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpm.runtime import (
-    DEFAULT_OBSERVATION_PERIOD_MS,
     ContextRegistry,
     EventLog,
     ReflectiveArray,
     Runtime,
     VirtualClock,
 )
+from cpm.runtime.context import BUILTIN_ARRAY_PROPS
+
+from oracles import ReferenceArray
 
 
 def registry():
@@ -239,20 +241,15 @@ def test_guard_initially_true_does_not_fire_at_registration():
     assert fired == [1]
 
 
-def test_reflective_array_default_observation_period():
-    arr = ReflectiveArray("linkbeacons")
-    assert arr.observation_period_ms == DEFAULT_OBSERVATION_PERIOD_MS == 60_000
-
-
 def test_new_key_entry_created_on_first_beacon():
-    arr = ReflectiveArray("lb", 1000)
+    arr = ReflectiveArray("lb")
     arr.report_beacon("aa:bb:cc:dd:ee:ff")
     e = arr.entries["aa:bb:cc:dd:ee:ff"]
-    assert e.beacons_cur_period == 1 and not e.stale
+    assert e.beacons_cur_period == 1 and arr.get("aa:bb:cc:dd:ee:ff", "stale") == 0
 
 
 def test_rollover_moves_counts_and_marks_stale():
-    arr = ReflectiveArray("lb", 1000)
+    arr = ReflectiveArray("lb")
     arr.report_beacon("m1")
     arr.report_beacon("m1")
     arr.report_beacon("m2")
@@ -266,7 +263,7 @@ def test_rollover_moves_counts_and_marks_stale():
 
 
 def test_beacon_clears_staleness():
-    arr = ReflectiveArray("lb", 1000)
+    arr = ReflectiveArray("lb")
     arr.report_beacon("m1")
     arr.rollover()
     arr.rollover()
@@ -276,18 +273,46 @@ def test_beacon_clears_staleness():
 
 
 def test_staleness_invariant_stale_iff_silent_periods():
-    arr = ReflectiveArray("lb", 1000)
+    arr = ReflectiveArray("lb")
     arr.report_beacon("m1")
     for step in range(6):
         if step % 2 == 0:
             arr.report_beacon("m1")
         arr.rollover()
-        e = arr.entries["m1"]
-        assert e.stale == (e.silent_periods >= 1)
+        stale = arr.get("m1", "stale")
+        assert type(stale) is int and stale == (arr.get("m1", "silent_periods") >= 1)
+
+
+_ARRAY_OPS = st.one_of(
+    st.tuples(st.just("report_beacon"), st.sampled_from("abcd")),
+    st.tuples(st.just("rollover")),
+    st.tuples(st.just("set_prop"), st.sampled_from("abcd"), st.sampled_from(("rate", "stale")), st.integers(-3, 3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ARRAY_OPS, max_size=40))
+def test_hypothesis_array_agrees_with_the_stored_staleness_reference(ops):
+    arr, ref = ReflectiveArray("lb"), ReferenceArray()
+    for op, *args in ops:
+        getattr(arr, op)(*args)
+        getattr(ref, op)(*args)
+        for key in ref.keys():
+            for prop in BUILTIN_ARRAY_PROPS:
+                got = arr.get(key, prop)
+                assert type(got) is int and got == int(ref.get(key, prop)), (key, prop)
+            if "rate" in ref.entries[key]["props"]:
+                assert arr.get(key, "rate") == ref.get(key, "rate")
+            else:
+                with pytest.raises(KeyError):
+                    arr.get(key, "rate")
+        assert arr.keys() == ref.keys()
+        cursors = range(-1, len(ref.keys()) + 2)
+        assert [arr.anext(c) for c in cursors] == [ref.anext(c) for c in cursors]
 
 
 def test_keys_never_removed_and_anext_in_insertion_order():
-    arr = ReflectiveArray("lb", 1000)
+    arr = ReflectiveArray("lb")
     for mac in ("m3", "m1", "m2"):
         arr.report_beacon(mac)
     for _ in range(5):
@@ -307,7 +332,7 @@ def test_keys_never_removed_and_anext_in_insertion_order():
     st.lists(st.lists(st.sampled_from("abcdefghij"), max_size=3), max_size=12),
 )
 def test_hypothesis_anext_walks_insertion_order_including_keys_added_mid_walk(before, during):
-    arr = ReflectiveArray("lb", 1000)
+    arr = ReflectiveArray("lb")
     for key in before:
         arr.report_beacon(key)
     walked = []
@@ -327,7 +352,7 @@ def test_hypothesis_anext_walks_insertion_order_including_keys_added_mid_walk(be
 
 
 def test_user_props_via_set_prop():
-    arr = ReflectiveArray("linkrates", 1000)
+    arr = ReflectiveArray("linkrates")
     arr.set_prop("m1", "rate", 54.0)
     assert arr.get("m1", "rate") == 54.0
     with pytest.raises(KeyError):
@@ -340,7 +365,7 @@ def test_runtime_facade_wires_shared_clock_and_events():
     rt = Runtime()
     rt.ctx_register("watchdog", "both", initial=-1)
     rt.red_storage("watchdog", 3, initial=-1)
-    rt.arr_register("linkbeacons", 1000)
+    rt.arr_register("linkbeacons")
     rt.arr_report_beacon("linkbeacons", "m1")
     rt.arr_rollover("linkbeacons")
     assert rt.arr_get("linkbeacons", "m1", "beacons") == 1
@@ -375,7 +400,7 @@ def test_guard_body_that_clears_its_own_sensor_fires_on_every_edge():
 def test_runtime_facade_lookup_errors(call, message):
     rt = Runtime()
     rt.red_storage("watchdog", 3)
-    rt.arr_register("linkbeacons", 1000)
+    rt.arr_register("linkbeacons")
     with pytest.raises(KeyError) as info:
         call(rt)
     assert info.value.args == (message,)

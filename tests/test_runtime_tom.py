@@ -11,8 +11,6 @@ from cpm.runtime import (
     VirtualClock,
     WallClock,
     WallDriver,
-    tom_init,
-    tom_set_deadline,
 )
 
 from oracles import cyclic_fire_times
@@ -24,14 +22,14 @@ def make(subid, deadline, cyclic=False, enabled=True, action=None):
 
 
 def test_insert_sets_next_fire():
-    tom = tom_init()
+    tom = TOM()
     t = make("t", 10)
     tom.insert(t)
     assert t.next_fire == 10
 
 
 def test_insert_relative_to_current_time():
-    tom = tom_init()
+    tom = TOM()
     tom.advance(25)
     t = make("t", 10)
     tom.insert(t)
@@ -39,7 +37,7 @@ def test_insert_relative_to_current_time():
 
 
 def test_one_shot_fires_once():
-    tom = tom_init()
+    tom = TOM()
     hits = []
     tom.insert(make("t", 10, action=lambda: hits.append(tom.clock.now)))
     fired = tom.advance(50)
@@ -49,14 +47,14 @@ def test_one_shot_fires_once():
 
 
 def test_cyclic_fixed_rate_firing():
-    tom = tom_init()
+    tom = TOM()
     tom.insert(make("pm", 10, cyclic=True))
     fired = tom.advance(35)
     assert fired == [(10, "pm", 1), (20, "pm", 2), (30, "pm", 3)]
 
 
 def test_disabled_object_never_fires():
-    tom = tom_init()
+    tom = TOM()
     t = make("t", 10, cyclic=True, enabled=False)
     tom.insert(t)
     assert tom.advance(100) == []
@@ -64,7 +62,7 @@ def test_disabled_object_never_fires():
 
 
 def test_disable_enable_keeps_cadence():
-    tom = tom_init()
+    tom = TOM()
     t = make("t", 10, cyclic=True)
     tom.insert(t)
     tom.advance(15)
@@ -76,7 +74,7 @@ def test_disable_enable_keeps_cadence():
 
 
 def test_same_deadline_fires_in_insertion_order():
-    tom = tom_init()
+    tom = TOM()
     tom.insert(make("first", 10))
     tom.insert(make("second", 10))
     fired = tom.advance(10)
@@ -84,7 +82,7 @@ def test_same_deadline_fires_in_insertion_order():
 
 
 def test_insertion_order_tie_break_stable_for_cyclics():
-    tom = tom_init()
+    tom = TOM()
     tom.insert(make("a", 10, cyclic=True))
     tom.insert(make("b", 10, cyclic=True))
     fired = tom.advance(30)
@@ -92,13 +90,13 @@ def test_insertion_order_tie_break_stable_for_cyclics():
 
 
 def test_table1_control_sequence():
-    tom = tom_init()
+    tom = TOM()
     t1 = make("t1", 100, cyclic=True)
     t2 = make("t2", 250, cyclic=True)
     tom.insert(t1)
     tom.insert(t2)
     tom.disable(t2)
-    tom_set_deadline(t2, 400)
+    tom.set_deadline(t2, 400)
     tom.renew(t2)
     tom.delete(t1)
     assert t2.enabled and t2.next_fire == 400
@@ -108,7 +106,7 @@ def test_table1_control_sequence():
 
 
 def test_set_deadline_does_not_rearm():
-    tom = tom_init()
+    tom = TOM()
     t = make("t", 100)
     tom.insert(t)
     tom.advance(50)
@@ -119,7 +117,7 @@ def test_set_deadline_does_not_rearm():
 
 
 def test_renew_rearms_and_enables():
-    tom = tom_init()
+    tom = TOM()
     t = make("t", 100)
     tom.insert(t)
     tom.disable(t)
@@ -129,13 +127,13 @@ def test_renew_rearms_and_enables():
 
 
 def test_renew_before_insert_errors():
-    tom = tom_init()
+    tom = TOM()
     with pytest.raises(ValueError):
         tom.renew(make("t", 10))
 
 
 def test_delete_of_non_inserted_warns_in_event_channel():
-    tom = tom_init()
+    tom = TOM()
     tom.delete(make("t", 10))
     warns = tom.events.of("warn")
     assert len(warns) == 1 and "delete-before-insert" in warns[0].value
@@ -145,7 +143,7 @@ def test_delete_of_non_inserted_warns_in_event_channel():
 
 
 def test_rejected_cyclic_insert_leaves_the_object_uninserted():
-    tom = tom_init()
+    tom = TOM()
     t = make("pm", 0, cyclic=True)
     with pytest.raises(ValueError, match="must be positive"):
         tom.insert(t)
@@ -157,12 +155,11 @@ def test_rejected_cyclic_insert_leaves_the_object_uninserted():
 
 
 def test_rejected_cyclic_deadline_keeps_the_period():
-    tom = tom_init()
+    tom = TOM()
     t = make("pm", 100, cyclic=True)
     tom.insert(t)
-    for set_deadline in (tom.set_deadline, tom_set_deadline):
-        with pytest.raises(ValueError, match="must be positive"):
-            set_deadline(t, -5)
+    with pytest.raises(ValueError, match="must be positive"):
+        tom.set_deadline(t, -5)
     assert t.deadline == 100
     assert [when for when, _, _ in tom.advance(250)] == [100, 200]
 
@@ -198,7 +195,7 @@ def test_cancelling_a_stopped_cycle_warns_under_its_name():
 
 
 def test_actions_may_reschedule_during_advance():
-    tom = tom_init()
+    tom = TOM()
     follow = make("follow", 5)
 
     def chain():
@@ -210,7 +207,7 @@ def test_actions_may_reschedule_during_advance():
 
 
 def test_action_canceling_itself_stops_refiring():
-    tom = tom_init()
+    tom = TOM()
     t = make("t", 10, cyclic=True)
 
     def stop_after_two():
@@ -224,7 +221,7 @@ def test_action_canceling_itself_stops_refiring():
 
 
 def test_instance_numbers_count_up():
-    tom = tom_init()
+    tom = TOM()
     tom.insert(make("t", 7, cyclic=True))
     fired = tom.advance(22)
     assert [f[2] for f in fired] == [1, 2, 3]
@@ -232,7 +229,7 @@ def test_instance_numbers_count_up():
 
 def test_determinism_same_script_same_log():
     def script():
-        tom = tom_init()
+        tom = TOM()
         a = make("a", 12, cyclic=True)
         b = make("b", 30)
         tom.insert(a)
@@ -252,7 +249,7 @@ def test_fixed_rate_oracle_random_pairs():
     for _ in range(30):
         horizon = rng.randint(1, 10**6)
         period = rng.randint(max(1, horizon // 2000), horizon)
-        tom = tom_init()
+        tom = TOM()
         tom.insert(make("pm", period, cyclic=True))
         fired = tom.advance(horizon)
         expected = cyclic_fire_times(period, horizon)

@@ -50,7 +50,7 @@ def test_wdt_iterates_heartbeat_schedule_independently_of_horizon():
 
 
 def test_anext_walk_never_iterates_entries():
-    arr = ReflectiveArray("lb", 1000)
+    arr = ReflectiveArray("lb")
     for k in range(500):
         arr.report_beacon(f"m{k}")
     arr.entries = CountingDict(arr.entries)

@@ -177,16 +177,6 @@ def test_switchboard_csv_export():
     assert res.to_csv() == "cycle,mac,metric_or_stale\n1,aa:01,50.0\n"
 
 
-def test_switchboard_metric_sink_receives_records():
-    sunk = []
-    rows = three_peer_rows(periods=2, silent=None)
-    run_switchboard(
-        BeaconTrace.from_rows(rows), observation_period=1000, horizon=2000,
-        metric_sink=sunk.append,
-    )
-    assert len(sunk) == 6
-
-
 def test_switchboard_rejects_decreasing_times():
     with pytest.raises(ValueError):
         BeaconTrace.from_rows([(100, "a", 1.0), (50, "b", 1.0)]).validate()

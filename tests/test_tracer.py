@@ -9,7 +9,7 @@ from pathlib import Path
 from cpm import compose, load_unit, run
 from cpm.interp import AbiInterpreter
 from cpm.runtime import Runtime
-from cpm.scenarios import WdtScenarioParams, run_wdt
+from cpm.scenarios import BeaconTrace, WdtScenarioParams, run_switchboard, run_wdt
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -53,6 +53,14 @@ def test_tracer_times_every_runtime_layer():
     assert y == 6 and counts["redundant.read.calls"] == 1
     for layer in ("interp", "core", "redundant"):
         assert interp_selfs[layer] > 0, layer
+
+    trace = BeaconTrace.from_rows([(100, "aa:01", 50.0), (200, "aa:02", 40.0), (1500, "aa:01", 50.0)])
+    res, _, array_selfs, counts = tracer.traced(run_switchboard, trace, 1000, 3000)
+    assert [(r.cycle, r.mac, r.stale) for r in res.records] == [
+        (1, "aa:01", False), (1, "aa:02", False), (2, "aa:01", False), (2, "aa:02", True),
+        (3, "aa:01", True), (3, "aa:02", True),
+    ]
+    assert array_selfs["context.array"] > 0 and counts["context.anext.calls"] > 0
 
 
 def test_tracer_counts_each_lowered_line_once():
