@@ -4,6 +4,7 @@ a rename of any traced function, or a facade method hidden from the tracer,
 fail this suite, not only a traced benchmark run."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from cpm import compose, load_unit, run
@@ -74,3 +75,29 @@ def test_tracer_counts_each_lowered_line_once():
     (out, _), _, _, counts = tracer.traced(run, pipeline, load_unit(decls + plain + lowered + plain))
     assert counts["rewrite.changed_lines"] == 4
     assert "cpm_cycle_set(f, (5));" in [line.raw for line in out.lines]
+
+
+def _benchmark_input(name, seed):
+    sys.path.insert(0, str(SPANS.parent))  # gen imports its sibling checks
+    import gen
+    return getattr(gen, name)(seed, 1)
+
+
+def test_traced_runtime_counters_read_the_same_as_before():
+    # the counters see the runtime only through the names the tracer patches:
+    # tom's module-level heapq, EventLog.log and ReflectiveArray.anext, so an
+    # inlined call that bypasses one of them would read as less work
+    tracer = load_spans().Tracer()
+    inp = _benchmark_input("switchboard_input", 11)
+    _, _, _, counts = tracer.traced(run_switchboard, BeaconTrace.from_rows(inp.rows), inp.period, inp.horizon)
+    assert (counts["tom.fires"], counts["tom.heap_pops"], counts["events.logged"],
+            counts["context.anext.calls"]) == (13635, 13635, 13635, 18409)
+
+    inp = _benchmark_input("wdt_input", 11)
+    params = WdtScenarioParams(
+        wdt_period=inp.period, horizon=inp.horizon, heartbeat_schedule=inp.heartbeats,
+        replicas=3, fault_schedule=inp.faults, restart_schedule=inp.restarts,
+    )
+    _, _, _, counts = tracer.traced(run_wdt, params)
+    assert (counts["tom.fires"], counts["tom.heap_pops"], counts["events.logged"],
+            counts["context.guard_evals"]) == (3513, 3522, 4261, 2367)
