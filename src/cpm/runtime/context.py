@@ -11,7 +11,8 @@ that runs once per false->true transition.
 Reflective arrays grow one entry per string key (never removed) and count
 each key's beacons per observation period, which the caller's ``rollover``
 closes. A key silent for a whole period turns stale until it is heard again;
-``get`` derives ``stale`` from ``silent_periods`` as C's int 1 or 0.
+``get`` derives ``stale`` from ``silent_periods`` as C's int 1 or 0. An
+:class:`ArrayEntry` is a slotted dataclass, one object per key.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class _Guard:
     fires: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrayEntry:
     beacons_cur_period: int = 0
     beacons_last_period: int = 0
@@ -52,17 +53,15 @@ class ReflectiveArray:
         self._keys: list = []  # insertion order; entries are never removed
 
     def _entry(self, key) -> ArrayEntry:
-        e = self.entries.get(key)
-        if e is None:
-            e = ArrayEntry()
-            self.entries[key] = e
-            self._keys.append(key)
+        """A new entry for a key not seen before."""
+        e = self.entries[key] = ArrayEntry()
+        self._keys.append(key)
         return e
 
     def report_beacon(self, key):
         """A beacon arrived for key: the entry exists, counts it for the
         current period, and is no longer stale."""
-        e = self._entry(key)
+        e = self.entries.get(key) or self._entry(key)
         e.beacons_cur_period += 1
         e.silent_periods = 0
 
@@ -78,24 +77,26 @@ class ReflectiveArray:
                 e.silent_periods = 0
 
     def set_prop(self, key, prop, value):
-        self._entry(key).props[prop] = value
+        (self.entries.get(key) or self._entry(key)).props[prop] = value
 
     def get(self, key, prop):
         """Read a property of one entry. ``beacons`` is the count over the
         last closed period; ``silent_periods`` and ``stale`` (1 or 0) are the
         staleness state; anything else is a user property."""
-        if key not in self.entries:
-            raise KeyError(f"no entry {key!r} in reflective array '{self.name}'")
-        e = self.entries[key]
+        try:
+            e = self.entries[key]
+        except KeyError:
+            raise KeyError(f"no entry {key!r} in reflective array '{self.name}'") from None
         if prop == "beacons":
             return e.beacons_last_period
         if prop == "silent_periods":
             return e.silent_periods
         if prop == "stale":
             return 1 if e.silent_periods else 0
-        if prop not in e.props:
-            raise KeyError(f"no property {prop!r} on entry {key!r} of '{self.name}'")
-        return e.props[prop]
+        try:
+            return e.props[prop]
+        except KeyError:
+            raise KeyError(f"no property {prop!r} on entry {key!r} of '{self.name}'") from None
 
     def anext(self, cursor: int):
         """Iterate keys in insertion order: returns the key at the cursor

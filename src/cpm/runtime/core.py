@@ -107,25 +107,27 @@ class Runtime:
     def arr_register(self, name):
         return self.registry.register_array(name)
 
+    # the array calls look the array up inline too; _array only raises
     def _array(self, name):
-        arr = self.registry.arrays.get(name)
-        if arr is None:
-            raise KeyError(f"unknown reflective array {name!r}")
-        return arr
+        raise KeyError(f"unknown reflective array {name!r}")
 
     def arr_get(self, name, key, prop):
-        return self._array(name).get(key, prop)
+        arr = self.registry.arrays.get(name)
+        return (arr if arr is not None else self._array(name)).get(key, prop)
 
     def arr_report_beacon(self, name, key):
-        self._array(name).report_beacon(key)
+        arr = self.registry.arrays.get(name)
+        (arr if arr is not None else self._array(name)).report_beacon(key)
 
     def arr_rollover(self, name):
-        self._array(name).rollover()
+        arr = self.registry.arrays.get(name)
+        (arr if arr is not None else self._array(name)).rollover()
 
     def anext(self, name, cursor):
         """The key at ``cursor`` in insertion order, or C's NULL (0) past
         the end, so a program tests it with ``!= 0`` as in C."""
-        key = self._array(name).anext(cursor)
+        arr = self.registry.arrays.get(name)
+        key = (arr if arr is not None else self._array(name)).anext(cursor)
         return 0 if key is None else key
 
     # -- cyclic methods -------------------------------------------------------

@@ -9,7 +9,11 @@ instance regardless of earlier instances, and is appended to ``fired_log`` as
 
 Driving the manager is explicit: on a virtual clock call :meth:`TOM.advance`;
 on a wall clock call :meth:`TOM.poll` (or let :class:`WallDriver` do it).
-Determinism holds on the virtual clock only.
+Determinism holds on the virtual clock only. A deadline is never negative
+and a cyclic one is positive, so nothing fires before the clock.
+
+A :class:`TimeoutObject` is a slotted dataclass, so each of the many
+one-shots a scenario inserts is one object without an instance dict.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .clock import VirtualClock
 from .events import EventLog
 
 
-@dataclass
+@dataclass(slots=True)
 class TimeoutObject:
     id: str
     subid: str
@@ -41,10 +45,13 @@ class TimeoutObject:
 
 def _period(to: TimeoutObject, deadline) -> int:
     """``deadline`` as an int; raises ValueError, before anything changes,
-    for a cyclic object whose period would not be positive."""
+    for a cyclic object whose period would not be positive or for any
+    object whose deadline is negative (it would fire before the clock)."""
     deadline = int(deadline)
     if to.cyclic and deadline <= 0:
         raise ValueError(f"cyclic deadline of '{to.subid}' must be positive")
+    if deadline < 0:
+        raise ValueError(f"deadline of '{to.subid}' must not be negative")
     return deadline
 
 
@@ -98,11 +105,12 @@ class TOM:
         """Re-arm at now + deadline and enable. Requires a prior insert."""
         if not to._inserted:
             raise ValueError(f"renew of '{to.subid}' before insert")
+        _period(to, to.deadline)
         self._arm(to, self.clock.now + to.deadline)
         to.enabled = True
 
     def _arm(self, to: TimeoutObject, when: int):
-        _period(to, to.deadline)
+        """Queue ``to`` at ``when``; the caller has checked its period."""
         to._version += 1
         to.next_fire = when
         to._queued = True
@@ -127,24 +135,28 @@ class TOM:
         return self._process_until(self.clock.now)
 
     def _process_until(self, target: int):
+        # bound once per call, not per firing; still looked up at call time,
+        # so a patched tom.heapq or EventLog.log sees every pop and event
+        heap, clock, pop = self._heap, self.clock, heapq.heappop
+        log, fired_log = self.events.log, self.fired_log
+        virtual = clock.mode == "virtual"
         fired = []
-        while self._heap and self._heap[0][0] <= target:
-            when, seq, version, to = heapq.heappop(self._heap)
+        while heap and heap[0][0] <= target:
+            when, seq, version, to = pop(heap)
             if not to._queued or version != to._version:
                 continue  # superseded by renew/delete
             to._queued = False
-            if self.clock.mode == "virtual" and when > self.clock.now:
-                self.clock.advance_to(when)  # actions observe their fire time
-            if not to.enabled:
-                if to.cyclic:
-                    self._arm(to, when + to.deadline)  # keep cadence, silently
-                continue
-            if to.cyclic:
+            if virtual and when > clock.now:
+                clock.advance_to(when)  # actions observe their fire time
+            if to.cyclic:  # a disabled one keeps its cadence, silently
+                _period(to, to.deadline)
                 self._arm(to, when + to.deadline)
+            if not to.enabled:
+                continue
             to.instances += 1
             record = (when, to.subid, to.instances)
-            self.fired_log.append(record)
-            self.events.log(when, "fire", to.subid, to.instances)
+            fired_log.append(record)
+            log(when, "fire", to.subid, to.instances)
             fired.append(record)
             if to.action is not None:
                 to.action()

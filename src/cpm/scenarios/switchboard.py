@@ -13,6 +13,12 @@ through ``Runtime.cycle_set``. Beacons are synthetic trace data, delivered by
 one-shot timeout objects. A beacon falling exactly on a cycle boundary counts
 for the period it ends (the one-shots are inserted before the cycle starts,
 so they win the tie); a cycle boundary on the horizon still reports.
+
+:class:`BeaconRecord` and :class:`AdjustmentRecord` are slotted plain
+dataclasses: equal by value and replaceable with ``dataclasses.replace``,
+but not frozen and so not hashable. Nothing hashes or mutates one; a run
+builds one per beacon and per peer and cycle, and building a frozen one cost
+several times as much.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from ..runtime import Runtime, TimeoutObject
 DEFAULT_OBSERVATION_PERIOD_MS = 60_000
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BeaconRecord:
     time: int  # ms
     mac: str
@@ -49,7 +55,7 @@ class BeaconTrace:
         return cls(tuple(BeaconRecord(int(t), str(mac), float(rate)) for t, mac, rate in rows))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AdjustmentRecord:
     cycle: int  # 1-based observation cycle index
     mac: str

@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpm.runtime import (
     TOM,
@@ -181,6 +183,88 @@ def test_rejected_period_leaves_a_running_cycle_running():
         rt.cycle_set("f", -5)
     assert rt.cycle_get("f") == 100
     assert [when for when, _, _ in rt.advance(250)] == [100, 200]
+
+
+def test_negative_one_shot_deadline_is_rejected_before_anything_changes():
+    tom = TOM()
+    tom.advance(100)
+    seen = []
+    t = make("a", -30, action=lambda: seen.append(tom.clock.now))
+    with pytest.raises(ValueError, match="must not be negative"):
+        tom.insert(t)
+    assert t.next_fire is None and tom.advance(0) == [] and seen == []
+    with pytest.raises(ValueError, match="before insert"):
+        tom.renew(t)
+
+
+def test_negative_deadline_on_an_inserted_one_shot_keeps_the_deadline():
+    tom = TOM()
+    tom.advance(100)
+    t = make("a", 30)
+    tom.insert(t)
+    with pytest.raises(ValueError, match="must not be negative"):
+        tom.set_deadline(t, -50)
+    assert t.deadline == 30
+    tom.renew(t)
+    assert tom.advance(30) == [(130, "a", 1)]
+    assert [e.time_ms for e in tom.events] == [130]
+
+
+def test_zero_one_shot_deadline_fires_at_now():
+    tom = TOM()
+    tom.advance(100)
+    tom.insert(make("a", 0))
+    assert tom.advance(0) == [(100, "a", 1)]
+
+
+TOM_OBJECTS = (("a", False), ("b", False), ("c", True))  # (subid, cyclic)
+TOM_DEADLINE = st.integers(-20, 40)
+TOM_INDEX = st.integers(0, len(TOM_OBJECTS) - 1)
+TOM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(("insert", "renew", "delete")), TOM_INDEX),
+        st.tuples(st.just("set_deadline"), TOM_INDEX, TOM_DEADLINE),
+        st.tuples(st.just("advance"), st.integers(0, 50)),
+    ),
+    max_size=25,
+)
+
+
+def play_tom_script(initial, ops, skip=()):
+    """Run ``ops`` on a fresh manager, skipping the indices in ``skip``;
+    returns the manager, its objects and the indices of rejected calls,
+    checking that each rejected call left every deadline and next_fire."""
+    tom = TOM()
+    objs = [make(subid, d, cyclic=cyclic) for (subid, cyclic), d in zip(TOM_OBJECTS, initial)]
+    rejected = []
+    for i, (op, *args) in enumerate(ops):
+        if i in skip:
+            continue
+        before = [(t.deadline, t.next_fire) for t in objs]
+        try:
+            if op == "advance":
+                tom.advance(*args)
+            else:
+                getattr(tom, op)(objs[args[0]], *args[1:])
+        except ValueError:
+            rejected.append(i)
+            assert [(t.deadline, t.next_fire) for t in objs] == before
+    tom.advance(100)
+    return tom, objs, rejected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(TOM_DEADLINE, TOM_DEADLINE, st.integers(1, 40)), TOM_OPS)
+def test_hypothesis_rejected_calls_change_nothing_and_time_never_runs_back(initial, ops):
+    tom, objs, rejected = play_tom_script(initial, ops)
+    times = [e.time_ms for e in tom.events]
+    assert times == sorted(times)
+    assert all(when >= 0 for when, _, _ in tom.fired_log)
+    # replaying without the rejected calls fires the same objects in the same order
+    clean, clean_objs, again = play_tom_script(initial, ops, skip=set(rejected))
+    assert again == []
+    assert clean.fired_log == tom.fired_log and list(clean.events) == list(tom.events)
+    assert [(t.deadline, t.next_fire) for t in clean_objs] == [(t.deadline, t.next_fire) for t in objs]
 
 
 def test_cancelling_a_stopped_cycle_warns_under_its_name():
