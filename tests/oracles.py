@@ -2,16 +2,18 @@
 
 Everything here is straight-line arithmetic/enumeration over the declared
 behavior, sharing no code with the runtime or the scheduler it checks, except
-the four references at the end: plain, slower forms of the statement
-splitter, the interpreter's statement loop and the voted read that the fast
-forms must agree with exactly, and the reflective array as it was when it
-stored its staleness flag.
+the five references at the end: plain, slower forms of the line lexer, the
+statement splitter, the interpreter's statement loop and the voted read that
+the fast forms must agree with exactly, and the reflective array as it was
+when it stored its staleness flag.
 """
+
+import re
 
 from cpm.cexpr import compile_stmt
 from cpm.interp import InterpError
 from cpm.runtime.redundant import NoMajorityError, ReplicaSet
-from cpm.srcmodel import TokenKind, ext_tag, split_segments
+from cpm.srcmodel import C_KEYWORDS, Token, TokenKind, ext_tag, split_segments
 
 WD_STARTED, WD_ACTIVE, WD_FIRED, WD_END = -1, -2, -3, -4
 
@@ -139,6 +141,50 @@ def c_eval(node, env):
         holds = {"<": a < b, ">": a > b, "<=": a <= b, ">=": a >= b, "==": a == b, "!=": a != b}[op]
         return 1 if holds else 0
     return {"+": a + b, "-": a - b, "*": a * b, "&": a & b, "|": a | b, "^": a ^ b}[op]
+
+
+# The lexical grammar with one named group per token kind, tried in order;
+# the first alternative that matches at a position wins. OPEN is a block
+# comment the line does not close.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<WHITESPACE> [ \t\r\v\f]+ )
+    | (?P<COMMENT> //[\s\S]* | /\*[\s\S]*?\*/ )
+    | (?P<OPEN> /\*[\s\S]* )
+    | (?P<IDENTIFIER> [A-Za-z_][A-Za-z0-9_]* )
+    | (?P<NUMBER> \.?[0-9] (?: [eEpP][+-] | [.A-Za-z0-9_] )* )
+    | (?P<STRING> "(?: [^"\\] | \\[\s\S] )*["\\]? | '(?: [^'\\] | \\[\s\S] )*['\\]? )
+    | (?P<PUNCTUATOR> <<= | >>= | \.\.\. | -> | \+\+ | -- | << | >> | [-+*/%&^|<>=!]= | && | \|\| | \#\# | [\s\S] )
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(raw, in_block):
+    """:func:`cpm.srcmodel._tokenize` in its plain form: one match object
+    per token, whose named group gives the kind, and the significant tokens
+    and identifier lexemes filtered from the token list afterwards."""
+    tokens = []
+    pos = 0
+    if in_block:
+        end = raw.find("*/")
+        if end < 0:
+            return ((Token(TokenKind.COMMENT, raw, 0),) if raw else ()), (), frozenset(), True
+        pos = end + 2
+        tokens.append(Token(TokenKind.COMMENT, raw[:pos], 0))
+    group = None
+    for m in _REFERENCE_TOKEN_RE.finditer(raw, pos):
+        group = m.lastgroup
+        if group == "OPEN":
+            kind = TokenKind.COMMENT
+        elif group == "IDENTIFIER" and m.group() in C_KEYWORDS:
+            kind = TokenKind.KEYWORD
+        else:
+            kind = TokenKind[group]
+        tokens.append(Token(kind, m.group(), m.start()))
+    sig = tuple(t for t in tokens if t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT))
+    names = frozenset(t.lexeme for t in tokens if t.kind is TokenKind.IDENTIFIER)
+    return tuple(tokens), sig, names, group == "OPEN"
 
 
 def reference_split_segments(sig):

@@ -23,7 +23,7 @@ from cpm.srcmodel import (
 )
 
 from c_corpus import CORPUS
-from oracles import reference_split_segments
+from oracles import reference_split_segments, reference_tokenize
 
 
 def kinds_and_lexemes(raw):
@@ -130,6 +130,20 @@ GRAMMAR = [
         True,
     ),
     ("a ...b", False, [(ID, "a"), (W, " "), (P, "..."), (ID, "b")], False),
+    ("/", False, [(P, "/")], False),
+    ("/=", False, [(P, "/=")], False),
+    (".", False, [(P, ".")], False),
+    ("...", False, [(P, "...")], False),
+    (".5", False, [(N, ".5")], False),
+    ("/**/", False, [(C, "/**/")], False),
+    ("//", False, [(C, "//")], False),
+    ('"', False, [(S, '"')], False),
+    ("'", False, [(S, "'")], False),
+    ("#", False, [(P, "#")], False),
+    ("\x00", False, [(P, "\x00")], False),
+    ("\u20ac", False, [(P, "\u20ac")], False),
+    ("int int_x", False, [(KW, "int"), (W, " "), (ID, "int_x")], False),
+    ("_", False, [(ID, "_")], False),
 ]
 
 
@@ -138,6 +152,39 @@ def test_token_grammar_exactly(raw, in_block, expected, after):
     tokens, _, _, state = _tokenize(raw, in_block)
     assert [(t.kind, t.lexeme) for t in tokens] == expected
     assert state is after
+
+
+SHORT_STRINGS = [chr(c) for c in range(0x100)] + ["\u20ac"] + [
+    chr(a) + chr(b) for a in range(0x20, 0x7F) for b in range(0x20, 0x7F)
+]
+
+
+def test_every_short_string_lexes_as_the_reference_does():
+    """Every 1-character string over latin-1 and one code point above it,
+    and every 2-character printable-ASCII string, in both block states: the
+    pattern that cuts lexemes and the tables that kind them cannot drift
+    apart on a single character or a pair."""
+    for in_block in (False, True):
+        for raw in SHORT_STRINGS:
+            assert _tokenize(raw, in_block) == reference_tokenize(raw, in_block), (raw, in_block)
+
+
+LEX_PIECES = st.one_of(
+    st.sampled_from([
+        "/*", "*/", "//", "/", "*", ".", "..", "...", "e+", "P-", "0x", "1", '"', "'", "\\", "#", "##",
+        "<<=", "->", "int", "_", " ", "\t", "\x00", "\u20ac",
+    ]),
+    st.text(st.characters(max_codepoint=0xFF), max_size=3),
+    st.text(st.characters(min_codepoint=0x100), max_size=2),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(LEX_PIECES, max_size=16).map("".join), st.booleans())
+def test_tokenize_agrees_with_the_reference_lexer(raw, in_block):
+    """Kinds, lexemes, columns, significant tokens, identifier names and the
+    block-comment state at the end all equal the named-group lexer's."""
+    assert _tokenize(raw, in_block) == reference_tokenize(raw, in_block)
 
 
 def test_tokenize_rejects_newlines():
