@@ -15,11 +15,16 @@ copying one), and code that reports a line number takes it from
 ``enumerate(unit.lines, 1)``.
 
 Input is treated as bytes: files should be decoded latin-1 so every byte maps
-to one character. ``_TOKEN_RE`` is the one statement of the lexical grammar:
-a single pattern with one named group per token kind, whose character
-classes are all spelled in ASCII, so only ASCII bytes take part in token
-classification and any other byte becomes a one-byte punctuator. Tokenizing
-never fails.
+to one character. The lexical grammar is stated in two parts. The pattern
+``_TOKEN_RE`` says where tokens end: one alternative per token kind, with no
+capture group, so one ``findall`` cuts a line into its lexemes. Two tables
+give each lexeme its kind: ``_LEXEME_KIND`` by the whole lexeme (every
+punctuator and every keyword), else ``_FIRST_KIND`` by its first character,
+else it is a punctuator. Every character class is spelled in ASCII, so only
+ASCII bytes take part in token classification and any other byte becomes a
+one-byte punctuator. Tokenizing never fails. Cutting and kinding this way
+costs a token one list item and at most two dict lookups, where a match
+object per token cost an allocation and three method calls.
 
 Code compares a token's kind against the module constants ``IDENTIFIER``,
 ``KEYWORD`` and so on, bound once at import, and never reads
@@ -31,6 +36,7 @@ passes compare kinds once or twice per token.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -62,25 +68,42 @@ C_KEYWORDS = frozenset(
     """.split()
 )
 
-# The whole lexical grammar, one named group per token kind, tried in order;
-# the first alternative that matches at a position wins. Every class is
-# spelled in ASCII: Python's \w, \d and \s also match latin-1 letters and
-# spaces (\xaa, \xe9, \xa0, \x85), which must stay one-byte punctuators.
-# OPEN is a block comment the line does not close.
+# Where tokens end: one alternative per token kind, tried in order; the first
+# that matches at a position wins, and findall returns the lexemes, since no
+# group captures. Every class is spelled in ASCII: Python's \w, \d and \s
+# also match latin-1 letters and spaces (\xaa, \xe9, \xa0, \x85), which must
+# stay one-byte punctuators.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WHITESPACE> [ \t\r\v\f]+ )
-    | (?P<COMMENT> //[\s\S]* | /\*[\s\S]*?\*/ )
-    | (?P<OPEN> /\*[\s\S]* )
-    | (?P<IDENTIFIER> [A-Za-z_][A-Za-z0-9_]* )
-    | (?P<NUMBER> \.?[0-9] (?: [eEpP][+-] | [.A-Za-z0-9_] )* )  # preprocessing number
-    | (?P<STRING> "(?: [^"\\] | \\[\s\S] )*["\\]? | '(?: [^'\\] | \\[\s\S] )*['\\]? )  # unterminated: to end of line
-    | (?P<PUNCTUATOR> <<= | >>= | \.\.\. | -> | \+\+ | -- | << | >> | [-+*/%&^|<>=!]= | && | \|\| | \#\# | [\s\S] )
+      [ \t\r\v\f]+                                  # whitespace
+    | //[\s\S]* | /\*[\s\S]*?\*/ | /\*[\s\S]*          # comment; the last is one the line does not close
+    | [A-Za-z_][A-Za-z0-9_]*                        # identifier or keyword
+    | \.?[0-9] (?: [eEpP][+-] | [.A-Za-z0-9_] )*    # preprocessing number
+    | "(?: [^"\\] | \\[\s\S] )*["\\]? | '(?: [^'\\] | \\[\s\S] )*['\\]?  # string; unterminated: to end of line
+    | <<= | >>= | \.\.\. | -> | \+\+ | -- | << | >> | [-+*/%&^|<>=!]= | && | \|\| | \#\# | [\s\S]  # punctuator
     """,
     re.VERBOSE,
 )
-_KINDS = {**{k.name: k for k in TokenKind}, "OPEN": COMMENT}
-_TRIVIA = frozenset({"WHITESPACE", "COMMENT", "OPEN"})  # groups of insignificant tokens
+
+# What kind each lexeme is: the whole lexeme is looked up first, then its
+# first character, and anything found in neither is a punctuator. The first
+# table alone would kind a lone "/" as a comment and a lone "." as a number,
+# so every punctuator is a whole lexeme.
+_LEXEME_KIND = {
+    **dict.fromkeys(
+        "<<= >>= ... -> ++ -- << >> -= += *= /= %= &= ^= |= <= >= == != && || ## "
+        "( ) [ ] { } ; , . : ? ~ ! + - * / % & | ^ < > = #".split(),
+        PUNCTUATOR,
+    ),
+    **dict.fromkeys(C_KEYWORDS, KEYWORD),
+}
+_FIRST_KIND = {
+    **dict.fromkeys(" \t\r\v\f", WHITESPACE),
+    **dict.fromkeys(string.ascii_letters + "_", IDENTIFIER),
+    **dict.fromkeys(string.digits + ".", NUMBER),
+    **dict.fromkeys("\"'", STRING),
+    "/": COMMENT,
+}
 _NO_NAMES = frozenset()  # shared by the lines that name no identifier
 
 
@@ -112,11 +135,12 @@ class SourceLine:
     ends_in_block_comment: bool = field(init=False)
 
     def __post_init__(self):
-        for name, value in zip(_DERIVED, _tokenize(self.raw, self.in_block_comment)):
-            object.__setattr__(self, name, value)
-
-
-_DERIVED = ("tokens", "sig", "names", "ends_in_block_comment")
+        tokens, sig, names, ends = _tokenize(self.raw, self.in_block_comment)
+        set_field = object.__setattr__
+        set_field(self, "tokens", tokens)
+        set_field(self, "sig", sig)
+        set_field(self, "names", names)
+        set_field(self, "ends_in_block_comment", ends)
 
 
 @dataclass(frozen=True)
@@ -150,30 +174,31 @@ def _tokenize(raw: str, in_block: bool):
     tokens: list[Token] = []
     sig: list[Token] = []
     names = set()
-    i = 0
+    col = 0
     if in_block:
         end = raw.find("*/")
         if end < 0:
             return ((Token(COMMENT, raw, 0),) if raw else ()), (), _NO_NAMES, True
-        i = end + 2
-        tokens.append(Token(COMMENT, raw[:i], 0))
-    group = None
+        col = end + 2
+        tokens.append(Token(COMMENT, raw[:col], 0))
+    lexemes = _TOKEN_RE.findall(raw, col)
+    whole, first = _LEXEME_KIND.get, _FIRST_KIND.get
     new = tuple.__new__  # Token(...) without the Python-level constructor
-    for m in _TOKEN_RE.finditer(raw, i):
-        group, lex = m.lastgroup, m.group()
-        if group in _TRIVIA:
-            tokens.append(new(Token, (_KINDS[group], lex, m.start())))
-            continue
-        if group != "IDENTIFIER":
-            tok = new(Token, (_KINDS[group], lex, m.start()))
-        elif lex in C_KEYWORDS:
-            tok = new(Token, (KEYWORD, lex, m.start()))
-        else:
-            tok = new(Token, (IDENTIFIER, lex, m.start()))
-            names.add(lex)
+    for lex in lexemes:
+        kind = whole(lex) or first(lex[0], PUNCTUATOR)
+        tok = new(Token, (kind, lex, col))
+        col += len(lex)
         tokens.append(tok)
+        if kind is WHITESPACE or kind is COMMENT:
+            continue
+        if kind is IDENTIFIER:
+            names.add(lex)
         sig.append(tok)
-    return tuple(tokens), tuple(sig), frozenset(names) if names else _NO_NAMES, group == "OPEN"
+    # the line ends inside a comment when its last lexeme opens one that it
+    # does not close; "/*/" opens one and ends in "*/"
+    last = lexemes[-1] if lexemes else ""
+    ends = last.startswith("/*") and (len(last) < 4 or not last.endswith("*/"))
+    return tuple(tokens), tuple(sig), frozenset(names) if names else _NO_NAMES, ends
 
 
 def tokenize_line(raw: str) -> tuple[Token, ...]:
