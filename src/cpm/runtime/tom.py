@@ -12,6 +12,11 @@ on a wall clock call :meth:`TOM.poll` (or let :class:`WallDriver` do it).
 Determinism holds on the virtual clock only. A deadline is never negative
 and a cyclic one is positive, so nothing fires before the clock.
 
+A deadline is an int number of ms. A non-int one is truncated once, where it
+enters: :meth:`TOM.insert` and :meth:`TOM.set_deadline` store ``int(deadline)``
+in ``TimeoutObject.deadline``, and every arming adds that int to the clock, so
+``fired_log`` and the event log always carry the same int time.
+
 A :class:`TimeoutObject` is a slotted dataclass, so each of the many
 one-shots a scenario inserts is one object without an instance dict.
 """
@@ -71,12 +76,12 @@ class TOM:
         if to._queued:
             self.events.log(self.clock.now, "warn", to.subid, 0, "insert-while-queued")
             return
-        _period(to, to.deadline)
+        to.deadline = period = _period(to, to.deadline)
         if to._seq is None:
             to._seq = self._next_seq
             self._next_seq += 1
         to._inserted = True
-        self._arm(to, self.clock.now + to.deadline)
+        self._arm(to, self.clock.now + period)
 
     def delete(self, to: TimeoutObject):
         """Remove from the schedule. Deleting something never inserted is a
@@ -105,8 +110,7 @@ class TOM:
         """Re-arm at now + deadline and enable. Requires a prior insert."""
         if not to._inserted:
             raise ValueError(f"renew of '{to.subid}' before insert")
-        _period(to, to.deadline)
-        self._arm(to, self.clock.now + to.deadline)
+        self._arm(to, self.clock.now + _period(to, to.deadline))
         to.enabled = True
 
     def _arm(self, to: TimeoutObject, when: int):
@@ -149,8 +153,7 @@ class TOM:
             if virtual and when > clock.now:
                 clock.advance_to(when)  # actions observe their fire time
             if to.cyclic:  # a disabled one keeps its cadence, silently
-                _period(to, to.deadline)
-                self._arm(to, when + to.deadline)
+                self._arm(to, when + _period(to, to.deadline))
             if not to.enabled:
                 continue
             to.instances += 1

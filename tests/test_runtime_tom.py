@@ -217,6 +217,24 @@ def test_zero_one_shot_deadline_fires_at_now():
     assert tom.advance(0) == [(100, "a", 1)]
 
 
+def test_fractional_one_shot_deadline_fires_at_its_int_in_both_logs():
+    tom = TOM()
+    t = TimeoutObject("a", "a", 10.5)
+    tom.insert(t)
+    assert t.deadline == 10 and t.next_fire == 10
+    tom.advance(20)
+    assert tom.fired_log == [(10, "a", 1)]
+    assert [(e.time_ms, e.kind) for e in tom.events] == [(10, "fire")]
+
+
+def test_fractional_cyclic_deadline_fires_at_its_int_multiples_in_both_logs():
+    tom = TOM()
+    tom.insert(TimeoutObject("c", "c", 2.5, cyclic=True))
+    tom.advance(5)
+    assert tom.fired_log == [(2, "c", 1), (4, "c", 2)]
+    assert [e.time_ms for e in tom.events.of("fire")] == [2, 4]
+
+
 TOM_OBJECTS = (("a", False), ("b", False), ("c", True))  # (subid, cyclic)
 TOM_DEADLINE = st.integers(-20, 40)
 TOM_INDEX = st.integers(0, len(TOM_OBJECTS) - 1)
@@ -265,6 +283,26 @@ def test_hypothesis_rejected_calls_change_nothing_and_time_never_runs_back(initi
     assert again == []
     assert clean.fired_log == tom.fired_log and list(clean.events) == list(tom.events)
     assert [(t.deadline, t.next_fire) for t in clean_objs] == [(t.deadline, t.next_fire) for t in objs]
+
+
+TOM_ANY_DEADLINE = st.one_of(TOM_DEADLINE, st.floats(-20, 40))
+TOM_ANY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(("insert", "renew", "delete")), TOM_INDEX),
+        st.tuples(st.just("set_deadline"), TOM_INDEX, TOM_ANY_DEADLINE),
+        st.tuples(st.just("advance"), st.integers(0, 50)),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(TOM_ANY_DEADLINE, TOM_ANY_DEADLINE, st.floats(1, 40)), TOM_ANY_OPS)
+def test_hypothesis_fired_log_and_event_log_carry_the_same_int_times(initial, ops):
+    tom, _, _ = play_tom_script(initial, ops)
+    fires = [(e.time_ms, e.name, e.instance) for e in tom.events.of("fire")]
+    assert tom.fired_log == fires
+    assert all(type(when) is int for when, _, _ in tom.fired_log)
 
 
 def test_cancelling_a_stopped_cycle_warns_under_its_name():
