@@ -36,7 +36,6 @@ passes compare kinds once or twice per token.
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -99,8 +98,8 @@ _LEXEME_KIND = {
 }
 _FIRST_KIND = {
     **dict.fromkeys(" \t\r\v\f", WHITESPACE),
-    **dict.fromkeys(string.ascii_letters + "_", IDENTIFIER),
-    **dict.fromkeys(string.digits + ".", NUMBER),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", IDENTIFIER),
+    **dict.fromkeys("0123456789.", NUMBER),
     **dict.fromkeys("\"'", STRING),
     "/": COMMENT,
 }
