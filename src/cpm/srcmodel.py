@@ -22,9 +22,8 @@ give each lexeme its kind: ``_LEXEME_KIND`` by the whole lexeme (every
 punctuator and every keyword), else ``_FIRST_KIND`` by its first character,
 else it is a punctuator. Every character class is spelled in ASCII, so only
 ASCII bytes take part in token classification and any other byte becomes a
-one-byte punctuator. Tokenizing never fails. Cutting and kinding this way
-costs a token one list item and at most two dict lookups, where a match
-object per token cost an allocation and three method calls.
+one-byte punctuator. Tokenizing never fails. A token costs one item of the
+``findall`` list and at most two dict lookups, with no match object.
 
 Code compares a token's kind against the module constants ``IDENTIFIER``,
 ``KEYWORD`` and so on, bound once at import, and never reads
