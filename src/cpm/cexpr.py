@@ -7,9 +7,10 @@ precedence-climbing parser over the significant tokens of
 ``/`` and ``%`` truncate toward zero on ints (exact integer arithmetic);
 relational and logical operators yield the int 0 or 1 and comparisons never
 chain; ``?:``, unary, bitwise and shift operators follow C precedence; int
-literals may be octal or hex with ``u``/``l`` suffixes, and a character
-constant is its code. A runtime call (:data:`ABI`) compiles its arguments by
-kind and must have each one. :func:`translate_stmt` turns the statements the
+literals may be octal or hex with an ``l`` suffix (a ``u`` suffix is refused:
+unsigned arithmetic is not modelled), and a character constant is its code. A
+runtime call (:data:`ABI`) compiles its arguments by kind and must have each
+one. :func:`translate_stmt` turns the statements the
 interpreter runs into Python source with the same parser, and
 :func:`compile_stmt` compiles that source; the interpreter compiles the
 sources of many statements together. Anything else raises
@@ -84,11 +85,11 @@ def check_name(name):
 
 def _number(lex):
     body = lex.lower()
-    if "_" in body:
+    if "_" in body or "u" in body:
         raise ValueError(f"bad number {lex}")
     if not body.startswith("0x") and ("." in body or "e" in body):
         return float(body.rstrip("fl"))
-    body = body.rstrip("ul")
+    body = body.rstrip("l")
     if body.startswith("0x"):
         return int(body[2:], 16)
     return int(body, 8 if body.startswith("0") else 10)

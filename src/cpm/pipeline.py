@@ -143,7 +143,11 @@ class Pipeline:
 class PipelineReport:
     applied_ids: list[ExtensionId]
     diagnostics: list[Diagnostic]
-    extensions_pipeline: str
+
+    @property
+    def extensions_pipeline(self) -> str:
+        """The applied ids as the preamble publishes them."""
+        return ";".join(i.canonical() for i in self.applied_ids)
 
 
 def builtin_registry() -> dict[str, ExtensionPass]:
@@ -259,18 +263,12 @@ def run(pipeline: Pipeline, unit: SourceUnit):
     for p in pipeline.passes:
         unit, pass_diags = p.transform(unit, pipeline.config, skips[p.id.name])
         diags.extend(pass_diags)
-    ids_string = publish_ids(pipeline)
-    head = unit_from_raws([preamble_line(ids_string)]).lines
+    head = unit_from_raws([preamble_line(publish_ids(pipeline))]).lines
     final_newline = unit.final_newline if unit.lines else True
     out = SourceUnit(lines=head + tuple(unit.lines), final_newline=final_newline)
     if pipeline.config.get_bool("pipeline", "strict_tags"):
         diags.extend(_strict_sweep(unit, pipeline, applied, tags))
-    report = PipelineReport(
-        applied_ids=[p.id for p in pipeline.passes],
-        diagnostics=diags,
-        extensions_pipeline=ids_string,
-    )
-    return out, report
+    return out, PipelineReport(applied_ids=[p.id for p in pipeline.passes], diagnostics=diags)
 
 
 def _strict_sweep(unit: SourceUnit, pipeline: Pipeline, applied, tags):

@@ -1,5 +1,6 @@
 """Clocks for the runtime: a virtual clock for deterministic execution and a
-wall clock for demos."""
+wall clock for demos. A virtual clock starts at 0 and moves only when
+:meth:`cpm.runtime.tom.TOM.advance` moves it, firing what falls due."""
 
 from __future__ import annotations
 
@@ -12,14 +13,8 @@ class VirtualClock:
 
     mode = "virtual"
 
-    def __init__(self, start: int = 0):
-        self.now = int(start)
-
-    def advance(self, dt: int) -> int:
-        if dt < 0:
-            raise ValueError("clock cannot move backwards")
-        self.now += int(dt)
-        return self.now
+    def __init__(self):
+        self.now = 0
 
     def advance_to(self, t: int) -> int:
         if t < self.now:

@@ -30,7 +30,6 @@ BUILTIN_ARRAY_PROPS = ("beacons", "silent_periods", "stale")
 class _Guard:
     name: str
     body: object  # callable or None
-    source: str
     code: object
     last_value: bool = False
     fires: int = 0
@@ -155,7 +154,7 @@ class ContextRegistry:
         if not refs:
             raise ValueError(f"guard {expr!r} references no registered sensor")
         gname = name or getattr(body, "__name__", None) or f"guard{len(self.guards)}"
-        guard = _Guard(name=gname, body=body, source=expr, code=code)
+        guard = _Guard(name=gname, body=body, code=code)
         guard.last_value = self._eval(guard)
         self.guards.append(guard)
         for ref in refs:

@@ -18,6 +18,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .clock import VirtualClock
+from .events import EventLog
+
 
 class NoMajorityError(RuntimeError):
     """Voting failure: no value is held by a strict majority of replicas."""
@@ -42,10 +45,17 @@ class AdaptPolicy:
 
 @dataclass
 class VoteStats:
-    reads: int = 0
+    window: deque  # last-W discrepancy counts, bounded by maxlen W
     discrepancy_histogram: dict = field(default_factory=dict)
-    window: deque = field(default_factory=deque)  # last-W discrepancy counts
-    failure_risk: float = 0.0
+    risky: int = 0  # reads in window with discrepancies >= N // 2
+
+    @property
+    def reads(self) -> int:
+        return sum(self.discrepancy_histogram.values())
+
+    @property
+    def failure_risk(self) -> float:
+        return self.risky / self.window.maxlen
 
 
 class ReplicaSet:
@@ -60,11 +70,10 @@ class ReplicaSet:
             raise ValueError(f"replica count {replicas} outside policy bounds [{policy.n_min}, {policy.n_max}]")
         self.name = name
         self.policy = policy
-        self.clock = clock
-        self.events = events
+        self.clock = clock if clock is not None else VirtualClock()
+        self.events = events if events is not None else EventLog()
         self.stats = VoteStats(window=deque(maxlen=policy.window))
         self._replicas = [initial] * replicas
-        self._window_risky = 0  # reads in stats.window with discrepancies >= N // 2
         self._window_reads = 0
         self._clean_windows = 0
 
@@ -75,9 +84,6 @@ class ReplicaSet:
     @property
     def replicas(self) -> tuple:
         return tuple(self._replicas)
-
-    def _now(self) -> int:
-        return self.clock.now if self.clock is not None else 0
 
     def write(self, value):
         """Multiplexed write: every replica takes the value. Does not count
@@ -113,8 +119,7 @@ class ReplicaSet:
                     lead -= 1
             agreeing = reps.count(cand)
             if agreeing * 2 <= n:
-                if self.events is not None:
-                    self.events.log(self._now(), "vote_fail", self.name, self.stats.reads, "no-majority")
+                self.events.log(self.clock.now, "vote_fail", self.name, self.stats.reads, "no-majority")
                 raise NoMajorityError(f"no strict majority among replicas of '{self.name}'")
             value = reps[reps.index(cand)]  # the first agreeing replica
             discrepancies = n - agreeing
@@ -122,14 +127,12 @@ class ReplicaSet:
                 for i in range(n):
                     reps[i] = value
         st = self.stats
-        st.reads += 1
         st.discrepancy_histogram[discrepancies] = st.discrepancy_histogram.get(discrepancies, 0) + 1
         risky = n // 2
         if len(st.window) == st.window.maxlen and st.window[0] >= risky:
-            self._window_risky -= 1  # about to be evicted
+            st.risky -= 1  # about to be evicted
         st.window.append(discrepancies)
-        self._window_risky += discrepancies >= risky
-        st.failure_risk = self._window_risky / self.policy.window
+        st.risky += discrepancies >= risky
         self._adapt(majority=value)
         return value
 
@@ -139,7 +142,7 @@ class ReplicaSet:
             self._resize(self.n + 2, majority)
             return
         if self._window_reads >= self.policy.window:
-            if self._window_risky == 0:  # stats.window holds just the reads of this window
+            if self.stats.risky == 0:  # stats.window holds just the reads of this window
                 self._clean_windows += 1
                 if self._clean_windows >= self.policy.deescalate_after:
                     if self.n - 2 >= self.policy.n_min:
@@ -157,9 +160,7 @@ class ReplicaSet:
             del self._replicas[new_n:]
         # measurements made at the old N no longer apply
         self.stats.window.clear()
-        self.stats.failure_risk = 0.0
-        self._window_risky = 0
+        self.stats.risky = 0
         self._window_reads = 0
         self._clean_windows = 0
-        if self.events is not None:
-            self.events.log(self._now(), "adapt", self.name, new_n, f"{old_n}->{new_n}")
+        self.events.log(self.clock.now, "adapt", self.name, new_n, f"{old_n}->{new_n}")

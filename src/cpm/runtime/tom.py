@@ -4,18 +4,20 @@ A :class:`TimeoutObject` postpones an action by a deadline; cyclic objects
 re-arm themselves at a fixed rate (next fire = previous *scheduled* fire +
 deadline, so there is no drift). The manager processes due objects in
 (next_fire, insertion order); each firing runs the action as a fresh logical
-instance regardless of earlier instances, and is appended to ``fired_log`` as
-``(time, subid, instance_no)``.
+instance regardless of earlier instances, and is logged as a ``fire`` event;
+``fired_log`` reads those events back as ``(time, subid, instance_no)``.
 
-Driving the manager is explicit: on a virtual clock call :meth:`TOM.advance`;
-on a wall clock call :meth:`TOM.poll` (or let :class:`WallDriver` do it).
-Determinism holds on the virtual clock only. A deadline is never negative
-and a cyclic one is positive, so nothing fires before the clock.
+Driving the manager is explicit: on a virtual clock call :meth:`TOM.advance`,
+the only way a virtual clock moves; on a wall clock call :meth:`TOM.poll` (or
+let :class:`WallDriver` do it). Determinism holds on the virtual clock only.
+A deadline is never negative and a cyclic one is positive, so nothing fires
+before the clock.
 
-A deadline is an int number of ms. A non-int one is truncated once, where it
-enters: :meth:`TOM.insert` and :meth:`TOM.set_deadline` store ``int(deadline)``
-in ``TimeoutObject.deadline``, and every arming adds that int to the clock, so
-``fired_log`` and the event log always carry the same int time.
+Deadlines and ``dt`` are int ms. A non-int one is truncated once, where it
+enters: :meth:`TOM.insert` and :meth:`TOM.set_deadline` store ``int(deadline)``,
+which every arming adds to the clock, and :meth:`TOM.advance` adds ``int(dt)``
+(``advance(2.5)`` then ``advance(7.6)`` leaves the clock at 9). So every fire
+time is an int.
 
 A :class:`TimeoutObject` is a slotted dataclass, so each of the many
 one-shots a scenario inserts is one object without an instance dict.
@@ -40,12 +42,11 @@ class TimeoutObject:
     cyclic: bool = False
     enabled: bool = True
     action: Optional[Callable[[], None]] = None
-    next_fire: Optional[int] = None  # absolute ms once inserted
+    next_fire: Optional[int] = None  # absolute ms from insert until delete
     instances: int = 0  # completed firings; the next firing is instances + 1
     _seq: Optional[int] = field(default=None, repr=False)
     _version: int = field(default=0, repr=False)
     _queued: bool = field(default=False, repr=False)
-    _inserted: bool = field(default=False, repr=False)
 
 
 def _period(to: TimeoutObject, deadline) -> int:
@@ -64,9 +65,13 @@ class TOM:
     def __init__(self, clock=None, events=None):
         self.clock = clock if clock is not None else VirtualClock()
         self.events = events if events is not None else EventLog()
-        self.fired_log: list[tuple[int, str, int]] = []
         self._heap: list = []  # (next_fire, seq, version, obj)
         self._next_seq = 0
+
+    @property
+    def fired_log(self) -> list[tuple[int, str, int]]:
+        """The ``fire`` events, which only the manager logs, as tuples."""
+        return [(e.time_ms, e.name, e.instance) for e in self.events.events if e.kind == "fire"]
 
     # -- schedule control ---------------------------------------------------
 
@@ -80,18 +85,16 @@ class TOM:
         if to._seq is None:
             to._seq = self._next_seq
             self._next_seq += 1
-        to._inserted = True
         self._arm(to, self.clock.now + period)
 
     def delete(self, to: TimeoutObject):
         """Remove from the schedule. Deleting something never inserted is a
         no-op that leaves a warn event."""
-        if not to._inserted:
+        if to.next_fire is None:
             self.events.log(self.clock.now, "warn", to.subid, 0, "delete-before-insert")
             return
         to._version += 1
         to._queued = False
-        to._inserted = False
         to.next_fire = None
 
     def enable(self, to: TimeoutObject):
@@ -108,7 +111,7 @@ class TOM:
 
     def renew(self, to: TimeoutObject):
         """Re-arm at now + deadline and enable. Requires a prior insert."""
-        if not to._inserted:
+        if to.next_fire is None:
             raise ValueError(f"renew of '{to.subid}' before insert")
         self._arm(to, self.clock.now + _period(to, to.deadline))
         to.enabled = True
@@ -123,8 +126,9 @@ class TOM:
     # -- clock driving ------------------------------------------------------
 
     def advance(self, dt: int):
-        """Advance a virtual clock by dt ms, firing everything that falls
-        due, in (next_fire, insertion) order. Returns the fired events."""
+        """Advance a virtual clock by ``int(dt)`` ms, firing everything that
+        falls due, in (next_fire, insertion) order. Returns the firings, as
+        :attr:`fired_log` records them."""
         if self.clock.mode != "virtual":
             raise RuntimeError("advance() requires a virtual clock; use poll() on a wall clock")
         if dt < 0:
@@ -142,12 +146,12 @@ class TOM:
         # bound once per call, not per firing; still looked up at call time,
         # so a patched tom.heapq or EventLog.log sees every pop and event
         heap, clock, pop = self._heap, self.clock, heapq.heappop
-        log, fired_log = self.events.log, self.fired_log
+        log = self.events.log
         virtual = clock.mode == "virtual"
         fired = []
         while heap and heap[0][0] <= target:
             when, seq, version, to = pop(heap)
-            if not to._queued or version != to._version:
+            if version != to._version:
                 continue  # superseded by renew/delete
             to._queued = False
             if virtual and when > clock.now:
@@ -157,10 +161,8 @@ class TOM:
             if not to.enabled:
                 continue
             to.instances += 1
-            record = (when, to.subid, to.instances)
-            fired_log.append(record)
             log(when, "fire", to.subid, to.instances)
-            fired.append(record)
+            fired.append((when, to.subid, to.instances))
             if to.action is not None:
                 to.action()
         return fired

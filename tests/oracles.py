@@ -107,29 +107,37 @@ def switchboard_oracle(rows, period, horizon):
     return reports
 
 
-def c_eval(node, env):
+def c_eval(node, env, seen=None):
     """Evaluate an expression tree by the C rules for ints: ``/`` and ``%``
     truncate toward zero in exact integer arithmetic (never through float),
     relational and logical operators give 0 or 1, ``&&``, ``||`` and ``?:``
-    evaluate only the operands they need. Division by zero raises
-    ZeroDivisionError. Nodes: ("int", value, fmt), ("var", name),
-    ("unary", op, x), ("binary", op, left, right), ("cond", c, then, else)."""
+    evaluate only the operands they need, and shifts are arithmetic. Division
+    by zero raises ZeroDivisionError. Nodes: ("int", value, fmt), ("var",
+    name), ("unary", op, x), ("binary", op, left, right), ("cond", c, then,
+    else). A ``seen`` list collects the value of every node evaluated."""
+    value = _c_node(node, env, seen)
+    if seen is not None:
+        seen.append(value)
+    return value
+
+
+def _c_node(node, env, seen):
     kind = node[0]
     if kind == "int":
         return node[1]
     if kind == "var":
         return env[node[1]]
     if kind == "cond":
-        return c_eval(node[2] if c_eval(node[1], env) != 0 else node[3], env)
+        return c_eval(node[2] if c_eval(node[1], env, seen) != 0 else node[3], env, seen)
     if kind == "unary":
-        x = c_eval(node[2], env)
+        x = c_eval(node[2], env, seen)
         return {"-": -x, "~": ~x, "!": 1 if x == 0 else 0}[node[1]]
-    op, a = node[1], c_eval(node[2], env)
+    op, a = node[1], c_eval(node[2], env, seen)
     if op == "&&":
-        return 0 if a == 0 else (1 if c_eval(node[3], env) != 0 else 0)
+        return 0 if a == 0 else (1 if c_eval(node[3], env, seen) != 0 else 0)
     if op == "||":
-        return 1 if a != 0 else (1 if c_eval(node[3], env) != 0 else 0)
-    b = c_eval(node[3], env)
+        return 1 if a != 0 else (1 if c_eval(node[3], env, seen) != 0 else 0)
+    b = c_eval(node[3], env, seen)
     if op in ("/", "%"):
         if b == 0:
             raise ZeroDivisionError("division by zero")
@@ -140,6 +148,8 @@ def c_eval(node, env):
     if op in ("<", ">", "<=", ">=", "==", "!="):
         holds = {"<": a < b, ">": a > b, "<=": a <= b, ">=": a >= b, "==": a == b, "!=": a != b}[op]
         return 1 if holds else 0
+    if op in ("<<", ">>"):
+        return a << b if op == "<<" else a >> b
     return {"+": a + b, "-": a - b, "*": a * b, "&": a & b, "|": a | b, "^": a ^ b}[op]
 
 
@@ -248,8 +258,7 @@ class ReferenceReplicaSet(ReplicaSet):
                 lead -= 1
         agreeing = reps.count(cand)
         if agreeing * 2 <= self.n:
-            if self.events is not None:
-                self.events.log(self._now(), "vote_fail", self.name, self.stats.reads, "no-majority")
+            self.events.log(self.clock.now, "vote_fail", self.name, self.stats.reads, "no-majority")
             raise NoMajorityError(f"no strict majority among replicas of '{self.name}'")
         value = reps[reps.index(cand)]  # the first agreeing replica
         discrepancies = self.n - agreeing
@@ -257,14 +266,12 @@ class ReferenceReplicaSet(ReplicaSet):
             for i in range(len(reps)):
                 reps[i] = value
         st = self.stats
-        st.reads += 1
         st.discrepancy_histogram[discrepancies] = st.discrepancy_histogram.get(discrepancies, 0) + 1
         risky = self.n // 2
         if len(st.window) == st.window.maxlen and st.window[0] >= risky:
-            self._window_risky -= 1  # about to be evicted
+            st.risky -= 1  # about to be evicted
         st.window.append(discrepancies)
-        self._window_risky += discrepancies >= risky
-        st.failure_risk = self._window_risky / self.policy.window
+        st.risky += discrepancies >= risky
         self._adapt(majority=value)
         return value
 

@@ -1,10 +1,14 @@
-"""The shared C-expression compiler against a reference evaluator, and its
-cache."""
+"""The shared C-expression compiler against a reference evaluator, the
+reference evaluator against a C compiler, and the compiler's cache."""
 
 import itertools
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import cpm.cexpr
@@ -15,25 +19,31 @@ from oracles import c_eval
 
 PREC = {"||": 1, "&&": 2, "|": 3, "^": 4, "&": 5, "==": 6, "!=": 6, "<": 7, ">": 7, "<=": 7, ">=": 7,
         "+": 9, "-": 9, "*": 10, "/": 10, "%": 10}
-UNARY, PRIMARY = 11, 12
+SHIFT, UNARY, PRIMARY = 8, 11, 12  # SHIFT: the precedence of << and >>
 
 ints = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70), st.sampled_from([2**53 + 1, -(2**53) - 1, 0]))
 
 
-def tree_strategy(ints, max_leaves):
+def tree_strategy(ints, max_leaves, shifts=False):
+    """Expression trees over ``ints`` and the variable ``s``; with ``shifts``,
+    also ``<<`` and ``>>`` by a literal count of 0 to 8."""
     leaves = st.one_of(
         st.tuples(st.just("int"), ints, st.sampled_from(["dec", "hex", "oct"])),
         st.just(("var", "s")),
     )
-    return st.recursive(
-        leaves,
-        lambda sub: st.one_of(
+
+    def branches(sub):
+        nodes = [
             st.tuples(st.just("unary"), st.sampled_from("-~!"), sub),
             st.tuples(st.just("binary"), st.sampled_from(sorted(PREC)), sub, sub),
             st.tuples(st.just("cond"), sub, sub, sub),
-        ),
-        max_leaves=max_leaves,
-    )
+        ]
+        if shifts:
+            count = st.tuples(st.just("int"), st.integers(0, 8), st.just("dec"))
+            nodes.append(st.tuples(st.just("binary"), st.sampled_from(["<<", ">>"]), sub, count))
+        return st.one_of(nodes)
+
+    return st.recursive(leaves, branches, max_leaves=max_leaves)
 
 
 trees = st.one_of(tree_strategy(ints, 10), tree_strategy(st.integers(-4, 4), 3))
@@ -52,7 +62,7 @@ def render(node, need=0):
     elif kind == "unary":
         text, prec = f"{node[1]} {render(node[2], UNARY)}", UNARY
     elif kind == "binary":
-        p = PREC[node[1]]
+        p = PREC.get(node[1], SHIFT)
         text, prec = f"{render(node[2], p)} {node[1]} {render(node[3], p + 1)}", p
     else:
         text, prec = f"{render(node[1], 1)} ? {render(node[2])} : {render(node[3])}", 0
@@ -150,3 +160,41 @@ def test_failed_compiles_are_not_cached():
 def test_names_are_the_identifiers_read():
     _, names = compile_expr('cpm_arr_get(arr, (k + cpm_red_read(x)), prop) == t && u != "v w"')
     assert names == {"cpm_arr_get", "k", "cpm_red_read", "t", "u"}
+
+
+INT_MIN, INT_MAX = -(2**31), 2**31 - 1
+int32s = st.integers(INT_MIN + 1, INT_MAX)  # -INT_MIN is no int literal in C
+c_trees = tree_strategy(st.one_of(st.integers(-9, 9), int32s), 10, shifts=True)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler: cc is not on PATH")
+# no shrinking: each step would compile a program, and a failure already
+# names the expression that differs
+@settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.lists(st.tuples(c_trees, int32s), min_size=40, max_size=80))
+def test_hypothesis_c_reference_and_eval_expr_match_a_c_compiler(batch):
+    """Every tree that ``c_eval`` evaluates without dividing by zero, and
+    whose every intermediate value fits in an int, evaluates to the same
+    value in one C program per batch, compiled with wrapping signed
+    arithmetic, as under ``c_eval`` and ``eval_expr``."""
+    kept = []
+    for tree, s in batch:
+        seen = []
+        try:
+            value = c_eval(tree, {"s": s}, seen)
+        except ZeroDivisionError:
+            continue
+        if all(INT_MIN <= v <= INT_MAX for v in seen):
+            kept.append((render(tree), s, value))
+    if not kept:
+        return
+    body = "".join(f'    {{ int s = {s}; printf("%lld\\n", (long long)({text})); }}\n' for text, s, _ in kept)
+    with tempfile.TemporaryDirectory() as tmp:
+        src, exe = Path(tmp) / "exprs.c", Path(tmp) / "exprs"
+        src.write_text(f"#include <stdio.h>\nint main(void) {{\n{body}    return 0;\n}}\n")
+        subprocess.run(["cc", "-fwrapv", "-w", "-o", str(exe), str(src)], check=True, capture_output=True)
+        printed = subprocess.run([str(exe)], check=True, capture_output=True, text=True).stdout.split()
+    assert len(printed) == len(kept)
+    for (text, s, value), c_value in zip(kept, printed):
+        it = AbiInterpreter(Runtime(), env={"s": s})
+        assert int(c_value) == value == it.eval_expr(text), (text, s)

@@ -182,7 +182,7 @@ C_TABLE = [
     ("(a>3)+(a>4)", 2),
     ("1 ? 2 : 3", 2),
     ("010", 8),
-    ("10u", 10),
+    ("10l", 10),
     ("'a'", 97),
 ]
 
@@ -194,6 +194,20 @@ def test_c_semantics_table(text, value):
     result = it.eval_expr(text)
     assert result == value
     assert type(result) is type(value)  # truth values are ints, never bool
+
+
+# an unsigned literal would need C's unsigned arithmetic, which is not
+# modelled: ~0u is 4294967295 in C, (1u - 2) > 0 is 1 and (-020U) is 4294967280
+@pytest.mark.parametrize("text", ["10u", "~0u", "(1u - 2) > 0", "(-020U)"])
+def test_unsigned_literals_are_refused_on_every_path(text):
+    rt, it = fresh()
+    with pytest.raises(InterpError, match="not a C expression"):
+        it.eval_expr(text)
+    rt.ctx_register("s", "sensor")
+    with pytest.raises(ValueError, match="not a C expression"):
+        rt.guard_register("g", f"s == ({text})")
+    _, report = run(compose(["refractive"]), load_unit(f"sensor_t int s;\nguard_t (s == ({text})) f;\n"))
+    assert [d.message for d in report.diagnostics] == ["guard for 'f' is not a C expression; guard dropped"]
 
 
 @pytest.mark.parametrize("text", ["a and b", "x if y else z", "2**3", "s >", "a = 1", "(int) a", "a[0]"])

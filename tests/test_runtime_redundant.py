@@ -70,6 +70,21 @@ def test_no_majority_raises_and_leaves_replicas():
     assert rs.stats.reads == 0
 
 
+def test_a_set_built_without_a_log_records_in_its_own():
+    rs = ReplicaSet("x", 3, policy=AdaptPolicy(window=1, escalate_threshold=0.5))
+    rs.write(5)
+    rs.inject_fault(0, 9)
+    assert rs.read() == 5  # one risky read in a window of one grows N
+    for i, corrupt in enumerate((7, 8, 9)):
+        rs.inject_fault(i, corrupt)
+    with pytest.raises(NoMajorityError):
+        rs.read()
+    assert [(e.time_ms, e.kind, e.name, e.instance, e.value) for e in rs.events] == [
+        (0, "adapt", "x", 5, "3->5"),
+        (0, "vote_fail", "x", 1, "no-majority"),
+    ]
+
+
 def test_two_identical_corruptions_deceive_voting():
     rs = ReplicaSet("x", 3)
     rs.write(5)

@@ -250,36 +250,37 @@ TOM_OPS = st.lists(
 
 def play_tom_script(initial, ops, skip=()):
     """Run ``ops`` on a fresh manager, skipping the indices in ``skip``;
-    returns the manager, its objects and the indices of rejected calls,
-    checking that each rejected call left every deadline and next_fire."""
+    returns the manager, its objects, the indices of rejected calls and the
+    concatenated returns of ``advance``, checking that each rejected call
+    left every deadline and next_fire."""
     tom = TOM()
     objs = [make(subid, d, cyclic=cyclic) for (subid, cyclic), d in zip(TOM_OBJECTS, initial)]
-    rejected = []
+    rejected, fired = [], []
     for i, (op, *args) in enumerate(ops):
         if i in skip:
             continue
         before = [(t.deadline, t.next_fire) for t in objs]
         try:
             if op == "advance":
-                tom.advance(*args)
+                fired += tom.advance(*args)
             else:
                 getattr(tom, op)(objs[args[0]], *args[1:])
         except ValueError:
             rejected.append(i)
             assert [(t.deadline, t.next_fire) for t in objs] == before
-    tom.advance(100)
-    return tom, objs, rejected
+    fired += tom.advance(100)
+    return tom, objs, rejected, fired
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.tuples(TOM_DEADLINE, TOM_DEADLINE, st.integers(1, 40)), TOM_OPS)
 def test_hypothesis_rejected_calls_change_nothing_and_time_never_runs_back(initial, ops):
-    tom, objs, rejected = play_tom_script(initial, ops)
+    tom, objs, rejected, _ = play_tom_script(initial, ops)
     times = [e.time_ms for e in tom.events]
     assert times == sorted(times)
     assert all(when >= 0 for when, _, _ in tom.fired_log)
     # replaying without the rejected calls fires the same objects in the same order
-    clean, clean_objs, again = play_tom_script(initial, ops, skip=set(rejected))
+    clean, clean_objs, again, _ = play_tom_script(initial, ops, skip=set(rejected))
     assert again == []
     assert clean.fired_log == tom.fired_log and list(clean.events) == list(tom.events)
     assert [(t.deadline, t.next_fire) for t in clean_objs] == [(t.deadline, t.next_fire) for t in objs]
@@ -290,7 +291,7 @@ TOM_ANY_OPS = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(("insert", "renew", "delete")), TOM_INDEX),
         st.tuples(st.just("set_deadline"), TOM_INDEX, TOM_ANY_DEADLINE),
-        st.tuples(st.just("advance"), st.integers(0, 50)),
+        st.tuples(st.just("advance"), st.one_of(st.integers(0, 50), st.floats(0, 50))),
     ),
     max_size=25,
 )
@@ -299,10 +300,14 @@ TOM_ANY_OPS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(st.tuples(TOM_ANY_DEADLINE, TOM_ANY_DEADLINE, st.floats(1, 40)), TOM_ANY_OPS)
 def test_hypothesis_fired_log_and_event_log_carry_the_same_int_times(initial, ops):
-    tom, _, _ = play_tom_script(initial, ops)
+    tom, _, _, fired = play_tom_script(initial, ops)
     fires = [(e.time_ms, e.name, e.instance) for e in tom.events.of("fire")]
-    assert tom.fired_log == fires
+    # the returns of advance, concatenated, are the whole firing record
+    assert fired == tom.fired_log == fires
     assert all(type(when) is int for when, _, _ in tom.fired_log)
+    # advance truncates each dt once, where it enters
+    assert tom.clock.now == sum(int(args[0]) for op, *args in ops if op == "advance") + 100
+    assert type(tom.clock.now) is int
 
 
 def test_cancelling_a_stopped_cycle_warns_under_its_name():
