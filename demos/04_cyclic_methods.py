@@ -3,14 +3,11 @@
 
 Shows the same program twice: the augmented-language form executed through
 the transform + interpreter path, and the raw timeout-object calls it lowers
-to. Finishes with a short wall-clock run (demo only; tests always use the
-virtual clock)."""
+to. Both run on the virtual clock, so the output is the same every run."""
 
-import time
-
-from cpm import PassConfig, compose, load_unit, render, run
+from cpm import compose, load_unit, render, run
 from cpm.interp import AbiInterpreter
-from cpm.runtime import TOM, Runtime, TimeoutObject, WallClock, WallDriver
+from cpm.runtime import TOM, Runtime, TimeoutObject
 
 PROGRAM = """cyclic_t int blink(TOM*);
 cyclic_t int poll_sensors(TOM*);
@@ -45,19 +42,6 @@ def main():
     tom.renew(poll)
     tom.advance(1000)
     print("fired log:", tom.fired_log)
-
-    print("\n== wall-clock mode (approximate by nature) ==")
-    wall = TOM(clock=WallClock())
-    wall.insert(TimeoutObject(id="w", subid="wall_tick", deadline=30, cyclic=True))
-    driver = WallDriver(wall, interval_ms=5)
-    driver.start()
-    time.sleep(0.12)
-    driver.stop()
-    wall.poll()  # fire what fell due after the last background poll
-    # at least 120 ms have elapsed, so at least 3 ticks fired; the exact count
-    # depends on timing, and printing it would make the output vary run to run
-    ticks = len(wall.fired_log)
-    print(f"~120 ms elapsed, {'3 or more' if ticks >= 3 else ticks} ticks of a 30 ms cycle")
 
 
 if __name__ == "__main__":

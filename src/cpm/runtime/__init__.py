@@ -1,7 +1,7 @@
 """Native runtime for the language extensions: voted replica sets, the
 time-out manager, and the context registry, behind one facade."""
 
-from .clock import VirtualClock, WallClock
+from .clock import VirtualClock
 from .context import (
     ArrayEntry,
     ContextRegistry,
@@ -17,11 +17,7 @@ from .core import (
 )
 from .events import CSV_HEADER, Event, EventLog
 from .redundant import AdaptPolicy, NoMajorityError, ReplicaSet, VoteStats
-from .tom import (
-    TOM,
-    TimeoutObject,
-    WallDriver,
-)
+from .tom import TOM, TimeoutObject
 
 __all__ = [
     "AdaptPolicy",
@@ -38,8 +34,6 @@ __all__ = [
     "TimeoutObject",
     "VirtualClock",
     "VoteStats",
-    "WallClock",
-    "WallDriver",
     "WD_ACTIVE",
     "WD_END",
     "WD_FIRED",

@@ -1,11 +1,10 @@
 """Context registry: sensors, actuators, guarded functions, reflective arrays.
 
 Sensors are snapshot-readable values maintained by whoever observes the
-context (in tests and scenarios, the caller; on a wall clock, a caller
-holding the ``WallDriver`` lock, see its thread contract). Actuators bind a
-name to a side-effect callback that runs on every write; writing an actuator
-never updates a same-named sensor snapshot (the callback owns that state
-change). Guarded functions attach a boolean expression over sensors to a body
+context (in tests and scenarios, the caller). Actuators bind a name to a
+side-effect callback that runs on every write; writing an actuator never
+updates a same-named sensor snapshot (the callback owns that state change).
+Guarded functions attach a boolean expression over sensors to a body
 that runs once per false->true transition.
 
 Reflective arrays grow one entry per string key (never removed) and count

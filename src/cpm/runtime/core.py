@@ -6,10 +6,9 @@ passes emit (:data:`cpm.cexpr.ABI`), taking its non-type arguments:
 ``cpm_red_write`` -> :meth:`Runtime.red_write`, and so on. Function bodies
 bind late, by name, in :attr:`Runtime.functions`: a guard or a cycle looks
 its body up when it fires. The scenarios drive the runtime through these
-same calls. The facade is single-threaded and takes no lock:
-on the virtual clock nothing runs outside the caller's control flow, which
-keeps every run deterministic. Wall-clock use follows the thread contract
-stated on :class:`~cpm.runtime.tom.WallDriver`.
+same calls. The facade is single-threaded and takes no lock: nothing runs
+outside the caller's control flow, and virtual time moves only in
+:meth:`Runtime.advance`, which keeps every run deterministic.
 
 Watchdog-timer states are reified as integers: the named conditions are the
 negative values below, non-negative values count timer resets since the last
@@ -44,8 +43,8 @@ def wd_state_name(value: int) -> str:
 
 
 class Runtime:
-    def __init__(self, clock=None):
-        self.clock = clock if clock is not None else VirtualClock()
+    def __init__(self):
+        self.clock = VirtualClock()
         self.events = EventLog()
         self.registry = ContextRegistry(clock=self.clock, events=self.events)
         self.replicas: dict[str, ReplicaSet] = {}

@@ -7,10 +7,10 @@ deadline, so there is no drift). The manager processes due objects in
 instance regardless of earlier instances, and is logged as a ``fire`` event;
 ``fired_log`` reads those events back as ``(time, subid, instance_no)``.
 
-Driving the manager is explicit: on a virtual clock call :meth:`TOM.advance`,
-the only way a virtual clock moves; on a wall clock call :meth:`TOM.poll` (or
-let :class:`WallDriver` do it). Determinism holds on the virtual clock only.
-A deadline is never negative and a cyclic one is positive, so nothing fires
+Driving the manager is explicit: :meth:`TOM.advance` is the only way virtual
+time moves, and :meth:`TOM.poll` fires what is due without moving it.
+Everything runs in the caller's thread, so every run is deterministic. A
+deadline is never negative and a cyclic one is positive, so nothing fires
 before the clock.
 
 Deadlines and ``dt`` are int ms. A non-int one is truncated once, where it
@@ -26,7 +26,6 @@ one-shots a scenario inserts is one object without an instance dict.
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -126,20 +125,18 @@ class TOM:
     # -- clock driving ------------------------------------------------------
 
     def advance(self, dt: int):
-        """Advance a virtual clock by ``int(dt)`` ms, firing everything that
-        falls due, in (next_fire, insertion) order. Returns the firings, as
+        """Advance the clock by ``int(dt)`` ms, firing everything that falls
+        due, in (next_fire, insertion) order. Returns the firings, as
         :attr:`fired_log` records them."""
-        if self.clock.mode != "virtual":
-            raise RuntimeError("advance() requires a virtual clock; use poll() on a wall clock")
         if dt < 0:
             raise ValueError("dt must be >= 0")
         target = self.clock.now + int(dt)
         fired = self._process_until(target)
-        self.clock.advance_to(target)
+        self.clock.now = target
         return fired
 
     def poll(self):
-        """Fire everything due at the clock's current time (wall mode)."""
+        """Fire everything due now, without moving the clock."""
         return self._process_until(self.clock.now)
 
     def _process_until(self, target: int):
@@ -147,15 +144,14 @@ class TOM:
         # so a patched tom.heapq or EventLog.log sees every pop and event
         heap, clock, pop = self._heap, self.clock, heapq.heappop
         log = self.events.log
-        virtual = clock.mode == "virtual"
         fired = []
         while heap and heap[0][0] <= target:
             when, seq, version, to = pop(heap)
             if version != to._version:
                 continue  # superseded by renew/delete
             to._queued = False
-            if virtual and when > clock.now:
-                clock.advance_to(when)  # actions observe their fire time
+            if when > clock.now:
+                clock.now = when  # actions observe their fire time
             if to.cyclic:  # a disabled one keeps its cadence, silently
                 self._arm(to, when + _period(to, to.deadline))
             if not to.enabled:
@@ -166,33 +162,3 @@ class TOM:
             if to.action is not None:
                 to.action()
         return fired
-
-
-class WallDriver(threading.Thread):
-    """Single timekeeping agent for wall-clock demos: polls the manager until
-    stopped. Actions must not block it.
-
-    Thread contract: this is the package's only second thread and ``lock``
-    its only lock. Each poll, actions included, runs holding ``lock``; between
-    :meth:`start` and :meth:`stop`, a caller touching the driven :class:`TOM`,
-    or a ``Runtime`` around it, holds it too. Before start and after stop no
-    lock is needed."""
-
-    def __init__(self, tom: TOM, interval_ms: int = 5):
-        super().__init__(daemon=True)
-        self.tom = tom
-        self.interval = interval_ms / 1000.0
-        self.lock = threading.RLock()
-        self._stopping = threading.Event()
-
-    def run(self):
-        import time
-
-        while not self._stopping.is_set():
-            with self.lock:
-                self.tom.poll()
-            time.sleep(self.interval)
-
-    def stop(self):
-        self._stopping.set()
-        self.join()

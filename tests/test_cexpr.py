@@ -176,7 +176,12 @@ def test_hypothesis_c_reference_and_eval_expr_match_a_c_compiler(batch):
     """Every tree that ``c_eval`` evaluates without dividing by zero, and
     whose every intermediate value fits in an int, evaluates to the same
     value in one C program per batch, compiled with wrapping signed
-    arithmetic, as under ``c_eval`` and ``eval_expr``."""
+    arithmetic, as under ``c_eval`` and ``eval_expr``. As a guard over a
+    sensor ``s`` that starts at 0, each such tree that reads ``s`` holds
+    exactly when C's value is nonzero, and fires on ``sensor_update("s", s)``
+    exactly when it holds and did not at ``s = 0`` (judged by ``c_eval``; a
+    division by zero there reads as false, as the registry's
+    ``guard-eval-error`` does)."""
     kept = []
     for tree, s in batch:
         seen = []
@@ -185,16 +190,26 @@ def test_hypothesis_c_reference_and_eval_expr_match_a_c_compiler(batch):
         except ZeroDivisionError:
             continue
         if all(INT_MIN <= v <= INT_MAX for v in seen):
-            kept.append((render(tree), s, value))
+            kept.append((tree, render(tree), s, value))
     if not kept:
         return
-    body = "".join(f'    {{ int s = {s}; printf("%lld\\n", (long long)({text})); }}\n' for text, s, _ in kept)
+    body = "".join(f'    {{ int s = {s}; printf("%lld\\n", (long long)({text})); }}\n' for _, text, s, _ in kept)
     with tempfile.TemporaryDirectory() as tmp:
         src, exe = Path(tmp) / "exprs.c", Path(tmp) / "exprs"
         src.write_text(f"#include <stdio.h>\nint main(void) {{\n{body}    return 0;\n}}\n")
         subprocess.run(["cc", "-fwrapv", "-w", "-o", str(exe), str(src)], check=True, capture_output=True)
         printed = subprocess.run([str(exe)], check=True, capture_output=True, text=True).stdout.split()
     assert len(printed) == len(kept)
-    for (text, s, value), c_value in zip(kept, printed):
+    for (tree, text, s, value), c_value in zip(kept, printed):
         it = AbiInterpreter(Runtime(), env={"s": s})
         assert int(c_value) == value == it.eval_expr(text), (text, s)
+        if "s" not in compile_expr(text)[1]:
+            continue
+        reg = ContextRegistry()
+        reg.register("s", "sensor")
+        guard = reg.register_guard(None, text, name="g")
+        held = reference(tree, 0) not in (None, 0)
+        assert guard.last_value == held, text
+        holds = int(c_value) != 0
+        assert reg.sensor_update("s", s) == (["g"] if holds and not held else []), (text, s)
+        assert guard.last_value == holds, (text, s)

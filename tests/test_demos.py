@@ -1,5 +1,5 @@
-"""Smoke test: every demo script runs to completion, and the output of the
-demo with a wall-clock section is still the same from run to run."""
+"""Smoke test: every demo script runs to completion, and the cyclic demo's
+output, which runs on the virtual clock, is the same from run to run."""
 
 import os
 import subprocess

@@ -315,7 +315,7 @@ def test_hypothesis_read_matches_the_always_voting_reference(window, threshold, 
     for t, op in enumerate(ops, 1):
         outcomes = []
         for rs in sets:
-            rs.clock.advance_to(t)
+            rs.clock.now = t
             if op[0] == "write":
                 outcomes.append(rs.write(op[1]))
             elif op[0] == "fault":

@@ -1,5 +1,5 @@
 import random
-import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +11,6 @@ from cpm.runtime import (
     Runtime,
     TimeoutObject,
     VirtualClock,
-    WallClock,
-    WallDriver,
 )
 
 from oracles import cyclic_fire_times
@@ -384,19 +382,13 @@ def test_fixed_rate_oracle_random_pairs():
         assert [f[2] for f in fired] == list(range(1, len(expected) + 1))
 
 
-def test_advance_requires_virtual_clock():
-    tom = TOM(clock=WallClock())
-    with pytest.raises(RuntimeError):
-        tom.advance(10)
-
-
-def test_poll_on_wall_clock_fires_due_objects():
-    tom = TOM(clock=WallClock())
+def test_poll_fires_objects_due_now_without_moving_the_clock():
+    tom = TOM()
     hits = []
-    t = make("now", 0, action=lambda: hits.append(1))
-    tom.insert(t)
-    tom.poll()
-    assert hits == [1]
+    tom.insert(make("now", 0, action=lambda: hits.append(tom.clock.now)))
+    tom.insert(make("later", 5, action=lambda: hits.append(-1)))
+    assert tom.poll() == [(0, "now", 1)]
+    assert hits == [0] and tom.clock.now == 0
 
 
 def test_fire_events_logged():
@@ -408,14 +400,63 @@ def test_fire_events_logged():
     assert len(fires) == 1 and fires[0].name == "t" and fires[0].time_ms == 10
 
 
-def test_wall_driver_fires_nothing_while_its_lock_is_held():
-    tom = TOM(clock=WallClock())
-    tom.insert(make("soon", 1))
-    driver = WallDriver(tom, interval_ms=1)
-    with driver.lock:
-        driver.start()
-        time.sleep(0.05)
-        assert tom.fired_log == []
-    driver.stop()
-    tom.poll()
-    assert [f[1:] for f in tom.fired_log] == [("soon", 1)]
+def test_the_clock_has_no_method_that_moves_it():
+    assert [name for name in dir(Runtime().clock) if not name.startswith("__")] == ["now"]
+
+
+CYCLES = ("f", "g")
+RUNTIME_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("cycle_set"), st.sampled_from(CYCLES), st.integers(0, 30)),
+        st.tuples(st.just("one_shot"), st.one_of(st.integers(0, 40), st.floats(0, 40)),
+                  st.one_of(st.none(), st.integers(0, 5))),
+        st.tuples(st.just("sensor_update"), st.just("s"), st.integers(0, 5)),
+        st.tuples(st.just("ctx_write"), st.just("a"), st.integers(0, 5)),
+        st.tuples(st.just("advance"), st.one_of(st.integers(0, 50), st.floats(0, 50))),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RUNTIME_OPS)
+def test_hypothesis_actions_see_their_fire_time_and_time_never_runs_back(ops):
+    """Over scripts of facade calls, only ``advance`` moves the clock: every
+    action, body and actuator callback logs the ``now`` it sees, event times
+    never decrease, each ``fire`` is followed by its action's record at the
+    same time, and the clock ends at the sum of ``int(dt)``."""
+    rt = Runtime()
+
+    def seen(name):
+        rt.events.log(rt.clock.now, "seen", name)
+
+    def one_shot_action(name, update):
+        def action():
+            seen(name)
+            if update is not None:
+                rt.sensor_update("s", update)  # an action may drive a guard
+        return action
+
+    for fn in CYCLES:
+        rt.cycle_register(fn)
+        rt.bind_function(fn, partial(seen, fn))
+    rt.ctx_register("s", "sensor")
+    rt.guard_register("on_s", "s > 2")
+    rt.bind_function("on_s", partial(seen, "on_s"))
+    rt.ctx_register("a", "actuator")
+    rt.registry.bind_actuator("a", lambda value: seen("a"))
+
+    for i, (op, *args) in enumerate(ops):
+        if op == "one_shot":
+            deadline, update = args
+            rt.tom.insert(TimeoutObject(f"o{i}", f"o{i}", deadline, action=one_shot_action(f"o{i}", update)))
+        else:
+            getattr(rt, op)(*args)
+
+    events = list(rt.events)
+    times = [e.time_ms for e in events]
+    assert times == sorted(times)
+    for fire, after in zip(events, events[1:] + [None]):
+        if fire.kind == "fire":
+            assert (after.kind, after.name, after.time_ms) == ("seen", fire.name, fire.time_ms)
+    assert rt.clock.now == sum(int(args[0]) for op, *args in ops if op == "advance")

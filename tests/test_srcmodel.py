@@ -437,17 +437,22 @@ def imported_modules(source):
     return found
 
 
+CONCURRENCY_MODULES = ("threading", "_thread", "multiprocessing", "concurrent", "asyncio")
+
+
 def test_the_package_imports_only_itself_and_the_standard_library():
     """The north star keeps ``cpm`` pure stdlib: every import names ``cpm``
-    (or is relative) or names a module of ``sys.stdlib_module_names``."""
+    (or is relative) or names a module of ``sys.stdlib_module_names``. The
+    runtime is single-threaded, so no module imports a concurrency module."""
     package = Path(cpm.__file__).parent
     imports = {
         str(path.relative_to(package)): imported_modules(path.read_text(encoding="utf-8"))
         for path in sorted(package.rglob("*.py"))
     }
     assert "re" in imports["srcmodel.py"] and "." in imports["pipeline.py"]
+    allowed = {"cpm", *sys.stdlib_module_names} - set(CONCURRENCY_MODULES)
     outside = {
-        name: sorted(m for m in found if m != "." and m.split(".")[0] not in ("cpm", *sys.stdlib_module_names))
+        name: sorted(m for m in found if m != "." and m.split(".")[0] not in allowed)
         for name, found in imports.items()
     }
     assert {name: found for name, found in outside.items() if found} == {}
