@@ -27,8 +27,8 @@ def main():
 
     rt = Runtime()
     interp = AbiInterpreter(rt)
-    interp.bind_function("poll_sensors", lambda: print(f"  poll_sensors at t={rt.clock.now} ms"))
-    interp.bind_function("blink", lambda: print(f"  blink at t={rt.clock.now} ms"))
+    interp.bind_function("poll_sensors", lambda: print(f"  poll_sensors at t={rt.events.now} ms"))
+    interp.bind_function("blink", lambda: print(f"  blink at t={rt.events.now} ms"))
     interp.run_unit(out)
     print("advancing the virtual clock 1000 ms:")
     rt.advance(1000)
@@ -36,7 +36,7 @@ def main():
 
     print("\n== the same schedule, hand-coded ==")
     tom = TOM()
-    poll = TimeoutObject(id="p", subid="poll_sensors", deadline=100, cyclic=True)
+    poll = TimeoutObject(subid="poll_sensors", deadline=100, cyclic=True)
     tom.insert(poll)
     tom.set_deadline(poll, 400)
     tom.renew(poll)

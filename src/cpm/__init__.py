@@ -5,7 +5,8 @@ variables with reflective arrays, and cyclic methods) are
 implemented as independent source-to-source passes over a line-oriented
 source model, assembled into user-ordered pipelines, and executed natively by
 the bundled runtime (majority voting with adaptive redundancy, a timeout
-manager on a virtual clock, and a context registry).
+manager that alone moves the virtual time the event log carries, and a
+context registry).
 """
 
 from . import ext_cyclic, ext_redundancy, ext_reflective, interp, runtime, scenarios

@@ -8,18 +8,19 @@ precedence-climbing parser over the significant tokens of
 relational and logical operators yield the int 0 or 1 and comparisons never
 chain; ``?:``, unary, bitwise and shift operators follow C precedence; int
 literals may be octal or hex with an ``l`` suffix (a ``u`` suffix is refused:
-unsigned arithmetic is not modelled), and a character constant is its code. A
-runtime call (:data:`ABI`) compiles its arguments by kind and must have each
-one. :func:`translate_stmt` turns the statements the
-interpreter runs into Python source with the same parser, and
-:func:`compile_stmt` compiles that source; the interpreter compiles the
-sources of many statements together. Anything else raises
+unsigned arithmetic is not modelled), a character constant is its code, and
+a literal decodes C's escapes only. A runtime call (:data:`ABI`) compiles
+its arguments by kind and must have each one. :func:`translate_stmt` turns
+the statements the interpreter runs into Python source with the same
+parser, and :func:`compile_stmt` compiles that source; the interpreter
+compiles the sources of many statements together. Anything else raises
 ``ValueError``, and so does a name of :data:`HELPERS`, which the compiled
 code calls (C reserves file-scope names with a leading underscore).
 """
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from keyword import iskeyword
 
@@ -103,10 +104,26 @@ def _binop(op, left, right):
     return f"({left} {op} {right})"
 
 
+# C's escape sequences: the simple ones, octal and hex; a backslash that
+# starts none of them is the last alternative and is refused
+_SIMPLE_ESCAPES = dict(zip("abfnrtv\\'\"?", "\a\b\f\n\r\t\v\\'\"?"))
+_ESCAPE = re.compile(r"\\(?:([0-7]{1,3})|x([0-9A-Fa-f]+)|([abfnrtv\\'\"?]))|\\")
+
+
+def _escape(m):
+    octal, hexa, simple = m.groups()
+    if simple:
+        return _SIMPLE_ESCAPES[simple]
+    code = int(octal, 8) if octal else int(hexa, 16) if hexa else None
+    if code is None or code > 0xFF:  # C wants an unsigned char's value
+        raise ValueError(f"bad escape sequence in literal {m.string!r}")
+    return chr(code)
+
+
 def _literal(lex):
     if len(lex) < 2 or lex[-1] != lex[0]:
         raise ValueError(f"unterminated literal {lex}")
-    value = lex[1:-1].encode("latin-1").decode("unicode_escape")
+    value = _ESCAPE.sub(_escape, lex[1:-1])
     if lex[0] == '"':
         return value
     if len(value) != 1:

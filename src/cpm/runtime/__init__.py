@@ -1,7 +1,6 @@
 """Native runtime for the language extensions: voted replica sets, the
 time-out manager, and the context registry, behind one facade."""
 
-from .clock import VirtualClock
 from .context import (
     ArrayEntry,
     ContextRegistry,
@@ -32,7 +31,6 @@ __all__ = [
     "Runtime",
     "TOM",
     "TimeoutObject",
-    "VirtualClock",
     "VoteStats",
     "WD_ACTIVE",
     "WD_END",

@@ -11,7 +11,8 @@ Reflective arrays grow one entry per string key (never removed) and count
 each key's beacons per observation period, which the caller's ``rollover``
 closes. A key silent for a whole period turns stale until it is heard again;
 ``get`` derives ``stale`` from ``silent_periods`` as C's int 1 or 0. An
-:class:`ArrayEntry` is a slotted dataclass, one object per key.
+:class:`ArrayEntry` is a slotted dataclass, one object per key. The
+registry's ``guard``, ``actuate`` and ``warn`` events take their event log's time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cexpr import HELPERS, check_name, compile_expr
-from .clock import VirtualClock
 from .events import EventLog
 
 BUILTIN_ARRAY_PROPS = ("beacons", "silent_periods", "stale")
@@ -108,8 +108,7 @@ class ReflectiveArray:
 
 
 class ContextRegistry:
-    def __init__(self, clock=None, events=None):
-        self.clock = clock if clock is not None else VirtualClock()
+    def __init__(self, events=None):
         self.events = events if events is not None else EventLog()
         self.sensors: dict[str, object] = {}
         self.actuators: dict[str, object] = {}  # name -> callback or None
@@ -188,7 +187,7 @@ class ContextRegistry:
             g.last_value = now_true  # before the body, which may update this sensor again
             if rising:
                 g.fires += 1
-                self.events.log(self.clock.now, "guard", g.name, g.fires)
+                self.events.log("guard", g.name, g.fires)
                 fired.append(g.name)
                 if g.body is not None:
                     g.body()
@@ -201,15 +200,15 @@ class ContextRegistry:
             raise KeyError(f"unknown actuator {name!r}")
         callback = self.actuators[name]
         if callback is None:
-            self.events.log(self.clock.now, "warn", name, 0, "actuator-write-without-callback")
+            self.events.log("warn", name, 0, "actuator-write-without-callback")
             return
         self._actuations += 1
-        self.events.log(self.clock.now, "actuate", name, self._actuations, value)
+        self.events.log("actuate", name, self._actuations, value)
         callback(value)
 
     def _eval(self, guard) -> bool:
         try:
             return bool(eval(guard.code, self._scope, self.sensors))
         except Exception as exc:  # un-evaluable guards read as false
-            self.events.log(self.clock.now, "warn", guard.name, 0, f"guard-eval-error:{exc}")
+            self.events.log("warn", guard.name, 0, f"guard-eval-error:{exc}")
             return False

@@ -1,14 +1,14 @@
 """The execution environment behind the emitted runtime calls.
 
-One :class:`Runtime` bundles a clock, an event log, a timeout manager, the
-context registry, and the replica sets, and exposes one method per call the
-passes emit (:data:`cpm.cexpr.ABI`), taking its non-type arguments:
-``cpm_red_write`` -> :meth:`Runtime.red_write`, and so on. Function bodies
-bind late, by name, in :attr:`Runtime.functions`: a guard or a cycle looks
-its body up when it fires. The scenarios drive the runtime through these
-same calls. The facade is single-threaded and takes no lock: nothing runs
-outside the caller's control flow, and virtual time moves only in
-:meth:`Runtime.advance`, which keeps every run deterministic.
+One :class:`Runtime` bundles an event log, which carries the virtual time,
+a timeout manager, the context registry, and the replica sets, and exposes
+one method per call the passes emit (:data:`cpm.cexpr.ABI`), taking its
+non-type arguments: ``cpm_red_write`` -> :meth:`Runtime.red_write`, and so
+on. Function bodies bind late, by name, in :attr:`Runtime.functions`: a
+guard or a cycle looks its body up when it fires. The scenarios drive the
+runtime through these same calls. The facade is single-threaded and takes
+no lock: nothing runs outside the caller's control flow, and virtual time
+moves only in :meth:`Runtime.advance`, which keeps every run deterministic.
 
 Watchdog-timer states are reified as integers: the named conditions are the
 negative values below, non-negative values count timer resets since the last
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from functools import partial
 
-from .clock import VirtualClock
 from .context import ContextRegistry
 from .events import EventLog
 from .redundant import NoMajorityError, ReplicaSet
@@ -44,11 +43,10 @@ def wd_state_name(value: int) -> str:
 
 class Runtime:
     def __init__(self):
-        self.clock = VirtualClock()
         self.events = EventLog()
-        self.registry = ContextRegistry(clock=self.clock, events=self.events)
+        self.registry = ContextRegistry(events=self.events)
         self.replicas: dict[str, ReplicaSet] = {}
-        self.tom = TOM(clock=self.clock, events=self.events)
+        self.tom = TOM(events=self.events)
         self.functions: dict[str, object] = {}  # C function name -> python callable
         self._cycles: dict[str, TimeoutObject | None] = {}  # cyclic method -> its timeout, once started
 
@@ -56,9 +54,9 @@ class Runtime:
 
     def red_storage(self, name, replicas=3, *, initial=0) -> ReplicaSet:
         if name in self.replicas:
-            self.events.log(self.clock.now, "warn", name, 0, "redundant-storage-redefined")
+            self.events.log("warn", name, 0, "redundant-storage-redefined")
             return self.replicas[name]
-        rs = ReplicaSet(name, replicas, initial=initial, clock=self.clock, events=self.events)
+        rs = ReplicaSet(name, replicas, initial=initial, events=self.events)
         self.replicas[name] = rs
         return rs
 
@@ -150,16 +148,16 @@ class Runtime:
         if value < 0:
             raise ValueError(f"period of cycle '{fn_name}' must not be negative")
         if fn_name not in self._cycles:
-            self.events.log(self.clock.now, "warn", fn_name, 0, "cycle-set-before-register")
+            self.events.log("warn", fn_name, 0, "cycle-set-before-register")
         to = self._cycles.get(fn_name)
         if value == 0:
             if to is None:
-                self.events.log(self.clock.now, "warn", fn_name, 0, "delete-before-insert")
+                self.events.log("warn", fn_name, 0, "delete-before-insert")
             else:
                 self.tom.delete(to)
             self._cycles[fn_name] = None
         elif to is None:
-            to = TimeoutObject(f"cycle:{fn_name}", fn_name, value, cyclic=True, action=partial(self._call, fn_name))
+            to = TimeoutObject(fn_name, value, cyclic=True, action=partial(self._call, fn_name))
             self.tom.insert(to)
             self._cycles[fn_name] = to
         else:

@@ -1,10 +1,14 @@
-"""Runtime event trace.
+"""Runtime event trace, which also carries the run's virtual time.
 
 All runtime components append to one log so a run exports as a single
 ordered trace. Canonical kinds: ``fire`` (timeout fired), ``guard`` (guarded
 function triggered), ``actuate`` (actuator written), ``vote_fail`` (no
 majority on a voted read), ``adapt`` (replica count changed). Components may
 also log ``warn`` records for tolerated misuse.
+
+The log holds the virtual time, an int of ms from 0, and stamps each event
+with it. ``now`` is read-only: only :class:`cpm.runtime.tom.TOM` moves it,
+by writing ``_now`` as it fires what falls due.
 
 An :class:`Event` is a slotted plain dataclass: equal by value and
 replaceable with ``dataclasses.replace``, but not frozen and so not
@@ -33,9 +37,14 @@ class Event:
 class EventLog:
     def __init__(self):
         self.events: list[Event] = []
+        self._now = 0  # virtual ms; written only by TOM
 
-    def log(self, time_ms, kind, name, instance=0, value=""):
-        self.events.append(Event(int(time_ms), kind, name, int(instance), str(value)))
+    @property
+    def now(self) -> int:
+        return self._now
+
+    def log(self, kind, name, instance=0, value=""):
+        self.events.append(Event(self._now, kind, name, int(instance), str(value)))
 
     def of(self, kind) -> list[Event]:
         return [e for e in self.events if e.kind == kind]

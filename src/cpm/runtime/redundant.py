@@ -10,7 +10,8 @@ The discrepancy stream doubles as a failure-risk estimate: the fraction of
 reads in the last window whose discrepancies reached ``floor(N/2)`` (one more
 and voting would have failed). The adaptation policy grows N by two when that
 risk crosses its threshold and shrinks N by two after enough consecutive
-clean windows, staying inside [n_min, n_max] and always odd.
+clean windows, staying inside [n_min, n_max] and always odd. The set's
+``vote_fail`` and ``adapt`` events take their event log's time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .clock import VirtualClock
 from .events import EventLog
 
 
@@ -61,8 +61,7 @@ class VoteStats:
 class ReplicaSet:
     """N-way storage for one redundant variable (N odd, >= 3)."""
 
-    def __init__(self, name, replicas=3, *, initial=0, policy=None,
-                 clock=None, events=None):
+    def __init__(self, name, replicas=3, *, initial=0, policy=None, events=None):
         policy = policy or AdaptPolicy()
         if replicas % 2 == 0 or replicas < 3:
             raise ValueError("replica count must be odd and >= 3")
@@ -70,7 +69,6 @@ class ReplicaSet:
             raise ValueError(f"replica count {replicas} outside policy bounds [{policy.n_min}, {policy.n_max}]")
         self.name = name
         self.policy = policy
-        self.clock = clock if clock is not None else VirtualClock()
         self.events = events if events is not None else EventLog()
         self.stats = VoteStats(window=deque(maxlen=policy.window))
         self._replicas = [initial] * replicas
@@ -119,7 +117,7 @@ class ReplicaSet:
                     lead -= 1
             agreeing = reps.count(cand)
             if agreeing * 2 <= n:
-                self.events.log(self.clock.now, "vote_fail", self.name, self.stats.reads, "no-majority")
+                self.events.log("vote_fail", self.name, self.stats.reads, "no-majority")
                 raise NoMajorityError(f"no strict majority among replicas of '{self.name}'")
             value = reps[reps.index(cand)]  # the first agreeing replica
             discrepancies = n - agreeing
@@ -163,4 +161,4 @@ class ReplicaSet:
         self.stats.risky = 0
         self._window_reads = 0
         self._clean_windows = 0
-        self.events.log(self.clock.now, "adapt", self.name, new_n, f"{old_n}->{new_n}")
+        self.events.log("adapt", self.name, new_n, f"{old_n}->{new_n}")

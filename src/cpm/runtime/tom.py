@@ -7,16 +7,16 @@ deadline, so there is no drift). The manager processes due objects in
 instance regardless of earlier instances, and is logged as a ``fire`` event;
 ``fired_log`` reads those events back as ``(time, subid, instance_no)``.
 
-Driving the manager is explicit: :meth:`TOM.advance` is the only way virtual
-time moves, and :meth:`TOM.poll` fires what is due without moving it.
-Everything runs in the caller's thread, so every run is deterministic. A
-deadline is never negative and a cyclic one is positive, so nothing fires
-before the clock.
+The virtual time is the event log's ``now``, and the manager is its only
+writer: :meth:`TOM.advance` is the only way it moves, and :meth:`TOM.poll`
+fires what is due without moving it. Everything runs in the caller's
+thread, so every run is deterministic. A deadline is never negative and a
+cyclic one is positive, so nothing is armed before ``now``.
 
 Deadlines and ``dt`` are int ms. A non-int one is truncated once, where it
 enters: :meth:`TOM.insert` and :meth:`TOM.set_deadline` store ``int(deadline)``,
-which every arming adds to the clock, and :meth:`TOM.advance` adds ``int(dt)``
-(``advance(2.5)`` then ``advance(7.6)`` leaves the clock at 9). So every fire
+which every arming adds to ``now``, and :meth:`TOM.advance` adds ``int(dt)``
+(``advance(2.5)`` then ``advance(7.6)`` leaves ``now`` at 9). So every fire
 time is an int.
 
 A :class:`TimeoutObject` is a slotted dataclass, so each of the many
@@ -29,14 +29,12 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .clock import VirtualClock
 from .events import EventLog
 
 
 @dataclass(slots=True)
 class TimeoutObject:
-    id: str
-    subid: str
+    subid: str  # names the fire events
     deadline: int  # ms
     cyclic: bool = False
     enabled: bool = True
@@ -51,7 +49,7 @@ class TimeoutObject:
 def _period(to: TimeoutObject, deadline) -> int:
     """``deadline`` as an int; raises ValueError, before anything changes,
     for a cyclic object whose period would not be positive or for any
-    object whose deadline is negative (it would fire before the clock)."""
+    object whose deadline is negative (it would fire before ``now``)."""
     deadline = int(deadline)
     if to.cyclic and deadline <= 0:
         raise ValueError(f"cyclic deadline of '{to.subid}' must be positive")
@@ -61,8 +59,7 @@ def _period(to: TimeoutObject, deadline) -> int:
 
 
 class TOM:
-    def __init__(self, clock=None, events=None):
-        self.clock = clock if clock is not None else VirtualClock()
+    def __init__(self, events=None):
         self.events = events if events is not None else EventLog()
         self._heap: list = []  # (next_fire, seq, version, obj)
         self._next_seq = 0
@@ -78,19 +75,19 @@ class TOM:
         """Arm the object at now + deadline. Re-inserting a queued object is
         a tolerated no-op (warn event); use renew to re-arm."""
         if to._queued:
-            self.events.log(self.clock.now, "warn", to.subid, 0, "insert-while-queued")
+            self.events.log("warn", to.subid, 0, "insert-while-queued")
             return
         to.deadline = period = _period(to, to.deadline)
         if to._seq is None:
             to._seq = self._next_seq
             self._next_seq += 1
-        self._arm(to, self.clock.now + period)
+        self._arm(to, self.events._now + period)
 
     def delete(self, to: TimeoutObject):
         """Remove from the schedule. Deleting something never inserted is a
         no-op that leaves a warn event."""
         if to.next_fire is None:
-            self.events.log(self.clock.now, "warn", to.subid, 0, "delete-before-insert")
+            self.events.log("warn", to.subid, 0, "delete-before-insert")
             return
         to._version += 1
         to._queued = False
@@ -112,7 +109,7 @@ class TOM:
         """Re-arm at now + deadline and enable. Requires a prior insert."""
         if to.next_fire is None:
             raise ValueError(f"renew of '{to.subid}' before insert")
-        self._arm(to, self.clock.now + _period(to, to.deadline))
+        self._arm(to, self.events._now + _period(to, to.deadline))
         to.enabled = True
 
     def _arm(self, to: TimeoutObject, when: int):
@@ -122,42 +119,41 @@ class TOM:
         to._queued = True
         heapq.heappush(self._heap, (when, to._seq, to._version, to))
 
-    # -- clock driving ------------------------------------------------------
+    # -- time driving -------------------------------------------------------
 
     def advance(self, dt: int):
-        """Advance the clock by ``int(dt)`` ms, firing everything that falls
+        """Advance ``now`` by ``int(dt)`` ms, firing everything that falls
         due, in (next_fire, insertion) order. Returns the firings, as
         :attr:`fired_log` records them."""
         if dt < 0:
             raise ValueError("dt must be >= 0")
-        target = self.clock.now + int(dt)
+        target = self.events._now + int(dt)
         fired = self._process_until(target)
-        self.clock.now = target
+        self.events._now = target
         return fired
 
     def poll(self):
-        """Fire everything due now, without moving the clock."""
-        return self._process_until(self.clock.now)
+        """Fire everything due now, without moving ``now``."""
+        return self._process_until(self.events._now)
 
     def _process_until(self, target: int):
         # bound once per call, not per firing; still looked up at call time,
         # so a patched tom.heapq or EventLog.log sees every pop and event
-        heap, clock, pop = self._heap, self.clock, heapq.heappop
-        log = self.events.log
+        heap, events, pop = self._heap, self.events, heapq.heappop
+        log = events.log
         fired = []
         while heap and heap[0][0] <= target:
             when, seq, version, to = pop(heap)
             if version != to._version:
                 continue  # superseded by renew/delete
             to._queued = False
-            if when > clock.now:
-                clock.now = when  # actions observe their fire time
+            events._now = when  # actions observe their fire time; nothing is armed before now
             if to.cyclic:  # a disabled one keeps its cadence, silently
                 self._arm(to, when + _period(to, to.deadline))
             if not to.enabled:
                 continue
             to.instances += 1
-            log(when, "fire", to.subid, to.instances)
+            log("fire", to.subid, to.instances)
             fired.append((when, to.subid, to.instances))
             if to.action is not None:
                 to.action()

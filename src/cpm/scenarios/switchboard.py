@@ -94,7 +94,7 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
         linkrates.set_prop(rec.mac, "rate", rec.rate_estimate)
 
     def observe_cycle():
-        cycle = rt.clock.now // observation_period  # the cycle fires on each multiple, without drift
+        cycle = rt.events.now // observation_period  # the cycle fires on each multiple, without drift
         rt.arr_rollover("linkbeacons")
         rt.arr_rollover("linkrates")
         cursor = 0
@@ -109,12 +109,7 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
             records.append(rec)
 
     for rec in trace.records:  # before the tick: boundary beacons count backward
-        rt.tom.insert(
-            TimeoutObject(
-                id=f"beacon@{rec.time}:{rec.mac}", subid="beacon", deadline=rec.time,
-                enabled=True, action=lambda rec=rec: deliver(rec),
-            )
-        )
+        rt.tom.insert(TimeoutObject(subid="beacon", deadline=rec.time, action=lambda rec=rec: deliver(rec)))
     rt.cycle_register("observation_cycle")
     rt.bind_function("observation_cycle", observe_cycle)
     rt.cycle_set("observation_cycle", observation_period)

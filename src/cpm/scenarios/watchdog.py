@@ -100,11 +100,11 @@ def run_wdt(params: WdtScenarioParams) -> WdtResult:
     def publish(value):
         # traced before the guards run, so what a guard body publishes comes after
         rt.red_write("watchdog", value)
-        trace.append((rt.clock.now, value))
+        trace.append((rt.events.now, value))
         rt.sensor_update("watchdog", value)
 
     def check_period():
-        t = rt.clock.now
+        t = rt.events.now
         if t >= params.horizon:
             return  # the horizon ends the run before this boundary counts
         current = rt.red_read("watchdog")
@@ -125,8 +125,8 @@ def run_wdt(params: WdtScenarioParams) -> WdtResult:
                 rt.cycle_set("wdt_tick", 0)  # a fresh tick: a renewed one keeps its instance count
             rt.cycle_set("wdt_tick", params.wdt_period)
         else:
-            ignored.append((rt.clock.now, value))
-            rt.events.log(rt.clock.now, "warn", "watchdog", 0, f"restart-write-ignored:{value}")
+            ignored.append((rt.events.now, value))
+            rt.events.log("warn", "watchdog", 0, f"restart-write-ignored:{value}")
 
     rt.registry.bind_actuator("watchdog", on_actuator_write)
     rt.cycle_register("wdt_tick")
@@ -135,21 +135,12 @@ def run_wdt(params: WdtScenarioParams) -> WdtResult:
     # fault injections and restart writes ride the schedule as one-shots,
     # inserted before the periodic check so they win boundary ties
     for t, idx, corrupt in params.fault_schedule:
-        rt.tom.insert(
-            TimeoutObject(
-                id=f"fault@{t}", subid="fault", deadline=t, enabled=True,
-                action=lambda idx=idx, corrupt=corrupt: rt.red_inject_fault("watchdog", idx, corrupt),
-            )
-        )
+        rt.tom.insert(TimeoutObject(
+            subid="fault", deadline=t, action=lambda idx=idx, corrupt=corrupt: rt.red_inject_fault("watchdog", idx, corrupt)))
     for t, value in params.restart_schedule:
         if t >= params.horizon:
             continue  # the horizon ends the run before a write at it lands
-        rt.tom.insert(
-            TimeoutObject(
-                id=f"write@{t}", subid="restart_write", deadline=t, enabled=True,
-                action=lambda value=value: rt.ctx_write("watchdog", value),
-            )
-        )
+        rt.tom.insert(TimeoutObject(subid="restart_write", deadline=t, action=lambda value=value: rt.ctx_write("watchdog", value)))
 
     publish(WD_STARTED)
     publish(WD_ACTIVE)  # activation message arrives at t=0

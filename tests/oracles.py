@@ -258,7 +258,7 @@ class ReferenceReplicaSet(ReplicaSet):
                 lead -= 1
         agreeing = reps.count(cand)
         if agreeing * 2 <= self.n:
-            self.events.log(self.clock.now, "vote_fail", self.name, self.stats.reads, "no-majority")
+            self.events.log("vote_fail", self.name, self.stats.reads, "no-majority")
             raise NoMajorityError(f"no strict majority among replicas of '{self.name}'")
         value = reps[reps.index(cand)]  # the first agreeing replica
         discrepancies = self.n - agreeing

@@ -80,10 +80,8 @@ def test_c2_cyclic_syntax_equals_hand_coded_timeout_calls():
         lowered_log = rt.tom.fired_log
 
         tom = TOM()
-        t1 = TimeoutObject(id="t1", subid="PeriodicMethod1", deadline=deadline1, cyclic=True,
-                           action=lambda: None)
-        t2 = TimeoutObject(id="t2", subid="PeriodicMethod2", deadline=deadline2, cyclic=True,
-                           action=lambda: None)
+        t1 = TimeoutObject(subid="PeriodicMethod1", deadline=deadline1, cyclic=True, action=lambda: None)
+        t2 = TimeoutObject(subid="PeriodicMethod2", deadline=deadline2, cyclic=True, action=lambda: None)
         tom.insert(t1)
         tom.insert(t2)
         tom.disable(t2)
@@ -158,7 +156,7 @@ def test_c5_cyclic_firing_count():
             pairs.append((period, horizon))
         for period, horizon in pairs:
             tom = TOM()
-            tom.insert(TimeoutObject(id="pm", subid="pm", deadline=period, cyclic=True))
+            tom.insert(TimeoutObject(subid="pm", deadline=period, cyclic=True))
             fired = tom.advance(horizon)
             assert len(fired) == horizon // period, (period, horizon)
             assert [f[0] for f in fired] == list(range(period, horizon + 1, period))

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import cpm.cexpr
@@ -21,14 +21,18 @@ PREC = {"||": 1, "&&": 2, "|": 3, "^": 4, "&": 5, "==": 6, "!=": 6, "<": 7, ">":
         "+": 9, "-": 9, "*": 10, "/": 10, "%": 10}
 SHIFT, UNARY, PRIMARY = 8, 11, 12  # SHIFT: the precedence of << and >>
 
+# escaped character constants -> the int C gives them
+CHARS = {"'\\?'": 63, "'\\101'": 65, "'\\x41'": 65, "'\\n'": 10, "'\\\\'": 92, "'\\''": 39}
 ints = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70), st.sampled_from([2**53 + 1, -(2**53) - 1, 0]))
 
 
 def tree_strategy(ints, max_leaves, shifts=False):
-    """Expression trees over ``ints`` and the variable ``s``; with ``shifts``,
-    also ``<<`` and ``>>`` by a literal count of 0 to 8."""
+    """Expression trees over ``ints``, the character constants of ``CHARS``
+    and the variable ``s``; with ``shifts``, also ``<<`` and ``>>`` by a
+    literal count of 0 to 8."""
     leaves = st.one_of(
         st.tuples(st.just("int"), ints, st.sampled_from(["dec", "hex", "oct"])),
+        st.sampled_from([("int", code, text) for text, code in CHARS.items()]),
         st.just(("var", "s")),
     )
 
@@ -57,7 +61,7 @@ def render(node, need=0):
         text, prec = node[1], PRIMARY
     elif kind == "int":
         v, fmt = node[1], node[2]
-        digits = {"dec": str(abs(v)), "hex": hex(abs(v)), "oct": "0" + format(abs(v), "o")}[fmt]
+        digits = fmt if fmt in CHARS else {"dec": str(abs(v)), "hex": hex(abs(v)), "oct": "0" + format(abs(v), "o")}[fmt]
         text, prec = (f"(-{digits})" if v < 0 else digits), PRIMARY
     elif kind == "unary":
         text, prec = f"{node[1]} {render(node[2], UNARY)}", UNARY
@@ -172,6 +176,7 @@ c_trees = tree_strategy(st.one_of(st.integers(-9, 9), int32s), 10, shifts=True)
 # names the expression that differs
 @settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(st.lists(st.tuples(c_trees, int32s), min_size=40, max_size=80))
+@example([(("binary", "+", ("int", code, text), ("var", "s")), 1) for text, code in CHARS.items()])
 def test_hypothesis_c_reference_and_eval_expr_match_a_c_compiler(batch):
     """Every tree that ``c_eval`` evaluates without dividing by zero, and
     whose every intermediate value fits in an int, evaluates to the same

@@ -87,10 +87,8 @@ def _run_lowered(deadline1=100, deadline2=250, new_deadline2=400, horizon=1000):
 
 def _run_hand_coded(deadline1=100, deadline2=250, new_deadline2=400, horizon=1000):
     tom = TOM()
-    t1 = TimeoutObject(id="t1", subid="PeriodicMethod1", deadline=deadline1, cyclic=True,
-                       action=lambda: None)
-    t2 = TimeoutObject(id="t2", subid="PeriodicMethod2", deadline=deadline2, cyclic=True,
-                       action=lambda: None)
+    t1 = TimeoutObject(subid="PeriodicMethod1", deadline=deadline1, cyclic=True, action=lambda: None)
+    t2 = TimeoutObject(subid="PeriodicMethod2", deadline=deadline2, cyclic=True, action=lambda: None)
     tom.insert(t1)
     tom.insert(t2)
     tom.disable(t2)

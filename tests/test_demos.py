@@ -1,5 +1,6 @@
-"""Smoke test: every demo script runs to completion, and the cyclic demo's
-output, which runs on the virtual clock, is the same from run to run."""
+"""Smoke test: every demo script runs to completion with warnings as errors,
+and the cyclic demo's output, which runs on virtual time, is the same from
+run to run."""
 
 import os
 import subprocess
@@ -14,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 def run_demo(path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env, capture_output=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error", str(path)], cwd=ROOT, env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     return proc.stdout
 

@@ -79,7 +79,7 @@ def test_context_registration_and_access():
 def test_guard_registration_binds_python_body():
     rt, it = fresh()
     hits = []
-    it.bind_function("notify", lambda: hits.append(rt.clock.now))
+    it.bind_function("notify", lambda: hits.append(rt.events.now))
     it.run_text(
         'cpm_ctx_register(watchdog, sensor, "watchdog");\n'
         'cpm_guard_register(notify, "watchdog == 3");\n'
@@ -102,7 +102,7 @@ def test_cycle_body_bound_after_registration_runs_on_the_next_fire():
     ticks = []
     it.run_text("cpm_cycle_register(Tick);\ncpm_cycle_set(Tick, (10));\n")
     rt.advance(10)
-    it.bind_function("Tick", lambda: ticks.append(rt.clock.now))
+    it.bind_function("Tick", lambda: ticks.append(rt.events.now))
     rt.advance(20)
     assert ticks == [20, 30]
 
@@ -154,7 +154,7 @@ def test_array_staleness_reads_as_a_c_int():
 def test_cycle_calls_schedule_actions():
     rt, it = fresh()
     ticks = []
-    it.bind_function("Tick", lambda: ticks.append(rt.clock.now))
+    it.bind_function("Tick", lambda: ticks.append(rt.events.now))
     it.run_text("cpm_cycle_register(Tick);\ncpm_cycle_set(Tick, (10));\n")
     rt.advance(30)
     assert ticks == [10, 20, 30]
@@ -184,6 +184,10 @@ C_TABLE = [
     ("010", 8),
     ("10l", 10),
     ("'a'", 97),
+    ("'\\?'", 63),
+    ('"a\\?b"', "a?b"),
+    ("'\\101'", 65),
+    ("'\\x41'", 65),
 ]
 
 
@@ -196,10 +200,9 @@ def test_c_semantics_table(text, value):
     assert type(result) is type(value)  # truth values are ints, never bool
 
 
-# an unsigned literal would need C's unsigned arithmetic, which is not
-# modelled: ~0u is 4294967295 in C, (1u - 2) > 0 is 1 and (-020U) is 4294967280
-@pytest.mark.parametrize("text", ["10u", "~0u", "(1u - 2) > 0", "(-020U)"])
-def test_unsigned_literals_are_refused_on_every_path(text):
+def refused_on_every_path(text):
+    """The interpreter, the guard registry and the refractive pass all
+    refuse ``text`` as not a C expression."""
     rt, it = fresh()
     with pytest.raises(InterpError, match="not a C expression"):
         it.eval_expr(text)
@@ -208,6 +211,20 @@ def test_unsigned_literals_are_refused_on_every_path(text):
         rt.guard_register("g", f"s == ({text})")
     _, report = run(compose(["refractive"]), load_unit(f"sensor_t int s;\nguard_t (s == ({text})) f;\n"))
     assert [d.message for d in report.diagnostics] == ["guard for 'f' is not a C expression; guard dropped"]
+
+
+# an unsigned literal would need C's unsigned arithmetic, which is not
+# modelled: ~0u is 4294967295 in C, (1u - 2) > 0 is 1 and (-020U) is 4294967280
+@pytest.mark.parametrize("text", ["10u", "~0u", "(1u - 2) > 0", "(-020U)"])
+def test_unsigned_literals_are_refused_on_every_path(text):
+    refused_on_every_path(text)
+
+
+# a literal decodes C's escapes only: Python's \N{...}, an unknown escape
+# and an octal or hex escape past an unsigned char are not C
+@pytest.mark.parametrize("text", ["'\\N{LATIN SMALL LETTER A}'", '"\\q"', "'\\x100'", "'\\400'", '"\\x"'])
+def test_escapes_that_are_not_c_are_refused_on_every_path(text):
+    refused_on_every_path(text)
 
 
 @pytest.mark.parametrize("text", ["a and b", "x if y else z", "2**3", "s >", "a = 1", "(int) a", "a[0]"])
@@ -357,7 +374,7 @@ def run_observed(runner, text):
     rt = Runtime()
     it = AbiInterpreter(rt, {"a": 3, "b": 0})
     fires = []
-    it.bind_function("g", lambda: fires.append(rt.clock.now))
+    it.bind_function("g", lambda: fires.append(rt.events.now))
     rt.registry.register("act", "both")
     rt.registry.bind_actuator("act", lambda value: rt.sensor_update("act", value))
     rt.red_storage("r")

@@ -18,7 +18,7 @@ from cpm.scenarios.switchboard import AdjustmentRecord, BeaconRecord
         (Event(10, "fire", "t", 1, ""), {"instance": 2}),
         (BeaconRecord(100, "aa:01", 50.0), {"rate_estimate": 40.0}),
         (AdjustmentRecord(1, "aa:01", 25.0, False), {"stale": True, "metric": None}),
-        (TimeoutObject("t", "t", 10, cyclic=True), {"deadline": 20}),
+        (TimeoutObject("t", 10, cyclic=True), {"deadline": 20}),
         (ArrayEntry(), {"silent_periods": 2}),
     ],
 )

@@ -7,7 +7,6 @@ from cpm.runtime import (
     EventLog,
     ReflectiveArray,
     Runtime,
-    VirtualClock,
 )
 from cpm.runtime.context import BUILTIN_ARRAY_PROPS
 
@@ -15,7 +14,7 @@ from oracles import ReferenceArray
 
 
 def registry():
-    return ContextRegistry(clock=VirtualClock(), events=EventLog())
+    return ContextRegistry(events=EventLog())
 
 
 def test_sensor_snapshot_read():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpm.runtime import AdaptPolicy, EventLog, NoMajorityError, ReplicaSet, VirtualClock
+from cpm.runtime import TOM, AdaptPolicy, EventLog, NoMajorityError, ReplicaSet
 
 from oracles import ReferenceReplicaSet, majority_oracle
 
@@ -311,11 +311,12 @@ def test_hypothesis_read_matches_the_always_voting_reference(window, threshold, 
     sets = []
     for cls in (ReplicaSet, ReferenceReplicaSet):
         policy = AdaptPolicy(window=window, escalate_threshold=threshold, deescalate_after=deescalate)
-        sets.append(cls("x", 3, policy=policy, clock=VirtualClock(), events=EventLog()))
-    for t, op in enumerate(ops, 1):
+        sets.append(cls("x", 3, policy=policy, events=EventLog()))
+    toms = [TOM(events=rs.events) for rs in sets]
+    for op in ops:
         outcomes = []
-        for rs in sets:
-            rs.clock.now = t
+        for rs, tom in zip(sets, toms):
+            tom.advance(1)
             if op[0] == "write":
                 outcomes.append(rs.write(op[1]))
             elif op[0] == "fault":

@@ -10,15 +10,13 @@ from cpm.runtime import (
     EventLog,
     Runtime,
     TimeoutObject,
-    VirtualClock,
 )
 
 from oracles import cyclic_fire_times
 
 
 def make(subid, deadline, cyclic=False, enabled=True, action=None):
-    return TimeoutObject(id=subid, subid=subid, deadline=deadline, cyclic=cyclic,
-                         enabled=enabled, action=action)
+    return TimeoutObject(subid=subid, deadline=deadline, cyclic=cyclic, enabled=enabled, action=action)
 
 
 def test_insert_sets_next_fire():
@@ -39,7 +37,7 @@ def test_insert_relative_to_current_time():
 def test_one_shot_fires_once():
     tom = TOM()
     hits = []
-    tom.insert(make("t", 10, action=lambda: hits.append(tom.clock.now)))
+    tom.insert(make("t", 10, action=lambda: hits.append(tom.events.now)))
     fired = tom.advance(50)
     assert fired == [(10, "t", 1)]
     assert hits == [10]
@@ -187,7 +185,7 @@ def test_negative_one_shot_deadline_is_rejected_before_anything_changes():
     tom = TOM()
     tom.advance(100)
     seen = []
-    t = make("a", -30, action=lambda: seen.append(tom.clock.now))
+    t = make("a", -30, action=lambda: seen.append(tom.events.now))
     with pytest.raises(ValueError, match="must not be negative"):
         tom.insert(t)
     assert t.next_fire is None and tom.advance(0) == [] and seen == []
@@ -217,7 +215,7 @@ def test_zero_one_shot_deadline_fires_at_now():
 
 def test_fractional_one_shot_deadline_fires_at_its_int_in_both_logs():
     tom = TOM()
-    t = TimeoutObject("a", "a", 10.5)
+    t = TimeoutObject("a", 10.5)
     tom.insert(t)
     assert t.deadline == 10 and t.next_fire == 10
     tom.advance(20)
@@ -227,7 +225,7 @@ def test_fractional_one_shot_deadline_fires_at_its_int_in_both_logs():
 
 def test_fractional_cyclic_deadline_fires_at_its_int_multiples_in_both_logs():
     tom = TOM()
-    tom.insert(TimeoutObject("c", "c", 2.5, cyclic=True))
+    tom.insert(TimeoutObject("c", 2.5, cyclic=True))
     tom.advance(5)
     assert tom.fired_log == [(2, "c", 1), (4, "c", 2)]
     assert [e.time_ms for e in tom.events.of("fire")] == [2, 4]
@@ -304,8 +302,8 @@ def test_hypothesis_fired_log_and_event_log_carry_the_same_int_times(initial, op
     assert fired == tom.fired_log == fires
     assert all(type(when) is int for when, _, _ in tom.fired_log)
     # advance truncates each dt once, where it enters
-    assert tom.clock.now == sum(int(args[0]) for op, *args in ops if op == "advance") + 100
-    assert type(tom.clock.now) is int
+    assert tom.events.now == sum(int(args[0]) for op, *args in ops if op == "advance") + 100
+    assert type(tom.events.now) is int
 
 
 def test_cancelling_a_stopped_cycle_warns_under_its_name():
@@ -385,23 +383,26 @@ def test_fixed_rate_oracle_random_pairs():
 def test_poll_fires_objects_due_now_without_moving_the_clock():
     tom = TOM()
     hits = []
-    tom.insert(make("now", 0, action=lambda: hits.append(tom.clock.now)))
+    tom.insert(make("now", 0, action=lambda: hits.append(tom.events.now)))
     tom.insert(make("later", 5, action=lambda: hits.append(-1)))
     assert tom.poll() == [(0, "now", 1)]
-    assert hits == [0] and tom.clock.now == 0
+    assert hits == [0] and tom.events.now == 0
 
 
 def test_fire_events_logged():
     ev = EventLog()
-    tom = TOM(clock=VirtualClock(), events=ev)
+    tom = TOM(events=ev)
     tom.insert(make("t", 10))
     tom.advance(10)
     fires = ev.of("fire")
     assert len(fires) == 1 and fires[0].name == "t" and fires[0].time_ms == 10
 
 
-def test_the_clock_has_no_method_that_moves_it():
-    assert [name for name in dir(Runtime().clock) if not name.startswith("__")] == ["now"]
+def test_now_is_read_only():
+    rt = Runtime()
+    with pytest.raises(AttributeError):
+        rt.events.now = 50
+    assert rt.events.now == 0
 
 
 CYCLES = ("f", "g")
@@ -421,14 +422,15 @@ RUNTIME_OPS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(RUNTIME_OPS)
 def test_hypothesis_actions_see_their_fire_time_and_time_never_runs_back(ops):
-    """Over scripts of facade calls, only ``advance`` moves the clock: every
-    action, body and actuator callback logs the ``now`` it sees, event times
-    never decrease, each ``fire`` is followed by its action's record at the
-    same time, and the clock ends at the sum of ``int(dt)``."""
+    """Over scripts of facade calls, only ``advance`` moves ``now``: every
+    action, body and actuator callback logs an event, which the log stamps
+    with its ``now``, event times never decrease, each ``fire`` is followed
+    by its action's record at the same time, and ``now`` ends at the sum of
+    ``int(dt)``."""
     rt = Runtime()
 
     def seen(name):
-        rt.events.log(rt.clock.now, "seen", name)
+        rt.events.log("seen", name)
 
     def one_shot_action(name, update):
         def action():
@@ -449,7 +451,7 @@ def test_hypothesis_actions_see_their_fire_time_and_time_never_runs_back(ops):
     for i, (op, *args) in enumerate(ops):
         if op == "one_shot":
             deadline, update = args
-            rt.tom.insert(TimeoutObject(f"o{i}", f"o{i}", deadline, action=one_shot_action(f"o{i}", update)))
+            rt.tom.insert(TimeoutObject(f"o{i}", deadline, action=one_shot_action(f"o{i}", update)))
         else:
             getattr(rt, op)(*args)
 
@@ -459,4 +461,4 @@ def test_hypothesis_actions_see_their_fire_time_and_time_never_runs_back(ops):
     for fire, after in zip(events, events[1:] + [None]):
         if fire.kind == "fire":
             assert (after.kind, after.name, after.time_ms) == ("seen", fire.name, fire.time_ms)
-    assert rt.clock.now == sum(int(args[0]) for op, *args in ops if op == "advance")
+    assert rt.events.now == sum(int(args[0]) for op, *args in ops if op == "advance")
