@@ -11,7 +11,9 @@ context variable and redundant), so the pass order decides which one owns
 each access form. Running refractive first keeps sensor reads and actuator
 writes with the context machinery and leaves redundancy the extern
 declaration; the reverse order would route the accesses through the voting
-layer instead. Ordering is deliberately the user's call.
+layer instead. Ordering is deliberately the user's call. The guard on
+``watchdog`` registers in either order: every pass lowers its declarations
+before any pass lowers an access.
 """
 
 from pathlib import Path

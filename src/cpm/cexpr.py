@@ -8,7 +8,7 @@ precedence-climbing parser over the significant tokens of
 relational and logical operators yield the int 0 or 1 and comparisons never
 chain; ``?:``, unary, bitwise and shift operators follow C precedence; int
 literals may be octal or hex with an ``l`` suffix (a ``u`` suffix is refused:
-unsigned arithmetic is not modelled), a character constant is its code, and
+unsigned arithmetic is not modelled), character constants are signed, and
 a literal decodes C's escapes only. A runtime call (:data:`ABI`) compiles
 its arguments by kind and must have each one. :func:`translate_stmt` turns
 the statements the interpreter runs into Python source with the same
@@ -128,7 +128,7 @@ def _literal(lex):
         return value
     if len(value) != 1:
         raise ValueError(f"bad character constant {lex}")
-    return ord(value)
+    return (ord(value) ^ 0x80) - 0x80  # as C's signed char: '\xff' is -1
 
 
 class _Parser:

@@ -84,7 +84,8 @@ class CyclicPass(ExtensionPass):
     id = PASS_ID
     KEYWORDS = frozenset({"cyclic_t"})
 
-    def _transform(self, unit, config, skip):
-        unit, names, diags = scan_cyclic(unit, config, skip)
-        unit, more = lower_cycle_member(unit, names, skip)
-        return unit, diags + more
+    def scan(self, unit, config, skip):
+        return scan_cyclic(unit, config, skip)
+
+    def lower(self, unit, names, skip):
+        return lower_cycle_member(unit, names, skip)

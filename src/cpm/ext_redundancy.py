@@ -113,7 +113,8 @@ class RedundancyPass(ExtensionPass):
     KNOWN_KEYS = frozenset({"replicas"})
     KEYWORDS = frozenset({"redundant_t"})
 
-    def _transform(self, unit, config, skip):
-        unit, names, diags = scan_redundant(unit, config, skip)
-        unit, more = lower_accesses(unit, names, skip)
-        return unit, diags + more
+    def scan(self, unit, config, skip):
+        return scan_redundant(unit, config, skip)
+
+    def lower(self, unit, names, skip):
+        return lower_accesses(unit, names, skip)

@@ -20,7 +20,7 @@ configuration, or in the source itself:
                                            -> cpm_arr_register(linkbeacons);
     guard_t (watchdog == WD_FIRED) on_fire; -> cpm_guard_register(on_fire, "watchdog == WD_FIRED");
 
-Each pass has its own pipeline stage and identifier. Its declaration scan
+Each pass has its own identifier and two phases. Its declaration scan
 (``scan_context``, ``scan_arrays``) is a matcher and a ``declare`` handed to
 :func:`cpm.rewrite.lower_decls`, and its accesses are lowered by
 :func:`cpm.rewrite.lower_lines` from a table of targets.
@@ -209,10 +209,11 @@ class RefractivePass(ExtensionPass):
     KNOWN_KEYS = frozenset({"sensors", "actuators", "context"})
     KEYWORDS = frozenset({"sensor_t", "actuator_t", "context_t", "guard_t"})
 
-    def _transform(self, unit, config, skip):
-        unit, scalars, diags = scan_context(unit, config, skip)
-        unit, more = lower_context_accesses(unit, scalars, skip)
-        return unit, diags + more
+    def scan(self, unit, config, skip):
+        return scan_context(unit, config, skip)
+
+    def lower(self, unit, scalars, skip):
+        return lower_context_accesses(unit, scalars, skip)
 
 
 class ArrayPass(ExtensionPass):
@@ -225,7 +226,8 @@ class ArrayPass(ExtensionPass):
         # per-array property lists live under the name of a listed array
         return key == "arrays" or key in _config_arrays(config)
 
-    def _transform(self, unit, config, skip):
-        unit, arrays, diags = scan_arrays(unit, config, skip)
-        unit, more = lower_array_accesses(unit, arrays, skip)
-        return unit, diags + more
+    def scan(self, unit, config, skip):
+        return scan_arrays(unit, config, skip)
+
+    def lower(self, unit, arrays, skip):
+        return lower_array_accesses(unit, arrays, skip)

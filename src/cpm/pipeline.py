@@ -2,8 +2,8 @@
 
 A pipeline is an ordered chain of source-to-source passes chosen by the user;
 order is never inferred. Each pass owns one orthogonal syntax family and
-flushes everything else through untouched, so any ordering is legal and
-composition reduces to function composition over the unit.
+flushes everything else through untouched, so any ordering is legal. Every
+pass scans its declarations, in pipeline order, before any pass lowers.
 
 Every pass carries a canonical identifier of the form ``cpm://<name>/<version>``.
 Running a pipeline injects a one-line preamble defining the
@@ -104,9 +104,11 @@ class ExtensionPass:
 
     Subclasses set ``id``, ``KNOWN_KEYS`` (their config keys), ``KEYWORDS``
     (the identifier lexemes introducing their syntax, used for strict-mode
-    reporting) and implement ``_transform``. ``transform`` never rejects
-    input and must leave units without the pass's syntax byte-identical;
-    lines numbered in ``skip`` keep their text.
+    reporting) and the two phases :func:`run` calls: ``scan(unit, config,
+    skip) -> (unit, declared, diagnostics)`` lowers declarations and
+    ``lower(unit, declared, skip) -> (unit, diagnostics)`` accesses;
+    ``transform`` is scan then lower. No phase rejects input or changes a
+    unit without the pass's syntax; lines numbered in ``skip`` keep their text.
 
     ``transform`` does not read ``@ext:`` tags: to a bare pass a tag is text.
     :func:`run` strips the tags of the pipeline's passes before the first
@@ -125,10 +127,9 @@ class ExtensionPass:
         return key in self.KNOWN_KEYS
 
     def transform(self, unit: SourceUnit, config: PassConfig, skip=frozenset()):
-        return self._transform(unit, config, skip)
-
-    def _transform(self, unit, config, skip):
-        raise NotImplementedError
+        unit, declared, diags = self.scan(unit, config, skip)
+        unit, more = self.lower(unit, declared, skip)
+        return unit, diags + more
 
 
 @dataclass(frozen=True)
@@ -253,16 +254,20 @@ def _strip_tags(unit: SourceUnit, applied):
 
 
 def run(pipeline: Pipeline, unit: SourceUnit):
-    """Route tagged lines, apply the passes in order, then inject the
-    identifier preamble as the first line, in front of the passes' own line
-    objects. Returns (unit, report)."""
+    """Route tagged lines, run every pass's scan, then every pass's lowering,
+    in order, and inject the identifier preamble as the first line, in front
+    of the passes' own line objects. Returns (unit, report)."""
     diags = list(pipeline.compose_diagnostics)
     applied = {p.id.name for p in pipeline.passes}
     unit, tags = _strip_tags(unit, applied)
-    skips = {name: frozenset(n for n, tag in tags.items() if tag != name) for name in applied}
+    scans = []
     for p in pipeline.passes:
-        unit, pass_diags = p.transform(unit, pipeline.config, skips[p.id.name])
-        diags.extend(pass_diags)
+        skip = frozenset(n for n, tag in tags.items() if tag != p.id.name)
+        unit, declared, scan_diags = p.scan(unit, pipeline.config, skip)
+        scans.append((skip, declared, scan_diags))
+    for p, (skip, declared, scan_diags) in zip(pipeline.passes, scans):
+        unit, lower_diags = p.lower(unit, declared, skip)
+        diags += scan_diags + lower_diags
     head = unit_from_raws([preamble_line(publish_ids(pipeline))]).lines
     final_newline = unit.final_newline if unit.lines else True
     out = SourceUnit(lines=head + tuple(unit.lines), final_newline=final_newline)

@@ -101,6 +101,14 @@ def test_accesses_inside_a_dropped_redundant_declaration_are_left_alone():
     )
 
 
+def test_the_type_in_a_declaration_of_a_pass_not_in_the_pipeline_is_no_access():
+    # every pass of a pipeline lowers its declarations before any pass lowers
+    # an access, so only the keyword of a pass that is not in the pipeline
+    # is left for the access rule to see
+    out, _ = run(compose(["refractive"]), load_unit("redundant_t T *x;\nsensor_t int T;\n"))
+    assert render(out).split("\n")[1] == "redundant_t T *x;"
+
+
 def test_grouping_parentheses_do_not_hide_the_position():
     text, warnings = transform("redundancy", "redundant_t int x;\n(x)++; p = &(x); y = (x);\n")
     assert text.split("\n")[1] == "(x)++; p = &(x); y = (cpm_red_read(x));"

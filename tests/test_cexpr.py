@@ -21,8 +21,11 @@ PREC = {"||": 1, "&&": 2, "|": 3, "^": 4, "&": 5, "==": 6, "!=": 6, "<": 7, ">":
         "+": 9, "-": 9, "*": 10, "/": 10, "%": 10}
 SHIFT, UNARY, PRIMARY = 8, 11, 12  # SHIFT: the precedence of << and >>
 
-# escaped character constants -> the int C gives them
-CHARS = {"'\\?'": 63, "'\\101'": 65, "'\\x41'": 65, "'\\n'": 10, "'\\\\'": 92, "'\\''": 39}
+# escaped character constants -> the int C gives them, char being signed
+CHARS = {
+    "'\\?'": 63, "'\\101'": 65, "'\\x41'": 65, "'\\n'": 10, "'\\\\'": 92, "'\\''": 39,
+    "'\\xff'": -1, "'\\200'": -128, "'\\x80'": -128,
+}
 ints = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70), st.sampled_from([2**53 + 1, -(2**53) - 1, 0]))
 
 
@@ -62,7 +65,8 @@ def render(node, need=0):
     elif kind == "int":
         v, fmt = node[1], node[2]
         digits = fmt if fmt in CHARS else {"dec": str(abs(v)), "hex": hex(abs(v)), "oct": "0" + format(abs(v), "o")}[fmt]
-        text, prec = (f"(-{digits})" if v < 0 else digits), PRIMARY
+        # a character constant carries its own sign
+        text, prec = (f"(-{digits})" if v < 0 and fmt not in CHARS else digits), PRIMARY
     elif kind == "unary":
         text, prec = f"{node[1]} {render(node[2], UNARY)}", UNARY
     elif kind == "binary":
@@ -181,12 +185,12 @@ def test_hypothesis_c_reference_and_eval_expr_match_a_c_compiler(batch):
     """Every tree that ``c_eval`` evaluates without dividing by zero, and
     whose every intermediate value fits in an int, evaluates to the same
     value in one C program per batch, compiled with wrapping signed
-    arithmetic, as under ``c_eval`` and ``eval_expr``. As a guard over a
-    sensor ``s`` that starts at 0, each such tree that reads ``s`` holds
-    exactly when C's value is nonzero, and fires on ``sensor_update("s", s)``
-    exactly when it holds and did not at ``s = 0`` (judged by ``c_eval``; a
-    division by zero there reads as false, as the registry's
-    ``guard-eval-error`` does)."""
+    arithmetic and a signed ``char``, as under ``c_eval`` and ``eval_expr``.
+    As a guard over a sensor ``s`` that starts at 0, each such tree that
+    reads ``s`` holds exactly when C's value is nonzero, and fires on
+    ``sensor_update("s", s)`` exactly when it holds and did not at ``s = 0``
+    (judged by ``c_eval``; a division by zero there reads as false, as the
+    registry's ``guard-eval-error`` does)."""
     kept = []
     for tree, s in batch:
         seen = []
@@ -202,7 +206,7 @@ def test_hypothesis_c_reference_and_eval_expr_match_a_c_compiler(batch):
     with tempfile.TemporaryDirectory() as tmp:
         src, exe = Path(tmp) / "exprs.c", Path(tmp) / "exprs"
         src.write_text(f"#include <stdio.h>\nint main(void) {{\n{body}    return 0;\n}}\n")
-        subprocess.run(["cc", "-fwrapv", "-w", "-o", str(exe), str(src)], check=True, capture_output=True)
+        subprocess.run(["cc", "-fwrapv", "-fsigned-char", "-w", "-o", str(exe), str(src)], check=True, capture_output=True)
         printed = subprocess.run([str(exe)], check=True, capture_output=True, text=True).stdout.split()
     assert len(printed) == len(kept)
     for (tree, text, s, value), c_value in zip(kept, printed):

@@ -15,7 +15,7 @@ FRAGMENTS = [
     # well-formed declarations
     "redundant_t int r1;", "extern redundant_t int r2;", "redundant_t int r3 = 4;",
     "sensor_t int s1;", "actuator_t int a1;", "context_t int c1;", "guard_t (s1 > 2) g1;",
-    "reflective_array_t lb { beacons:int };", "cyclic_t int tick(void);",
+    "guard_t (r1 < s1) g2;", "reflective_array_t lb { beacons:int };", "cyclic_t int tick(void);",
     # plain code around them
     "int z = 1;", "{", "}", "if (s1) {", "z = r1 + s1;", "tick.Cycle = 10;", "z = lb[m].beacons;",
     "for (i = 0; i < 3; i++)", "/* c */", "(", ")", ";", "[",

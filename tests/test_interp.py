@@ -186,6 +186,7 @@ C_TABLE = [
     ("'a'", 97),
     ("'\\?'", 63),
     ('"a\\?b"', "a?b"),
+    ('"\\xff\\200"', "\xff\x80"),
     ("'\\101'", 65),
     ("'\\x41'", 65),
 ]
@@ -198,6 +199,21 @@ def test_c_semantics_table(text, value):
     result = it.eval_expr(text)
     assert result == value
     assert type(result) is type(value)  # truth values are ints, never bool
+
+
+# a character constant reads as C's signed char does: past 0x7F it is
+# negative, as in a latin-1 source
+SIGNED_CHARS = [("'\\xff'", -1), ("'\\200'", -128), ("'\\x80'", -128), ("'\\177'", 127), ("'\xe9'", -23)]
+
+
+@pytest.mark.parametrize("text,value", SIGNED_CHARS)
+def test_character_constants_read_as_a_signed_char_on_every_path(text, value):
+    rt, it = fresh()
+    it.run_text(f"int x = {text};\n")
+    assert it.env["x"] == value == it.eval_expr(text)
+    rt.ctx_register("s", "sensor")
+    rt.guard_register("g", f"s == {text}")
+    assert rt.sensor_update("s", value) == ["g"]
 
 
 def refused_on_every_path(text):

@@ -156,6 +156,10 @@ tagged_lines = st.tuples(st.sampled_from(TAGS), lines).map("".join)
 # a name after a pass keyword is the type of its declaration, not an access
 @example("redundant_t T *x; sensor_t int T;\n")
 @example("redundant_t const T *x; sensor_t int T;\n")
+# a guard is checked as written, before any pass lowers the names it reads
+@example("redundant_t int r1; sensor_t int s1; guard_t (r1 < s1) g2;\n")
+@example("cyclic_t int tick(void); sensor_t int s1; guard_t (tick.Cycle > s1) g3;\n")
+@example("reflective_array_t lb { beacons:int }; sensor_t int s1; guard_t (lb[m].beacons > s1) g4;\n")
 def test_every_pass_order_renders_the_same_text(src):
     texts = {_body(render(run(compose(order), load_unit(src))[0])) for order in ORDERS}
     assert len(texts) == 1, texts

@@ -6,6 +6,7 @@ from cpm.ext_reflective import (
     scan_arrays,
     scan_context,
 )
+import itertools
 from pathlib import Path
 
 import pytest
@@ -137,27 +138,18 @@ def test_guard_that_is_not_a_c_expression_dropped_with_warning():
     assert [d.message for d in diags] == ["guard for 'f' is not a C expression; guard dropped"]
 
 
-def test_guard_over_a_lowered_redundant_read_is_dropped_at_transform_time():
-    # redundancy first turns the guard's 'watchdog' into cpm_red_read(watchdog),
-    # which names no sensor; the runtime would reject the registration
-    src = (DEMOS / "watchdog_task.cpm").read_text(encoding="latin-1")
-    config = PassConfig({"refractive.context": "watchdog"})
-    out, report = run(compose(["redundancy", "refractive", "cyclic"], config=config), load_unit(src))
-    assert "guard_t (cpm_red_read(watchdog) == WD_FIRED) on_watchdog_fired;" in render(out)
-    assert [d.message for d in report.diagnostics] == [
-        "guard for 'on_watchdog_fired' references no declared sensor; guard dropped"
-    ]
-
-
 def test_watchdog_demo_in_demo_order_registers_its_guard_and_runs():
+    # every pass scans before any pass lowers, so the guard is checked as
+    # written in every order, also when redundancy lowers 'watchdog' first
     src = (DEMOS / "watchdog_task.cpm").read_text(encoding="latin-1")
     config = PassConfig.from_ini(DEMOS / "extensions.ini")
-    out, report = run(compose(["refractive", "array", "redundancy", "cyclic"], config=config), load_unit(src))
-    assert not report.diagnostics
-    rt = Runtime()
-    rt.ctx_register("watchdog", "both")  # configured out of band, as in extensions.ini
-    AbiInterpreter(rt, env={"WD_FIRED": 2}).run_unit(out)
-    assert [g.name for g in rt.registry.guards] == ["on_watchdog_fired"]
+    for order in itertools.permutations(["refractive", "array", "redundancy", "cyclic"]):
+        out, report = run(compose(order, config=config), load_unit(src))
+        assert not report.diagnostics, order
+        rt = Runtime()
+        rt.ctx_register("watchdog", "both")  # configured out of band, as in extensions.ini
+        AbiInterpreter(rt, env={"WD_FIRED": 2}).run_unit(out)
+        assert [g.name for g in rt.registry.guards] == ["on_watchdog_fired"], order
 
 
 def test_array_decl_becomes_registration():

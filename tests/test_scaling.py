@@ -147,14 +147,15 @@ def test_run_tokenizes_each_changed_line_once_more_and_the_preamble():
     # else is tokenized again
     lowered = [
         "f.Cycle = r;",  # tag stripped
+        # every pass's declarations, then every pass's accesses
         "cpm_red_storage(r, int, 3);",
+        'cpm_ctx_register(s, sensor, "s");',
+        "cpm_arr_register(a);",
+        "int f(void); cpm_cycle_register(f);",
         "cpm_red_write(r, (s + a[k].b));",
         "*/ z = cpm_red_read(r);",
-        'cpm_ctx_register(s, sensor, "s");',
         "cpm_red_write(r, (cpm_ctx_read(s) + a[k].b));",
-        "cpm_arr_register(a);",
         "cpm_red_write(r, (cpm_ctx_read(s) + cpm_arr_get(a, (k), b)));",
-        "int f(void); cpm_cycle_register(f);",
         "cpm_cycle_set(f, (r));",
     ]
     for n in (10, 1_000):

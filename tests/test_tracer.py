@@ -7,6 +7,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import cpm.pipeline
 from cpm import compose, load_unit, run
 from cpm.interp import AbiInterpreter
 from cpm.runtime import Runtime
@@ -26,7 +27,9 @@ def test_tracer_builds_and_times_every_pass_layer():
     tracer = load_spans().Tracer()  # a traced name that is gone raises here
     src = "redundant_t int x;\nsensor_t int s;\nreflective_array_t a { b:int };\ncyclic_t int f(void);\nx = s;\n"
     pipeline = compose(["redundancy", "refractive", "array", "cyclic"])
-    _, _, selfs, _ = tracer.traced(run, pipeline, load_unit(src))
+    # look ``run`` up when called, as cli.main does, so the tracer's patch is
+    # seen; the ``run`` this module imported at load time stays unpatched
+    _, _, selfs, _ = tracer.traced(lambda: cpm.pipeline.run(pipeline, load_unit(src)))
     for layer in ("ext_redundancy", "ext_reflective", "ext_cyclic", "rewrite", "pipeline"):
         assert selfs[layer] > 0, layer
 
