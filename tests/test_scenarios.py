@@ -229,3 +229,31 @@ def test_hypothesis_wdt_matches_oracle_on_generated_schedules(case):
         wdt_period=period, horizon=horizon, heartbeat_schedule=beats, restart_schedule=restarts,
     )
     assert run_wdt(params).trace == wdt_trace_oracle(period, horizon, beats, restarts)
+
+
+@st.composite
+def switchboard_cases(draw):
+    """Small switchboard runs: one to four peers whose rates change between
+    beacons, beacons at 0, on cycle boundaries, at the horizon and at
+    repeated times, and the empty trace."""
+    period = draw(st.integers(min_value=1, max_value=40))
+    horizon = period * draw(st.integers(min_value=0, max_value=12)) + draw(st.integers(0, period - 1))
+    on_boundary = st.integers(min_value=0, max_value=horizon // period).map(lambda k: k * period)
+    time = st.one_of(st.integers(min_value=0, max_value=horizon), on_boundary, st.sampled_from((0, horizon)))
+    macs = [f"aa:{i:02x}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
+    rate = st.integers(min_value=1, max_value=100).map(float)
+    rows = draw(st.lists(st.tuples(time, st.sampled_from(macs), rate), max_size=40))
+    if rows:  # more beacons at times already taken, from any peer
+        again = st.sampled_from([t for t, _, _ in rows])
+        rows += draw(st.lists(st.tuples(again, st.sampled_from(macs), rate), max_size=6))
+    rows.sort(key=lambda r: r[0])  # stable: ties keep their drawn order
+    return period, horizon, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(switchboard_cases())
+def test_hypothesis_switchboard_matches_oracle_on_generated_traces(case):
+    period, horizon, rows = case
+    res = run_switchboard(BeaconTrace.from_rows(rows), observation_period=period, horizon=horizon)
+    got = [(r.cycle, r.mac, "stale" if r.stale else r.metric) for r in res.records]
+    assert got == switchboard_oracle(rows, period, horizon)
