@@ -9,10 +9,21 @@ actually does with the numbers), or a staleness record for peers that went a
 whole period without a beacon.
 
 The observation cycle is the cyclic method ``observation_cycle``, started
-through ``Runtime.cycle_set``. Beacons are synthetic trace data, delivered by
-one-shot timeout objects. A beacon falling exactly on a cycle boundary counts
-for the period it ends (the one-shots are inserted before the cycle starts,
-so they win the tie); a cycle boundary on the horizon still reports.
+through ``Runtime.cycle_set``; it stands for ``adjust_metrics`` in
+``demos/switchboard.cpm`` and reads the arrays through the ABI calls
+(``anext``, ``arr_get``) that the lowered program makes. The period is
+``int(observation_period)`` ms, the value TOM arms, taken once at entry for
+the cycle arithmetic too; a period that truncates to 0 raises ValueError.
+
+Beacons are synthetic trace data, delivered by one-shot timeout objects, one
+per beacon, that all share one action: it takes the next record of the trace
+and feeds it to the arrays through the handles ``arr_register`` returns, since
+delivery is the link layer's side, not the program's. That is exact because
+TOM fires one-shots in (int deadline, insertion) order and
+``BeaconTrace.validate`` requires non-decreasing times, so the n-th beacon
+fire is the n-th record's own. A beacon falling exactly on a cycle boundary
+counts for the period it ends (the one-shots are inserted before the cycle
+starts, so they win the tie); a cycle boundary on the horizon still reports.
 
 :class:`BeaconRecord` and :class:`AdjustmentRecord` are slotted plain
 dataclasses: equal by value and replaceable with ``dataclasses.replace``,
@@ -77,24 +88,27 @@ class SwitchboardResult:
 
 def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_PERIOD_MS,
                     horizon=None) -> SwitchboardResult:
-    if observation_period <= 0:
-        raise ValueError("observation_period must be positive")
+    period = int(observation_period)
+    if period <= 0:
+        raise ValueError("observation_period must be at least 1 ms")
     if horizon is None:
         horizon = max((r.time for r in trace.records), default=0)
     trace.validate(horizon)
 
     rt = Runtime()
-    rt.arr_register("linkbeacons")
+    linkbeacons = rt.arr_register("linkbeacons")
     linkrates = rt.arr_register("linkrates")
     records: list = []
+    next_record = iter(trace.records).__next__
 
-    def deliver(rec: BeaconRecord):
-        rt.arr_report_beacon("linkbeacons", rec.mac)
-        rt.arr_report_beacon("linkrates", rec.mac)
+    def deliver():
+        rec = next_record()
+        linkbeacons.report_beacon(rec.mac)
+        linkrates.report_beacon(rec.mac)
         linkrates.set_prop(rec.mac, "rate", rec.rate_estimate)
 
     def observe_cycle():
-        cycle = rt.events.now // observation_period  # the cycle fires on each multiple, without drift
+        cycle = rt.events.now // period  # the cycle fires on each multiple, without drift
         rt.arr_rollover("linkbeacons")
         rt.arr_rollover("linkrates")
         cursor = 0
@@ -109,9 +123,9 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
             records.append(rec)
 
     for rec in trace.records:  # before the tick: boundary beacons count backward
-        rt.tom.insert(TimeoutObject(subid="beacon", deadline=rec.time, action=lambda rec=rec: deliver(rec)))
+        rt.tom.insert(TimeoutObject(subid="beacon", deadline=rec.time, action=deliver))
     rt.cycle_register("observation_cycle")
     rt.bind_function("observation_cycle", observe_cycle)
-    rt.cycle_set("observation_cycle", observation_period)
+    rt.cycle_set("observation_cycle", period)
     rt.advance(horizon)
     return SwitchboardResult(records=records, runtime=rt)

@@ -14,7 +14,9 @@ identical as long as fewer than half the replicas are hit.
 
 Everything runs on the virtual clock: heartbeats are schedule data counted
 per period boundary (a heartbeat exactly on a boundary counts for the period
-it ends). The boundary check is the cyclic method ``wdt_tick``, run through
+it ends). The period is ``int(wdt_period)`` ms, the value TOM arms, taken
+once at entry for the heartbeat window too; one that truncates to 0 fails
+validation. The boundary check is the cyclic method ``wdt_tick``, run through
 ``Runtime.cycle_set``; the guard ``wdt_fired`` watches for ``WD_FIRED``, and
 a body bound to it by name may restart the watchdog. Fault injections and
 restart writes are one-shot timeout objects. A boundary or a restart write
@@ -47,8 +49,8 @@ class WdtScenarioParams:
     restart_schedule: tuple = ()  # (time, value) actuator writes
 
     def validate(self):
-        if self.wdt_period <= 0:
-            raise ValueError("wdt_period must be positive")
+        if int(self.wdt_period) <= 0:
+            raise ValueError("wdt_period must be at least 1 ms")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
         if self.replicas < 3 or self.replicas % 2 == 0:
@@ -85,6 +87,7 @@ class WdtResult:
 
 def run_wdt(params: WdtScenarioParams) -> WdtResult:
     params.validate()
+    period = int(params.wdt_period)
     rt = Runtime()
     rt.red_storage("watchdog", params.replicas, initial=WD_STARTED)
     rt.ctx_register("watchdog", "both", initial=WD_STARTED)
@@ -111,7 +114,7 @@ def run_wdt(params: WdtScenarioParams) -> WdtResult:
         if current in (WD_FIRED, WD_END, WD_STARTED):
             return
         # a heartbeat in (t - period, t]
-        if bisect_right(beats, t) > bisect_right(beats, t - params.wdt_period):
+        if bisect_right(beats, t) > bisect_right(beats, t - period):
             publish(current + 1 if current >= 0 else 1)
         else:
             rt.cycle_set("wdt_tick", 0)  # first, so a guard body may restart the tick
@@ -123,7 +126,7 @@ def run_wdt(params: WdtScenarioParams) -> WdtResult:
             publish(WD_ACTIVE)
             if rt.cycle_get("wdt_tick"):
                 rt.cycle_set("wdt_tick", 0)  # a fresh tick: a renewed one keeps its instance count
-            rt.cycle_set("wdt_tick", params.wdt_period)
+            rt.cycle_set("wdt_tick", period)
         else:
             ignored.append((rt.events.now, value))
             rt.events.log("warn", "watchdog", 0, f"restart-write-ignored:{value}")
@@ -144,7 +147,7 @@ def run_wdt(params: WdtScenarioParams) -> WdtResult:
 
     publish(WD_STARTED)
     publish(WD_ACTIVE)  # activation message arrives at t=0
-    rt.cycle_set("wdt_tick", params.wdt_period)
+    rt.cycle_set("wdt_tick", period)
     rt.advance(params.horizon)
     publish(WD_END)
     return WdtResult(trace=trace, ignored_writes=ignored, runtime=rt)

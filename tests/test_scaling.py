@@ -16,8 +16,8 @@ from cpm.ext_cyclic import scan_cyclic
 from cpm.ext_redundancy import scan_redundant
 from cpm.ext_reflective import scan_arrays, scan_context
 from cpm.pipeline import _strict_sweep, preamble_line
-from cpm.runtime import ContextRegistry, ReflectiveArray, Runtime
-from cpm.scenarios import WdtScenarioParams, run_wdt
+from cpm.runtime import TOM, ContextRegistry, ReflectiveArray, Runtime
+from cpm.scenarios import BeaconTrace, WdtScenarioParams, run_switchboard, run_wdt
 
 
 class Counting:
@@ -47,6 +47,30 @@ def heartbeat_iterations(horizon):
 
 def test_wdt_iterates_heartbeat_schedule_independently_of_horizon():
     assert heartbeat_iterations(1_000) == heartbeat_iterations(4_000)
+
+
+def beacon_actions(peers):
+    """The ``action`` of every ``beacon`` one-shot ``run_switchboard``
+    inserts for ``peers`` peers beaconing once per period for ten periods."""
+    rows = [(cycle * 100 + 1 + peer, f"m{peer}", 1.0) for cycle in range(10) for peer in range(peers)]
+    real, actions = TOM.insert, []
+
+    def collecting(tom, to):
+        if to.subid == "beacon":
+            actions.append(to.action)
+        return real(tom, to)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TOM, "insert", collecting)
+        run_switchboard(BeaconTrace.from_rows(rows), observation_period=100, horizon=1_000)
+    assert len(actions) == len(rows)
+    return actions
+
+
+@pytest.mark.parametrize("peers", [5, 10])
+def test_switchboard_beacons_share_one_action(peers):
+    # the list keeps every action alive, so no two can share an id
+    assert len({id(action) for action in beacon_actions(peers)}) == 1
 
 
 def test_anext_walk_never_iterates_entries():

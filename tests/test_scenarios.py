@@ -182,6 +182,31 @@ def test_switchboard_rejects_decreasing_times():
         BeaconTrace.from_rows([(100, "a", 1.0), (50, "b", 1.0)]).validate()
 
 
+
+def switchboard_csv(period):
+    rows = [(500, "aa:01", 50.0), (1500, "aa:01", 50.0)]
+    return run_switchboard(BeaconTrace.from_rows(rows), observation_period=period, horizon=2000).to_csv()
+
+
+def wdt_trace(period):
+    return run_wdt(WdtScenarioParams(wdt_period=period, horizon=400, heartbeat_schedule=(100,))).trace
+
+
+# TOM arms a period as int ms, so a scenario does its cycle and window
+# arithmetic with that int and refuses a period that truncates to 0
+@pytest.mark.parametrize("run, period, expected", [
+    (switchboard_csv, 1000.5, "cycle,mac,metric_or_stale\n1,aa:01,50.0\n2,aa:01,50.0\n"),
+    (switchboard_csv, 0.5, ValueError),
+    (wdt_trace, 100.5, [(0, WD_STARTED), (0, WD_ACTIVE), (100, 1), (200, WD_FIRED), (400, WD_END)]),
+    (wdt_trace, 0.5, ValueError),
+], ids=["switchboard-1000.5", "switchboard-0.5", "wdt-100.5", "wdt-0.5"])
+def test_a_fractional_period_is_truncated_once_at_entry(run, period, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            run(period)
+    else:
+        assert run(period) == run(int(period)) == expected
+
 def test_param_files_round_trip(tmp_path):
     wdt_ini = tmp_path / "wdt.ini"
     wdt_ini.write_text(
