@@ -14,7 +14,7 @@ dispatches on the value, since it is generally unknown at transform time:
 from __future__ import annotations
 
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import CYCLE, Target, closing, decl_head, lower_decls, lower_lines
+from .rewrite import CYCLE, Lowering, Target, closing, decl_head, lower_decls, lower_lines
 from .srcmodel import Diagnostic, SourceUnit
 
 PASS_ID = ExtensionId("cyclic", "1.0")
@@ -69,15 +69,8 @@ def lower_cycle_member(unit: SourceUnit, names, skip=frozenset()):
     """Rewrite ``fn.Cycle`` accesses of the cyclic methods in ``names``; a
     period is set by assignment only, as the runtime dispatches on the value
     assigned. Returns (unit, diagnostics)."""
-    cycle = Target(
-        CYCLE,
-        read="cpm_cycle_get({name})",
-        write="cpm_cycle_set({name}, {value});",
-        update=False,
-        known=frozenset(names),
-        messages=_MESSAGES,
-    )
-    return lower_lines(unit, {"Cycle": cycle}, CyclicPass.KEYWORDS, str(PASS_ID), skip)
+    unit, (diags,) = lower_lines(unit, [CyclicPass.lowering(names, skip)])
+    return unit, diags
 
 
 class CyclicPass(ExtensionPass):
@@ -86,6 +79,18 @@ class CyclicPass(ExtensionPass):
 
     def scan(self, unit, config, skip):
         return scan_cyclic(unit, config, skip)
+
+    @staticmethod
+    def lowering(names, skip):
+        cycle = Target(
+            CYCLE,
+            read="cpm_cycle_get({name})",
+            write="cpm_cycle_set({name}, {value});",
+            update=False,
+            known=frozenset(names),
+            messages=_MESSAGES,
+        )
+        return Lowering({"Cycle": cycle}, CyclicPass.KEYWORDS, str(PASS_ID), skip)
 
     def lower(self, unit, names, skip):
         return lower_cycle_member(unit, names, skip)

@@ -18,7 +18,7 @@ with a warning.
 from __future__ import annotations
 
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import Target, decl_head, lower_decls, lower_lines
+from .rewrite import Lowering, Target, decl_head, lower_decls, lower_lines
 from .runtime.redundant import AdaptPolicy
 from .srcmodel import Diagnostic, SourceUnit
 
@@ -104,8 +104,8 @@ def scan_redundant(unit: SourceUnit, config, skip=frozenset()):
 def lower_accesses(unit: SourceUnit, names, skip=frozenset()):
     """Rewrite reads/writes of the declared ``names`` into voted-read and
     multiplexed-write calls. Returns (unit, diagnostics)."""
-    targets = dict.fromkeys(names, _TARGET)
-    return lower_lines(unit, targets, RedundancyPass.KEYWORDS, str(PASS_ID), skip)
+    unit, (diags,) = lower_lines(unit, [RedundancyPass.lowering(names, skip)])
+    return unit, diags
 
 
 class RedundancyPass(ExtensionPass):
@@ -115,6 +115,10 @@ class RedundancyPass(ExtensionPass):
 
     def scan(self, unit, config, skip):
         return scan_redundant(unit, config, skip)
+
+    @staticmethod
+    def lowering(names, skip):
+        return Lowering(dict.fromkeys(names, _TARGET), RedundancyPass.KEYWORDS, str(PASS_ID), skip)
 
     def lower(self, unit, names, skip):
         return lower_accesses(unit, names, skip)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .cexpr import compile_expr
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import INDEX, Target, decl_head, lower_decls, lower_lines
+from .rewrite import INDEX, Lowering, Target, decl_head, lower_decls, lower_lines
 from .runtime.context import BUILTIN_ARRAY_PROPS
 from .srcmodel import IDENTIFIER, KEYWORD, Diagnostic, SourceUnit
 
@@ -182,24 +182,16 @@ def scan_arrays(unit: SourceUnit, config, skip=frozenset()):
 def lower_context_accesses(unit: SourceUnit, directions, skip=frozenset()):
     """Wrap sensor reads and actuator writes of the scalar context variables
     in ``directions`` ({name: direction}). Returns (unit, diagnostics)."""
-    targets = {name: _SCALAR_TARGETS[d] for name, d in directions.items()}
-    return lower_lines(unit, targets, RefractivePass.KEYWORDS, str(REFRACTIVE_ID), skip)
+    unit, (diags,) = lower_lines(unit, [RefractivePass.lowering(directions, skip)])
+    return unit, diags
 
 
 def lower_array_accesses(unit: SourceUnit, arrays, skip=frozenset()):
     """Rewrite ``A[key].prop`` reads of the reflective arrays in ``arrays``
     ({name: property names}) into ``cpm_arr_get(A, (key), prop)``; the
     properties are read-only. Returns (unit, diagnostics)."""
-    targets = {
-        name: Target(
-            INDEX,
-            read="cpm_arr_get({name}, ({key}), {prop})",
-            known=frozenset(BUILTIN_ARRAY_PROPS).union(props),
-            messages=_ARRAY_MESSAGES,
-        )
-        for name, props in arrays.items()
-    }
-    return lower_lines(unit, targets, ArrayPass.KEYWORDS, str(ARRAY_ID), skip)
+    unit, (diags,) = lower_lines(unit, [ArrayPass.lowering(arrays, skip)])
+    return unit, diags
 
 
 class RefractivePass(ExtensionPass):
@@ -211,6 +203,11 @@ class RefractivePass(ExtensionPass):
 
     def scan(self, unit, config, skip):
         return scan_context(unit, config, skip)
+
+    @staticmethod
+    def lowering(scalars, skip):
+        targets = {name: _SCALAR_TARGETS[d] for name, d in scalars.items()}
+        return Lowering(targets, RefractivePass.KEYWORDS, str(REFRACTIVE_ID), skip)
 
     def lower(self, unit, scalars, skip):
         return lower_context_accesses(unit, scalars, skip)
@@ -228,6 +225,19 @@ class ArrayPass(ExtensionPass):
 
     def scan(self, unit, config, skip):
         return scan_arrays(unit, config, skip)
+
+    @staticmethod
+    def lowering(arrays, skip):
+        targets = {
+            name: Target(
+                INDEX,
+                read="cpm_arr_get({name}, ({key}), {prop})",
+                known=frozenset(BUILTIN_ARRAY_PROPS).union(props),
+                messages=_ARRAY_MESSAGES,
+            )
+            for name, props in arrays.items()
+        }
+        return Lowering(targets, ArrayPass.KEYWORDS, str(ARRAY_ID), skip)
 
     def lower(self, unit, arrays, skip):
         return lower_array_accesses(unit, arrays, skip)

@@ -12,8 +12,11 @@ also builds: the emitted calls of :data:`cpm.cexpr.ABI` (each the
 ``Runtime`` method of its head, less the type arguments), bare expressions,
 ``x = e``, ``x op= e``, ``++``/``--``, ``return [e]`` and scalar
 declarations ``T a [= e], *b ...``, the ``extensions_pipeline`` preamble
-among them (it binds the string in :attr:`env`). Braces are ignored; control
-flow is not interpreted. Expressions follow C rules: ``/`` and ``%``
+among them (it binds the string in :attr:`env`). Braces and function
+headers are ignored. Control flow is not interpreted, so a control header
+(``if (...) {``, ``} else {``, ``while``, ``for``, ``do``, ``switch``) is
+refused as unsupported rather than skipped, which would run its body
+unconditionally. Expressions follow C rules: ``/`` and ``%``
 truncate toward zero on ints, relational and logical operators yield 0 or 1,
 comparisons never chain, and ``?:`` works.
 
@@ -66,6 +69,9 @@ _UNCOMPILED = object()
 _LINES: dict[tuple[str, bool], tuple] = {}
 _NO_STATEMENTS = ((), ())
 
+# the first word of a control header, refused when its segment ends in "{"
+_CONTROL = frozenset({"if", "else", "while", "for", "do", "switch"})
+
 # the sources of a chunk's statements -> (code, starts): the code object of
 # the statements before the first that cannot join it, and the first line of
 # each of those statements in that code
@@ -75,17 +81,21 @@ _CHUNKS: dict[tuple, tuple] = {}
 def _statements(line):
     """The statements of ``line`` in order as ``(texts, sources)``: each
     ``text`` without its ``;``, each ``source`` from :func:`translate_stmt`
-    or ``_UNCOMPILED``. Braces and empty statements are left out; a final
-    segment that is not a statement is the stripped line, ``_UNSUPPORTED``."""
+    or ``_UNCOMPILED``. Braces, function headers and empty statements are
+    left out; a control header, and a final segment that is not a statement,
+    whose text is the stripped line, are ``_UNSUPPORTED``."""
     raw = line.raw
     if not line.in_block_comment and ext_tag(raw)[0] is not None:
         return _NO_STATEMENTS  # untransformed tagged line; nothing to execute
     texts, sources = [], []
     for toks in split_segments(line.sig):
         last = toks[-1]
-        if last.lexeme in ("{", "}"):
+        if last.lexeme == "{" and toks[0].lexeme in _CONTROL:
+            texts.append(raw[toks[0].column : last.end])
+            sources.append(_UNSUPPORTED)
+        elif last.lexeme in ("{", "}"):
             continue  # block structure and function headers are not interpreted
-        if last.lexeme != ";":
+        elif last.lexeme != ";":
             texts.append(raw.strip())
             sources.append(_UNSUPPORTED)
         elif len(toks) > 1:  # not an empty statement

@@ -3,7 +3,9 @@
 A pipeline is an ordered chain of source-to-source passes chosen by the user;
 order is never inferred. Each pass owns one orthogonal syntax family and
 flushes everything else through untouched, so any ordering is legal. Every
-pass scans its declarations, in pipeline order, before any pass lowers.
+pass scans its declarations, in pipeline order, before any pass lowers; then
+one walk over the unit lowers every pass's accesses, in pipeline order on
+each line.
 
 Every pass carries a canonical identifier of the form ``cpm://<name>/<version>``.
 Running a pipeline injects a one-line preamble defining the
@@ -18,6 +20,7 @@ import configparser
 import re
 from dataclasses import dataclass, field
 
+from .rewrite import lower_lines
 from .srcmodel import IDENTIFIER, Diagnostic, SourceUnit, ext_tag, map_lines, unit_from_raws
 
 _NAME_RE = re.compile(r"^[a-z0-9_]+$")
@@ -104,11 +107,14 @@ class ExtensionPass:
 
     Subclasses set ``id``, ``KNOWN_KEYS`` (their config keys), ``KEYWORDS``
     (the identifier lexemes introducing their syntax, used for strict-mode
-    reporting) and the two phases :func:`run` calls: ``scan(unit, config,
-    skip) -> (unit, declared, diagnostics)`` lowers declarations and
-    ``lower(unit, declared, skip) -> (unit, diagnostics)`` accesses;
-    ``transform`` is scan then lower. No phase rejects input or changes a
-    unit without the pass's syntax; lines numbered in ``skip`` keep their text.
+    reporting) and two phases. ``scan(unit, config, skip) -> (unit,
+    declared, diagnostics)`` lowers declarations. ``lowering(declared,
+    skip)`` gives the :class:`~cpm.rewrite.Lowering` of the accesses, which
+    :func:`run` applies with every other pass's in one walk, and
+    ``lower(unit, declared, skip) -> (unit, diagnostics)`` applies it alone,
+    the same walk with one lowering; ``transform`` is scan then lower. No
+    phase rejects input or changes a unit without the pass's syntax; lines
+    numbered in ``skip`` keep their text.
 
     ``transform`` does not read ``@ext:`` tags: to a bare pass a tag is text.
     :func:`run` strips the tags of the pipeline's passes before the first
@@ -254,20 +260,22 @@ def _strip_tags(unit: SourceUnit, applied):
 
 
 def run(pipeline: Pipeline, unit: SourceUnit):
-    """Route tagged lines, run every pass's scan, then every pass's lowering,
-    in order, and inject the identifier preamble as the first line, in front
-    of the passes' own line objects. Returns (unit, report)."""
+    """Route tagged lines, run every pass's scan in order, then lower every
+    pass's accesses in one walk (:func:`~cpm.rewrite.lower_lines`, pipeline
+    order on each line), and inject the identifier preamble as the first
+    line, in front of the passes' own line objects. Returns (unit, report)."""
     diags = list(pipeline.compose_diagnostics)
     applied = {p.id.name for p in pipeline.passes}
     unit, tags = _strip_tags(unit, applied)
-    scans = []
+    lowerings, scan_diags = [], []
     for p in pipeline.passes:
         skip = frozenset(n for n, tag in tags.items() if tag != p.id.name)
-        unit, declared, scan_diags = p.scan(unit, pipeline.config, skip)
-        scans.append((skip, declared, scan_diags))
-    for p, (skip, declared, scan_diags) in zip(pipeline.passes, scans):
-        unit, lower_diags = p.lower(unit, declared, skip)
-        diags += scan_diags + lower_diags
+        unit, declared, found = p.scan(unit, pipeline.config, skip)
+        lowerings.append(p.lowering(declared, skip))
+        scan_diags.append(found)
+    unit, lower_diags = lower_lines(unit, lowerings)
+    for found, more in zip(scan_diags, lower_diags):
+        diags += found + more
     head = unit_from_raws([preamble_line(publish_ids(pipeline))]).lines
     final_newline = unit.final_newline if unit.lines else True
     out = SourceUnit(lines=head + tuple(unit.lines), final_newline=final_newline)

@@ -6,10 +6,12 @@ finds the statement of each occurrence of a pass's keyword by one rule, and
 the pass supplies a matcher and a ``declare`` that turns a match into text.
 
 :func:`rewrite_line` lowers the accesses on one line, given the pass's table
-of targets. A :class:`Target` is a row of data: the form it lowers (a name
-``x``, an indexed property ``a[key].prop`` or a pseudo-member ``f.Cycle``),
-read and write templates, either of which may be None, and the message
-texts in which its form differs. Every form follows one position rule:
+of targets, and :func:`lower_lines` offers every line of a unit to each
+pass's :class:`Lowering` in one walk. A :class:`Target` is a row of data:
+the form it lowers (a name ``x``, an indexed property ``a[key].prop`` or a
+pseudo-member ``f.Cycle``), read and write templates, either of which may
+be None, and the message texts in which its form differs. Every form
+follows one position rule:
 
 - At statement level, ``o = e;`` becomes a write and ``o op= e;``, ``++o;``
   and ``o++;`` a write of a value read and modified; a target that lacks
@@ -40,13 +42,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .cexpr import ABI, COMPOUND_OPS, DECL_WORDS, TYPE_WORDS
-from .srcmodel import IDENTIFIER, KEYWORD, NUMBER, PUNCTUATOR, STRING, Diagnostic, apply_spans, map_lines
+from .srcmodel import IDENTIFIER, KEYWORD, NUMBER, PUNCTUATOR, STRING, Diagnostic, LineMemo, apply_spans, map_lines
 
 
 # the keywords of the built-in passes; none of them is ever a type word
 PASS_KEYWORDS = frozenset(
     {"redundant_t", "sensor_t", "actuator_t", "context_t", "guard_t", "reflective_array_t", "cyclic_t"}
 )
+_HEADS = frozenset(ABI)  # the only identifiers a lowering writes that its line did not name
 
 
 def decl_head(toks):
@@ -404,20 +407,53 @@ def rewrite_line(raw, sig, targets, keywords, line_no, emitted_by, diags) -> str
     return apply_spans(raw, line.spans(0, len(sig)))
 
 
-def lower_lines(unit, targets, keywords, emitted_by, skip=frozenset()):
-    """Run :func:`rewrite_line` over every line of ``unit`` that names a
-    target and is not numbered in ``skip``. Returns (unit, diagnostics)."""
-    diags: list[Diagnostic] = []
-    if not targets:
-        return unit, diags
-    triggers = frozenset(targets)
+class Lowering(NamedTuple):
+    """One pass's access lowering, as :func:`lower_lines` applies it."""
+
+    targets: dict  # trigger lexeme -> Target
+    keywords: frozenset  # the pass's own
+    emitted_by: str
+    skip: frozenset  # line numbers the pass leaves alone
+
+
+def lower_lines(unit, lowerings):
+    """Apply each of ``lowerings`` in one walk over ``unit``: every line is
+    offered to each lowering in turn, which sees the text the ones before it
+    left, and runs :func:`rewrite_line` on it when it names one of its
+    targets and is not numbered in its ``skip``. Returns (unit, one list of
+    diagnostics per lowering).
+
+    Lowering a line adds no identifier but the runtime call heads of
+    :data:`~cpm.cexpr.ABI`, so a text a lowering changed is tokenized again
+    only when the names of its last tokenized form, or those heads, meet a
+    later lowering's triggers. The final text of a line is tokenized once, and
+    each distinct text once per walk.
+    """
+    diags = [[] for _ in lowerings]
+    live = [
+        (low.targets, frozenset(low.targets), low.keywords, low.emitted_by, low.skip, out, not _HEADS.isdisjoint(low.targets))
+        for low, out in zip(lowerings, diags)
+        if low.targets
+    ]
+    triggered = frozenset().union(*(low.targets for low in lowerings))
+    memo = LineMemo()
 
     def lower(line_no, line):
-        if line.names.isdisjoint(triggers):
-            return line.raw
-        return rewrite_line(line.raw, line.sig, targets, keywords & line.names, line_no, emitted_by, diags)
+        raw = line.raw
+        if triggered.isdisjoint(line.names):
+            return raw
+        for targets, triggers, keywords, emitted_by, skip, out, heads in live:
+            if line_no in skip:
+                continue
+            if raw != line.raw:  # an earlier lowering changed the text
+                if not heads and triggers.isdisjoint(line.names):
+                    continue
+                line = memo[raw, line.in_block_comment]
+            if not triggers.isdisjoint(line.names):
+                raw = rewrite_line(raw, line.sig, targets, keywords & line.names, line_no, emitted_by, out)
+        return raw
 
-    return map_lines(unit, lower, skip), diags
+    return map_lines(unit, lower, memo=memo), diags
 
 
 def lower_decls(

@@ -217,7 +217,17 @@ def unit_from_raws(raws, final_newline: bool = True) -> SourceUnit:
     return SourceUnit(lines=tuple(lines), final_newline=final_newline)
 
 
-def map_lines(unit: SourceUnit, fn, skip=frozenset()) -> SourceUnit:
+class LineMemo(dict):
+    """``(raw, in_block_comment) -> SourceLine``, each line built on first
+    lookup. A line is immutable and knows no position, so one object may
+    stand for a text at every line it sits on."""
+
+    def __missing__(self, key):
+        line = self[key] = SourceLine(*key)
+        return line
+
+
+def map_lines(unit: SourceUnit, fn, skip=frozenset(), memo=None) -> SourceUnit:
     """Return ``unit`` with each line's raw text replaced by
     ``fn(line_no, line)``, ``line_no`` its 1-based position; lines numbered
     in ``skip`` keep their text.
@@ -225,14 +235,18 @@ def map_lines(unit: SourceUnit, fn, skip=frozenset()) -> SourceUnit:
     The result equals ``unit_from_raws`` of the new raw lines, but only the
     lines that changed are re-tokenized, plus the lines after them whose
     block-comment state the change flipped. Every other line keeps its
-    ``SourceLine`` object.
+    ``SourceLine`` object. New lines come from ``memo``, a fresh
+    :class:`LineMemo` unless the caller shares its own with ``fn``, so a
+    text that repeats is tokenized once.
     """
+    if memo is None:
+        memo = LineMemo()
     lines = list(unit.lines)
     in_block = False  # block-comment state entering the line, in the new unit
     for line_no, line in enumerate(unit.lines, 1):
         raw = line.raw if line_no in skip else fn(line_no, line)
         if raw != line.raw or in_block != line.in_block_comment:
-            line = lines[line_no - 1] = SourceLine(raw, in_block)
+            line = lines[line_no - 1] = memo[raw, in_block]
         in_block = line.ends_in_block_comment
     return SourceUnit(lines=tuple(lines), final_newline=unit.final_newline)
 

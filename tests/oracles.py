@@ -2,18 +2,21 @@
 
 Everything here is straight-line arithmetic/enumeration over the declared
 behavior, sharing no code with the runtime or the scheduler it checks, except
-the five references at the end: plain, slower forms of the line lexer, the
-statement splitter, the interpreter's statement loop and the voted read that
-the fast forms must agree with exactly, and the reflective array as it was
-when it stored its staleness flag.
+the six references at the end: plain, slower forms of the line lexer, the
+statement splitter, the pipeline's access lowering, the interpreter's
+statement loop and the voted read that the fast forms must agree with
+exactly, and the reflective array as it was when it stored its staleness
+flag.
 """
 
 import re
 
 from cpm.cexpr import compile_stmt
 from cpm.interp import InterpError
+from cpm.pipeline import PipelineReport, _strict_sweep, _strip_tags, preamble_line, publish_ids
+from cpm.rewrite import rewrite_line
 from cpm.runtime.redundant import NoMajorityError, ReplicaSet
-from cpm.srcmodel import C_KEYWORDS, Token, TokenKind, ext_tag, split_segments
+from cpm.srcmodel import C_KEYWORDS, SourceUnit, Token, TokenKind, ext_tag, split_segments, unit_from_raws
 
 WD_STARTED, WD_ACTIVE, WD_FIRED, WD_END = -1, -2, -3, -4
 
@@ -216,6 +219,35 @@ def reference_split_segments(sig):
     return segs
 
 
+def reference_lower_in_turn(pipeline, unit):
+    """:func:`cpm.pipeline.run` with its access lowering as whole-unit walks:
+    every pass's scan, then each pass's lowering over the whole unit in
+    turn, the unit tokenized afresh after each."""
+    diags = list(pipeline.compose_diagnostics)
+    applied = {p.id.name for p in pipeline.passes}
+    unit, tags = _strip_tags(unit, applied)
+    scans = []
+    for p in pipeline.passes:
+        skip = frozenset(n for n, tag in tags.items() if tag != p.id.name)
+        unit, declared, scan_diags = p.scan(unit, pipeline.config, skip)
+        scans.append((p.lowering(declared, skip), scan_diags))
+    for low, scan_diags in scans:
+        lower_diags, raws = [], []
+        for line_no, line in enumerate(unit.lines, 1):
+            if line_no in low.skip or line.names.isdisjoint(low.targets):
+                raws.append(line.raw)
+            else:
+                keywords = low.keywords & line.names
+                raws.append(rewrite_line(line.raw, line.sig, low.targets, keywords, line_no, low.emitted_by, lower_diags))
+        unit = unit_from_raws(raws, unit.final_newline)
+        diags += scan_diags + lower_diags
+    head = unit_from_raws([preamble_line(publish_ids(pipeline))]).lines
+    out = SourceUnit(head + unit.lines, unit.final_newline if unit.lines else True)
+    if pipeline.config.get_bool("pipeline", "strict_tags"):
+        diags.extend(_strict_sweep(unit, pipeline, applied, tags))
+    return out, PipelineReport([p.id for p in pipeline.passes], diags)
+
+
 def reference_run_unit(interp, unit):
     """:meth:`cpm.interp.AbiInterpreter.run_unit` as a loop over the lines
     that splits, slices and looks up every statement on every run, with
@@ -229,6 +261,9 @@ def reference_run_unit(interp, unit):
 
 def _reference_exec_segment(interp, line_no, line, toks):
     last = toks[-1]
+    if last.lexeme == "{" and toks[0].lexeme in ("if", "else", "while", "for", "do", "switch"):
+        text = line.raw[toks[0].column : last.end]
+        raise InterpError(f"line {line_no}: unsupported statement {text!r}")  # control flow is not run
     if last.lexeme in ("{", "}"):
         return  # block structure and function headers are not interpreted
     if last.lexeme != ";":

@@ -292,6 +292,28 @@ def test_helper_names_are_reserved(helper):
         AbiInterpreter(rt, env={helper: 1})
 
 
+@pytest.mark.parametrize(
+    "text,line,header",
+    [
+        ("int x = 1;\nif (x > 5) {\nx = 100;\n}\n", 2, "if (x > 5) {"),
+        ("int x = 1;\nwhile (x < 0) {\nx = 100;\n}\n", 2, "while (x < 0) {"),
+        ("int x = 1;\nfor (;;) {\n", 2, "for (;;) {"),
+        ("int x = 1;\nif (x) { x = 2; } else {\n", 2, "if (x) {"),
+        ("int x = 1; x = 1; } else {\n", 1, "else {"),
+        ("int x = 1;\ndo {\n", 2, "do {"),
+        ("int x = 1;\nswitch (x) {\n", 2, "switch (x) {"),
+    ],
+)
+def test_a_control_header_is_refused_not_skipped(text, line, header):
+    # control flow is not interpreted, so running a guarded body
+    # unconditionally would be wrong; function headers stay skipped
+    rt, it = fresh()
+    with pytest.raises(InterpError) as info:
+        it.run_text(text)
+    assert str(info.value) == f"line {line}: unsupported statement {header!r}"
+    assert it.env == {"x": 1}
+
+
 def test_unsupported_statement_raises():
     rt, it = fresh()
     with pytest.raises(InterpError):
@@ -359,12 +381,13 @@ _RUNS = [
     'cpm_ctx_register(s, sensor, "s");', "cpm_arr_register(arr);", "cpm_cycle_register(T);", "cpm_cycle_set(T, (10));",
 ]
 _SKIPPED = [
-    "{", "}", "int main(void) {", "if (a) {", ";;", ";", "/* a = 9; */", "/* open\n*/ a = 7;", "/* open\n*/",
+    "{", "}", "int main(void) {", ";;", ";", "/* a = 9; */", "/* open\n*/ a = 7;", "/* open\n*/",
     "/* open\n@ext:cyclic */ a = 8;",  # inside a comment, a tag is not a tag
 ]
 _FAILS = [
     "y = nothere + 1;", "z = 1 / 0;", "z = a % 0;", "int q[3];", "x++ + 1;", "a and b;", "*/ a = 7;",
     "v = cpm_arr_get(arr, (1), p);", 'cpm_guard_register(h, "act ==");', "while (1) x = 1", "a = 1",
+    "if (a) {",
 ]
 
 

@@ -20,6 +20,7 @@ from cpm.srcmodel import load_unit, render, unit_from_raws
 from test_decl_rule import lines
 
 from c_corpus import CORPUS
+from oracles import reference_lower_in_turn
 
 
 def test_extension_id_canonical_and_parse():
@@ -163,6 +164,33 @@ tagged_lines = st.tuples(st.sampled_from(TAGS), lines).map("".join)
 def test_every_pass_order_renders_the_same_text(src):
     texts = {_body(render(run(compose(order), load_unit(src))[0])) for order in ORDERS}
     assert len(texts) == 1, texts
+
+
+# lines that open or close a block comment, and lines naming what two passes
+# declare, so that one line is lowered by several passes in turn
+SHARED = [
+    "/* open", "*/ z = r1;", "z = s1; /* r1", "/*/ s1 */ z = r1;",
+    "redundant_t int s1;", "sensor_t int r1;", "context_t int lb;", "reflective_array_t r1 { b:int };",
+    "r1 = s1 + lb[m].beacons + tick.Cycle;", "s1 = r1;", "c1 += r1[k].b;", "tick.Cycle = r1 + c1;", "lb = r1++;",
+]
+shared_lines = st.lists(st.sampled_from(SHARED), min_size=1, max_size=3).map(" ".join)
+claimed_lines = st.tuples(st.sampled_from(TAGS), st.one_of(lines, shared_lines)).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(claimed_lines, min_size=1, max_size=8).map(lambda ls: "\n".join(ls) + "\n"),
+    st.permutations(list(builtin_registry())),
+    st.integers(1, 4),
+)
+# a trigger named like a runtime call head another pass writes
+@example("redundant_t int r1;\nsensor_t int cpm_red_read;\nz = r1;\n", ["redundancy", "refractive"], 2)
+def test_one_lowering_walk_equals_each_pass_lowering_the_unit_in_turn(src, order, n):
+    pipeline = compose(order[:n], config=PassConfig({"pipeline.strict_tags": "1"}))
+    out, report = run(pipeline, load_unit(src))
+    expected, expected_report = reference_lower_in_turn(pipeline, load_unit(src))
+    assert out == expected  # text and every line's tokens and comment state
+    assert report.diagnostics == expected_report.diagnostics
 
 
 def test_order_confluence_refractive_array():

@@ -150,10 +150,10 @@ PLAIN = "int z = 1; z = z + 2; /* r s a f.Cycle */ g(\"r\");\n"
 FOUR_PASSES = ["redundancy", "refractive", "array", "cyclic"]
 
 
-def tokenized_after_load(n):
-    """The texts ``_tokenize`` sees in a strict four-pass run, after the
-    input was loaded."""
-    unit = load_unit(KINDS_OF_LINE + PLAIN * n)
+def tokenized_after_load(text):
+    """The texts ``_tokenize`` sees in a strict four-pass run over ``text``,
+    after it was loaded."""
+    unit = load_unit(text)
     real, calls = srcmodel._tokenize, []
 
     def counting(raw, in_block):
@@ -171,20 +171,27 @@ def test_run_tokenizes_each_changed_line_once_more_and_the_preamble():
     # else is tokenized again
     lowered = [
         "f.Cycle = r;",  # tag stripped
-        # every pass's declarations, then every pass's accesses
+        # every pass's declarations
         "cpm_red_storage(r, int, 3);",
         'cpm_ctx_register(s, sensor, "s");',
         "cpm_arr_register(a);",
         "int f(void); cpm_cycle_register(f);",
+        # then one walk lowers every pass's accesses, line by line
+        "cpm_cycle_set(f, (r));",
         "cpm_red_write(r, (s + a[k].b));",
-        "*/ z = cpm_red_read(r);",
         "cpm_red_write(r, (cpm_ctx_read(s) + a[k].b));",
         "cpm_red_write(r, (cpm_ctx_read(s) + cpm_arr_get(a, (k), b)));",
-        "cpm_cycle_set(f, (r));",
+        "*/ z = cpm_red_read(r);",
     ]
     for n in (10, 1_000):
-        calls, report = tokenized_after_load(n)
+        calls, report = tokenized_after_load(KINDS_OF_LINE + PLAIN * n)
         assert calls == lowered + [preamble_line(report.extensions_pipeline)]
+
+
+def test_a_lowered_text_repeated_on_n_lines_is_lexed_once():
+    # every "r = s + 1;" lowers to the same text, which is tokenized once
+    lexed = lambda n: len(tokenized_after_load("redundant_t int r;\nsensor_t int s;\n" + "r = s + 1;\n" * n)[0])
+    assert lexed(10) == lexed(1_000)
 
 
 def sig_iterations(n, fn):
