@@ -14,7 +14,7 @@ dispatches on the value, since it is generally unknown at transform time:
 from __future__ import annotations
 
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import CYCLE, Lowering, Target, closing, decl_head, lower_decls, lower_lines
+from .rewrite import CYCLE, Target, closing, decl_head, lower_decls
 from .srcmodel import Diagnostic, SourceUnit
 
 PASS_ID = ExtensionId("cyclic", "1.0")
@@ -65,12 +65,12 @@ _MESSAGES = {
 }
 
 
-def lower_cycle_member(unit: SourceUnit, names, skip=frozenset()):
+def lower_cycle_member(unit: SourceUnit, names):
     """Rewrite ``fn.Cycle`` accesses of the cyclic methods in ``names``; a
     period is set by assignment only, as the runtime dispatches on the value
-    assigned. Returns (unit, diagnostics)."""
-    unit, (diags,) = lower_lines(unit, [CyclicPass.lowering(names, skip)])
-    return unit, diags
+    assigned. The pass's lowering alone, kept for tests and the tracer.
+    Returns (unit, diagnostics)."""
+    return CyclicPass().lower(unit, names)
 
 
 class CyclicPass(ExtensionPass):
@@ -81,7 +81,7 @@ class CyclicPass(ExtensionPass):
         return scan_cyclic(unit, config, skip)
 
     @staticmethod
-    def lowering(names, skip):
+    def targets(names):
         cycle = Target(
             CYCLE,
             read="cpm_cycle_get({name})",
@@ -90,7 +90,4 @@ class CyclicPass(ExtensionPass):
             known=frozenset(names),
             messages=_MESSAGES,
         )
-        return Lowering({"Cycle": cycle}, CyclicPass.KEYWORDS, str(PASS_ID), skip)
-
-    def lower(self, unit, names, skip):
-        return lower_cycle_member(unit, names, skip)
+        return {"Cycle": cycle}

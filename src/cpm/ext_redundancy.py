@@ -18,7 +18,7 @@ with a warning.
 from __future__ import annotations
 
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import Lowering, Target, decl_head, lower_decls, lower_lines
+from .rewrite import Target, decl_head, lower_decls
 from .runtime.redundant import AdaptPolicy
 from .srcmodel import Diagnostic, SourceUnit
 
@@ -101,11 +101,11 @@ def scan_redundant(unit: SourceUnit, config, skip=frozenset()):
     return lower_decls(unit, RedundancyPass.KEYWORDS, _match_decl, declare, str(PASS_ID), diags, skip), names, diags
 
 
-def lower_accesses(unit: SourceUnit, names, skip=frozenset()):
+def lower_accesses(unit: SourceUnit, names):
     """Rewrite reads/writes of the declared ``names`` into voted-read and
-    multiplexed-write calls. Returns (unit, diagnostics)."""
-    unit, (diags,) = lower_lines(unit, [RedundancyPass.lowering(names, skip)])
-    return unit, diags
+    multiplexed-write calls: the pass's lowering alone, kept for tests and
+    the tracer. Returns (unit, diagnostics)."""
+    return RedundancyPass().lower(unit, names)
 
 
 class RedundancyPass(ExtensionPass):
@@ -117,8 +117,5 @@ class RedundancyPass(ExtensionPass):
         return scan_redundant(unit, config, skip)
 
     @staticmethod
-    def lowering(names, skip):
-        return Lowering(dict.fromkeys(names, _TARGET), RedundancyPass.KEYWORDS, str(PASS_ID), skip)
-
-    def lower(self, unit, names, skip):
-        return lower_accesses(unit, names, skip)
+    def targets(names):
+        return dict.fromkeys(names, _TARGET)

@@ -20,17 +20,17 @@ configuration, or in the source itself:
                                            -> cpm_arr_register(linkbeacons);
     guard_t (watchdog == WD_FIRED) on_fire; -> cpm_guard_register(on_fire, "watchdog == WD_FIRED");
 
-Each pass has its own identifier and two phases. Its declaration scan
-(``scan_context``, ``scan_arrays``) is a matcher and a ``declare`` handed to
-:func:`cpm.rewrite.lower_decls`, and its accesses are lowered by
-:func:`cpm.rewrite.lower_lines` from a table of targets.
+Each pass has its own identifier and supplies two things. Its declaration
+scan (``scan_context``, ``scan_arrays``) is a matcher and a ``declare``
+handed to :func:`cpm.rewrite.lower_decls`, and its ``targets`` are the table
+its accesses are lowered by.
 """
 
 from __future__ import annotations
 
 from .cexpr import compile_expr
 from .pipeline import ExtensionId, ExtensionPass
-from .rewrite import INDEX, Lowering, Target, decl_head, lower_decls, lower_lines
+from .rewrite import INDEX, Target, decl_head, lower_decls
 from .runtime.context import BUILTIN_ARRAY_PROPS
 from .srcmodel import IDENTIFIER, KEYWORD, Diagnostic, SourceUnit
 
@@ -179,19 +179,19 @@ def scan_arrays(unit: SourceUnit, config, skip=frozenset()):
     return lower_decls(unit, ArrayPass.KEYWORDS, _match_array_decl, declare, str(ARRAY_ID), diags, skip), arrays, diags
 
 
-def lower_context_accesses(unit: SourceUnit, directions, skip=frozenset()):
+def lower_context_accesses(unit: SourceUnit, directions):
     """Wrap sensor reads and actuator writes of the scalar context variables
-    in ``directions`` ({name: direction}). Returns (unit, diagnostics)."""
-    unit, (diags,) = lower_lines(unit, [RefractivePass.lowering(directions, skip)])
-    return unit, diags
+    in ``directions`` ({name: direction}): the pass's lowering alone, kept
+    for tests and the tracer. Returns (unit, diagnostics)."""
+    return RefractivePass().lower(unit, directions)
 
 
-def lower_array_accesses(unit: SourceUnit, arrays, skip=frozenset()):
+def lower_array_accesses(unit: SourceUnit, arrays):
     """Rewrite ``A[key].prop`` reads of the reflective arrays in ``arrays``
     ({name: property names}) into ``cpm_arr_get(A, (key), prop)``; the
-    properties are read-only. Returns (unit, diagnostics)."""
-    unit, (diags,) = lower_lines(unit, [ArrayPass.lowering(arrays, skip)])
-    return unit, diags
+    properties are read-only. The pass's lowering alone, kept for tests and
+    the tracer. Returns (unit, diagnostics)."""
+    return ArrayPass().lower(unit, arrays)
 
 
 class RefractivePass(ExtensionPass):
@@ -205,12 +205,8 @@ class RefractivePass(ExtensionPass):
         return scan_context(unit, config, skip)
 
     @staticmethod
-    def lowering(scalars, skip):
-        targets = {name: _SCALAR_TARGETS[d] for name, d in scalars.items()}
-        return Lowering(targets, RefractivePass.KEYWORDS, str(REFRACTIVE_ID), skip)
-
-    def lower(self, unit, scalars, skip):
-        return lower_context_accesses(unit, scalars, skip)
+    def targets(scalars):
+        return {name: _SCALAR_TARGETS[d] for name, d in scalars.items()}
 
 
 class ArrayPass(ExtensionPass):
@@ -227,8 +223,8 @@ class ArrayPass(ExtensionPass):
         return scan_arrays(unit, config, skip)
 
     @staticmethod
-    def lowering(arrays, skip):
-        targets = {
+    def targets(arrays):
+        return {
             name: Target(
                 INDEX,
                 read="cpm_arr_get({name}, ({key}), {prop})",
@@ -237,7 +233,3 @@ class ArrayPass(ExtensionPass):
             )
             for name, props in arrays.items()
         }
-        return Lowering(targets, ArrayPass.KEYWORDS, str(ARRAY_ID), skip)
-
-    def lower(self, unit, arrays, skip):
-        return lower_array_accesses(unit, arrays, skip)

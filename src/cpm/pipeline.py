@@ -20,7 +20,7 @@ import configparser
 import re
 from dataclasses import dataclass, field
 
-from .rewrite import lower_lines
+from .rewrite import Lowering, lower_lines
 from .srcmodel import IDENTIFIER, Diagnostic, SourceUnit, ext_tag, map_lines, unit_from_raws
 
 _NAME_RE = re.compile(r"^[a-z0-9_]+$")
@@ -107,19 +107,21 @@ class ExtensionPass:
 
     Subclasses set ``id``, ``KNOWN_KEYS`` (their config keys), ``KEYWORDS``
     (the identifier lexemes introducing their syntax, used for strict-mode
-    reporting) and two phases. ``scan(unit, config, skip) -> (unit,
-    declared, diagnostics)`` lowers declarations. ``lowering(declared,
-    skip)`` gives the :class:`~cpm.rewrite.Lowering` of the accesses, which
-    :func:`run` applies with every other pass's in one walk, and
-    ``lower(unit, declared, skip) -> (unit, diagnostics)`` applies it alone,
-    the same walk with one lowering; ``transform`` is scan then lower. No
-    phase rejects input or changes a unit without the pass's syntax; lines
-    numbered in ``skip`` keep their text.
+    reporting) and supply two methods. ``scan(unit, config, skip) -> (unit,
+    declared, diagnostics)`` lowers declarations, and the static
+    ``targets(declared)`` gives the table of
+    :class:`~cpm.rewrite.Target` rows the accesses to them are lowered by.
+    The base class does the rest: ``lowering(declared, skip)`` is the
+    pass's :class:`~cpm.rewrite.Lowering`, which :func:`run` applies with
+    every other pass's in one walk, ``lower(unit, declared) -> (unit,
+    diagnostics)`` is that walk with this lowering alone, and ``transform``
+    is scan then lower. No phase rejects input or changes a unit without
+    the pass's syntax; lines numbered in ``skip`` keep their text.
 
     ``transform`` does not read ``@ext:`` tags: to a bare pass a tag is text.
     :func:`run` strips the tags of the pipeline's passes before the first
-    pass runs and hands each pass the lines tagged for any other pass as
-    ``skip``.
+    pass runs and hands each pass's ``scan`` and ``lowering`` the lines
+    tagged for any other pass as ``skip``.
 
     Passes hold no mutable state; one instance may transform any number of
     units, concurrently when the units are distinct.
@@ -132,9 +134,16 @@ class ExtensionPass:
     def known_key(self, key: str, config: PassConfig) -> bool:
         return key in self.KNOWN_KEYS
 
-    def transform(self, unit: SourceUnit, config: PassConfig, skip=frozenset()):
-        unit, declared, diags = self.scan(unit, config, skip)
-        unit, more = self.lower(unit, declared, skip)
+    def lowering(self, declared, skip=frozenset()) -> Lowering:
+        return Lowering(self.targets(declared), self.KEYWORDS, str(self.id), skip)
+
+    def lower(self, unit: SourceUnit, declared):
+        unit, (diags,) = lower_lines(unit, [self.lowering(declared)])
+        return unit, diags
+
+    def transform(self, unit: SourceUnit, config: PassConfig):
+        unit, declared, diags = self.scan(unit, config, frozenset())
+        unit, more = self.lower(unit, declared)
         return unit, diags + more
 
 

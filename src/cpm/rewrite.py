@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .cexpr import ABI, COMPOUND_OPS, DECL_WORDS, TYPE_WORDS
-from .srcmodel import IDENTIFIER, KEYWORD, NUMBER, PUNCTUATOR, STRING, Diagnostic, LineMemo, apply_spans, map_lines
+from .srcmodel import IDENTIFIER, KEYWORD, NUMBER, PUNCTUATOR, STRING, Diagnostic, LineMemo, Token, apply_spans, map_lines, split_segments
 
 
 # the keywords of the built-in passes; none of them is ever a type word
@@ -50,6 +50,7 @@ PASS_KEYWORDS = frozenset(
     {"redundant_t", "sensor_t", "actuator_t", "context_t", "guard_t", "reflective_array_t", "cyclic_t"}
 )
 _HEADS = frozenset(ABI)  # the only identifiers a lowering writes that its line did not name
+_PAST_END = Token(IDENTIFIER, "", 0)  # ends no statement: split_segments leaves it in the last segment
 
 
 def decl_head(toks):
@@ -181,16 +182,13 @@ class _AccessLine:
     def __init__(self, raw, sig, targets, keywords, line_no, emitted_by, diags):
         self.raw, self.sig, self.targets = raw, sig, targets
         self.line_no, self.emitted_by, self.diags = line_no, emitted_by, diags
-        # statement start -> position of the ';' ending it, or None; statements
-        # end at ';', '{' and '}' outside parentheses and brackets
-        self.stmts = {}
-        depth = start = 0
-        for p, tok in enumerate(sig):
-            lex = tok.lexeme
-            depth = max(0, depth + (lex in ("(", "[")) - (lex in (")", "]")))
-            if not depth and lex in (";", "{", "}"):
-                self.stmts[start] = p if lex == ";" else None
-                start = p + 1
+        # statement start -> position of the ';' ending it on the line; with a
+        # token appended, every segment but the last ends on the line
+        self.stmts, start = {}, 0
+        for seg in split_segments((*sig, _PAST_END))[:-1]:
+            if seg[-1].lexeme == ";":
+                self.stmts[start] = start + len(seg) - 1
+            start += len(seg)
         self.dropped = set()
         for _, lo, hi in _keyword_statements(sig, keywords) if keywords else ():
             self.dropped.update(range(lo, hi + 1))

@@ -21,7 +21,7 @@ from functools import partial
 
 from .context import ContextRegistry
 from .events import EventLog
-from .redundant import NoMajorityError, ReplicaSet
+from .redundant import ReplicaSet
 from .tom import TOM, TimeoutObject
 
 WD_STARTED = -1  # task running, waiting for an activation message

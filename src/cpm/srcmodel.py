@@ -227,10 +227,10 @@ class LineMemo(dict):
         return line
 
 
-def map_lines(unit: SourceUnit, fn, skip=frozenset(), memo=None) -> SourceUnit:
+def map_lines(unit: SourceUnit, fn, memo=None) -> SourceUnit:
     """Return ``unit`` with each line's raw text replaced by
-    ``fn(line_no, line)``, ``line_no`` its 1-based position; lines numbered
-    in ``skip`` keep their text.
+    ``fn(line_no, line)``, ``line_no`` its 1-based position; ``fn`` returns
+    ``line.raw`` for a line it leaves alone.
 
     The result equals ``unit_from_raws`` of the new raw lines, but only the
     lines that changed are re-tokenized, plus the lines after them whose
@@ -244,7 +244,7 @@ def map_lines(unit: SourceUnit, fn, skip=frozenset(), memo=None) -> SourceUnit:
     lines = list(unit.lines)
     in_block = False  # block-comment state entering the line, in the new unit
     for line_no, line in enumerate(unit.lines, 1):
-        raw = line.raw if line_no in skip else fn(line_no, line)
+        raw = fn(line_no, line)
         if raw != line.raw or in_block != line.in_block_comment:
             line = lines[line_no - 1] = memo[raw, in_block]
         in_block = line.ends_in_block_comment

@@ -161,6 +161,8 @@ tagged_lines = st.tuples(st.sampled_from(TAGS), lines).map("".join)
 @example("redundant_t int r1; sensor_t int s1; guard_t (r1 < s1) g2;\n")
 @example("cyclic_t int tick(void); sensor_t int s1; guard_t (tick.Cycle > s1) g3;\n")
 @example("reflective_array_t lb { beacons:int }; sensor_t int s1; guard_t (lb[m].beacons > s1) g4;\n")
+# one declaration inside another: each scan reads what earlier scans spliced
+@example("cyclic_t int f(int a; sensor_t int s;);\n")
 def test_every_pass_order_renders_the_same_text(src):
     texts = {_body(render(run(compose(order), load_unit(src))[0])) for order in ORDERS}
     assert len(texts) == 1, texts

@@ -288,10 +288,10 @@ def test_map_lines_equals_full_rebuild(raws, final_newline, edits, skip):
     unit = unit_from_raws(raws, final_newline=final_newline)
 
     def fn(line_no, line):
-        return edits.get(line_no, lambda raw: raw)(line.raw)
+        return line.raw if line_no in skip else edits.get(line_no, lambda raw: raw)(line.raw)
 
-    out = map_lines(unit, fn, skip)
-    new_raws = [line.raw if n in skip else fn(n, line) for n, line in enumerate(unit.lines, 1)]
+    out = map_lines(unit, fn)
+    new_raws = [fn(n, line) for n, line in enumerate(unit.lines, 1)]
     assert out == unit_from_raws(new_raws, final_newline=final_newline)
     for old, new in zip(unit.lines, out.lines):
         if old == new:
@@ -307,13 +307,6 @@ def test_map_lines_keeps_untouched_line_objects():
     assert out.lines[2] is not unit.lines[2] and not out.lines[2].in_block_comment
     assert out.lines[3] is unit.lines[3]
     assert out == unit_from_raws(["a;", "b", "c */ d;", "e;"])
-
-
-def test_map_lines_leaves_skipped_lines_alone():
-    unit = load_unit("a;\nb;\n")
-    out = map_lines(unit, lambda line_no, line: "z;", skip={1})
-    assert out.lines[0] is unit.lines[0]
-    assert [line.raw for line in out.lines] == ["a;", "z;"]
 
 
 # -- the fields a line derives from its text ---------------------------------
@@ -335,7 +328,11 @@ def assert_derived_fields(unit):
 def test_built_and_mapped_lines_carry_their_derived_fields(raws, edits, skip):
     unit = unit_from_raws(raws)
     assert_derived_fields(unit)
-    assert_derived_fields(map_lines(unit, lambda line_no, line: edits.get(line_no, lambda raw: raw)(line.raw), skip))
+
+    def fn(line_no, line):
+        return line.raw if line_no in skip else edits.get(line_no, lambda raw: raw)(line.raw)
+
+    assert_derived_fields(map_lines(unit, fn))
 
 
 EXT_TEXT = st.lists(
@@ -456,3 +453,34 @@ def test_the_package_imports_only_itself_and_the_standard_library():
         for name, found in imports.items()
     }
     assert {name: found for name, found in outside.items() if found} == {}
+
+
+def unused_imports(source):
+    """The names a module's import statements bind that nothing in it reads,
+    ``from __future__`` aside."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_unused_imports_sees_every_binding_form():
+    source = "from __future__ import annotations\nimport os.path\nimport re as r\nfrom .a import b, c as d\nd(os)\n"
+    assert unused_imports(source) == ["b", "r"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """A package ``__init__`` imports to re-export; any other module of
+    ``cpm`` reads every name it imports."""
+    package = Path(cpm.__file__).parent
+    unused = {
+        str(path.relative_to(package)): unused_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: found for name, found in unused.items() if found} == {}
