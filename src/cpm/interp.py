@@ -49,7 +49,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .cexpr import ABI, HELPERS, check_name, compile_expr, compile_stmt, translate_stmt
-from .srcmodel import SourceUnit, ext_tag, load_unit, split_segments
+from .srcmodel import PAST_END, SourceUnit, ext_tag, load_unit, split_segments
 
 
 class InterpError(ValueError):
@@ -82,22 +82,22 @@ def _statements(line):
     """The statements of ``line`` in order as ``(texts, sources)``: each
     ``text`` without its ``;``, each ``source`` from :func:`translate_stmt`
     or ``_UNCOMPILED``. Braces, function headers and empty statements are
-    left out; a control header, and a final segment that is not a statement,
-    whose text is the stripped line, are ``_UNSUPPORTED``."""
+    left out; a control header is ``_UNSUPPORTED``, and so are the tokens
+    after the line's last finished statement, whose text is the stripped
+    line: they are an unfinished statement, even when they end in a ';'
+    that sits inside an open bracket, as in ``x = f(x;``."""
     raw = line.raw
     if not line.in_block_comment and ext_tag(raw)[0] is not None:
         return _NO_STATEMENTS  # untransformed tagged line; nothing to execute
     texts, sources = [], []
-    for toks in split_segments(line.sig):
+    *finished, rest = split_segments((*line.sig, PAST_END))
+    for toks in finished:  # each ends on a ';' or a brace
         last = toks[-1]
         if last.lexeme == "{" and toks[0].lexeme in _CONTROL:
             texts.append(raw[toks[0].column : last.end])
             sources.append(_UNSUPPORTED)
         elif last.lexeme in ("{", "}"):
             continue  # block structure and function headers are not interpreted
-        elif last.lexeme != ";":
-            texts.append(raw.strip())
-            sources.append(_UNSUPPORTED)
         elif len(toks) > 1:  # not an empty statement
             text = raw[toks[0].column : last.column]
             try:
@@ -106,6 +106,9 @@ def _statements(line):
                 source = _UNCOMPILED  # failures are not cached: run compiles it again and raises
             texts.append(text)
             sources.append(source)
+    if len(rest) > 1:  # more than the appended PAST_END
+        texts.append(raw.strip())
+        sources.append(_UNSUPPORTED)
     return (tuple(texts), tuple(sources)) if texts else _NO_STATEMENTS
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .cexpr import ABI, COMPOUND_OPS, DECL_WORDS, TYPE_WORDS
-from .srcmodel import IDENTIFIER, KEYWORD, NUMBER, PUNCTUATOR, STRING, Diagnostic, LineMemo, Token, apply_spans, map_lines, split_segments
+from .srcmodel import IDENTIFIER, KEYWORD, NUMBER, PAST_END, PUNCTUATOR, STRING, Diagnostic, LineMemo, apply_spans, map_lines, split_segments
 
 
 # the keywords of the built-in passes; none of them is ever a type word
@@ -50,7 +50,6 @@ PASS_KEYWORDS = frozenset(
     {"redundant_t", "sensor_t", "actuator_t", "context_t", "guard_t", "reflective_array_t", "cyclic_t"}
 )
 _HEADS = frozenset(ABI)  # the only identifiers a lowering writes that its line did not name
-_PAST_END = Token(IDENTIFIER, "", 0)  # ends no statement: split_segments leaves it in the last segment
 
 
 def decl_head(toks):
@@ -185,7 +184,7 @@ class _AccessLine:
         # statement start -> position of the ';' ending it on the line; with a
         # token appended, every segment but the last ends on the line
         self.stmts, start = {}, 0
-        for seg in split_segments((*sig, _PAST_END))[:-1]:
+        for seg in split_segments((*sig, PAST_END))[:-1]:
             if seg[-1].lexeme == ";":
                 self.stmts[start] = start + len(seg) - 1
             start += len(seg)

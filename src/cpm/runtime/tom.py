@@ -67,7 +67,7 @@ class TOM:
     @property
     def fired_log(self) -> list[tuple[int, str, int]]:
         """The ``fire`` events, which only the manager logs, as tuples."""
-        return [(e.time_ms, e.name, e.instance) for e in self.events.events if e.kind == "fire"]
+        return [(t, name, instance) for t, kind, name, instance, _ in self.events._rows if kind == "fire"]
 
     # -- schedule control ---------------------------------------------------
 
@@ -77,11 +77,17 @@ class TOM:
         if to._queued:
             self.events.log("warn", to.subid, 0, "insert-while-queued")
             return
-        to.deadline = period = _period(to, to.deadline)
+        period = to.deadline
+        if type(period) is not int or period <= 0:
+            to.deadline = period = _period(to, period)
         if to._seq is None:
             to._seq = self._next_seq
             self._next_seq += 1
-        self._arm(to, self.events._now + period)
+        # _arm, inline: a scenario inserts one one-shot per beacon
+        to._version += 1
+        to.next_fire = when = self.events._now + period
+        to._queued = True
+        heapq.heappush(self._heap, (when, to._seq, to._version, to))
 
     def delete(self, to: TimeoutObject):
         """Remove from the schedule. Deleting something never inserted is a

@@ -15,21 +15,29 @@ through ``Runtime.cycle_set``; it stands for ``adjust_metrics`` in
 ``int(observation_period)`` ms, the value TOM arms, taken once at entry for
 the cycle arithmetic too; a period that truncates to 0 raises ValueError.
 
-Beacons are synthetic trace data, delivered by one-shot timeout objects, one
-per beacon, that all share one action: it takes the next record of the trace
-and feeds it to the arrays through the handles ``arr_register`` returns, since
-delivery is the link layer's side, not the program's. That is exact because
-TOM fires one-shots in (int deadline, insertion) order and
-``BeaconTrace.validate`` requires non-decreasing times, so the n-th beacon
-fire is the n-th record's own. A beacon falling exactly on a cycle boundary
-counts for the period it ends (the one-shots are inserted before the cycle
-starts, so they win the tie); a cycle boundary on the horizon still reports.
+A :class:`BeaconTrace` holds the beacons as three columns, ``times``,
+``macs`` and ``rates``, so a long trace is three tuples of ints, strs and
+floats, which the collector stops tracking, not one object per beacon.
+:attr:`BeaconTrace.records` builds a :class:`BeaconRecord` per beacon when
+it is read, and ``BeaconTrace(records=...)`` takes records apart into the
+columns.
+
+Beacons are delivered by one-shot timeout objects, one per beacon, inserted
+from ``times``, that all share one action: it takes the next ``(mac, rate)``
+of the trace and feeds it to the arrays through the handles
+``arr_register`` returns, since delivery is the link layer's side, not the
+program's. That is exact because TOM fires one-shots in (int deadline,
+insertion) order and ``BeaconTrace.validate`` requires non-decreasing
+times, so the n-th beacon fire is the n-th beacon's own. A beacon falling
+exactly on a cycle boundary counts for the period it ends (the one-shots
+are inserted before the cycle starts, so they win the tie); a cycle
+boundary on the horizon still reports.
 
 :class:`BeaconRecord` and :class:`AdjustmentRecord` are slotted plain
 dataclasses: equal by value and replaceable with ``dataclasses.replace``,
 but not frozen and so not hashable. Nothing hashes or mutates one; a run
-builds one per beacon and per peer and cycle, and building a frozen one cost
-several times as much.
+builds one :class:`AdjustmentRecord` per peer and cycle, and building a
+frozen one cost several times as much.
 """
 
 from __future__ import annotations
@@ -48,22 +56,39 @@ class BeaconRecord:
     rate_estimate: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BeaconTrace:
-    records: tuple  # BeaconRecord, times non-decreasing
+    times: tuple  # int ms, non-decreasing
+    macs: tuple  # str, one per beacon
+    rates: tuple  # float, one per beacon
 
-    def validate(self, horizon=None):
-        last = 0
-        for rec in self.records:
-            if rec.time < last:
-                raise ValueError("beacon times must be non-decreasing")
-            last = rec.time
-            if horizon is not None and rec.time > horizon:
-                raise ValueError(f"beacon at {rec.time} beyond horizon {horizon}")
+    def __init__(self, records=()):
+        self._fill((rec.time, rec.mac, rec.rate_estimate) for rec in records)
 
     @classmethod
     def from_rows(cls, rows) -> "BeaconTrace":
-        return cls(tuple(BeaconRecord(int(t), str(mac), float(rate)) for t, mac, rate in rows))
+        trace = cls.__new__(cls)
+        trace._fill((int(t), str(mac), float(rate)) for t, mac, rate in rows)
+        return trace
+
+    def _fill(self, beacons):
+        columns = tuple(zip(*beacons)) or ((), (), ())
+        for name, column in zip(("times", "macs", "rates"), columns):
+            object.__setattr__(self, name, column)
+
+    @property
+    def records(self) -> tuple:
+        """One :class:`BeaconRecord` per beacon, built on each read."""
+        return tuple(map(BeaconRecord, self.times, self.macs, self.rates))
+
+    def validate(self, horizon=None):
+        last = 0
+        for t in self.times:
+            if t < last:
+                raise ValueError("beacon times must be non-decreasing")
+            last = t
+            if horizon is not None and t > horizon:
+                raise ValueError(f"beacon at {t} beyond horizon {horizon}")
 
 
 @dataclass(slots=True)
@@ -92,20 +117,20 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
     if period <= 0:
         raise ValueError("observation_period must be at least 1 ms")
     if horizon is None:
-        horizon = max((r.time for r in trace.records), default=0)
+        horizon = max(trace.times, default=0)
     trace.validate(horizon)
 
     rt = Runtime()
     linkbeacons = rt.arr_register("linkbeacons")
     linkrates = rt.arr_register("linkrates")
     records: list = []
-    next_record = iter(trace.records).__next__
+    next_beacon = zip(trace.macs, trace.rates).__next__
 
     def deliver():
-        rec = next_record()
-        linkbeacons.report_beacon(rec.mac)
-        linkrates.report_beacon(rec.mac)
-        linkrates.set_prop(rec.mac, "rate", rec.rate_estimate)
+        mac, rate = next_beacon()
+        linkbeacons.report_beacon(mac)
+        linkrates.report_beacon(mac)
+        linkrates.set_prop(mac, "rate", rate)
 
     def observe_cycle():
         cycle = rt.events.now // period  # the cycle fires on each multiple, without drift
@@ -122,8 +147,8 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
                 rec = AdjustmentRecord(cycle, mac, rate / (1 + silent), False)
             records.append(rec)
 
-    for rec in trace.records:  # before the tick: boundary beacons count backward
-        rt.tom.insert(TimeoutObject(subid="beacon", deadline=rec.time, action=deliver))
+    for t in trace.times:  # before the tick: boundary beacons count backward
+        rt.tom.insert(TimeoutObject("beacon", t, False, True, deliver))
     rt.cycle_register("observation_cycle")
     rt.bind_function("observation_cycle", observe_cycle)
     rt.cycle_set("observation_cycle", period)

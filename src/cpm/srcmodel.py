@@ -115,6 +115,12 @@ class Token(NamedTuple):
         return self.column + len(self.lexeme)
 
 
+# ends no statement: appended to a line's tokens, it leaves the tokens after
+# the line's last finished statement in the last segment of split_segments,
+# so a final ';' inside an open bracket is told from one that ends a statement
+PAST_END = Token(IDENTIFIER, "", 0)
+
+
 @dataclass(frozen=True, slots=True)
 class SourceLine:
     """One physical line, at whatever position of a unit it sits. Everything

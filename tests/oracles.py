@@ -2,19 +2,23 @@
 
 Everything here is straight-line arithmetic/enumeration over the declared
 behavior, sharing no code with the runtime or the scheduler it checks, except
-the six references at the end: plain, slower forms of the line lexer, the
+the seven references at the end: plain, slower forms of the line lexer, the
 statement splitter, the pipeline's access lowering, the interpreter's
 statement loop and the voted read that the fast forms must agree with
-exactly, and the reflective array as it was when it stored its staleness
-flag.
+exactly, the reflective array as it was when it stored its staleness
+flag, and the event log as it was when it kept one :class:`Event` per
+event.
 """
 
+import csv
+import io
 import re
 
 from cpm.cexpr import compile_stmt
 from cpm.interp import InterpError
 from cpm.pipeline import PipelineReport, _strict_sweep, _strip_tags, preamble_line, publish_ids
 from cpm.rewrite import rewrite_line
+from cpm.runtime.events import CSV_HEADER, Event
 from cpm.runtime.redundant import NoMajorityError, ReplicaSet
 from cpm.srcmodel import C_KEYWORDS, SourceUnit, Token, TokenKind, ext_tag, split_segments, unit_from_raws
 
@@ -266,7 +270,7 @@ def _reference_exec_segment(interp, line_no, line, toks):
         raise InterpError(f"line {line_no}: unsupported statement {text!r}")  # control flow is not run
     if last.lexeme in ("{", "}"):
         return  # block structure and function headers are not interpreted
-    if last.lexeme != ";":
+    if last.lexeme != ";" or _unclosed(toks):  # an unfinished statement, as "x = f(x;"
         raise InterpError(f"line {line_no}: unsupported statement {line.raw.strip()!r}")
     if len(toks) == 1:
         return  # an empty statement
@@ -275,6 +279,19 @@ def _reference_exec_segment(interp, line_no, line, toks):
         exec(compile_stmt(text), interp._scope, interp.env)
     except Exception as exc:
         raise InterpError(f"line {line_no}: cannot run {text.strip()!r}: {exc}") from exc
+
+
+def _unclosed(toks):
+    """Whether a bracket opened in ``toks`` is still open at their end: then
+    their final ';' did not end a statement, so they are the unfinished rest
+    of their line."""
+    depth = 0
+    for tok in toks:
+        if tok.lexeme in ("(", "["):
+            depth += 1
+        elif tok.lexeme in (")", "]") and depth:
+            depth -= 1
+    return depth > 0
 
 
 class ReferenceReplicaSet(ReplicaSet):
@@ -352,3 +369,41 @@ class ReferenceArray:
     def anext(self, cursor):
         keys = self.keys()
         return keys[cursor] if 0 <= cursor < len(keys) else None
+
+
+class ReferenceEventLog:
+    """:class:`cpm.runtime.EventLog` as a list of :class:`Event` objects,
+    one built per ``log`` call. A ``TOM`` built on it moves its ``_now``."""
+
+    def __init__(self):
+        self.events: list[Event] = []
+        self._now = 0
+
+    @property
+    def now(self) -> int:
+        return self._now
+
+    def log(self, kind, name, instance=0, value=""):
+        self.events.append(Event(self._now, kind, name, int(instance), str(value)))
+
+    def of(self, kind) -> list[Event]:
+        return [e for e in self.events if e.kind == kind]
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        buf.write(CSV_HEADER + "\n")
+        for e in self.events:
+            writer.writerow([e.time_ms, e.kind, e.name, e.instance, e.value])
+        return buf.getvalue()
+
+    def __len__(self):
+        return len(self.events)
+
+    def __iter__(self):
+        return iter(self.events)
+
+    @property
+    def fired_log(self) -> list[tuple[int, str, int]]:
+        """``TOM.fired_log`` over this log: its ``fire`` events as tuples."""
+        return [(e.time_ms, e.name, e.instance) for e in self.events if e.kind == "fire"]

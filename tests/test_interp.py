@@ -314,6 +314,25 @@ def test_a_control_header_is_refused_not_skipped(text, line, header):
     assert it.env == {"x": 1}
 
 
+@pytest.mark.parametrize(
+    "text,env",
+    [
+        ("x = f(x;", {"x": 1}),
+        ("x = (x", {"x": 1}),
+        ("x = g(x; y = 2;", {"x": 1}),
+        ("x = 2; y = a[x;", {"x": 2}),
+    ],
+)
+def test_an_unfinished_statement_is_unsupported(text, env):
+    # a ';' inside an open bracket ends no statement, so the rest of the line
+    # is refused as a whole, after the statements before it ran
+    rt, it = fresh()
+    with pytest.raises(InterpError) as info:
+        it.run_text(f"int x = 1;\n{text}\n")
+    assert str(info.value) == f"line 2: unsupported statement {text!r}"
+    assert it.env == env
+
+
 def test_unsupported_statement_raises():
     rt, it = fresh()
     with pytest.raises(InterpError):
@@ -387,7 +406,7 @@ _SKIPPED = [
 _FAILS = [
     "y = nothere + 1;", "z = 1 / 0;", "z = a % 0;", "int q[3];", "x++ + 1;", "a and b;", "*/ a = 7;",
     "v = cpm_arr_get(arr, (1), p);", 'cpm_guard_register(h, "act ==");', "while (1) x = 1", "a = 1",
-    "if (a) {",
+    "if (a) {", "x = f(x;", "x = (x", "x = g(x; y = 2;",
 ]
 
 

@@ -12,7 +12,7 @@ from cpm.runtime import (
     TimeoutObject,
 )
 
-from oracles import cyclic_fire_times
+from oracles import ReferenceEventLog, cyclic_fire_times
 
 
 def make(subid, deadline, cyclic=False, enabled=True, action=None):
@@ -396,6 +396,41 @@ def test_fire_events_logged():
     tom.advance(10)
     fires = ev.of("fire")
     assert len(fires) == 1 and fires[0].name == "t" and fires[0].time_ms == 10
+
+
+KINDS = ("fire", "guard", "warn", "adapt")
+LOG_CALLS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(KINDS),
+            st.text(max_size=4),
+            st.one_of(st.integers(-5, 10**12), st.booleans(), st.floats(-1e6, 1e6), st.just(2.7)),
+            st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=6), st.sampled_from([1.5, "a,b", '"q"'])),
+        ),
+        st.integers(0, 50),  # advance virtual time by this many ms
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LOG_CALLS)
+def test_hypothesis_event_log_reads_as_the_reference_log(calls):
+    # the log keeps rows and builds Events when read; the reference keeps
+    # one Event per call, as the log did before
+    log, ref = EventLog(), ReferenceEventLog()
+    for call in calls:
+        for events in (log, ref):
+            if isinstance(call, int):
+                TOM(events=events).advance(call)
+            else:
+                events.log(*call)
+    assert list(log) == list(ref) == log.events == ref.events
+    assert len(log) == len(ref)
+    for kind in (*KINDS, "actuate"):
+        assert log.of(kind) == ref.of(kind)
+    assert log.to_csv() == ref.to_csv()
+    assert TOM(events=log).fired_log == ref.fired_log
 
 
 def test_now_is_read_only():

@@ -3,9 +3,11 @@
 A path that rescans a whole collection per operation is quadratic over a
 run; these tests count how often such a collection is iterated, or how many
 lines of Python an operation executes, and require that count not to grow
-with the run.
+with the run. Data that grows with a run is kept as plain rows, so these
+tests also count the record objects a run builds.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -16,8 +18,8 @@ from cpm.ext_cyclic import scan_cyclic
 from cpm.ext_redundancy import scan_redundant
 from cpm.ext_reflective import scan_arrays, scan_context
 from cpm.pipeline import _strict_sweep, preamble_line
-from cpm.runtime import TOM, ContextRegistry, ReflectiveArray, Runtime
-from cpm.scenarios import BeaconTrace, WdtScenarioParams, run_switchboard, run_wdt
+from cpm.runtime import TOM, ContextRegistry, ReflectiveArray, Runtime, events
+from cpm.scenarios import BeaconTrace, WdtScenarioParams, run_switchboard, run_wdt, switchboard
 
 
 class Counting:
@@ -71,6 +73,46 @@ def beacon_actions(peers):
 def test_switchboard_beacons_share_one_action(peers):
     # the list keeps every action alive, so no two can share an id
     assert len({id(action) for action in beacon_actions(peers)}) == 1
+
+
+def counted(cls, built):
+    """A stand-in for ``cls`` that records each object it builds."""
+
+    def build(*args):
+        built.append(cls(*args))
+        return built[-1]
+
+    return build
+
+
+def test_a_switchboard_run_builds_no_beacon_record_and_no_event():
+    rows = [(cycle * 100 + 1 + peer, f"m{peer}", 1.5) for cycle in range(10) for peer in range(5)]
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(switchboard, "BeaconRecord", counted(switchboard.BeaconRecord, built))
+        patch.setattr(events, "Event", counted(events.Event, built))
+        trace = BeaconTrace.from_rows(rows)
+        result = run_switchboard(trace, observation_period=100, horizon=1_000)
+        assert built == []
+        # reading them builds the records, equal to what a run used to keep
+        records, fires = trace.records, result.runtime.events.of("fire")
+    assert built == [*records, *fires]
+    assert records == tuple(switchboard.BeaconRecord(*row) for row in rows)
+    fired = result.runtime.tom.fired_log
+    assert len(fired) == len(rows) + 10
+    assert fires == [events.Event(t, "fire", name, n, "") for t, name, n in fired]
+
+
+def test_a_trace_is_immutable_and_equal_to_one_built_from_the_same_rows():
+    rows = [(0, "aa:01", 2), (5, "aa:02", 3.5), (5, "aa:01", 1)]
+    trace = BeaconTrace.from_rows(rows)
+    assert trace == BeaconTrace.from_rows(iter(rows)) == BeaconTrace(records=trace.records)
+    assert trace != BeaconTrace.from_rows(rows[:2])
+    assert (trace.times, trace.macs, trace.rates) == ((0, 5, 5), ("aa:01", "aa:02", "aa:01"), (2.0, 3.5, 1.0))
+    for name in ("times", "macs", "rates", "records"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trace, name, ())
+    assert trace == BeaconTrace.from_rows(rows)
 
 
 def test_anext_walk_never_iterates_entries():
