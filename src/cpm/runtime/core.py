@@ -4,11 +4,13 @@ One :class:`Runtime` bundles an event log, which carries the virtual time,
 a timeout manager, the context registry, and the replica sets, and exposes
 one method per call the passes emit (:data:`cpm.cexpr.ABI`), taking its
 non-type arguments: ``cpm_red_write`` -> :meth:`Runtime.red_write`, and so
-on. Function bodies bind late, by name, in :attr:`Runtime.functions`: a
-guard or a cycle looks its body up when it fires. The scenarios drive the
-runtime through these same calls. The facade is single-threaded and takes
-no lock: nothing runs outside the caller's control flow, and virtual time
-moves only in :meth:`Runtime.advance`, which keeps every run deterministic.
+on. The replica sets and arrays it indexes raise their own ``KeyError`` for
+a name never registered (:class:`cpm.runtime.context.Registry`). Function
+bodies bind late, by name, in :attr:`Runtime.functions`: a guard or a cycle
+looks its body up when it fires. The scenarios drive the runtime through
+these same calls. The facade is single-threaded and takes no lock: nothing
+runs outside the caller's control flow, and virtual time moves only in
+:meth:`Runtime.advance`, which keeps every run deterministic.
 
 Watchdog-timer states are reified as integers: the named conditions are the
 negative values below, non-negative values count timer resets since the last
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .context import ContextRegistry
+from .context import ContextRegistry, Registry
 from .events import EventLog
 from .redundant import ReplicaSet
 from .tom import TOM, TimeoutObject
@@ -45,7 +47,7 @@ class Runtime:
     def __init__(self):
         self.events = EventLog()
         self.registry = ContextRegistry(events=self.events)
-        self.replicas: dict[str, ReplicaSet] = {}
+        self.replicas: dict[str, ReplicaSet] = Registry(lambda name: f"no redundant storage registered for {name!r}")
         self.tom = TOM(events=self.events)
         self.functions: dict[str, object] = {}  # C function name -> python callable
         self._cycles: dict[str, TimeoutObject | None] = {}  # cyclic method -> its timeout, once started
@@ -65,24 +67,14 @@ class Runtime:
         first reference."""
         return self.replicas[name] if name in self.replicas else self.red_storage(name)
 
-    def _replica_set(self, name) -> ReplicaSet:
-        rs = self.replicas.get(name)
-        if rs is None:
-            raise KeyError(f"no redundant storage registered for {name!r}")
-        return rs
-
-    # the interpreter's most frequent calls look the set up inline, one
-    # Python frame fewer per access; _replica_set raises for a missing one
     def red_write(self, name, value):
-        rs = self.replicas.get(name)
-        (rs if rs is not None else self._replica_set(name)).write(value)
+        self.replicas[name].write(value)
 
     def red_read(self, name):
-        rs = self.replicas.get(name)
-        return (rs if rs is not None else self._replica_set(name)).read()
+        return self.replicas[name].read()
 
     def red_inject_fault(self, name, replica_index, corrupt_value):
-        self._replica_set(name).inject_fault(replica_index, corrupt_value)
+        self.replicas[name].inject_fault(replica_index, corrupt_value)
 
     # -- context -------------------------------------------------------------
 
@@ -104,27 +96,19 @@ class Runtime:
     def arr_register(self, name):
         return self.registry.register_array(name)
 
-    # the array calls look the array up inline too; _array only raises
-    def _array(self, name):
-        raise KeyError(f"unknown reflective array {name!r}")
-
     def arr_get(self, name, key, prop):
-        arr = self.registry.arrays.get(name)
-        return (arr if arr is not None else self._array(name)).get(key, prop)
+        return self.registry.arrays[name].get(key, prop)
 
     def arr_report_beacon(self, name, key):
-        arr = self.registry.arrays.get(name)
-        (arr if arr is not None else self._array(name)).report_beacon(key)
+        self.registry.arrays[name].report_beacon(key)
 
     def arr_rollover(self, name):
-        arr = self.registry.arrays.get(name)
-        (arr if arr is not None else self._array(name)).rollover()
+        self.registry.arrays[name].rollover()
 
     def anext(self, name, cursor):
         """The key at ``cursor`` in insertion order, or C's NULL (0) past
         the end, so a program tests it with ``!= 0`` as in C."""
-        arr = self.registry.arrays.get(name)
-        key = (arr if arr is not None else self._array(name)).anext(cursor)
+        key = self.registry.arrays[name].anext(cursor)
         return 0 if key is None else key
 
     # -- cyclic methods -------------------------------------------------------

@@ -16,7 +16,8 @@ through. The collector stops tracking a tuple of ints and strs the first
 time it examines one, so a long run's log leaves each later collection one
 tracked list to walk, not one object per event. :attr:`EventLog.events`,
 :meth:`EventLog.of` and iteration build the :class:`Event` objects when
-they are read; :meth:`EventLog.to_csv` and ``TOM.fired_log`` read the rows.
+they are read, and :meth:`EventLog.to_csv` writes the rows: no other module
+knows their layout (``TOM.fired_log`` reads ``of("fire")``).
 
 An :class:`Event` is a slotted plain dataclass: equal by value and
 replaceable with ``dataclasses.replace``, but not frozen and so not

@@ -67,7 +67,7 @@ class TOM:
     @property
     def fired_log(self) -> list[tuple[int, str, int]]:
         """The ``fire`` events, which only the manager logs, as tuples."""
-        return [(t, name, instance) for t, kind, name, instance, _ in self.events._rows if kind == "fire"]
+        return [(e.time_ms, e.name, e.instance) for e in self.events.of("fire")]
 
     # -- schedule control ---------------------------------------------------
 

@@ -16,6 +16,10 @@ Switchboard, section ``[switchboard]``::
     observation_period_ms = 1000
     horizon_ms = 5000
     beacons = 100 aa:bb:cc:dd:ee:01 54.0; 300 aa:bb:cc:dd:ee:02 11.0
+
+A missing ``period_ms``, ``horizon_ms`` or ``observation_period_ms``, or an
+entry with the wrong number of fields, raises ``ValueError`` naming the file
+and key. Without ``horizon_ms`` a switchboard runs to its last beacon.
 """
 
 from __future__ import annotations
@@ -26,53 +30,51 @@ from .switchboard import BeaconTrace
 from .watchdog import WdtScenarioParams
 
 
-def _read(path, section):
+def _read(path, section, *required):
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
     if not parser.has_section(section):
         raise ValueError(f"{path}: missing [{section}] section")
+    for key in required:
+        if key not in parser[section]:
+            raise ValueError(f"{path}: [{section}] is missing {key}")
     return parser[section]
 
-def _int_list(text):
-    return tuple(int(x) for x in str(text).split(",") if x.strip())
+
+def _entries(path, sec, key, form, sep=None):
+    """The ``;``-separated entries under ``key``, each split on ``sep``
+    (whitespace if None) into the fields that ``form`` names."""
+    arity, out = len(form.split(sep)), []
+    for chunk in sec.get(key, "").split(";"):
+        if chunk := chunk.strip():
+            fields = chunk.split(sep)
+            if len(fields) != arity:
+                raise ValueError(f"{path}: {key}: expected {form!r}, got {chunk!r}")
+            out.append(fields)
+    return out
 
 
-def _colon_tuples(text, arity):
-    out = []
-    for chunk in str(text).split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != arity:
-            raise ValueError(f"expected {arity} colon-separated fields, got {chunk!r}")
-        out.append(tuple(int(p) for p in parts))
-    return tuple(out)
+def _int_tuples(path, sec, key, form):
+    return tuple(tuple(map(int, fields)) for fields in _entries(path, sec, key, form, ":"))
 
 
 def load_wdt_params(path) -> WdtScenarioParams:
-    sec = _read(path, "wdt")
+    sec = _read(path, "wdt", "period_ms", "horizon_ms")
     return WdtScenarioParams(
         wdt_period=sec.getint("period_ms"),
         horizon=sec.getint("horizon_ms"),
-        heartbeat_schedule=_int_list(sec.get("heartbeats", "")),
+        heartbeat_schedule=tuple(int(x) for x in sec.get("heartbeats", "").split(",") if x.strip()),
         replicas=sec.getint("replicas", 3),
-        fault_schedule=_colon_tuples(sec.get("faults", ""), 3),
-        restart_schedule=_colon_tuples(sec.get("restarts", ""), 2),
+        fault_schedule=_int_tuples(path, sec, "faults", "time:replica_index:corrupt_value"),
+        restart_schedule=_int_tuples(path, sec, "restarts", "time:value"),
     )
 
 
 def load_switchboard_params(path):
     """Returns (BeaconTrace, observation_period_ms, horizon_ms)."""
-    sec = _read(path, "switchboard")
-    rows = []
-    for chunk in sec.get("beacons", "").split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        t, mac, rate = chunk.split()
-        rows.append((int(t), mac, float(rate)))
+    sec = _read(path, "switchboard", "observation_period_ms")
+    rows = [(int(t), mac, float(rate)) for t, mac, rate in _entries(path, sec, "beacons", "time mac rate")]
     return (
         BeaconTrace.from_rows(rows),
         sec.getint("observation_period_ms"),

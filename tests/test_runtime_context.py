@@ -394,6 +394,12 @@ def test_guard_body_that_clears_its_own_sensor_fires_on_every_edge():
         (lambda rt: rt.arr_rollover("nope"), "unknown reflective array 'nope'"),
         (lambda rt: rt.anext("nope", 0), "unknown reflective array 'nope'"),
         (lambda rt: rt.arr_get("linkbeacons", "ghost", "beacons"), "no entry 'ghost' in reflective array 'linkbeacons'"),
+        (lambda rt: rt.ctx_read("s"), "unknown sensor 's'"),
+        (lambda rt: rt.sensor_update("s", 1), "unknown sensor 's'"),
+        (lambda rt: rt.ctx_write("a", 1), "unknown actuator 'a'"),
+        (lambda rt: rt.registry.bind_actuator("a", print), "unknown actuator 'a'"),
+        (lambda rt: (rt.arr_report_beacon("linkbeacons", "k"), rt.arr_get("linkbeacons", "k", "p")),
+         "no property 'p' on entry 'k' of 'linkbeacons'"),
     ],
 )
 def test_runtime_facade_lookup_errors(call, message):

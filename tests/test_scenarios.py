@@ -231,6 +231,34 @@ def test_param_files_round_trip(tmp_path):
     run_switchboard(trace, period, horizon)
 
 
+@pytest.mark.parametrize("load, text, message", [
+    (load_wdt_params, "[wdt]\nhorizon_ms = 1000\n", "[wdt] is missing period_ms"),
+    (load_wdt_params, "[wdt]\nperiod_ms = 100\n", "[wdt] is missing horizon_ms"),
+    (load_switchboard_params, "[switchboard]\nhorizon_ms = 2000\nbeacons = 100 aa:01 5.0\n",
+     "[switchboard] is missing observation_period_ms"),
+    (load_switchboard_params, "[switchboard]\nobservation_period_ms = 1000\nbeacons = 100 aa:01 5.0; 200 aa:01\n",
+     "beacons: expected 'time mac rate', got '200 aa:01'"),
+    (load_switchboard_params, "[switchboard]\nobservation_period_ms = 1000\nbeacons = 100 aa:01 5.0 7\n",
+     "beacons: expected 'time mac rate', got '100 aa:01 5.0 7'"),
+    (load_wdt_params, "[wdt]\nperiod_ms = 100\nhorizon_ms = 1000\nfaults = 120:0:99; 300:1\n",
+     "faults: expected 'time:replica_index:corrupt_value', got '300:1'"),
+], ids=["wdt-period", "wdt-horizon", "switchboard-period", "beacon-two-fields", "beacon-four-fields", "fault-two-fields"])
+def test_a_param_file_missing_a_field_fails_to_load_naming_it(tmp_path, load, text, message):
+    ini = tmp_path / "params.ini"
+    ini.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load(ini)
+    assert str(info.value) == f"{ini}: {message}"
+
+
+def test_a_switchboard_file_without_a_horizon_runs_to_its_last_beacon(tmp_path):
+    ini = tmp_path / "sb.ini"
+    ini.write_text("[switchboard]\nobservation_period_ms = 1000\nbeacons = 100 aa:01 5.0; 1500 aa:01 5.0\n")
+    trace, period, horizon = load_switchboard_params(ini)
+    assert horizon is None
+    assert run_switchboard(trace, period, horizon).to_csv() == run_switchboard(trace, period, 1500).to_csv()
+
+
 @st.composite
 def wdt_cases(draw):
     """Small watchdog runs: heartbeats unsorted, duplicated and on period
