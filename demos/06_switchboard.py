@@ -35,7 +35,7 @@ def main():
     print(render(lowered))
 
     trace = build_trace()
-    print(f"{len(trace.records)} synthetic beacons over 6 periods of {PERIOD} ms")
+    print(f"{len(trace.times)} synthetic beacons over 6 periods of {PERIOD} ms")
 
     result = run_switchboard(trace, observation_period=PERIOD, horizon=6 * PERIOD)
     current_cycle = None

@@ -80,8 +80,6 @@ def main(argv=None) -> int:
             return _fail(f"cannot load config {args.config}: {exc}")
     else:
         config = PassConfig()
-    if args.strict_tags:
-        config.set("pipeline.strict_tags", "1")
 
     try:
         pipeline = compose(args.ext, registry=registry, config=config)
@@ -89,11 +87,12 @@ def main(argv=None) -> int:
         return _fail(str(exc))
 
     unit = load_unit(text)
-    out_unit, report = run(pipeline, unit)
+    out_unit, report = run(pipeline, unit, strict=args.strict_tags)
 
     out_path = Path(args.output) if args.output else in_path.with_suffix(".c")
-    if out_path == in_path:
-        return _fail(f"output path {out_path} would overwrite the input; use -o")
+    if out_path.resolve() == in_path.resolve():
+        hint = "" if args.output else "; use -o"
+        return _fail(f"output path {out_path} would overwrite the input{hint}")
     try:
         out_path.write_text(render(out_unit), encoding="latin-1")
     except OSError as exc:

@@ -28,7 +28,6 @@ _VERSION_RE = re.compile(r"^[0-9]+(\.[0-9]+)*$")
 _CANONICAL_RE = re.compile(r"^cpm://([a-z0-9_]+)/([0-9]+(?:\.[0-9]+)*)$")
 
 PIPELINE_EMITTER = "pipeline"
-_PIPELINE_KEYS = frozenset({"strict_tags"})  # the pipeline's own config keys
 
 
 class UnknownExtensionError(ValueError):
@@ -84,19 +83,8 @@ class PassConfig:
                 values[f"{section}.{key}"] = val
         return cls(values)
 
-    def set(self, key, value):
-        self._values[key] = value
-
     def get(self, namespace, key, default=None):
         return self._values.get(f"{namespace}.{key}", default)
-
-    def get_bool(self, namespace, key, default=False):
-        val = self.get(namespace, key)
-        if val is None:
-            return default
-        if isinstance(val, bool):
-            return val
-        return str(val).strip().lower() in ("1", "true", "yes", "on")
 
     def items(self):
         return self._values.items()
@@ -216,12 +204,7 @@ def compose(names, registry=None, config=None) -> Pipeline:
         passes.append(p)
     for key, _ in config.items():
         ns, _, rest = key.partition(".")
-        if ns == "pipeline":
-            if rest not in _PIPELINE_KEYS:
-                diags.append(
-                    Diagnostic("warning", 0, f"config key {key!r} is not recognized by the pipeline", PIPELINE_EMITTER)
-                )
-        elif ns not in registry:
+        if ns not in registry:
             diags.append(
                 Diagnostic("warning", 0, f"config key {key!r} names no registered extension", PIPELINE_EMITTER)
             )
@@ -268,11 +251,13 @@ def _strip_tags(unit: SourceUnit, applied):
     return map_lines(unit, strip_tag), tags
 
 
-def run(pipeline: Pipeline, unit: SourceUnit):
+def run(pipeline: Pipeline, unit: SourceUnit, strict=False):
     """Route tagged lines, run every pass's scan in order, then lower every
     pass's accesses in one walk (:func:`~cpm.rewrite.lower_lines`, pipeline
     order on each line), and inject the identifier preamble as the first
-    line, in front of the passes' own line objects. Returns (unit, report)."""
+    line, in front of the passes' own line objects. With ``strict`` (the
+    CLI's ``--strict-tags``), also warn about the extension syntax no pass
+    consumed (:func:`_strict_sweep`). Returns (unit, report)."""
     diags = list(pipeline.compose_diagnostics)
     applied = {p.id.name for p in pipeline.passes}
     unit, tags = _strip_tags(unit, applied)
@@ -288,7 +273,7 @@ def run(pipeline: Pipeline, unit: SourceUnit):
     head = unit_from_raws([preamble_line(publish_ids(pipeline))]).lines
     final_newline = unit.final_newline if unit.lines else True
     out = SourceUnit(lines=head + tuple(unit.lines), final_newline=final_newline)
-    if pipeline.config.get_bool("pipeline", "strict_tags"):
+    if strict:
         diags.extend(_strict_sweep(unit, pipeline, applied, tags))
     return out, PipelineReport(applied_ids=[p.id for p in pipeline.passes], diagnostics=diags)
 

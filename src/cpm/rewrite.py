@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .cexpr import ABI, COMPOUND_OPS, DECL_WORDS, TYPE_WORDS
-from .srcmodel import IDENTIFIER, KEYWORD, NUMBER, PAST_END, PUNCTUATOR, STRING, Diagnostic, LineMemo, apply_spans, map_lines, split_segments
+from .srcmodel import IDENTIFIER, KEYWORD, NUMBER, PUNCTUATOR, STRING, Diagnostic, LineMemo, apply_spans, map_lines, split_segments
 
 
 # the keywords of the built-in passes; none of them is ever a type word
@@ -181,10 +181,9 @@ class _AccessLine:
     def __init__(self, raw, sig, targets, keywords, line_no, emitted_by, diags):
         self.raw, self.sig, self.targets = raw, sig, targets
         self.line_no, self.emitted_by, self.diags = line_no, emitted_by, diags
-        # statement start -> position of the ';' ending it on the line; with a
-        # token appended, every segment but the last ends on the line
+        # statement start -> position of the ';' ending it on the line
         self.stmts, start = {}, 0
-        for seg in split_segments((*sig, PAST_END))[:-1]:
+        for seg in split_segments(sig)[0]:
             if seg[-1].lexeme == ";":
                 self.stmts[start] = start + len(seg) - 1
             start += len(seg)

@@ -4,7 +4,6 @@ deterministic event trace."""
 from .params import load_switchboard_params, load_wdt_params
 from .switchboard import (
     AdjustmentRecord,
-    BeaconRecord,
     BeaconTrace,
     SwitchboardResult,
     run_switchboard,
@@ -13,7 +12,6 @@ from .watchdog import WdtResult, WdtScenarioParams, run_wdt
 
 __all__ = [
     "AdjustmentRecord",
-    "BeaconRecord",
     "BeaconTrace",
     "SwitchboardResult",
     "WdtResult",

@@ -17,9 +17,10 @@ Switchboard, section ``[switchboard]``::
     horizon_ms = 5000
     beacons = 100 aa:bb:cc:dd:ee:01 54.0; 300 aa:bb:cc:dd:ee:02 11.0
 
-A missing ``period_ms``, ``horizon_ms`` or ``observation_period_ms``, or an
-entry with the wrong number of fields, raises ``ValueError`` naming the file
-and key. Without ``horizon_ms`` a switchboard runs to its last beacon.
+A missing ``period_ms``, ``horizon_ms`` or ``observation_period_ms``, an
+entry with the wrong number of fields, or a value that does not read as its
+number raises ``ValueError`` naming the file and key. Without
+``horizon_ms`` a switchboard runs to its last beacon.
 """
 
 from __future__ import annotations
@@ -42,41 +43,50 @@ def _read(path, section, *required):
     return parser[section]
 
 
-def _entries(path, sec, key, form, sep=None):
+def _value(path, key, convert, text):
+    """``convert(text)``; a ValueError names the file and key."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{path}: {key}: expected {convert.__name__}, got {text.strip()!r}") from None
+
+
+def _int(path, sec, key, default=None):
+    text = sec.get(key)
+    return default if text is None else _value(path, key, int, text)
+
+
+def _entries(path, sec, key, form, types, sep=None):
     """The ``;``-separated entries under ``key``, each split on ``sep``
-    (whitespace if None) into the fields that ``form`` names."""
-    arity, out = len(form.split(sep)), []
+    (whitespace if None) into the fields that ``form`` names, each field
+    converted by its one of ``types``."""
+    out = []
     for chunk in sec.get(key, "").split(";"):
         if chunk := chunk.strip():
             fields = chunk.split(sep)
-            if len(fields) != arity:
+            if len(fields) != len(types):
                 raise ValueError(f"{path}: {key}: expected {form!r}, got {chunk!r}")
-            out.append(fields)
-    return out
-
-
-def _int_tuples(path, sec, key, form):
-    return tuple(tuple(map(int, fields)) for fields in _entries(path, sec, key, form, ":"))
+            out.append(tuple(_value(path, key, t, f) for t, f in zip(types, fields)))
+    return tuple(out)
 
 
 def load_wdt_params(path) -> WdtScenarioParams:
     sec = _read(path, "wdt", "period_ms", "horizon_ms")
     return WdtScenarioParams(
-        wdt_period=sec.getint("period_ms"),
-        horizon=sec.getint("horizon_ms"),
-        heartbeat_schedule=tuple(int(x) for x in sec.get("heartbeats", "").split(",") if x.strip()),
-        replicas=sec.getint("replicas", 3),
-        fault_schedule=_int_tuples(path, sec, "faults", "time:replica_index:corrupt_value"),
-        restart_schedule=_int_tuples(path, sec, "restarts", "time:value"),
+        wdt_period=_int(path, sec, "period_ms"),
+        horizon=_int(path, sec, "horizon_ms"),
+        heartbeat_schedule=tuple(_value(path, "heartbeats", int, x) for x in sec.get("heartbeats", "").split(",") if x.strip()),
+        replicas=_int(path, sec, "replicas", 3),
+        fault_schedule=_entries(path, sec, "faults", "time:replica_index:corrupt_value", (int, int, int), ":"),
+        restart_schedule=_entries(path, sec, "restarts", "time:value", (int, int), ":"),
     )
 
 
 def load_switchboard_params(path):
     """Returns (BeaconTrace, observation_period_ms, horizon_ms)."""
     sec = _read(path, "switchboard", "observation_period_ms")
-    rows = [(int(t), mac, float(rate)) for t, mac, rate in _entries(path, sec, "beacons", "time mac rate")]
     return (
-        BeaconTrace.from_rows(rows),
-        sec.getint("observation_period_ms"),
-        sec.getint("horizon_ms"),
+        BeaconTrace.from_rows(_entries(path, sec, "beacons", "time mac rate", (int, str, float))),
+        _int(path, sec, "observation_period_ms"),
+        _int(path, sec, "horizon_ms"),
     )

@@ -15,12 +15,10 @@ through ``Runtime.cycle_set``; it stands for ``adjust_metrics`` in
 ``int(observation_period)`` ms, the value TOM arms, taken once at entry for
 the cycle arithmetic too; a period that truncates to 0 raises ValueError.
 
-A :class:`BeaconTrace` holds the beacons as three columns, ``times``,
+A :class:`BeaconTrace` is the beacons as three columns, ``times``,
 ``macs`` and ``rates``, so a long trace is three tuples of ints, strs and
-floats, which the collector stops tracking, not one object per beacon.
-:attr:`BeaconTrace.records` builds a :class:`BeaconRecord` per beacon when
-it is read, and ``BeaconTrace(records=...)`` takes records apart into the
-columns.
+floats, which the collector stops tracking, not one object per beacon;
+:meth:`BeaconTrace.from_rows` builds one from ``(time, mac, rate)`` rows.
 
 Beacons are delivered by one-shot timeout objects, one per beacon, inserted
 from ``times``, that all share one action: it takes the next ``(mac, rate)``
@@ -33,11 +31,10 @@ exactly on a cycle boundary counts for the period it ends (the one-shots
 are inserted before the cycle starts, so they win the tie); a cycle
 boundary on the horizon still reports.
 
-:class:`BeaconRecord` and :class:`AdjustmentRecord` are slotted plain
-dataclasses: equal by value and replaceable with ``dataclasses.replace``,
-but not frozen and so not hashable. Nothing hashes or mutates one; a run
-builds one :class:`AdjustmentRecord` per peer and cycle, and building a
-frozen one cost several times as much.
+:class:`AdjustmentRecord` is a slotted plain dataclass: equal by value
+and replaceable with ``dataclasses.replace``, but not frozen and so not
+hashable. Nothing hashes or mutates one; a run builds one per peer and
+cycle, and building a frozen one cost several times as much.
 """
 
 from __future__ import annotations
@@ -49,37 +46,15 @@ from ..runtime import Runtime, TimeoutObject
 DEFAULT_OBSERVATION_PERIOD_MS = 60_000
 
 
-@dataclass(slots=True)
-class BeaconRecord:
-    time: int  # ms
-    mac: str
-    rate_estimate: float
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BeaconTrace:
-    times: tuple  # int ms, non-decreasing
-    macs: tuple  # str, one per beacon
-    rates: tuple  # float, one per beacon
-
-    def __init__(self, records=()):
-        self._fill((rec.time, rec.mac, rec.rate_estimate) for rec in records)
+    times: tuple = ()  # int ms, non-decreasing
+    macs: tuple = ()  # str, one per beacon
+    rates: tuple = ()  # float, one per beacon
 
     @classmethod
     def from_rows(cls, rows) -> "BeaconTrace":
-        trace = cls.__new__(cls)
-        trace._fill((int(t), str(mac), float(rate)) for t, mac, rate in rows)
-        return trace
-
-    def _fill(self, beacons):
-        columns = tuple(zip(*beacons)) or ((), (), ())
-        for name, column in zip(("times", "macs", "rates"), columns):
-            object.__setattr__(self, name, column)
-
-    @property
-    def records(self) -> tuple:
-        """One :class:`BeaconRecord` per beacon, built on each read."""
-        return tuple(map(BeaconRecord, self.times, self.macs, self.rates))
+        return cls(*zip(*((int(t), str(mac), float(rate)) for t, mac, rate in rows)))
 
     def validate(self, horizon=None):
         last = 0

@@ -115,12 +115,6 @@ class Token(NamedTuple):
         return self.column + len(self.lexeme)
 
 
-# ends no statement: appended to a line's tokens, it leaves the tokens after
-# the line's last finished statement in the last segment of split_segments,
-# so a final ';' inside an open bracket is told from one that ends a statement
-PAST_END = Token(IDENTIFIER, "", 0)
-
-
 @dataclass(frozen=True, slots=True)
 class SourceLine:
     """One physical line, at whatever position of a unit it sits. Everything
@@ -288,10 +282,13 @@ def ext_tag(raw: str) -> tuple[str | None, str]:
     return m.group(1), raw[m.end() :]
 
 
-def split_segments(sig) -> list[list[Token]]:
+def split_segments(sig) -> tuple[list[list[Token]], list[Token]]:
     """Split significant tokens into statement segments, cutting at ';'
     outside parens/brackets and at braces. A 'for(;;)' header stays whole.
-    The interpreter splits a line only the first time it compiles it."""
+    Returns ``(finished, rest)``: the segments ending on a cut, and the
+    tokens after the last cut, possibly none, which end no statement (as in
+    ``x = f(x;``). The interpreter splits a line only the first time it
+    compiles it."""
     segs, cur, depth = [], [], 0
     for tok in sig:  # tok[0], tok[1]: the kind and lexeme, by the cheaper tuple index
         cur.append(tok)
@@ -306,9 +303,7 @@ def split_segments(sig) -> list[list[Token]]:
         elif not depth and (lex == ";" or lex == "{" or lex == "}"):
             segs.append(cur)
             cur = []
-    if cur:
-        segs.append(cur)
-    return segs
+    return segs, cur
 
 
 def apply_spans(raw: str, spans) -> str:

@@ -218,12 +218,10 @@ def reference_split_segments(sig):
         if tok.kind is TokenKind.PUNCTUATOR and depth == 0 and tok.lexeme in (";", "{", "}"):
             segs.append(cur)
             cur = []
-    if cur:
-        segs.append(cur)
-    return segs
+    return segs, cur
 
 
-def reference_lower_in_turn(pipeline, unit):
+def reference_lower_in_turn(pipeline, unit, strict=False):
     """:func:`cpm.pipeline.run` with its access lowering as whole-unit walks:
     every pass's scan, then each pass's lowering over the whole unit in
     turn, the unit tokenized afresh after each."""
@@ -247,7 +245,7 @@ def reference_lower_in_turn(pipeline, unit):
         diags += scan_diags + lower_diags
     head = unit_from_raws([preamble_line(publish_ids(pipeline))]).lines
     out = SourceUnit(head + unit.lines, unit.final_newline if unit.lines else True)
-    if pipeline.config.get_bool("pipeline", "strict_tags"):
+    if strict:
         diags.extend(_strict_sweep(unit, pipeline, applied, tags))
     return out, PipelineReport([p.id for p in pipeline.passes], diags)
 
@@ -259,19 +257,20 @@ def reference_run_unit(interp, unit):
     for line_no, line in enumerate(unit.lines, 1):
         if not line.in_block_comment and ext_tag(line.raw)[0] is not None:
             continue  # untransformed tagged line; nothing to execute
-        for toks in split_segments(line.sig):
+        finished, rest = split_segments(line.sig)
+        for toks in (*finished, rest) if rest else finished:
             _reference_exec_segment(interp, line_no, line, toks)
 
 
 def _reference_exec_segment(interp, line_no, line, toks):
     last = toks[-1]
+    if last.lexeme not in (";", "{", "}") or _unclosed(toks):  # an unfinished statement, as "x = f(x; {"
+        raise InterpError(f"line {line_no}: unsupported statement {line.raw.strip()!r}")
     if last.lexeme == "{" and toks[0].lexeme in ("if", "else", "while", "for", "do", "switch"):
         text = line.raw[toks[0].column : last.end]
         raise InterpError(f"line {line_no}: unsupported statement {text!r}")  # control flow is not run
     if last.lexeme in ("{", "}"):
         return  # block structure and function headers are not interpreted
-    if last.lexeme != ";" or _unclosed(toks):  # an unfinished statement, as "x = f(x;"
-        raise InterpError(f"line {line_no}: unsupported statement {line.raw.strip()!r}")
     if len(toks) == 1:
         return  # an empty statement
     text = line.raw[toks[0].column : last.column]
@@ -283,8 +282,8 @@ def _reference_exec_segment(interp, line_no, line, toks):
 
 def _unclosed(toks):
     """Whether a bracket opened in ``toks`` is still open at their end: then
-    their final ';' did not end a statement, so they are the unfinished rest
-    of their line."""
+    their final ';' or brace did not end a statement, so they are the
+    unfinished rest of their line."""
     depth = 0
     for tok in toks:
         if tok.lexeme in ("(", "["):

@@ -25,9 +25,10 @@ def test_every_emitted_call_statement_compiles():
     for text in inputs().values():
         for order in ORDERS[:3]:  # the four-pass orders
             for ini in (False, True):
-                unit, _ = run(compose(order, config=config(ini, False)), load_unit(text))
+                unit, _ = run(compose(order, config=config(ini)), load_unit(text))
                 for line in unit.lines:
-                    for toks in split_segments(line.sig):
+                    finished, rest = split_segments(line.sig)
+                    for toks in (*finished, rest) if rest else finished:
                         if toks[0].lexeme in ABI:
                             assert toks[-1].lexeme == ";", line.raw
                             compile_stmt(line.raw[toks[0].column : toks[-1].column])

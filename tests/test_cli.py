@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from cpm.cli import main
 from cpm.pipeline import preamble_line
 
@@ -85,6 +87,17 @@ def test_refuses_to_overwrite_input(tmp_path):
     assert main(["--ext", "cyclic", str(src)]) == 1
 
 
+@pytest.mark.parametrize("spelling", ["same", "absolute", "parent"])
+def test_refuses_to_overwrite_input_however_o_spells_it(tmp_path, monkeypatch, capsys, spelling):
+    src = write_input(tmp_path)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    output = {"same": "../in.cpm", "absolute": str(src.resolve()), "parent": f"../../{tmp_path.name}/in.cpm"}[spelling]
+    assert main(["--ext", "cyclic", "../in.cpm", "-o", output]) == 1
+    assert src.read_text(encoding="latin-1") == WDT_SOURCE
+    assert capsys.readouterr().err == f"cpm: error: output path {output} would overwrite the input\n"
+
+
 def test_runs_are_byte_identical(tmp_path):
     src = write_input(tmp_path)
     a, b = tmp_path / "a.c", tmp_path / "b.c"
@@ -159,12 +172,13 @@ def test_warnings_do_not_change_exit_status(tmp_path, capsys):
     assert "diagnostic=warning" in report
 
 
-def test_strict_tags_flag(tmp_path, capsys):
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
+def test_strict_tags_flag(tmp_path, capsys, strict):
     src = write_input(tmp_path, text="cyclic_t int f(void);\n")
     out = tmp_path / "out.c"
-    rc = main(["--ext", "redundancy", "--strict-tags", str(src), "-o", str(out)])
+    rc = main(["--ext", "redundancy", *["--strict-tags"] * strict, str(src), "-o", str(out)])
     assert rc == 0
-    assert "cyclic_t" in capsys.readouterr().err
+    assert ("cyclic_t" in capsys.readouterr().err) == strict
 
 
 def test_latin1_bytes_survive(tmp_path):

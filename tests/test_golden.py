@@ -48,11 +48,8 @@ def inputs():
     return cases
 
 
-def config(ini, strict):
-    cfg = PassConfig.from_ini(ROOT / "demos" / "extensions.ini") if ini else PassConfig()
-    if strict:
-        cfg.set("pipeline.strict_tags", True)
-    return cfg
+def config(ini):
+    return PassConfig.from_ini(ROOT / "demos" / "extensions.ini") if ini else PassConfig()
 
 
 def digests():
@@ -61,7 +58,7 @@ def digests():
         for order in ORDERS:
             for ini in (False, True):
                 for strict in (False, True):
-                    unit, report = run(compose(order, config=config(ini, strict)), load_unit(text))
+                    unit, report = run(compose(order, config=config(ini)), load_unit(text), strict)
                     blob = render(unit) + "\0" + "\n".join(map(str, report.diagnostics))
                     case = f"{name} | {','.join(order)} | {'ini' if ini else 'noconfig'} | {'strict' if strict else 'lax'}"
                     out[case] = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

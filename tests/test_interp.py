@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpm import interp
@@ -447,6 +447,7 @@ def run_observed(runner, text):
 
 @settings(max_examples=300, deadline=None)
 @given(_program())
+@example("x = f(x; if (a) {\nint a = 4;\n")  # a '{' inside an open bracket opens no block
 def test_compiled_programs_run_like_the_reference_loop(text):
     expected = run_observed(reference_run_unit, text)
     interp._LINES.clear()

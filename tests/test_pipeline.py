@@ -188,9 +188,9 @@ claimed_lines = st.tuples(st.sampled_from(TAGS), st.one_of(lines, shared_lines))
 # a trigger named like a runtime call head another pass writes
 @example("redundant_t int r1;\nsensor_t int cpm_red_read;\nz = r1;\n", ["redundancy", "refractive"], 2)
 def test_one_lowering_walk_equals_each_pass_lowering_the_unit_in_turn(src, order, n):
-    pipeline = compose(order[:n], config=PassConfig({"pipeline.strict_tags": "1"}))
-    out, report = run(pipeline, load_unit(src))
-    expected, expected_report = reference_lower_in_turn(pipeline, load_unit(src))
+    pipeline = compose(order[:n])
+    out, report = run(pipeline, load_unit(src), strict=True)
+    expected, expected_report = reference_lower_in_turn(pipeline, load_unit(src), strict=True)
     assert out == expected  # text and every line's tokens and comment state
     assert report.diagnostics == expected_report.diagnostics
 
@@ -217,9 +217,8 @@ def test_ext_tags_route_lines_to_passes():
 
 
 def test_strict_tags_reports_leftovers():
-    cfg = PassConfig({"pipeline.strict_tags": "1"})
     src = "@ext:cyclic Tick.Cycle = 5;\nredundant_t int x;\n"
-    out, report = run(compose(["refractive"], config=cfg), load_unit(src))
+    out, report = run(compose(["refractive"]), load_unit(src), strict=True)
     messages = [d.message for d in report.diagnostics]
     assert any("tagged for pass 'cyclic'" in m for m in messages)
     assert any("redundant_t" in m and "redundancy" in m for m in messages)
@@ -227,16 +226,16 @@ def test_strict_tags_reports_leftovers():
 
 
 def test_strict_tags_silent_when_everything_consumed():
-    cfg = PassConfig({"pipeline.strict_tags": "1"})
     src = "redundant_t int x;\nx = 1;\n"
-    out, report = run(compose(["redundancy"], config=cfg), load_unit(src))
+    out, report = run(compose(["redundancy"]), load_unit(src), strict=True)
     assert not [d for d in report.diagnostics if d.severity == "warning"]
 
 
 def test_unknown_pipeline_config_key_is_warned():
-    cfg = PassConfig({"pipeline.strict_tag": "1", "pipeline.strict_tags": "0"})
+    # strictness is an argument of run, not a config key
+    cfg = PassConfig({"pipeline.strict_tags": "1"})
     messages = [d.message for d in compose(["redundancy"], config=cfg).compose_diagnostics]
-    assert messages == ["config key 'pipeline.strict_tag' is not recognized by the pipeline"]
+    assert messages == ["config key 'pipeline.strict_tags' names no registered extension"]
 
 
 def test_preamble_on_empty_unit():
@@ -253,32 +252,28 @@ def test_config_from_ini(tmp_path):
 
 
 def test_strict_tags_lowers_code_after_block_comment_close():
-    cfg = PassConfig({"pipeline.strict_tags": "1"})
     src = "redundant_t int y;\n/* c\n */ y = 1;\n"
-    out, report = run(compose(["redundancy"], config=cfg), load_unit(src))
+    out, report = run(compose(["redundancy"]), load_unit(src), strict=True)
     assert _body(render(out)) == "cpm_red_storage(y, int, 3);\n/* c\n */ cpm_red_write(y, (1));\n"
     assert not [d for d in report.diagnostics if d.severity == "warning"]
 
 
 def test_strict_tags_reports_keyword_after_block_comment_close():
-    cfg = PassConfig({"pipeline.strict_tags": "1"})
     src = "/* c\n */ cyclic_t int f(void);\n"
-    out, report = run(compose(["redundancy"], config=cfg), load_unit(src))
+    out, report = run(compose(["redundancy"]), load_unit(src), strict=True)
     assert [d.line_no for d in report.diagnostics if "cyclic_t" in d.message] == [2]
 
 
 def test_strict_sweep_and_pass_diagnostics_share_input_line_numbers():
-    cfg = PassConfig({"pipeline.strict_tags": "1"})
-    _, report = run(compose(["cyclic"], config=cfg), load_unit("cyclic_t int f(void);\nf.Cycle += 1;\n"))
+    _, report = run(compose(["cyclic"]), load_unit("cyclic_t int f(void);\nf.Cycle += 1;\n"), strict=True)
     warnings = [d for d in report.diagnostics if d.severity == "warning"]
     assert [d.emitted_by for d in warnings] == ["cpm://cyclic/1.0", "pipeline"]
     assert [d.line_no for d in warnings] == [2, 2]
 
 
 def test_ext_tag_inside_block_comment_is_comment_text():
-    cfg = PassConfig({"pipeline.strict_tags": "1"})
     src = "/* c\n@ext:cyclic */ x = 1;\n@ext:redundancy y = 1; /*\n@ext:redundancy */\n"
-    out, report = run(compose(["redundancy"], config=cfg), load_unit(src))
+    out, report = run(compose(["redundancy"]), load_unit(src), strict=True)
     assert _body(render(out)) == "/* c\n@ext:cyclic */ x = 1;\ny = 1; /*\n@ext:redundancy */\n"
     assert not [d for d in report.diagnostics if d.severity == "warning"]
 
@@ -314,8 +309,7 @@ PASS_CHOICES = [[name] for name in builtin_registry()] + [list(builtin_registry(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(latin1_lines, max_size=6).map("\n".join), st.sampled_from(PASS_CHOICES))
 def test_no_pass_raises_on_latin1_input(text, names):
-    config = PassConfig({"pipeline.strict_tags": "1"} if len(names) > 1 else {})
-    out, report = run(compose(names, config=config), load_unit(text))
+    out, report = run(compose(names), load_unit(text), strict=len(names) > 1)
     rendered = render(out)
     assert render(load_unit(rendered)) == rendered
     assert unit_from_raws([line.raw for line in out.lines]).lines == out.lines

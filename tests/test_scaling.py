@@ -19,7 +19,7 @@ from cpm.ext_redundancy import scan_redundant
 from cpm.ext_reflective import scan_arrays, scan_context
 from cpm.pipeline import _strict_sweep, preamble_line
 from cpm.runtime import TOM, ContextRegistry, ReflectiveArray, Runtime, events
-from cpm.scenarios import BeaconTrace, WdtScenarioParams, run_switchboard, run_wdt, switchboard
+from cpm.scenarios import BeaconTrace, WdtScenarioParams, run_switchboard, run_wdt
 
 
 class Counting:
@@ -89,15 +89,12 @@ def test_a_switchboard_run_builds_no_beacon_record_and_no_event():
     rows = [(cycle * 100 + 1 + peer, f"m{peer}", 1.5) for cycle in range(10) for peer in range(5)]
     built = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(switchboard, "BeaconRecord", counted(switchboard.BeaconRecord, built))
         patch.setattr(events, "Event", counted(events.Event, built))
-        trace = BeaconTrace.from_rows(rows)
-        result = run_switchboard(trace, observation_period=100, horizon=1_000)
+        result = run_switchboard(BeaconTrace.from_rows(rows), observation_period=100, horizon=1_000)
         assert built == []
-        # reading them builds the records, equal to what a run used to keep
-        records, fires = trace.records, result.runtime.events.of("fire")
-    assert built == [*records, *fires]
-    assert records == tuple(switchboard.BeaconRecord(*row) for row in rows)
+        # reading them builds the events
+        fires = result.runtime.events.of("fire")
+    assert built == fires
     fired = result.runtime.tom.fired_log
     assert len(fired) == len(rows) + 10
     assert fires == [events.Event(t, "fire", name, n, "") for t, name, n in fired]
@@ -106,10 +103,11 @@ def test_a_switchboard_run_builds_no_beacon_record_and_no_event():
 def test_a_trace_is_immutable_and_equal_to_one_built_from_the_same_rows():
     rows = [(0, "aa:01", 2), (5, "aa:02", 3.5), (5, "aa:01", 1)]
     trace = BeaconTrace.from_rows(rows)
-    assert trace == BeaconTrace.from_rows(iter(rows)) == BeaconTrace(records=trace.records)
+    assert trace == BeaconTrace.from_rows(iter(rows))
+    assert BeaconTrace.from_rows([]) == BeaconTrace() == BeaconTrace((), (), ())
     assert trace != BeaconTrace.from_rows(rows[:2])
     assert (trace.times, trace.macs, trace.rates) == ((0, 5, 5), ("aa:01", "aa:02", "aa:01"), (2.0, 3.5, 1.0))
-    for name in ("times", "macs", "rates", "records"):
+    for name in ("times", "macs", "rates"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(trace, name, ())
     assert trace == BeaconTrace.from_rows(rows)
@@ -204,7 +202,7 @@ def tokenized_after_load(text):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(srcmodel, "_tokenize", counting)
-        _, report = run(compose(FOUR_PASSES, config=PassConfig({"pipeline.strict_tags": "1"})), unit)
+        _, report = run(compose(FOUR_PASSES), unit, strict=True)
     return calls, report
 
 

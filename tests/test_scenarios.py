@@ -167,7 +167,7 @@ def test_switchboard_matches_hand_trace_oracle():
 
 
 def test_switchboard_empty_trace_emits_nothing():
-    res = run_switchboard(BeaconTrace(records=()), observation_period=1000, horizon=3000)
+    res = run_switchboard(BeaconTrace(), observation_period=1000, horizon=3000)
     assert res.records == []
 
 
@@ -227,7 +227,7 @@ def test_param_files_round_trip(tmp_path):
     )
     trace, period, horizon = load_switchboard_params(sb_ini)
     assert period == 1000 and horizon == 2000
-    assert len(trace.records) == 2 and trace.records[0].mac == "aa:bb:cc:dd:ee:01"
+    assert trace.macs == ("aa:bb:cc:dd:ee:01", "aa:bb:cc:dd:ee:01")
     run_switchboard(trace, period, horizon)
 
 
@@ -242,7 +242,19 @@ def test_param_files_round_trip(tmp_path):
      "beacons: expected 'time mac rate', got '100 aa:01 5.0 7'"),
     (load_wdt_params, "[wdt]\nperiod_ms = 100\nhorizon_ms = 1000\nfaults = 120:0:99; 300:1\n",
      "faults: expected 'time:replica_index:corrupt_value', got '300:1'"),
-], ids=["wdt-period", "wdt-horizon", "switchboard-period", "beacon-two-fields", "beacon-four-fields", "fault-two-fields"])
+    (load_switchboard_params, "[switchboard]\nobservation_period_ms = 1000\nbeacons = 1x0 aa:01 5.0\n",
+     "beacons: expected int, got '1x0'"),
+    (load_switchboard_params, "[switchboard]\nobservation_period_ms = 1000\nbeacons = 100 aa:01 fast\n",
+     "beacons: expected float, got 'fast'"),
+    (load_wdt_params, "[wdt]\nperiod_ms =\nhorizon_ms = 1000\n", "period_ms: expected int, got ''"),
+    (load_wdt_params, "[wdt]\nperiod_ms = 100\nhorizon_ms = 1000\nheartbeats = 50, x\n",
+     "heartbeats: expected int, got 'x'"),
+    (load_wdt_params, "[wdt]\nperiod_ms = 100\nhorizon_ms = 1000\nrestarts = 150:on\n",
+     "restarts: expected int, got 'on'"),
+    (load_switchboard_params, "[switchboard]\nobservation_period_ms = 1000\nhorizon_ms = 2s\n",
+     "horizon_ms: expected int, got '2s'"),
+], ids=["wdt-period", "wdt-horizon", "switchboard-period", "beacon-two-fields", "beacon-four-fields", "fault-two-fields",
+        "beacon-time", "beacon-rate", "wdt-period-empty", "heartbeat", "restart-value", "switchboard-horizon"])
 def test_a_param_file_missing_a_field_fails_to_load_naming_it(tmp_path, load, text, message):
     ini = tmp_path / "params.ini"
     ini.write_text(text)

@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cpm
@@ -386,9 +386,16 @@ _split_pieces = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_split_pieces, max_size=10), st.booleans())
+@example(["x = f(x;"], False)  # a final ';' inside an open bracket ends no statement
+@example(["x = (x"], False)
+@example(["a; b"], False)
+@example(["{"], False)
+@example(["a;"], False)
 def test_split_segments_agrees_with_the_reference(pieces, in_block):
     sig = SourceLine(" ".join(pieces), in_block).sig
-    assert split_segments(sig) == reference_split_segments(sig)
+    finished, rest = split_segments(sig)
+    assert (finished, rest) == reference_split_segments(sig)
+    assert [tok for seg in finished for tok in seg] + rest == list(sig)
 
 
 def token_kind_reads(source):
