@@ -72,6 +72,10 @@ def main(argv=None) -> int:
         text = in_path.read_text(encoding="latin-1")
     except OSError as exc:
         return _fail(f"cannot read {in_path}: {exc}")
+    out_path = Path(args.output) if args.output else in_path.with_suffix(".c")
+    if out_path.resolve() == in_path.resolve():
+        hint = "" if args.output else "; use -o"
+        return _fail(f"output path {out_path} would overwrite the input{hint}")
 
     if args.config:
         try:
@@ -89,10 +93,6 @@ def main(argv=None) -> int:
     unit = load_unit(text)
     out_unit, report = run(pipeline, unit, strict=args.strict_tags)
 
-    out_path = Path(args.output) if args.output else in_path.with_suffix(".c")
-    if out_path.resolve() == in_path.resolve():
-        hint = "" if args.output else "; use -o"
-        return _fail(f"output path {out_path} would overwrite the input{hint}")
     try:
         out_path.write_text(render(out_unit), encoding="latin-1")
     except OSError as exc:

@@ -13,8 +13,10 @@ closes. A key silent for a whole period turns stale until it is heard again;
 ``get`` derives ``stale`` from ``silent_periods`` as C's int 1 or 0. An
 :class:`ArrayEntry` is a slotted dataclass, one object per key. The
 registry's ``guard``, ``actuate`` and ``warn`` events take their event log's time.
-The actuators, the arrays and each array's entries are :class:`Registry`
-dicts, which raise their own ``KeyError`` for a name never registered.
+The actuators and the arrays are :class:`Registry` dicts, which raise
+their own ``KeyError`` for a name never registered. An array's entries are
+a plain dict, indexed on every beacon and ``get``, where the subclass's
+slower paths would cost; ``get`` writes the miss's message.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class ReflectiveArray:
 
     def __init__(self, name):
         self.name = name
-        self.entries: dict[str, ArrayEntry] = Registry(lambda key: f"no entry {key!r} in reflective array '{name}'")
+        self.entries: dict[str, ArrayEntry] = {}
         self._keys: list = []  # insertion order; entries are never removed
 
     def _entry(self, key) -> ArrayEntry:
@@ -96,7 +98,10 @@ class ReflectiveArray:
         """Read a property of one entry. ``beacons`` is the count over the
         last closed period; ``silent_periods`` and ``stale`` (1 or 0) are the
         staleness state; anything else is a user property."""
-        e = self.entries[key]
+        try:
+            e = self.entries[key]
+        except KeyError:
+            raise KeyError(f"no entry {key!r} in reflective array '{self.name}'") from None
         if prop == "beacons":
             return e.beacons_last_period
         if prop == "silent_periods":

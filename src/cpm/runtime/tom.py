@@ -15,19 +15,23 @@ cyclic one is positive, so nothing is armed before ``now``.
 
 Deadlines and ``dt`` are int ms. A non-int one is truncated once, where it
 enters: :meth:`TOM.insert` and :meth:`TOM.set_deadline` store ``int(deadline)``,
-which every arming adds to ``now``, and :meth:`TOM.advance` adds ``int(dt)``
+which every arming adds to ``now``, :meth:`TOM.insert_series` truncates
+each of its deadlines, and :meth:`TOM.advance` adds ``int(dt)``
 (``advance(2.5)`` then ``advance(7.6)`` leaves ``now`` at 9). So every fire
 time is an int.
 
-A :class:`TimeoutObject` is a slotted dataclass, so each of the many
-one-shots a scenario inserts is one object without an instance dict.
+A :class:`TimeoutObject` is a slotted dataclass, one object per timeout
+the caller controls. A stream of one-shots known up front, such as a
+scenario's beacons, is armed with :meth:`TOM.insert_series` instead: one
+heap entry for the whole series, pushed again with the next deadline after
+each fire, and no object per one-shot.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .events import EventLog
 
@@ -58,10 +62,19 @@ def _period(to: TimeoutObject, deadline) -> int:
     return deadline
 
 
+@dataclass(slots=True)
+class _Series:
+    """The one-shots :meth:`TOM.insert_series` armed; ``rest`` yields the
+    absolute fire times of those not yet queued."""
+    subid: str
+    action: Optional[Callable[[], None]]
+    rest: Iterator[int]
+
+
 class TOM:
     def __init__(self, events=None):
         self.events = events if events is not None else EventLog()
-        self._heap: list = []  # (next_fire, seq, version, obj)
+        self._heap: list = []  # (next_fire, seq, version, obj); version None for a series
         self._next_seq = 0
 
     @property
@@ -77,17 +90,28 @@ class TOM:
         if to._queued:
             self.events.log("warn", to.subid, 0, "insert-while-queued")
             return
-        period = to.deadline
-        if type(period) is not int or period <= 0:
-            to.deadline = period = _period(to, period)
+        to.deadline = _period(to, to.deadline)
         if to._seq is None:
             to._seq = self._next_seq
             self._next_seq += 1
-        # _arm, inline: a scenario inserts one one-shot per beacon
-        to._version += 1
-        to.next_fire = when = self.events._now + period
-        to._queued = True
-        heapq.heappush(self._heap, (when, to._seq, to._version, to))
+        self._arm(to, self.events._now + to.deadline)
+
+    def insert_series(self, subid: str, deadlines, action: Optional[Callable[[], None]]):
+        """Arm one one-shot per deadline, as inserting
+        ``TimeoutObject(subid, d, action=action)`` for each ``d`` in turn
+        would, but as one heap entry and no object per one-shot; nothing can
+        renew or delete them. A negative or decreasing ``int(d)`` raises
+        ValueError before anything is armed."""
+        whens = [int(d) for d in deadlines]
+        if any(d < prev for prev, d in zip([0, *whens], whens)):
+            raise ValueError(f"deadlines of '{subid}' must be non-negative and non-decreasing")
+        if not whens:
+            return
+        now = self.events._now
+        rest = iter([now + d for d in whens])
+        seq = self._next_seq
+        self._next_seq += len(whens)  # one per one-shot, so ties break as for single inserts
+        heapq.heappush(self._heap, (next(rest), seq, None, _Series(subid, action, rest)))
 
     def delete(self, to: TimeoutObject):
         """Remove from the schedule. Deleting something never inserted is a
@@ -145,11 +169,21 @@ class TOM:
     def _process_until(self, target: int):
         # bound once per call, not per firing; still looked up at call time,
         # so a patched tom.heapq or EventLog.log sees every pop and event
-        heap, events, pop = self._heap, self.events, heapq.heappop
+        heap, events, pop, push = self._heap, self.events, heapq.heappop, heapq.heappush
         log = events.log
         fired = []
         while heap and heap[0][0] <= target:
             when, seq, version, to = pop(heap)
+            if version is None:  # a series: queue its next one-shot, then fire this one
+                events._now = when
+                nxt = next(to.rest, None)
+                if nxt is not None:
+                    push(heap, (nxt, seq + 1, None, to))
+                log("fire", to.subid, 1)
+                fired.append((when, to.subid, 1))
+                if to.action is not None:
+                    to.action()
+                continue
             if version != to._version:
                 continue  # superseded by renew/delete
             to._queued = False

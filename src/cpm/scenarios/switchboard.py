@@ -20,16 +20,16 @@ A :class:`BeaconTrace` is the beacons as three columns, ``times``,
 floats, which the collector stops tracking, not one object per beacon;
 :meth:`BeaconTrace.from_rows` builds one from ``(time, mac, rate)`` rows.
 
-Beacons are delivered by one-shot timeout objects, one per beacon, inserted
-from ``times``, that all share one action: it takes the next ``(mac, rate)``
-of the trace and feeds it to the arrays through the handles
-``arr_register`` returns, since delivery is the link layer's side, not the
-program's. That is exact because TOM fires one-shots in (int deadline,
-insertion) order and ``BeaconTrace.validate`` requires non-decreasing
-times, so the n-th beacon fire is the n-th beacon's own. A beacon falling
-exactly on a cycle boundary counts for the period it ends (the one-shots
-are inserted before the cycle starts, so they win the tie); a cycle
-boundary on the horizon still reports.
+Beacons are delivered by one series of one-shots, one per beacon, armed
+from ``times`` with ``TOM.insert_series``, that all share one action: it
+takes the next ``(mac, rate)`` of the trace and feeds it to the arrays
+through the handles ``arr_register`` returns, since delivery is the link
+layer's side, not the program's. That is exact because TOM fires one-shots
+in (int deadline, insertion) order and ``BeaconTrace.validate`` requires
+non-decreasing times, so the n-th beacon fire is the n-th beacon's own. A
+beacon falling exactly on a cycle boundary counts for the period it ends
+(the series is inserted before the cycle starts, so it wins the tie); a
+cycle boundary on the horizon still reports.
 
 :class:`AdjustmentRecord` is a slotted plain dataclass: equal by value
 and replaceable with ``dataclasses.replace``, but not frozen and so not
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..runtime import Runtime, TimeoutObject
+from ..runtime import Runtime
 
 DEFAULT_OBSERVATION_PERIOD_MS = 60_000
 
@@ -122,8 +122,7 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
                 rec = AdjustmentRecord(cycle, mac, rate / (1 + silent), False)
             records.append(rec)
 
-    for t in trace.times:  # before the tick: boundary beacons count backward
-        rt.tom.insert(TimeoutObject("beacon", t, False, True, deliver))
+    rt.tom.insert_series("beacon", trace.times, deliver)  # before the tick: boundary beacons count backward
     rt.cycle_register("observation_cycle")
     rt.bind_function("observation_cycle", observe_cycle)
     rt.cycle_set("observation_cycle", period)

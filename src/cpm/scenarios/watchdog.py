@@ -19,8 +19,9 @@ once at entry for the heartbeat window too; one that truncates to 0 fails
 validation. The boundary check is the cyclic method ``wdt_tick``, run through
 ``Runtime.cycle_set``; the guard ``wdt_fired`` watches for ``WD_FIRED``, and
 a body bound to it by name may restart the watchdog. Fault injections and
-restart writes are one-shot timeout objects. A boundary or a restart write
-coinciding with the horizon is not evaluated; the run ends in ``WD_END``.
+restart writes are two series of one-shots, armed with
+``TOM.insert_series``. A boundary or a restart write coinciding with the
+horizon is not evaluated; the run ends in ``WD_END``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from ..runtime import (
     WD_FIRED,
     WD_STARTED,
     Runtime,
-    TimeoutObject,
     wd_state_name,
 )
 
@@ -135,15 +135,24 @@ def run_wdt(params: WdtScenarioParams) -> WdtResult:
     rt.cycle_register("wdt_tick")
     rt.bind_function("wdt_tick", check_period)
 
-    # fault injections and restart writes ride the schedule as one-shots,
-    # inserted before the periodic check so they win boundary ties
-    for t, idx, corrupt in params.fault_schedule:
-        rt.tom.insert(TimeoutObject(
-            subid="fault", deadline=t, action=lambda idx=idx, corrupt=corrupt: rt.red_inject_fault("watchdog", idx, corrupt)))
-    for t, value in params.restart_schedule:
-        if t >= params.horizon:
-            continue  # the horizon ends the run before a write at it lands
-        rt.tom.insert(TimeoutObject(subid="restart_write", deadline=t, action=lambda value=value: rt.ctx_write("watchdog", value)))
+    # two series of one-shots, inserted before the periodic check so they win
+    # boundary ties, each sorted stably by the int ms TOM arms, so entries
+    # due in the same ms keep their schedule order
+    by_ms = lambda entry: int(entry[0])
+    faults = sorted(params.fault_schedule, key=by_ms)
+    # the horizon ends the run before a write at it lands
+    writes = sorted((w for w in params.restart_schedule if w[0] < params.horizon), key=by_ms)
+    next_fault, next_write = iter(faults).__next__, iter(writes).__next__
+
+    def inject_fault():
+        _, idx, corrupt = next_fault()
+        rt.red_inject_fault("watchdog", idx, corrupt)
+
+    def write_restart():
+        rt.ctx_write("watchdog", next_write()[1])
+
+    rt.tom.insert_series("fault", [t for t, _, _ in faults], inject_fault)
+    rt.tom.insert_series("restart_write", [t for t, _ in writes], write_restart)
 
     publish(WD_STARTED)
     publish(WD_ACTIVE)  # activation message arrives at t=0

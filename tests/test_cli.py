@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from cpm import cli
 from cpm.cli import main
 from cpm.pipeline import preamble_line
 
@@ -96,6 +97,17 @@ def test_refuses_to_overwrite_input_however_o_spells_it(tmp_path, monkeypatch, c
     assert main(["--ext", "cyclic", "../in.cpm", "-o", output]) == 1
     assert src.read_text(encoding="latin-1") == WDT_SOURCE
     assert capsys.readouterr().err == f"cpm: error: output path {output} would overwrite the input\n"
+
+
+def test_a_refused_overwrite_transforms_nothing(tmp_path, monkeypatch):
+    src = write_input(tmp_path, name="prog.c")
+    runs = []
+    real = cli.run
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args) or real(*args, **kwargs))
+    assert main(["--ext", "cyclic", str(src)]) == 1
+    assert runs == []
+    assert main(["--ext", "cyclic", str(src), "-o", str(tmp_path / "out.c")]) == 0
+    assert len(runs) == 1
 
 
 def test_runs_are_byte_identical(tmp_path):

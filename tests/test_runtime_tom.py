@@ -497,3 +497,63 @@ def test_hypothesis_actions_see_their_fire_time_and_time_never_runs_back(ops):
         if fire.kind == "fire":
             assert (after.kind, after.name, after.time_ms) == ("seen", fire.name, fire.time_ms)
     assert rt.events.now == sum(int(args[0]) for op, *args in ops if op == "advance")
+
+
+SERIES_DEADLINES = st.lists(st.one_of(st.integers(0, 12), st.floats(0, 12)), max_size=6).map(sorted)
+SERIES_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("series"), SERIES_DEADLINES),
+        st.tuples(st.just("one_shot"), st.integers(0, 12)),
+        st.tuples(st.just("cyclic"), st.integers(1, 6)),
+        st.tuples(st.just("advance"), st.integers(0, 15)),
+        st.tuples(st.just("poll"), st.none()),
+    ),
+    max_size=20,
+)
+
+
+def play_series_script(ops, as_objects):
+    """Run ``ops`` on a fresh manager, arming each series with one
+    ``insert_series`` call or, if ``as_objects``, as one ``TimeoutObject``
+    per deadline; each action logs a ``seen`` event. Returns the manager and
+    the returns of ``advance`` and ``poll``, call by call."""
+    tom, returned = TOM(), []
+    for i, (op, arg) in enumerate(ops):
+        name = f"{op}{i}"
+        action = partial(tom.events.log, "seen", name)
+        if op == "series" and as_objects:
+            for d in arg:
+                tom.insert(TimeoutObject(name, d, action=action))
+        elif op == "series":
+            tom.insert_series(name, arg, action)
+        elif op in ("one_shot", "cyclic"):
+            tom.insert(TimeoutObject(name, arg, cyclic=op == "cyclic", action=action))
+        else:
+            returned.append(tom.advance(arg) if op == "advance" else tom.poll())
+    returned.append(tom.advance(20))
+    return tom, returned
+
+
+@settings(max_examples=300, deadline=None)
+@given(SERIES_OPS)
+def test_hypothesis_a_series_fires_as_one_timeout_object_per_deadline(ops):
+    series, series_returned = play_series_script(ops, as_objects=False)
+    objects, objects_returned = play_series_script(ops, as_objects=True)
+    assert series_returned == objects_returned
+    assert series.events.to_csv() == objects.events.to_csv()
+    assert series._next_seq == objects._next_seq
+
+
+@pytest.mark.parametrize("deadlines", [[-1], [0, 5, -1], [0, 5, 3], [2.7, 1.9], (d for d in (4, 2))])
+def test_a_negative_or_decreasing_series_is_rejected_before_anything_changes(deadlines):
+    tom = TOM()
+    tom.insert(make("a", 10))
+    tom.insert_series("s", [4, 6], None)
+    tom.advance(5)
+    before = (list(tom._heap), tom._next_seq, tom.events.to_csv())
+    with pytest.raises(ValueError, match="non-negative and non-decreasing"):
+        tom.insert_series("bad", deadlines, lambda: None)
+    assert (list(tom._heap), tom._next_seq, tom.events.to_csv()) == before
+    tom.insert_series("empty", [], lambda: None)
+    assert (list(tom._heap), tom._next_seq, tom.events.to_csv()) == before
+    assert tom.advance(10) == [(6, "s", 1), (10, "a", 1)]

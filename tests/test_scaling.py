@@ -8,8 +8,10 @@ tests also count the record objects a run builds.
 """
 
 import dataclasses
+import heapq
 import math
 import sys
+import types
 
 import pytest
 
@@ -18,7 +20,7 @@ from cpm.ext_cyclic import scan_cyclic
 from cpm.ext_redundancy import scan_redundant
 from cpm.ext_reflective import scan_arrays, scan_context
 from cpm.pipeline import _strict_sweep, preamble_line
-from cpm.runtime import TOM, ContextRegistry, ReflectiveArray, Runtime, events
+from cpm.runtime import ContextRegistry, ReflectiveArray, Runtime, TimeoutObject, events, tom
 from cpm.scenarios import BeaconTrace, WdtScenarioParams, run_switchboard, run_wdt
 
 
@@ -51,38 +53,70 @@ def test_wdt_iterates_heartbeat_schedule_independently_of_horizon():
     assert heartbeat_iterations(1_000) == heartbeat_iterations(4_000)
 
 
-def beacon_actions(peers):
-    """The ``action`` of every ``beacon`` one-shot ``run_switchboard``
-    inserts for ``peers`` peers beaconing once per period for ten periods."""
-    rows = [(cycle * 100 + 1 + peer, f"m{peer}", 1.0) for cycle in range(10) for peer in range(peers)]
-    real, actions = TOM.insert, []
+def counted(cls, built):
+    """A stand-in for ``cls`` that records each object it builds."""
 
-    def collecting(tom, to):
-        if to.subid == "beacon":
-            actions.append(to.action)
-        return real(tom, to)
+    def build(*args, **kwargs):
+        built.append(cls(*args, **kwargs))
+        return built[-1]
+
+    return build
+
+
+def switchboard_timeouts(peers):
+    """The ``TimeoutObject``s a switchboard run builds and the longest its
+    TOM heap grows, for ``peers`` peers beaconing once per period for ten
+    periods."""
+    rows = [(cycle * 100 + 1 + peer, f"m{peer}", 1.0) for cycle in range(10) for peer in range(peers)]
+    built, longest = [], 0
+
+    def pushing(heap, entry):
+        nonlocal longest
+        heapq.heappush(heap, entry)
+        longest = max(longest, len(heap))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(TOM, "insert", collecting)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("cpm") and getattr(mod, "TimeoutObject", None) is TimeoutObject:
+                patch.setattr(mod, "TimeoutObject", counted(TimeoutObject, built))
+        patch.setattr(tom, "heapq", types.SimpleNamespace(heappush=pushing, heappop=heapq.heappop))
+        result = run_switchboard(BeaconTrace.from_rows(rows), observation_period=100, horizon=1_000)
+    assert len(result.runtime.tom.fired_log) == len(rows) + 10
+    return built, longest
+
+
+def beacon_series(peers):
+    """The ``(deadlines, action)`` of every ``beacon`` series
+    ``run_switchboard`` arms for ``peers`` peers beaconing once per period
+    for ten periods."""
+    rows = [(cycle * 100 + 1 + peer, f"m{peer}", 1.0) for cycle in range(10) for peer in range(peers)]
+    real, series = tom.TOM.insert_series, []
+
+    def collecting(self, subid, deadlines, action):
+        if subid == "beacon":
+            series.append((list(deadlines), action))
+        return real(self, subid, deadlines, action)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tom.TOM, "insert_series", collecting)
         run_switchboard(BeaconTrace.from_rows(rows), observation_period=100, horizon=1_000)
-    assert len(actions) == len(rows)
-    return actions
+    return rows, series
 
 
 @pytest.mark.parametrize("peers", [5, 10])
 def test_switchboard_beacons_share_one_action(peers):
-    # the list keeps every action alive, so no two can share an id
-    assert len({id(action) for action in beacon_actions(peers)}) == 1
+    rows, series = beacon_series(peers)
+    # one series carries every beacon, so all of them share its one action
+    assert len(series) == 1
+    deadlines, action = series[0]
+    assert deadlines == [t for t, _, _ in rows] and callable(action)
 
 
-def counted(cls, built):
-    """A stand-in for ``cls`` that records each object it builds."""
-
-    def build(*args):
-        built.append(cls(*args))
-        return built[-1]
-
-    return build
+def test_a_switchboard_run_builds_no_timeout_object_per_beacon():
+    (few, few_longest), (many, many_longest) = switchboard_timeouts(5), switchboard_timeouts(10)
+    assert len(few) == len(many) and [to.subid for to in few] == ["observation_cycle"]
+    # the beacons' series and the cycle
+    assert few_longest <= 2 and many_longest <= 2
 
 
 def test_a_switchboard_run_builds_no_beacon_record_and_no_event():

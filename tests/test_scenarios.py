@@ -88,6 +88,19 @@ def test_wdt_fault_transparency():
         assert faulty == clean, schedule
 
 
+def test_wdt_one_shots_keep_their_schedule_order_within_a_ms():
+    # both writes land at 150: the first restarts the fired watchdog, the second is ignored
+    result = run_wdt(WdtScenarioParams(
+        wdt_period=100, horizon=400,
+        restart_schedule=((300, 8), (150.7, 5), (150.2, 6)), fault_schedule=((90.9, 0, 7), (20, 0, 3)),
+    ))
+    assert result.ignored_writes == [(150, 6)]
+    assert [(t, name) for t, name, _ in result.runtime.tom.fired_log] == [
+        (20, "fault"), (90, "fault"), (100, "wdt_tick"), (150, "restart_write"), (150, "restart_write"),
+        (250, "wdt_tick"), (300, "restart_write"), (400, "wdt_tick"),
+    ]
+
+
 def test_wdt_guard_fires_on_watchdog_firing():
     result = run_wdt(WdtScenarioParams(wdt_period=100, horizon=300))
     guard_events = result.runtime.events.of("guard")
