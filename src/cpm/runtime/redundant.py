@@ -12,6 +12,14 @@ and voting would have failed). The adaptation policy grows N by two when that
 risk crosses its threshold and shrinks N by two after enough consecutive
 clean windows, staying inside [n_min, n_max] and always odd. The set's
 ``vote_fail`` and ``adapt`` events take their event log's time.
+
+A write is one slice store: the same list takes the same value object in
+every slot. A read whose replicas all agree with the first (the common case)
+costs one ``list.count``, the stats update and one compare of the risk with
+the threshold, all in the one frame of :meth:`ReplicaSet.read`. Slower
+branches: a read whose replicas disagree runs the vote and repairs the
+minority with one slice store, a read that fills the policy window also
+counts clean windows, and only a read that changes N calls out, to resize.
 """
 
 from __future__ import annotations
@@ -28,6 +36,10 @@ class NoMajorityError(RuntimeError):
 
 @dataclass
 class AdaptPolicy:
+    """Adaptation policy of a replica set. A read escalates when its failure
+    risk exceeds ``escalate_threshold``; a threshold of 1 or more, which no
+    risk exceeds, means never escalate."""
+
     window: int = 16
     escalate_threshold: float = 0.25
     deescalate_after: int = 4  # consecutive clean windows before shrinking
@@ -41,6 +53,8 @@ class AdaptPolicy:
             raise ValueError("need 3 <= n_min <= n_max")
         if self.window < 1 or self.deescalate_after < 1:
             raise ValueError("window and deescalate_after must be positive")
+        if not self.escalate_threshold >= 0:  # NaN too: no risk would ever exceed it
+            raise ValueError("escalate_threshold must be a number >= 0")
 
 
 @dataclass
@@ -86,8 +100,8 @@ class ReplicaSet:
     def write(self, value):
         """Multiplexed write: every replica takes the value. Does not count
         as a read and records no discrepancy."""
-        for i in range(len(self._replicas)):
-            self._replicas[i] = value
+        reps = self._replicas
+        reps[:] = [value] * len(reps)
 
     def inject_fault(self, replica_index, corrupt_value):
         """Test instrumentation: corrupt exactly one replica in place."""
@@ -122,33 +136,33 @@ class ReplicaSet:
             value = reps[reps.index(cand)]  # the first agreeing replica
             discrepancies = n - agreeing
             if discrepancies:
-                for i in range(n):
-                    reps[i] = value
+                reps[:] = [value] * n
         st = self.stats
-        st.discrepancy_histogram[discrepancies] = st.discrepancy_histogram.get(discrepancies, 0) + 1
-        risky = n // 2
-        if len(st.window) == st.window.maxlen and st.window[0] >= risky:
+        hist, window = st.discrepancy_histogram, st.window
+        hist[discrepancies] = hist.get(discrepancies, 0) + 1
+        risky, maxlen = n // 2, window.maxlen
+        if len(window) == maxlen and window[0] >= risky:
             st.risky -= 1  # about to be evicted
-        st.window.append(discrepancies)
+        window.append(discrepancies)
         st.risky += discrepancies >= risky
-        self._adapt(majority=value)
-        return value
-
-    def _adapt(self, majority):
-        self._window_reads += 1
-        if self.stats.failure_risk > self.policy.escalate_threshold and self.n + 2 <= self.policy.n_max:
-            self._resize(self.n + 2, majority)
-            return
-        if self._window_reads >= self.policy.window:
-            if self.stats.risky == 0:  # stats.window holds just the reads of this window
-                self._clean_windows += 1
-                if self._clean_windows >= self.policy.deescalate_after:
-                    if self.n - 2 >= self.policy.n_min:
-                        self._resize(self.n - 2, majority)
-                    self._clean_windows = 0
-            else:
+        # adaptation: escalate on risk first, else close the window when full
+        policy = self.policy
+        if st.risky / maxlen > policy.escalate_threshold and n + 2 <= policy.n_max:
+            self._resize(n + 2, value)
+            return value
+        reads = self._window_reads + 1
+        if reads >= policy.window:
+            if st.risky:
                 self._clean_windows = 0
-            self._window_reads = 0
+            else:  # the window holds just the reads of this window, all clean
+                self._clean_windows += 1
+                if self._clean_windows >= policy.deescalate_after:
+                    if n - 2 >= policy.n_min:
+                        self._resize(n - 2, value)
+                    self._clean_windows = 0
+            reads = 0
+        self._window_reads = reads
+        return value
 
     def _resize(self, new_n, majority):
         old_n = self.n

@@ -18,7 +18,10 @@ enters: :meth:`TOM.insert` and :meth:`TOM.set_deadline` store ``int(deadline)``,
 which every arming adds to ``now``, :meth:`TOM.insert_series` truncates
 each of its deadlines, and :meth:`TOM.advance` adds ``int(dt)``
 (``advance(2.5)`` then ``advance(7.6)`` leaves ``now`` at 9). So every fire
-time is an int.
+time is an int. A cyclic object is re-armed inside the firing loop; a
+positive int ``deadline``, all that ``insert`` and ``set_deadline`` store,
+is added as it is, and any other value (one assigned to the field directly)
+goes through the same check, so ``7.6`` re-arms every 7 ms and ``0`` raises.
 
 A :class:`TimeoutObject` is a slotted dataclass, one object per timeout
 the caller controls. A stream of one-shots known up front, such as a
@@ -188,8 +191,14 @@ class TOM:
                 continue  # superseded by renew/delete
             to._queued = False
             events._now = when  # actions observe their fire time; nothing is armed before now
-            if to.cyclic:  # a disabled one keeps its cadence, silently
-                self._arm(to, when + _period(to, to.deadline))
+            if to.cyclic:  # a disabled one keeps its cadence, silently; re-armed as _arm would
+                period = to.deadline
+                if type(period) is not int or period <= 0:  # assigned to the field directly
+                    period = _period(to, period)
+                to._version = version = version + 1
+                to.next_fire = nxt = when + period
+                to._queued = True
+                push(heap, (nxt, to._seq, version, to))
             if not to.enabled:
                 continue
             to.instances += 1

@@ -294,7 +294,9 @@ def _unclosed(toks):
 
 
 class ReferenceReplicaSet(ReplicaSet):
-    """A replica set whose read always votes: no unanimous short-circuit."""
+    """A replica set whose read always votes (no unanimous short-circuit) and
+    repairs and adapts through its own methods, one step at a time, instead
+    of the runtime's inline bookkeeping."""
 
     def read(self):
         reps = self._replicas
@@ -325,6 +327,35 @@ class ReferenceReplicaSet(ReplicaSet):
         st.risky += discrepancies >= risky
         self._adapt(majority=value)
         return value
+
+    def _adapt(self, majority):
+        self._window_reads += 1
+        if self.stats.failure_risk > self.policy.escalate_threshold and self.n + 2 <= self.policy.n_max:
+            self._resize(self.n + 2, majority)
+            return
+        if self._window_reads >= self.policy.window:
+            if self.stats.risky == 0:  # stats.window holds just the reads of this window
+                self._clean_windows += 1
+                if self._clean_windows >= self.policy.deescalate_after:
+                    if self.n - 2 >= self.policy.n_min:
+                        self._resize(self.n - 2, majority)
+                    self._clean_windows = 0
+            else:
+                self._clean_windows = 0
+            self._window_reads = 0
+
+    def _resize(self, new_n, majority):
+        old_n = self.n
+        if new_n > old_n:
+            self._replicas.extend([majority] * (new_n - old_n))
+        else:
+            del self._replicas[new_n:]
+        # measurements made at the old N no longer apply
+        self.stats.window.clear()
+        self.stats.risky = 0
+        self._window_reads = 0
+        self._clean_windows = 0
+        self.events.log("adapt", self.name, new_n, f"{old_n}->{new_n}")
 
 
 class ReferenceArray:

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpm.runtime import TOM, AdaptPolicy, EventLog, NoMajorityError, ReplicaSet
@@ -106,6 +106,11 @@ def test_constructor_validation():
         ReplicaSet("x", 1)
     with pytest.raises(ValueError):
         ReplicaSet("x", 11)  # beyond default n_max
+    with pytest.raises(ValueError, match="escalate_threshold"):
+        AdaptPolicy(escalate_threshold=-0.1)  # would escalate on a clean read
+    with pytest.raises(ValueError, match="escalate_threshold"):
+        AdaptPolicy(escalate_threshold=float("nan"))  # would never escalate
+    assert AdaptPolicy(escalate_threshold=1.0).escalate_threshold == 1.0  # never escalates
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -285,7 +290,8 @@ _vote_ops = st.one_of(
 
 def _voted(rs):
     st_ = rs.stats
-    return rs.replicas, st_.reads, st_.discrepancy_histogram, list(st_.window), st_.failure_risk
+    return (rs.replicas, st_.reads, st_.discrepancy_histogram, list(st_.window), st_.failure_risk,
+            rs._window_reads, rs._clean_windows)
 
 
 def _same(a, b):
@@ -297,21 +303,36 @@ def _same(a, b):
     return a is b or (type(a) is type(b) and a == b)
 
 
-@settings(max_examples=300, deadline=None)
+@st.composite
+def _replica_bounds(draw):
+    """(replicas, n_min, n_max), with n_min == n_max and a cap below 9 among them."""
+    n = draw(st.sampled_from([3, 5, 7]))
+    n_min = draw(st.sampled_from(range(3, n + 1, 2)))
+    n_max = draw(st.sampled_from(range(n, 10, 2)))
+    return n, n_min, n_max
+
+
+@settings(max_examples=400, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=4),
-    st.sampled_from([0.0, 0.3, 0.6]),
+    _replica_bounds(),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([0.0, 0.3, 0.6, 1.0]),
     st.integers(min_value=1, max_value=2),
     st.lists(_vote_ops, max_size=60),
 )
-def test_hypothesis_read_matches_the_always_voting_reference(window, threshold, deescalate, ops):
-    """The unanimous short-circuit changes nothing observable: return values,
-    failures, replicas, stats and the event log (``adapt`` and ``vote_fail``
-    rows among them) match a replica set whose every read votes."""
+# a clean window, then a dirty one at the cap: the dirty one resets the clean count
+@example((3, 3, 3), 2, 0.0, 2, [("read",), ("read",), ("fault", 0, 1), ("read",), ("read",)])
+def test_hypothesis_read_matches_the_always_voting_reference(bounds, window, threshold, deescalate, ops):
+    """The unanimous short-circuit and the inline bookkeeping change nothing
+    observable: return values, failures, replicas, stats and the event log
+    (``adapt`` and ``vote_fail`` rows among them) match a replica set whose
+    every read votes and adapts step by step."""
+    n, n_min, n_max = bounds
     sets = []
     for cls in (ReplicaSet, ReferenceReplicaSet):
-        policy = AdaptPolicy(window=window, escalate_threshold=threshold, deescalate_after=deescalate)
-        sets.append(cls("x", 3, policy=policy, events=EventLog()))
+        policy = AdaptPolicy(window=window, escalate_threshold=threshold, deescalate_after=deescalate,
+                             n_min=n_min, n_max=n_max)
+        sets.append(cls("x", n, policy=policy, events=EventLog()))
     toms = [TOM(events=rs.events) for rs in sets]
     for op in ops:
         outcomes = []

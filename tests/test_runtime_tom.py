@@ -231,6 +231,30 @@ def test_fractional_cyclic_deadline_fires_at_its_int_multiples_in_both_logs():
     assert [e.time_ms for e in tom.events.of("fire")] == [2, 4]
 
 
+def test_a_deadline_field_assigned_directly_is_truncated_at_each_rearm():
+    """``insert`` and ``set_deadline`` store an int; a float assigned to the
+    field itself takes effect at the next re-arm, truncated there."""
+    tom = TOM()
+    t = make("c", 10, cyclic=True)
+    tom.insert(t)
+    assert tom.advance(10) == [(10, "c", 1)]
+    t.deadline = 7.6
+    assert tom.advance(24) == [(20, "c", 2), (27, "c", 3), (34, "c", 4)]
+    assert t.deadline == 7.6 and t.next_fire == 41
+
+
+@pytest.mark.parametrize("deadline", [0, -3])
+def test_a_non_positive_deadline_field_assigned_directly_raises_at_the_rearm(deadline):
+    tom = TOM()
+    t = make("c", 10, cyclic=True)
+    tom.insert(t)
+    tom.advance(10)
+    t.deadline = deadline
+    with pytest.raises(ValueError, match="must be positive"):
+        tom.advance(10)
+    assert tom.fired_log == [(10, "c", 1)]
+
+
 TOM_OBJECTS = (("a", False), ("b", False), ("c", True))  # (subid, cyclic)
 TOM_DEADLINE = st.integers(-20, 40)
 TOM_INDEX = st.integers(0, len(TOM_OBJECTS) - 1)

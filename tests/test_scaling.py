@@ -3,10 +3,12 @@
 A path that rescans a whole collection per operation is quadratic over a
 run; these tests count how often such a collection is iterated, or how many
 lines of Python an operation executes, and require that count not to grow
-with the run. Data that grows with a run is kept as plain rows, so these
+with the run. Hot runtime primitives are held to the Python functions they
+enter. Data that grows with a run is kept as plain rows, so these
 tests also count the record objects a run builds.
 """
 
+import collections
 import dataclasses
 import heapq
 import math
@@ -20,7 +22,7 @@ from cpm.ext_cyclic import scan_cyclic
 from cpm.ext_redundancy import scan_redundant
 from cpm.ext_reflective import scan_arrays, scan_context
 from cpm.pipeline import _strict_sweep, preamble_line
-from cpm.runtime import ContextRegistry, ReflectiveArray, Runtime, TimeoutObject, events, tom
+from cpm.runtime import ContextRegistry, ReflectiveArray, ReplicaSet, Runtime, TimeoutObject, events, tom
 from cpm.scenarios import BeaconTrace, WdtScenarioParams, run_switchboard, run_wdt
 
 
@@ -157,6 +159,42 @@ def test_anext_walk_never_iterates_entries():
         cursor += 1
     assert cursor == 500
     assert arr.entries.iterations == 0
+
+
+def python_calls(fn):
+    """Run ``fn()`` and count, by name, the Python functions it enters:
+    ``fn`` itself and every Python callee."""
+    calls = collections.Counter()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_an_agreeing_read_and_a_write_enter_no_other_python_function(n):
+    rs = ReplicaSet("x", n)
+    assert python_calls(lambda: rs.write(5)) == {"<lambda>": 1, "write": 1}
+    for _ in range(2 * rs.policy.window):  # two full windows, both clean: N stays
+        assert python_calls(rs.read) == {"read": 1}
+    assert rs.n == n and rs.stats.discrepancy_histogram == {0: 2 * rs.policy.window}
+
+
+def test_a_cyclic_fire_with_a_positive_int_deadline_skips_the_period_check():
+    manager = tom.TOM()
+    cycle = TimeoutObject("c", 10, cyclic=True)
+    manager.insert(cycle)
+    calls = python_calls(lambda: manager.advance(1_000))
+    assert cycle.instances == 100
+    assert calls["_period"] == 0 and calls["_arm"] == 0
 
 
 def lines_executed(fn):
