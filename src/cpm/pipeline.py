@@ -236,7 +236,8 @@ def preamble_line(ids_string: str) -> str:
 def _strip_tags(unit: SourceUnit, applied):
     """Strip the ``@ext:`` tag of every line tagged for a pass in
     ``applied``. Returns (unit, {line_no: tag}) with every tagged line in the
-    map, whether its tag was stripped or not."""
+    map, whether its tag was stripped or not. The walk visits only the lines
+    whose text starts with ``@ext:``."""
     tags = {}
 
     def strip_tag(line_no, line):
@@ -248,7 +249,8 @@ def _strip_tags(unit: SourceUnit, applied):
         tags[line_no] = tag
         return content if tag in applied else line.raw
 
-    return map_lines(unit, strip_tag), tags
+    tagged = [n for n, line in enumerate(unit.lines, 1) if line.raw.startswith("@ext:")]
+    return map_lines(unit, strip_tag, tagged), tags
 
 
 def run(pipeline: Pipeline, unit: SourceUnit, strict=False):

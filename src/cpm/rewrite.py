@@ -419,11 +419,16 @@ def lower_lines(unit, lowerings):
     targets and is not numbered in its ``skip``. Returns (unit, one list of
     diagnostics per lowering).
 
-    Lowering a line adds no identifier but the runtime call heads of
-    :data:`~cpm.cexpr.ABI`, so a text a lowering changed is tokenized again
-    only when the names of its last tokenized form, or those heads, meet a
-    later lowering's triggers. The final text of a line is tokenized once, and
-    each distinct text once per walk.
+    The walk visits only the lines whose names meet some lowering's
+    targets, and lowers each distinct ``(text, block-comment state)`` once:
+    a line that repeats one already lowered in the walk, and is numbered in
+    no lowering's ``skip``, takes the lowered text and replays the warnings
+    each lowering gave it, with its own line number. Lowering a line adds no
+    identifier but the runtime call heads of :data:`~cpm.cexpr.ABI`, so a
+    text a lowering changed is tokenized again only when the names of its
+    last tokenized form, or those heads, meet a later lowering's triggers.
+    The final text of a line is tokenized once, and each distinct text once
+    per walk, when the walk reaches it.
     """
     diags = [[] for _ in lowerings]
     live = [
@@ -432,12 +437,19 @@ def lower_lines(unit, lowerings):
         if low.targets
     ]
     triggered = frozenset().union(*(low.targets for low in lowerings))
+    skipped = frozenset().union(*(low.skip for low in lowerings))
     memo = LineMemo()
+    lowered = {}  # (raw, in_block_comment) -> (text, ((out, ((severity, message, emitted_by), ...)), ...))
 
     def lower(line_no, line):
-        raw = line.raw
-        if triggered.isdisjoint(line.names):
+        key = line.raw, line.in_block_comment
+        done = lowered.get(key)
+        if done is not None and line_no not in skipped:
+            raw, warned = done
+            for out, found in warned:
+                out += [Diagnostic(severity, line_no, message, by) for severity, message, by in found]
             return raw
+        raw, warned = line.raw, ()
         for targets, triggers, keywords, emitted_by, skip, out, heads in live:
             if line_no in skip:
                 continue
@@ -446,10 +458,16 @@ def lower_lines(unit, lowerings):
                     continue
                 line = memo[raw, line.in_block_comment]
             if not triggers.isdisjoint(line.names):
+                before = len(out)
                 raw = rewrite_line(raw, line.sig, targets, keywords & line.names, line_no, emitted_by, out)
+                if len(out) > before:
+                    warned += ((out, tuple((d.severity, d.message, d.emitted_by) for d in out[before:])),)
+        if line_no not in skipped:
+            lowered[key] = raw, warned
         return raw
 
-    return map_lines(unit, lower, memo=memo), diags
+    line_nos = [n for n, line in enumerate(unit.lines, 1) if not triggered.isdisjoint(line.names)]
+    return map_lines(unit, lower, line_nos, memo), diags
 
 
 def lower_decls(
@@ -464,7 +482,8 @@ def lower_decls(
     with ``unrecognized``, formatted with ``kw``. For each match ``m``,
     ``declare(m, line_no)`` runs in unit order and returns the statement's
     new text, None to keep it, or a callable that returns either and is
-    called once the whole unit is seen. Warnings go to ``diags``.
+    called once the whole unit is seen. Warnings go to ``diags``. The
+    splice visits only the lines it has new text for.
     """
     spans = {}  # line_no -> [(start_col, end_col, text or callable)]
     for line_no, line in enumerate(unit.lines, 1):
@@ -482,10 +501,7 @@ def lower_decls(
                 spans.setdefault(line_no, []).append((start, end, text))
 
     def splice(line_no, line):
-        found = spans.get(line_no)
-        if found is None:
-            return line.raw
-        texts = [(s, e, t() if callable(t) else t) for s, e, t in found]
+        texts = [(s, e, t() if callable(t) else t) for s, e, t in spans[line_no]]
         return apply_spans(line.raw, [span for span in texts if span[2] is not None])
 
-    return map_lines(unit, splice)
+    return map_lines(unit, splice, list(spans))

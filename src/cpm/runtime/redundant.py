@@ -34,11 +34,13 @@ class NoMajorityError(RuntimeError):
     """Voting failure: no value is held by a strict majority of replicas."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptPolicy:
     """Adaptation policy of a replica set. A read escalates when its failure
     risk exceeds ``escalate_threshold``; a threshold of 1 or more, which no
-    risk exceeds, means never escalate."""
+    risk exceeds, means never escalate. A policy is immutable, so the checks
+    below hold for its lifetime and the stats window a set sizes from
+    ``window`` stays that size; one policy may serve any number of sets."""
 
     window: int = 16
     escalate_threshold: float = 0.25
@@ -55,6 +57,9 @@ class AdaptPolicy:
             raise ValueError("window and deescalate_after must be positive")
         if not self.escalate_threshold >= 0:  # NaN too: no risk would ever exceed it
             raise ValueError("escalate_threshold must be a number >= 0")
+
+
+_DEFAULT_POLICY = AdaptPolicy()
 
 
 @dataclass
@@ -76,7 +81,7 @@ class ReplicaSet:
     """N-way storage for one redundant variable (N odd, >= 3)."""
 
     def __init__(self, name, replicas=3, *, initial=0, policy=None, events=None):
-        policy = policy or AdaptPolicy()
+        policy = policy or _DEFAULT_POLICY
         if replicas % 2 == 0 or replicas < 3:
             raise ValueError("replica count must be odd and >= 3")
         if not policy.n_min <= replicas <= policy.n_max:

@@ -115,7 +115,7 @@ class Token(NamedTuple):
         return self.column + len(self.lexeme)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SourceLine:
     """One physical line, at whatever position of a unit it sits. Everything
     past ``in_block_comment`` is derived from ``raw`` and
@@ -123,7 +123,13 @@ class SourceLine:
     is never missing or stale: ``tokens`` partition the line, ``sig`` are
     the significant ones (neither whitespace nor comments), ``names`` the
     lexemes of its identifiers, and ``ends_in_block_comment`` tells whether
-    the next line begins inside a comment."""
+    the next line begins inside a comment.
+
+    The one constructor takes ``raw`` and ``in_block_comment`` only and
+    sets all six fields itself, with no generated ``__init__`` calling a
+    ``__post_init__``: a unit builds one line per changed text, so each
+    Python frame saved is saved per line. ``dataclasses.replace`` goes
+    through it, so a replaced line is tokenized afresh."""
 
     raw: str  # no trailing newline
     in_block_comment: bool = False  # line begins inside a /* ... */ comment
@@ -132,9 +138,11 @@ class SourceLine:
     names: frozenset[str] = field(init=False)
     ends_in_block_comment: bool = field(init=False)
 
-    def __post_init__(self):
-        tokens, sig, names, ends = _tokenize(self.raw, self.in_block_comment)
+    def __init__(self, raw: str, in_block_comment: bool = False):
+        tokens, sig, names, ends = _tokenize(raw, in_block_comment)
         set_field = object.__setattr__
+        set_field(self, "raw", raw)
+        set_field(self, "in_block_comment", in_block_comment)
         set_field(self, "tokens", tokens)
         set_field(self, "sig", sig)
         set_field(self, "names", names)
@@ -227,27 +235,49 @@ class LineMemo(dict):
         return line
 
 
-def map_lines(unit: SourceUnit, fn, memo=None) -> SourceUnit:
-    """Return ``unit`` with each line's raw text replaced by
-    ``fn(line_no, line)``, ``line_no`` its 1-based position; ``fn`` returns
-    ``line.raw`` for a line it leaves alone.
+def map_lines(unit: SourceUnit, fn, line_nos, memo=None) -> SourceUnit:
+    """Return ``unit`` with the raw text of each line numbered in
+    ``line_nos`` (1-based, increasing, within the unit) replaced by
+    ``fn(line_no, line)``; ``fn`` returns ``line.raw`` for a line it leaves
+    alone, and is not called for any other line.
 
     The result equals ``unit_from_raws`` of the new raw lines, but only the
     lines that changed are re-tokenized, plus the lines after them whose
     block-comment state the change flipped. Every other line keeps its
-    ``SourceLine`` object. New lines come from ``memo``, a fresh
+    ``SourceLine`` object, and a walk costs one Python call per named line,
+    not per line of the unit. New lines come from ``memo``, a fresh
     :class:`LineMemo` unless the caller shares its own with ``fn``, so a
     text that repeats is tokenized once.
+
+    Each new line is built as soon as its text is known, in line order, as a
+    walk over every line would build it: the order in which a unit's line
+    objects are allocated decides how the collector later lays them out,
+    and with it what a full collection after a transform costs.
     """
     if memo is None:
         memo = LineMemo()
-    lines = list(unit.lines)
-    in_block = False  # block-comment state entering the line, in the new unit
-    for line_no, line in enumerate(unit.lines, 1):
+    old = unit.lines
+    lines = list(old)
+    end = len(old) + 1
+    in_block = False  # block-comment state entering ``old[at]``, in the new unit
+    at = 0  # every line before ``old[at]`` is settled
+    for line_no in (*line_nos, end):
+        i = line_no - 1
+        # rebuild the lines up to this one whose comment state a change flipped
+        while at < i and in_block != old[at].in_block_comment:
+            line = lines[at] = memo[old[at].raw, in_block]
+            in_block = line.ends_in_block_comment
+            at += 1
+        if line_no == end:
+            break
+        line = old[i]
+        if at < i:  # a kept line is passed: the old state holds again
+            in_block = line.in_block_comment
         raw = fn(line_no, line)
         if raw != line.raw or in_block != line.in_block_comment:
-            line = lines[line_no - 1] = memo[raw, in_block]
+            line = lines[i] = memo[raw, in_block]
         in_block = line.ends_in_block_comment
+        at = line_no
     return SourceUnit(lines=tuple(lines), final_newline=unit.final_newline)
 
 

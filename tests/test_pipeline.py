@@ -195,6 +195,32 @@ def test_one_lowering_walk_equals_each_pass_lowering_the_unit_in_turn(src, order
     assert report.diagnostics == expected_report.diagnostics
 
 
+# a few lines drawn many times, so the walk meets texts it already lowered:
+# one with and without a tag, one inside and outside a block comment, and
+# repeats that warn, for one pass and for two
+REPEATED = [
+    "r1 = s1 + 1;", "@ext:redundancy r1 = s1 + 1;", "lb = r1++;", "/* open", "r1 = 1; */ r1 = 2;", "s1 = r1; */",
+]
+REPEATED_DECLS = "redundant_t int r1; sensor_t int s1; context_t int lb;\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from(REPEATED), min_size=1, max_size=12).map(lambda ls: REPEATED_DECLS + "\n".join(ls) + "\n"),
+    st.permutations(list(builtin_registry())),
+    st.integers(1, 4),
+)
+@example(REPEATED_DECLS + "r1 = s1 + 1;\n@ext:redundancy r1 = s1 + 1;\n", ["refractive", "redundancy"], 2)
+@example(REPEATED_DECLS + "r1 = 1; */ r1 = 2;\n/* open\nr1 = 1; */ r1 = 2;\n", ["redundancy"], 1)
+@example(REPEATED_DECLS + "lb = r1++;\ns1 = r1; */\nlb = r1++;\ns1 = r1; */\n", ["redundancy", "refractive"], 2)
+def test_a_walk_lowering_repeated_lines_once_equals_each_pass_lowering_the_unit_in_turn(src, order, n):
+    pipeline = compose(order[:n])
+    out, report = run(pipeline, load_unit(src), strict=True)
+    expected, expected_report = reference_lower_in_turn(pipeline, load_unit(src), strict=True)
+    assert out == expected  # text and every line's tokens and comment state
+    assert report.diagnostics == expected_report.diagnostics
+
+
 def test_order_confluence_refractive_array():
     src = (
         "sensor_t int cpu_load;\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -111,6 +112,17 @@ def test_constructor_validation():
     with pytest.raises(ValueError, match="escalate_threshold"):
         AdaptPolicy(escalate_threshold=float("nan"))  # would never escalate
     assert AdaptPolicy(escalate_threshold=1.0).escalate_threshold == 1.0  # never escalates
+
+
+@pytest.mark.parametrize("policy", [None, AdaptPolicy(window=2, deescalate_after=1)])
+@pytest.mark.parametrize("field, value", [("window", 2), ("escalate_threshold", float("nan")), ("escalate_threshold", -0.1)])
+def test_a_sets_policy_cannot_change_under_it(policy, field, value):
+    # a later window would leave the stats deque at its old maxlen, and a
+    # later threshold would skip the construction-time check
+    rs = ReplicaSet("x", 5, policy=policy)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rs.policy, field, value)
+    assert rs.stats.window.maxlen == rs.policy.window
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

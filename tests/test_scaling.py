@@ -17,7 +17,7 @@ import types
 
 import pytest
 
-from cpm import PassConfig, compose, interp, load_unit, rewrite, run, srcmodel
+from cpm import PassConfig, compose, interp, load_unit, pipeline, rewrite, run, srcmodel
 from cpm.ext_cyclic import scan_cyclic
 from cpm.ext_redundancy import scan_redundant
 from cpm.ext_reflective import scan_arrays, scan_context
@@ -304,6 +304,50 @@ def test_a_lowered_text_repeated_on_n_lines_is_lexed_once():
     # every "r = s + 1;" lowers to the same text, which is tokenized once
     lexed = lambda n: len(tokenized_after_load("redundant_t int r;\nsensor_t int s;\n" + "r = s + 1;\n" * n)[0])
     assert lexed(10) == lexed(1_000)
+
+
+def rewrite_line_calls(n):
+    """How often a run lowers a line, over a unit of two declarations and
+    ``n`` copies of one line."""
+    real, calls = rewrite.rewrite_line, 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rewrite, "rewrite_line", counting)
+        run(compose(FOUR_PASSES), load_unit("redundant_t int r; sensor_t int s;\n" + "r = s + 1;\n" * n), strict=True)
+    return calls
+
+
+def test_a_line_text_repeated_on_n_lines_is_lowered_once():
+    assert rewrite_line_calls(10) == rewrite_line_calls(1_000)
+
+
+def walk_visits(n):
+    """How often the walks of one run call back into their caller, over a
+    unit of one declaration and ``n`` plain lines."""
+    real, visits = srcmodel.map_lines, 0
+
+    def counting(unit, fn, *rest):
+        def visit(*args):
+            nonlocal visits
+            visits += 1
+            return fn(*args)
+
+        return real(unit, visit, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (rewrite, pipeline):
+            patch.setattr(module, "map_lines", counting)
+        run(compose(FOUR_PASSES), load_unit("redundant_t int r;\n" + PLAIN * n), strict=True)
+    return visits
+
+
+def test_walks_visit_only_the_lines_they_change():
+    assert walk_visits(10) == walk_visits(1_000) > 0
 
 
 def sig_iterations(n, fn):

@@ -290,7 +290,7 @@ def test_map_lines_equals_full_rebuild(raws, final_newline, edits, skip):
     def fn(line_no, line):
         return line.raw if line_no in skip else edits.get(line_no, lambda raw: raw)(line.raw)
 
-    out = map_lines(unit, fn)
+    out = map_lines(unit, fn, [n for n in range(1, len(raws) + 1) if n not in skip])
     new_raws = [fn(n, line) for n, line in enumerate(unit.lines, 1)]
     assert out == unit_from_raws(new_raws, final_newline=final_newline)
     for old, new in zip(unit.lines, out.lines):
@@ -300,7 +300,7 @@ def test_map_lines_equals_full_rebuild(raws, final_newline, edits, skip):
 
 def test_map_lines_keeps_untouched_line_objects():
     unit = load_unit("a;\n/* b\nc */ d;\ne;\n")
-    out = map_lines(unit, lambda line_no, line: "b" if line_no == 2 else line.raw)
+    out = map_lines(unit, lambda line_no, line: "b" if line_no == 2 else line.raw, [2])
     # line 3 no longer starts inside a comment, so it is re-tokenized too;
     # line 4 starts outside a comment either way and is kept
     assert out.lines[0] is unit.lines[0]
@@ -332,7 +332,7 @@ def test_built_and_mapped_lines_carry_their_derived_fields(raws, edits, skip):
     def fn(line_no, line):
         return line.raw if line_no in skip else edits.get(line_no, lambda raw: raw)(line.raw)
 
-    assert_derived_fields(map_lines(unit, fn))
+    assert_derived_fields(map_lines(unit, fn, [n for n in range(1, len(raws) + 1) if n not in skip]))
 
 
 EXT_TEXT = st.lists(
