@@ -6,10 +6,12 @@ implemented as independent source-to-source passes over a line-oriented
 source model, assembled into user-ordered pipelines, and executed natively by
 the bundled runtime (majority voting with adaptive redundancy, a timeout
 manager that alone moves the virtual time the event log carries, and a
-context registry).
+context registry). ``import cpm`` loads the transform side only; the
+runtime, the interpreter and the scenarios load when named:
+``from cpm import runtime`` or ``import cpm.interp``.
 """
 
-from . import ext_cyclic, ext_redundancy, ext_reflective, interp, runtime, scenarios
+from . import ext_cyclic, ext_redundancy, ext_reflective
 from .pipeline import (
     ExtensionId,
     ExtensionPass,

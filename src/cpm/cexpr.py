@@ -13,9 +13,11 @@ a literal decodes C's escapes only. A runtime call (:data:`ABI`) compiles
 its arguments by kind and must have each one. :func:`translate_stmt` turns
 the statements the interpreter runs into Python source with the same
 parser, and :func:`compile_stmt` compiles that source; the interpreter
-compiles the sources of many statements together. Anything else raises
-``ValueError``, and so does a name of :data:`HELPERS`, which the compiled
-code calls (C reserves file-scope names with a leading underscore).
+compiles the sources of many statements together and keeps them per line,
+so :func:`compile_expr` is the only function here that caches. Anything
+else raises ``ValueError``, and so does a name of :data:`HELPERS`, which
+the compiled code calls (C reserves file-scope names with a leading
+underscore).
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ ABI = {
     "cpm_arr_get": ("name", "value", "name"), "anext": ("name", "value"), "cpm_cycle_register": ("name",),
     "cpm_cycle_get": ("name",), "cpm_cycle_set": ("name", "value"),
 }
+MAX_REPLICAS = 9  # the largest count cpm_red_storage accepts
+BUILTIN_ARRAY_PROPS = ("beacons", "silent_periods", "stale")  # what cpm_arr_get reads of every array
 
 # the words a declaration starts with; a name right after a type word is
 # being declared
@@ -302,7 +306,6 @@ def compile_expr(text):
     return _compile(text, source, "eval", "expression"), names
 
 
-@cache
 def translate_stmt(text):
     """Translate one statement of the interpreter's subset, ``text`` without
     its ``;``, into Python source that stores what it assigns or declares in
@@ -321,15 +324,13 @@ def translate_stmt(text):
     The source is whole unindented lines, one per declarator in a
     declaration, so the sources of several statements joined by newlines
     run as their sequence. Raises ``ValueError`` for anything else, such as
-    an array declarator; failures are not cached. The source may still be
-    past Python's nesting limits, which only :func:`compile_stmt` finds."""
+    an array declarator. The source may still be past Python's nesting
+    limits, which only :func:`compile_stmt` finds."""
     return _translate(text, _Parser.statement, "statement")[0]
 
 
-@cache
 def compile_stmt(text):
     """Compile the source :func:`translate_stmt` gives ``text`` into an
     ``exec`` code object. Raises ``ValueError`` where :func:`translate_stmt`
-    does and for source past Python's nesting limits; failures are not
-    cached."""
+    does and for source past Python's nesting limits."""
     return _compile(text, translate_stmt(text), "exec", "statement")

@@ -2,7 +2,9 @@
 
 The user picks the extensions and their order with repeated ``--ext`` flags;
 nothing is reordered or inferred. Input convention is ``.cpm``, output
-``.c``. Exit status is 0 on success and 1 on I/O or composition errors;
+``.c``. Exit status is 0 on success and 1 on I/O or composition errors, or
+when an output (``-o``, ``--emit-report``) resolves to an input (the source,
+``--config``) or to the other output, which is refused before any pass runs;
 diagnostics are warnings at worst and never change the exit status.
 
 The optional report file is line-oriented key/value records::
@@ -73,9 +75,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _fail(f"cannot read {in_path}: {exc}")
     out_path = Path(args.output) if args.output else in_path.with_suffix(".c")
-    if out_path.resolve() == in_path.resolve():
-        hint = "" if args.output else "; use -o"
-        return _fail(f"output path {out_path} would overwrite the input{hint}")
+    # no output may resolve to an input or to the other output
+    taken = {Path(path).resolve(): what for path, what in ((args.config, "the config"), (in_path, "the input")) if path}
+    for path, kind in ((args.output or out_path, "output"), (args.emit_report, "report")):
+        if path is None:
+            continue
+        resolved = Path(path).resolve()
+        if resolved in taken:
+            hint = "; use -o" if kind == "output" and not args.output else ""
+            return _fail(f"{kind} path {path} would overwrite {taken[resolved]}{hint}")
+        taken[resolved] = "the output"
 
     if args.config:
         try:

@@ -17,9 +17,9 @@ with a warning.
 
 from __future__ import annotations
 
+from .cexpr import MAX_REPLICAS
 from .pipeline import ExtensionId, ExtensionPass
 from .rewrite import Target, decl_head, lower_decls
-from .runtime.redundant import AdaptPolicy
 from .srcmodel import Diagnostic, SourceUnit
 
 PASS_ID = ExtensionId("redundancy", "1.1")
@@ -39,11 +39,11 @@ def _replica_count(config, diags):
             Diagnostic("warning", 0, f"redundancy.replicas={value!r} is not an integer; using {DEFAULT_REPLICAS}", str(PASS_ID))
         )
         n = DEFAULT_REPLICAS
-    if n > AdaptPolicy.n_max:
+    if n > MAX_REPLICAS:
         diags.append(
-            Diagnostic("warning", 0, f"redundancy.replicas={n} lowered to {AdaptPolicy.n_max} (the runtime's maximum)", str(PASS_ID))
+            Diagnostic("warning", 0, f"redundancy.replicas={n} lowered to {MAX_REPLICAS} (the runtime's maximum)", str(PASS_ID))
         )
-        n = AdaptPolicy.n_max
+        n = MAX_REPLICAS
     if n < 3:
         diags.append(
             Diagnostic("warning", 0, f"redundancy.replicas={n} raised to 3 (minimum for a majority)", str(PASS_ID))
@@ -77,15 +77,17 @@ def scan_redundant(unit: SourceUnit, config, skip=frozenset()):
     forms. Returns (unit, declared names, diagnostics)."""
     diags: list[Diagnostic] = []
     replicas = _replica_count(config, diags)
-    names = set()
+    names, defined = set(), set()
 
     def declare(m, line_no):
         is_extern, type_text, name, init = m
-        if name in names:
-            diags.append(
-                Diagnostic("warning", line_no, f"duplicate redundant declaration of '{name}'; line passed through", str(PASS_ID))
-            )
-            return None
+        if not is_extern or init is not None:  # C: any number of extern declarations, one definition
+            if name in defined:
+                diags.append(
+                    Diagnostic("warning", line_no, f"duplicate redundant declaration of '{name}'; line passed through", str(PASS_ID))
+                )
+                return None
+            defined.add(name)
         names.add(name)
         if is_extern:
             text = f"cpm_red_extern({name}, {type_text});"

@@ -28,10 +28,9 @@ its accesses are lowered by.
 
 from __future__ import annotations
 
-from .cexpr import compile_expr
+from .cexpr import BUILTIN_ARRAY_PROPS, compile_expr
 from .pipeline import ExtensionId, ExtensionPass
 from .rewrite import INDEX, Target, decl_head, lower_decls
-from .runtime.context import BUILTIN_ARRAY_PROPS
 from .srcmodel import IDENTIFIER, KEYWORD, Diagnostic, SourceUnit
 
 REFRACTIVE_ID = ExtensionId("refractive", "0.5")

@@ -6,30 +6,29 @@ straight-line C subset the case studies need, against a
 hand-coded runtime-call sequence be compared observation-for-observation
 without a C toolchain.
 
-Each statement is translated once per distinct text into Python source by
-:func:`cpm.cexpr.translate_stmt`, on which :func:`cpm.cexpr.compile_stmt`
-also builds: the emitted calls of :data:`cpm.cexpr.ABI` (each the
-``Runtime`` method of its head, less the type arguments), bare expressions,
-``x = e``, ``x op= e``, ``++``/``--``, ``return [e]`` and scalar
-declarations ``T a [= e], *b ...``, the ``extensions_pipeline`` preamble
-among them (it binds the string in :attr:`env`). Braces and function
-headers are ignored. Control flow is not interpreted, so a control header
-(``if (...) {``, ``} else {``, ``while``, ``for``, ``do``, ``switch``) is
-refused as unsupported rather than skipped, which would run its body
-unconditionally. Expressions follow C rules: ``/`` and ``%``
-truncate toward zero on ints, relational and logical operators yield 0 or 1,
-comparisons never chain, and ``?:`` works.
+:func:`cpm.cexpr.translate_stmt` translates a statement into Python source,
+and :func:`cpm.cexpr.compile_stmt` builds on it: the emitted calls of
+:data:`cpm.cexpr.ABI` (each the ``Runtime`` method of its head, less the
+type arguments), bare expressions, ``x = e``, ``x op= e``, ``++``/``--``,
+``return [e]`` and scalar declarations ``T a [= e], *b ...``, the
+``extensions_pipeline`` preamble among them (it binds the string in
+:attr:`env`). Braces and function headers are ignored. Control flow is not
+interpreted, so a control header (``if (...) {``, ``} else {``, ``while``,
+``for``, ``do``, ``switch``) is refused as unsupported rather than skipped,
+which would run its body unconditionally. Expressions follow C rules: ``/``
+and ``%`` truncate toward zero on ints, relational and logical operators
+yield 0 or 1, comparisons never chain, and ``?:`` works.
 
-Each distinct line is cut into statements once per process, keyed by its
-text and whether it opens inside a block comment, and every interpreter
-reuses its statements' sources: only a line not seen before is checked for
-an ``@ext:`` tag and cut by :func:`cpm.srcmodel.split_segments`. A run
-joins its statements' sources into chunks of at most :data:`CHUNK`
-statements and compiles each distinct chunk once per process into one code
-object, which one ``exec`` runs. A chunk is keyed by its statements'
-sources, so the same statements compile once wherever they sit; the gain
-needs lines that run again in the same process, as every run of a unit
-after its first does.
+Each distinct line is cut into statements and translated once per process
+(:data:`_LINES`), keyed by its text and whether it opens inside a block
+comment, and every interpreter reuses its statements' sources: only a line
+not seen before is checked for an ``@ext:`` tag, cut by
+:func:`cpm.srcmodel.split_segments` and translated. A run joins its
+statements' sources into chunks of at most :data:`CHUNK` statements and
+compiles each distinct chunk once per process into one code object, which
+one ``exec`` runs. A chunk is keyed by its statements' sources, so the same
+statements compile once wherever they sit; the gain needs lines that run
+again in the same process, as every run of a unit after its first does.
 :data:`CHUNK` bounds what one ``compile`` holds in memory, which grows
 with the source compiled at once (one code object for a 6,169-statement
 program raised peak RSS from 41 to 67 MB), while 128 statements per

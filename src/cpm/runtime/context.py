@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from ..cexpr import HELPERS, check_name, compile_expr
 from .events import EventLog
 
-BUILTIN_ARRAY_PROPS = ("beacons", "silent_periods", "stale")
-
 
 class Registry(dict):
     """A name -> object dict whose miss raises ``KeyError(message(name))``,

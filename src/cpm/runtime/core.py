@@ -51,21 +51,29 @@ class Runtime:
         self.tom = TOM(events=self.events)
         self.functions: dict[str, object] = {}  # C function name -> python callable
         self._cycles: dict[str, TimeoutObject | None] = {}  # cyclic method -> its timeout, once started
+        self._extern_only: set[str] = set()  # replica sets red_extern made, not yet defined
 
     # -- redundancy ----------------------------------------------------------
 
     def red_storage(self, name, replicas=3, *, initial=0) -> ReplicaSet:
-        if name in self.replicas:
+        """Define ``name``'s replica set. The definition of a set that only
+        :meth:`red_extern` made replaces it; a second definition warns and
+        keeps the first."""
+        if name in self.replicas and name not in self._extern_only:
             self.events.log("warn", name, 0, "redundant-storage-redefined")
             return self.replicas[name]
+        self._extern_only.discard(name)
         rs = ReplicaSet(name, replicas, initial=initial, events=self.events)
         self.replicas[name] = rs
         return rs
 
     def red_extern(self, name) -> ReplicaSet:
-        """Declaration-only form: binds to existing storage, creating it on
-        first reference."""
-        return self.replicas[name] if name in self.replicas else self.red_storage(name)
+        """Declaration-only form: binds to existing storage, creating a
+        default set on first reference, which a later definition replaces."""
+        if name not in self.replicas:
+            self.red_storage(name)
+            self._extern_only.add(name)
+        return self.replicas[name]
 
     def red_write(self, name, value):
         self.replicas[name].write(value)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..cexpr import MAX_REPLICAS
 from .events import EventLog
 
 
@@ -46,7 +47,7 @@ class AdaptPolicy:
     escalate_threshold: float = 0.25
     deescalate_after: int = 4  # consecutive clean windows before shrinking
     n_min: int = 3
-    n_max: int = 9
+    n_max: int = MAX_REPLICAS
 
     def __post_init__(self):
         if self.n_min % 2 == 0 or self.n_max % 2 == 0:

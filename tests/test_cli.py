@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,27 @@ def write_input(tmp_path, text=WDT_SOURCE, name="in.cpm"):
     path = tmp_path / name
     path.write_text(text, encoding="latin-1")
     return path
+
+
+# imports cpm.cli, prints what it loaded of the run-time side, then checks
+# that naming that side still loads it
+_IMPORT_PROBE = """
+import sys
+import cpm.cli
+print(sorted(m for m in sys.modules if m == "cpm.interp" or m.startswith(("cpm.runtime", "cpm.scenarios"))))
+from cpm import runtime, interp, scenarios
+star = {}
+exec("from cpm import *", star)
+assert (star["runtime"], star["interp"], star["scenarios"]) == (runtime, interp, scenarios)
+"""
+
+
+def test_the_cpm_command_loads_no_runtime_interpreter_or_scenario():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
 
 
 def test_list_extensions(capsys):
@@ -108,6 +132,27 @@ def test_a_refused_overwrite_transforms_nothing(tmp_path, monkeypatch):
     assert runs == []
     assert main(["--ext", "cyclic", str(src), "-o", str(tmp_path / "out.c")]) == 0
     assert len(runs) == 1
+
+
+@pytest.mark.parametrize("spell", [lambda name: f"./{name}", lambda name: str(Path.cwd() / name)], ids=["relative", "absolute"])
+@pytest.mark.parametrize(
+    "flag, target",
+    [("-o", "in.cpm"), ("-o", "ext.ini"), ("--emit-report", "in.cpm"), ("--emit-report", "ext.ini"), ("--emit-report", "out.c")],
+)
+def test_no_output_overwrites_an_input_or_the_other_output(tmp_path, monkeypatch, capsys, spell, flag, target):
+    monkeypatch.chdir(tmp_path)
+    write_input(tmp_path)
+    (tmp_path / "ext.ini").write_text("[redundancy]\nreplicas = 5\n")
+    path = spell(target)
+    outputs = {"-o": "out.c", "--emit-report": "report.txt", flag: path}
+    argv = ["in.cpm", "--ext", "array", "--config", "ext.ini", "-o", outputs["-o"], "--emit-report", outputs["--emit-report"]]
+    assert main(argv) == 1
+    kind = "output" if flag == "-o" else "report"
+    what = {"in.cpm": "the input", "ext.ini": "the config", "out.c": "the output"}[target]
+    assert capsys.readouterr().err == f"cpm: error: {kind} path {path} would overwrite {what}\n"
+    assert (tmp_path / "in.cpm").read_text(encoding="latin-1") == WDT_SOURCE
+    assert (tmp_path / "ext.ini").read_text() == "[redundancy]\nreplicas = 5\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ext.ini", "in.cpm"]
 
 
 def test_runs_are_byte_identical(tmp_path):

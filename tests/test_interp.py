@@ -3,7 +3,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpm import interp
-from cpm.cexpr import compile_stmt, translate_stmt
 from cpm.interp import AbiInterpreter, InterpError
 from cpm.pipeline import compose, run
 from cpm.runtime import Runtime
@@ -451,7 +450,7 @@ def run_observed(runner, text):
 def test_compiled_programs_run_like_the_reference_loop(text):
     expected = run_observed(reference_run_unit, text)
     interp._LINES.clear()
-    compile_stmt.cache_clear()
+    interp._CHUNKS.clear()
     assert run_observed(AbiInterpreter.run_unit, text) == expected  # cold
     assert run_observed(AbiInterpreter.run_unit, text) == expected  # warm, a second interpreter
 
@@ -481,8 +480,6 @@ def test_programs_longer_than_a_chunk_run_like_the_reference_loop(text):
     expected = run_observed(reference_run_unit, text)
     interp._LINES.clear()
     interp._CHUNKS.clear()
-    translate_stmt.cache_clear()
-    compile_stmt.cache_clear()
     assert run_observed(AbiInterpreter.run_unit, text) == expected  # cold
     assert run_observed(AbiInterpreter.run_unit, text) == expected  # warm, a second interpreter
 

@@ -1,3 +1,5 @@
+import pytest
+
 from cpm.ext_redundancy import RedundancyPass, lower_accesses, scan_redundant
 from cpm.interp import AbiInterpreter
 from cpm.pipeline import PassConfig, compose
@@ -70,6 +72,58 @@ def test_scan_duplicate_declaration_warned():
     unit, diags = transform("redundant_t int x;\nredundant_t int x;\n")
     assert any("duplicate" in d.message for d in diags)
     assert render(unit).count("cpm_red_storage") == 1
+
+
+EXTERN, DEFINITION = "extern redundant_t int x;", "redundant_t int x = 4;"
+EXTERN_OUT, DEFINITION_OUT = "cpm_red_extern(x, int);", "cpm_red_storage(x, int, 5); cpm_red_write(x, (4));"
+DUPLICATE = "duplicate redundant declaration of 'x'; line passed through"
+
+
+@pytest.mark.parametrize(
+    "lines, expected, warned",
+    [
+        ([EXTERN, DEFINITION], [EXTERN_OUT, DEFINITION_OUT], []),
+        ([DEFINITION, EXTERN], [DEFINITION_OUT, EXTERN_OUT], []),
+        ([EXTERN, EXTERN], [EXTERN_OUT, EXTERN_OUT], []),
+        ([DEFINITION, DEFINITION], [DEFINITION_OUT, DEFINITION], [(2, DUPLICATE)]),
+        # an extern declaration with an initializer is a definition, as in C
+        (["extern " + DEFINITION, DEFINITION], ["cpm_red_extern(x, int); cpm_red_write(x, (4));", DEFINITION], [(2, DUPLICATE)]),
+    ],
+    ids=["extern-definition", "definition-extern", "extern-extern", "definition-definition", "initialized-extern-definition"],
+)
+def test_only_a_second_definition_is_a_duplicate(lines, expected, warned):
+    unit, diags = transform("".join(f"{line}\n" for line in lines), PassConfig({"redundancy.replicas": "5"}))
+    assert render(unit) == "".join(f"{line}\n" for line in expected)
+    assert [(d.line_no, d.message) for d in diags if d.severity == "warning"] == warned
+
+
+def test_an_extern_then_its_definition_runs_at_the_definitions_count():
+    unit, _ = transform(f"{EXTERN}\n{DEFINITION}\nint y = x;\n", PassConfig({"redundancy.replicas": "5"}))
+    rt = Runtime()
+    it = AbiInterpreter(rt)
+    it.run_unit(unit)
+    assert (rt.replicas["x"].n, it.env["y"], rt.events.of("warn")) == (5, 4, [])
+
+
+@pytest.mark.parametrize(
+    "calls, n, warned",
+    [
+        ([("storage", 5), ("extern",)], 5, []),
+        ([("extern",), ("storage", 5)], 5, []),
+        ([("storage", 5), ("storage", 7)], 5, [("warn", "x", 0, "redundant-storage-redefined")]),
+    ],
+    ids=["storage-extern", "extern-storage", "storage-storage"],
+)
+def test_the_runtime_takes_a_definitions_count_after_an_extern(calls, n, warned):
+    rt = Runtime()
+    for call in calls:
+        if call[0] == "storage":
+            rs = rt.red_storage("x", call[1], initial=4)
+        else:
+            rs = rt.red_extern("x")
+        assert rs is rt.replicas["x"]
+    assert (rt.replicas["x"].n, rt.replicas["x"].read()) == (n, 4)
+    assert [(e.kind, e.name, e.instance, e.value) for e in rt.events.of("warn")] == warned
 
 
 def test_unrecognized_form_flushes_through():

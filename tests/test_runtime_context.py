@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpm.cexpr import BUILTIN_ARRAY_PROPS
 from cpm.runtime import (
     ContextRegistry,
     EventLog,
     ReflectiveArray,
     Runtime,
 )
-from cpm.runtime.context import BUILTIN_ARRAY_PROPS
 
 from oracles import ReferenceArray
 
