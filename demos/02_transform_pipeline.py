@@ -18,7 +18,7 @@ before any pass lowers an access.
 
 from pathlib import Path
 
-from cpm import PassConfig, compose, load_unit, publish_ids, render, run
+from cpm import PassConfig, compose, load_unit, render, run
 
 HERE = Path(__file__).parent
 
@@ -28,8 +28,6 @@ def main():
     config = PassConfig.from_ini(HERE / "extensions.ini")
 
     pipeline = compose(["refractive", "array", "redundancy", "cyclic"], config=config)
-    print("pipeline:", publish_ids(pipeline))
-
     out_unit, report = run(pipeline, load_unit(source))
 
     print("\n== transformed output ==")

@@ -22,7 +22,6 @@ from .pipeline import (
     VersionMismatchError,
     builtin_registry,
     compose,
-    publish_ids,
     run,
 )
 from .srcmodel import (
@@ -58,7 +57,6 @@ __all__ = [
     "ext_reflective",
     "interp",
     "load_unit",
-    "publish_ids",
     "render",
     "run",
     "runtime",

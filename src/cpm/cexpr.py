@@ -11,10 +11,10 @@ literals may be octal or hex with an ``l`` suffix (a ``u`` suffix is refused:
 unsigned arithmetic is not modelled), character constants are signed, and
 a literal decodes C's escapes only. A runtime call (:data:`ABI`) compiles
 its arguments by kind and must have each one. :func:`translate_stmt` turns
-the statements the interpreter runs into Python source with the same
-parser, and :func:`compile_stmt` compiles that source; the interpreter
-compiles the sources of many statements together and keeps them per line,
-so :func:`compile_expr` is the only function here that caches. Anything
+the tokens of a statement the interpreter cut from a line into Python
+source with the same parser, and :func:`compile_stmt` compiles a statement's
+text; the interpreter keeps statement sources per line, so
+:func:`compile_expr` is the only function here that caches. Anything
 else raises ``ValueError``, and so does a name of :data:`HELPERS`, which
 the compiled code calls (C reserves file-scope names with a leading
 underscore).
@@ -136,10 +136,8 @@ def _literal(lex):
 
 
 class _Parser:
-    def __init__(self, text):
-        if "\n" in text:
-            raise ValueError("a C expression or statement takes a single line (no newline bytes)")
-        self.toks = SourceLine(text).sig
+    def __init__(self, toks):
+        self.toks = toks
         self.pos = 0
         self.names = set()
 
@@ -277,15 +275,21 @@ def _not_c(text, what, exc):
     return ValueError(f"not a C {what} {text.strip()!r}: {exc}")
 
 
-def _translate(text, rule, what):
-    """``text`` parsed whole by ``rule``: ``(Python source, names read)``."""
-    parser = _Parser(text)
+def _translate(text, rule, what, toks=None):
+    """``text``, or its significant tokens ``toks`` if given, parsed whole by
+    ``rule``: ``(Python source, names read)``. An error quotes the lexemes
+    when ``text`` is empty."""
+    if toks is None:
+        if "\n" in text:
+            raise ValueError("a C expression or statement takes a single line (no newline bytes)")
+        toks = SourceLine(text).sig
+    parser = _Parser(toks)
     try:
         source = rule(parser)
-        if parser.pos < len(parser.toks):
+        if parser.pos < len(toks):
             raise ValueError(f"unexpected {parser.peek()!r}")
     except (ValueError, RecursionError) as exc:  # nesting past the parser's limits
-        raise _not_c(text, what, exc) from None
+        raise _not_c(text or " ".join(t.lexeme for t in toks), what, exc) from None
     return source, frozenset(parser.names)
 
 
@@ -306,10 +310,10 @@ def compile_expr(text):
     return _compile(text, source, "eval", "expression"), names
 
 
-def translate_stmt(text):
-    """Translate one statement of the interpreter's subset, ``text`` without
-    its ``;``, into Python source that stores what it assigns or declares in
-    its locals:
+def translate_stmt(toks):
+    """Translate one statement of the interpreter's subset, its significant
+    tokens ``toks`` without its ``;``, into Python source that stores what
+    it assigns or declares in its locals:
 
     - an expression;
     - ``x = e`` and ``x op= e``, with the operator semantics of
@@ -326,11 +330,11 @@ def translate_stmt(text):
     run as their sequence. Raises ``ValueError`` for anything else, such as
     an array declarator. The source may still be past Python's nesting
     limits, which only :func:`compile_stmt` finds."""
-    return _translate(text, _Parser.statement, "statement")[0]
+    return _translate("", _Parser.statement, "statement", toks)[0]
 
 
 def compile_stmt(text):
-    """Compile the source :func:`translate_stmt` gives ``text`` into an
-    ``exec`` code object. Raises ``ValueError`` where :func:`translate_stmt`
-    does and for source past Python's nesting limits."""
-    return _compile(text, translate_stmt(text), "exec", "statement")
+    """Compile the source :func:`translate_stmt` gives the tokens of ``text``
+    into an ``exec`` code object. Raises ``ValueError`` where it does and
+    for source past Python's nesting limits."""
+    return _compile(text, _translate(text, _Parser.statement, "statement")[0], "exec", "statement")

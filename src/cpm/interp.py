@@ -6,12 +6,12 @@ straight-line C subset the case studies need, against a
 hand-coded runtime-call sequence be compared observation-for-observation
 without a C toolchain.
 
-:func:`cpm.cexpr.translate_stmt` translates a statement into Python source,
-and :func:`cpm.cexpr.compile_stmt` builds on it: the emitted calls of
-:data:`cpm.cexpr.ABI` (each the ``Runtime`` method of its head, less the
-type arguments), bare expressions, ``x = e``, ``x op= e``, ``++``/``--``,
-``return [e]`` and scalar declarations ``T a [= e], *b ...``, the
-``extensions_pipeline`` preamble among them (it binds the string in
+:func:`cpm.cexpr.translate_stmt` translates a statement's tokens into
+Python source, and :func:`cpm.cexpr.compile_stmt` builds on it: the emitted
+calls of :data:`cpm.cexpr.ABI` (each the ``Runtime`` method of its head,
+less the type arguments), bare expressions, ``x = e``, ``x op= e``,
+``++``/``--``, ``return [e]`` and scalar declarations ``T a [= e], *b ...``,
+the ``extensions_pipeline`` preamble among them (it binds the string in
 :attr:`env`). Braces and function headers are ignored. Control flow is not
 interpreted, so a control header (``if (...) {``, ``} else {``, ``while``,
 ``for``, ``do``, ``switch``) is refused as unsupported rather than skipped,
@@ -23,7 +23,8 @@ Each distinct line is cut into statements and translated once per process
 (:data:`_LINES`), keyed by its text and whether it opens inside a block
 comment, and every interpreter reuses its statements' sources: only a line
 not seen before is checked for an ``@ext:`` tag, cut by
-:func:`cpm.srcmodel.split_segments` and translated. A run joins its
+:func:`cpm.srcmodel.split_segments` and translated from the tokens the line
+holds, so no statement is tokenized again. A run joins its
 statements' sources into chunks of at most :data:`CHUNK` statements and
 compiles each distinct chunk once per process into one code object, which
 one ``exec`` runs. A chunk is keyed by its statements' sources, so the same
@@ -96,12 +97,11 @@ def _statements(line):
         elif last.lexeme in ("{", "}"):
             continue  # block structure and function headers are not interpreted
         elif len(toks) > 1:  # not an empty statement
-            text = raw[toks[0].column : last.column]
             try:
-                source = translate_stmt(text)
+                source = translate_stmt(toks[:-1])
             except Exception:
                 source = _UNCOMPILED  # failures are not cached: run compiles it again and raises
-            texts.append(text)
+            texts.append(raw[toks[0].column : last.column])
             sources.append(source)
     if rest:
         texts.append(raw.strip())

@@ -10,8 +10,9 @@ each line.
 Every pass carries a canonical identifier of the form ``cpm://<name>/<version>``.
 Running a pipeline injects a one-line preamble defining the
 ``extensions_pipeline`` string (the semicolon-joined identifiers in
-application order) so the transformed program can inspect its own execution
-environment.
+application order, ``PipelineReport.extensions_pipeline``) so the
+transformed program can inspect its own execution environment; a unit
+lowered before keeps one preamble (:func:`run`).
 """
 
 from __future__ import annotations
@@ -224,13 +225,21 @@ def compose(names, registry=None, config=None) -> Pipeline:
     )
 
 
-def publish_ids(pipeline: Pipeline) -> str:
-    """Semicolon-joined canonical ids, application order, no trailing separator."""
-    return ";".join(p.id.canonical() for p in pipeline.passes)
-
-
 def preamble_line(ids_string: str) -> str:
     return f'const char *extensions_pipeline = "{ids_string}"; /* cpm preamble */'
+
+
+def _preamble_ids(raw: str):
+    """The ids ``raw`` publishes if it is exactly ``preamble_line(s)`` for
+    an ``s`` of canonical ids joined by ``;``, or empty; else None."""
+    head, _, tail = preamble_line("\0").partition("\0")
+    ids_string = raw[len(head) : len(raw) - len(tail)]
+    if preamble_line(ids_string) != raw:
+        return None
+    try:
+        return [ExtensionId.parse(part) for part in ids_string.split(";")] if ids_string else []
+    except ValueError:
+        return None
 
 
 def _strip_tags(unit: SourceUnit, applied):
@@ -259,8 +268,14 @@ def run(pipeline: Pipeline, unit: SourceUnit, strict=False):
     order on each line), and inject the identifier preamble as the first
     line, in front of the passes' own line objects. With ``strict`` (the
     CLI's ``--strict-tags``), also warn about the extension syntax no pass
-    consumed (:func:`_strict_sweep`). Returns (unit, report)."""
+    consumed (:func:`_strict_sweep`). Returns (unit, report).
+
+    A unit whose line 1 is a preamble of canonical ids was lowered before:
+    that line stays while the passes run, so diagnostics number input
+    lines, then gives way to one preamble of the earlier ids and this run's
+    ids they do not list, which are the report's ``applied_ids`` too."""
     diags = list(pipeline.compose_diagnostics)
+    earlier = _preamble_ids(unit.lines[0].raw) if unit.lines else None
     applied = {p.id.name for p in pipeline.passes}
     unit, tags = _strip_tags(unit, applied)
     lowerings, scan_diags = [], []
@@ -272,12 +287,15 @@ def run(pipeline: Pipeline, unit: SourceUnit, strict=False):
     unit, lower_diags = lower_lines(unit, lowerings)
     for found, more in zip(scan_diags, lower_diags):
         diags += found + more
-    head = unit_from_raws([preamble_line(publish_ids(pipeline))]).lines
-    final_newline = unit.final_newline if unit.lines else True
-    out = SourceUnit(lines=head + tuple(unit.lines), final_newline=final_newline)
+    ids, lines = [p.id for p in pipeline.passes], unit.lines
+    if earlier is not None:
+        ids, lines = earlier + [i for i in ids if i not in earlier], lines[1:]
+    report = PipelineReport(applied_ids=ids, diagnostics=diags)
+    head = unit_from_raws([preamble_line(report.extensions_pipeline)]).lines
+    out = SourceUnit(lines=head + tuple(lines), final_newline=unit.final_newline if unit.lines else True)
     if strict:
         diags.extend(_strict_sweep(unit, pipeline, applied, tags))
-    return out, PipelineReport(applied_ids=[p.id for p in pipeline.passes], diagnostics=diags)
+    return out, report
 
 
 def _strict_sweep(unit: SourceUnit, pipeline: Pipeline, applied, tags):

@@ -1,9 +1,9 @@
 """Shared lowering machinery for all four passes: one declaration engine and
 one access engine.
 
-:func:`lower_decls` lowers a pass's declarations: :func:`decl_statements`
-finds the statement of each occurrence of a pass's keyword by one rule, and
-the pass supplies a matcher and a ``declare`` that turns a match into text.
+:func:`lower_decls` lowers a pass's declarations: it states and applies the
+one rule by which a keyword's statement is found, and the pass supplies a
+matcher and a ``declare`` that turns a match into text.
 
 :func:`rewrite_line` lowers the accesses on one line, given the pass's table
 of targets, and :func:`lower_lines` offers every line of a unit to each
@@ -94,35 +94,6 @@ def _keyword_statements(sig, keywords):
             depth = max(0, depth + (lex in ("(", "[")) - (lex in (")", "]")))
             end += 1
         yield p, start, end
-
-
-def decl_statements(line, keywords, match):
-    """Find the declaration statement of each occurrence of one of a pass's
-    ``keywords`` on a :class:`~cpm.srcmodel.SourceLine`; returns a list of
-    ``(keyword_token, m)``.
-
-    The one rule all four passes' declarations obey:
-
-    - A keyword's statement starts at the token after the last ``;``, ``{``
-      or ``}`` before it and ends at the next ``;`` outside parentheses and
-      brackets.
-    - ``match`` sees the statement's significant tokens, its ``;`` last, only
-      if the statement ends on the line and holds no other keyword; ``m`` is
-      what it returns, or None when it does not run. :func:`lower_decls`
-      lowers a match and warns once for a None.
-    - After a match, scanning resumes after the statement; otherwise right
-      after the keyword.
-    """
-    if line.names.isdisjoint(keywords):
-        return []
-    sig, found = line.sig, []
-    # a matched statement holds no other keyword and ends at a ';', so taking
-    # every occurrence in turn is the same as resuming after the statement
-    for p, start, end in _keyword_statements(sig, keywords):
-        stmt = sig[start : end + 1]
-        alone = sum(t.kind is IDENTIFIER and t.lexeme in keywords for t in stmt) == 1
-        found.append((sig[p], match(stmt) if end < len(sig) and alone else None))
-    return found
 
 
 NAME, INDEX, CYCLE = "name", "index", "cycle"
@@ -475,30 +446,38 @@ def lower_decls(
     unrecognized="unrecognized {kw} declaration form; line passed through",
 ):
     """Lower the declarations of a pass's ``keywords`` on every line of
-    ``unit`` not numbered in ``skip``; returns the new unit.
+    ``unit`` not numbered in ``skip``; returns the new unit. The one rule
+    all four passes' declarations obey:
 
-    :func:`decl_statements` finds each statement, and ``match(raw, toks)``
-    returns its pieces or None. An occurrence left unmatched is warned about
-    with ``unrecognized``, formatted with ``kw``. For each match ``m``,
-    ``declare(m, line_no)`` runs in unit order and returns the statement's
-    new text, None to keep it, or a callable that returns either and is
-    called once the whole unit is seen. Warnings go to ``diags``. The
-    splice visits only the lines it has new text for.
+    - A keyword's statement starts at the token after the last ``;``, ``{``
+      or ``}`` before it and ends at the next ``;`` outside parentheses and
+      brackets. A keyword in a comment or a string is no occurrence.
+    - ``match(raw, toks)`` sees the statement's significant tokens, its
+      ``;`` last, only if the statement ends on the line and holds no other
+      keyword, and returns its pieces or None. An occurrence left unmatched
+      is warned about once with ``unrecognized``, formatted with ``kw``.
+    - Each occurrence is taken in turn: a matched statement holds no other.
+
+    For each match ``m``, ``declare(m, line_no)`` runs in unit order and
+    returns the statement's new text, None to keep it, or a callable that
+    returns either and is called once the whole unit is seen. Warnings go
+    to ``diags``. The splice visits only the lines it has new text for.
     """
     spans = {}  # line_no -> [(start_col, end_col, text or callable)]
     for line_no, line in enumerate(unit.lines, 1):
         if line.names.isdisjoint(keywords) or line_no in skip:
             continue
-        raw = line.raw
-        spanned = lambda toks: None if (m := match(raw, toks)) is None else (toks[0].column, toks[-1].end, m)
-        for kw, found in decl_statements(line, keywords, spanned):
-            if found is None:
-                diags.append(Diagnostic("warning", line_no, unrecognized.format(kw=kw.lexeme), emitted_by))
+        raw, sig = line.raw, line.sig
+        for p, start, end in _keyword_statements(sig, keywords):
+            stmt = sig[start : end + 1]
+            alone = sum(t.kind is IDENTIFIER and t.lexeme in keywords for t in stmt) == 1
+            m = match(raw, stmt) if end < len(sig) and alone else None
+            if m is None:
+                diags.append(Diagnostic("warning", line_no, unrecognized.format(kw=sig[p].lexeme), emitted_by))
                 continue
-            start, end, m = found
             text = declare(m, line_no)
             if text is not None:
-                spans.setdefault(line_no, []).append((start, end, text))
+                spans.setdefault(line_no, []).append((stmt[0].column, stmt[-1].end, text))
 
     def splice(line_no, line):
         texts = [(s, e, t() if callable(t) else t) for s, e, t in spans[line_no]]

@@ -16,7 +16,7 @@ import re
 
 from cpm.cexpr import compile_stmt
 from cpm.interp import InterpError
-from cpm.pipeline import PipelineReport, _strict_sweep, _strip_tags, preamble_line, publish_ids
+from cpm.pipeline import PipelineReport, _strict_sweep, _strip_tags, preamble_line
 from cpm.rewrite import rewrite_line
 from cpm.runtime.events import CSV_HEADER, Event
 from cpm.runtime.redundant import NoMajorityError, ReplicaSet
@@ -243,11 +243,12 @@ def reference_lower_in_turn(pipeline, unit, strict=False):
                 raws.append(rewrite_line(line.raw, line.sig, low.targets, keywords, line_no, low.emitted_by, lower_diags))
         unit = unit_from_raws(raws, unit.final_newline)
         diags += scan_diags + lower_diags
-    head = unit_from_raws([preamble_line(publish_ids(pipeline))]).lines
+    report = PipelineReport([p.id for p in pipeline.passes], diags)
+    head = unit_from_raws([preamble_line(report.extensions_pipeline)]).lines
     out = SourceUnit(head + unit.lines, unit.final_newline if unit.lines else True)
     if strict:
         diags.extend(_strict_sweep(unit, pipeline, applied, tags))
-    return out, PipelineReport([p.id for p in pipeline.passes], diags)
+    return out, report
 
 
 def reference_run_unit(interp, unit):

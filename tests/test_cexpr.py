@@ -4,6 +4,7 @@ reference evaluator against a C compiler, and the compiler's cache."""
 import itertools
 import shutil
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,10 +13,14 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import cpm.cexpr
-from cpm.cexpr import compile_expr
+from cpm import compose, load_unit, run
+from cpm.cexpr import compile_expr, translate_stmt
 from cpm.interp import AbiInterpreter, InterpError
 from cpm.runtime import ContextRegistry, Runtime
+from cpm.srcmodel import SourceLine, split_segments
 from oracles import c_eval
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PREC = {"||": 1, "&&": 2, "|": 3, "^": 4, "&": 5, "==": 6, "!=": 6, "<": 7, ">": 7, "<=": 7, ">=": 7,
         "+": 9, "-": 9, "*": 10, "/": 10, "%": 10}
@@ -152,7 +157,7 @@ def test_compiled_once_per_text():
         it.run_text(f"b = {text};\nb = {text};\n")
     finally:
         cpm.cexpr.SourceLine = line
-    assert calls == [text, f"b = {text}"]
+    assert calls == [text]  # the interpreter hands its statements over as the line's tokens
 
 
 def test_failed_compiles_are_not_cached():
@@ -220,3 +225,35 @@ def test_hypothesis_c_reference_and_eval_expr_match_a_c_compiler(batch):
         holds = int(c_value) != 0
         assert reg.sensor_update("s", s) == (["g"] if holds and not held else []), (text, s)
         assert guard.last_value == holds, (text, s)
+
+
+def outcome(translate, toks):
+    try:
+        return translate(toks)
+    except ValueError as exc:
+        return type(exc)
+
+
+def statement_lines():
+    """The lines of the benchmark's interpreter programs at seeds 1, 7 and
+    11, lowered as the benchmark lowers them, and of its transform inputs
+    at those seeds after all four passes."""
+    sys.path.insert(0, str(ROOT / "perfbench"))  # gen imports its sibling checks
+    import gen
+    for seed in (1, 7, 11):
+        yield from run(compose(["redundancy", "refractive"]), load_unit(gen.interp_input(seed, 1).source))[0].lines
+        for f in gen.transform_input(seed, 1).files:
+            yield from run(compose(["redundancy", "refractive", "array", "cyclic"]), load_unit(f.text))[0].lines
+
+
+def test_a_statement_translates_the_same_from_the_line_tokens_as_from_its_text():
+    statements = 0
+    for line in statement_lines():
+        for toks in split_segments(line.sig)[0]:
+            if toks[-1].lexeme != ";" or len(toks) < 2:
+                continue
+            text = line.raw[toks[0].column : toks[-1].column]
+            from_line = outcome(translate_stmt, toks[:-1])
+            assert from_line == outcome(translate_stmt, SourceLine(text).sig), text
+            statements += isinstance(from_line, str)
+    assert statements > 10_000

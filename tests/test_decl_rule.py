@@ -1,4 +1,4 @@
-"""The one declaration rule all four passes share (``rewrite.decl_statements``)
+"""The one declaration rule all four passes share (``rewrite.lower_decls``)
 and ROADMAP item 4(a) for keywords: after a pass runs alone, every keyword
 of that pass left on a line has a warning of that pass on the line."""
 
@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpm.pipeline import PassConfig, builtin_registry, compose, run
-from cpm.rewrite import PASS_KEYWORDS, decl_head, decl_statements, lower_decls
-from cpm.srcmodel import TokenKind, ext_tag, load_unit, render, tokenize_line, unit_from_raws
+from cpm.rewrite import PASS_KEYWORDS, decl_head, lower_decls
+from cpm.srcmodel import Diagnostic, TokenKind, ext_tag, load_unit, render, tokenize_line, unit_from_raws
 
 PASSES = builtin_registry()
 
@@ -63,7 +63,17 @@ def test_every_surviving_keyword_has_a_warning_on_its_line(src):
 
 
 def statements(raw, keywords, match=lambda toks: " ".join(t.lexeme for t in toks)):
-    return [(kw.lexeme, m) for kw, m in decl_statements(unit_from_raws([raw]).lines[0], keywords, match)]
+    """``(keyword, m)`` for each occurrence of ``keywords`` on ``raw`` in
+    turn, as :func:`lower_decls` sees it: ``m`` is what ``match`` gave its
+    statement, or None where the occurrence is warned about."""
+    found = []  # the warnings and the declared matches, in the order they happen
+
+    def keyed(raw, toks):  # a matched statement holds one keyword
+        m = match(toks)
+        return None if m is None else (next(t.lexeme for t in toks if t.lexeme in keywords), m)
+
+    lower_decls(unit_from_raws([raw]), keywords, keyed, lambda km, _: found.append(km), "k", found, unrecognized="{kw}")
+    return [(f.message, None) if isinstance(f, Diagnostic) else f for f in found]
 
 
 def test_statement_runs_from_last_boundary_to_next_semicolon_outside_parens():

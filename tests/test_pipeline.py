@@ -1,4 +1,6 @@
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,7 +14,6 @@ from cpm.pipeline import (
     builtin_registry,
     compose,
     preamble_line,
-    publish_ids,
     run,
 )
 from cpm import srcmodel
@@ -69,23 +70,23 @@ def test_compose_version_mismatch():
 
 def test_duplicate_pass_warned_but_allowed():
     p = compose(["cyclic", "cyclic"])
-    assert publish_ids(p) == "cpm://cyclic/1.0;cpm://cyclic/1.0"
+    assert run(p, load_unit(""))[1].extensions_pipeline == "cpm://cyclic/1.0;cpm://cyclic/1.0"
     assert any("more than once" in d.message for d in p.compose_diagnostics)
 
 
-def test_publish_ids_joins_with_semicolons():
+def test_extensions_pipeline_joins_with_semicolons():
     p = compose(["redundancy@1.1", "refractive@0.5", "array@0.5"])
-    joined = publish_ids(p)
+    joined = run(p, load_unit(""))[1].extensions_pipeline
     assert joined == "cpm://redundancy/1.1;cpm://refractive/0.5;cpm://array/0.5"
     # splitting on ';' recovers exactly the canonical ids (string-join oracle)
     assert joined.split(";") == [x.id.canonical() for x in p.passes]
-    assert publish_ids(compose([])) == ""
+    assert run(compose([]), load_unit(""))[1].extensions_pipeline == ""
 
 
-def test_report_extensions_pipeline_matches_publish():
+def test_preamble_publishes_the_report_ids():
     p = compose(["redundancy", "refractive", "array"])
     out, report = run(p, load_unit("int q;\n"))
-    assert report.extensions_pipeline == publish_ids(p)
+    assert report.extensions_pipeline == "cpm://redundancy/1.1;cpm://refractive/0.5;cpm://array/0.5"
     assert out.lines[0].raw == preamble_line(report.extensions_pipeline)
     assert report.applied_ids == [x.id for x in p.passes]
 
@@ -339,3 +340,58 @@ def test_no_pass_raises_on_latin1_input(text, names):
     rendered = render(out)
     assert render(load_unit(rendered)) == rendered
     assert unit_from_raws([line.raw for line in out.lines]).lines == out.lines
+
+
+# ROADMAP 11: lowering a lowered unit writes one preamble, not a second one
+ROOT = Path(__file__).resolve().parent.parent
+ALL_PASSES = ("redundancy", "refractive", "array", "cyclic")
+
+
+def relowering_inputs():
+    """``(name, text, orders)``: both demo sources in every pass order, then
+    the benchmark's transform inputs at seeds 1, 7 and 11 and scales 1 and 2
+    in the staging order and its reverse."""
+    for name in ("watchdog_task.cpm", "switchboard.cpm"):
+        yield name, (ROOT / "demos" / name).read_text(encoding="latin-1"), list(itertools.permutations(ALL_PASSES))
+    sys.path.insert(0, str(ROOT / "perfbench"))  # gen imports its sibling checks
+    import gen
+    for seed, scale in itertools.product((1, 7, 11), (1, 2)):
+        for f in gen.transform_input(seed, scale).files:
+            yield f"transform-{seed}-{scale}-{f.name}", f.text, [ALL_PASSES, ALL_PASSES[::-1]]
+
+
+def lowered_once_and_twice(pipeline, text):
+    once, report = run(pipeline, load_unit(text))
+    twice, again = run(pipeline, once)
+    return (render(once), report.applied_ids), (render(twice), again.applied_ids)
+
+
+@pytest.mark.parametrize("ini", [False, True])
+def test_lowering_twice_equals_lowering_once(ini):
+    config = PassConfig.from_ini(ROOT / "demos" / "extensions.ini") if ini else PassConfig()
+    for name, text, orders in relowering_inputs():
+        for order in orders:
+            once, twice = lowered_once_and_twice(compose(order, config=config), text)
+            assert twice == once, (name, order)
+
+
+def test_relowering_lists_the_earlier_ids_then_the_new_ones():
+    lowered, _ = run(compose(["redundancy"]), load_unit("redundant_t int r;\ncyclic_t int f(void);\n"))
+    out, report = run(compose(["cyclic", "redundancy"]), lowered)
+    assert report.extensions_pipeline == "cpm://redundancy/1.1;cpm://cyclic/1.0"
+    assert [str(i) for i in report.applied_ids] == ["cpm://redundancy/1.1", "cpm://cyclic/1.0"]
+    assert render(out) == (
+        preamble_line("cpm://redundancy/1.1;cpm://cyclic/1.0") + "\n"
+        "cpm_red_storage(r, int, 3);\nint f(void); cpm_cycle_register(f);\n"
+    )
+
+
+def test_relowering_numbers_input_lines_and_keeps_a_line_that_is_no_preamble():
+    lowered = preamble_line("cpm://cyclic/1.0") + "\nf.Cycle = 1;\n"
+    _, report = run(compose(["cyclic"]), load_unit(lowered), strict=True)
+    assert {d.line_no for d in report.diagnostics} == {2}
+    for first in (preamble_line("cpm://cyclic"), preamble_line("x;y"), " " + preamble_line("")):
+        out, report = run(compose([]), load_unit(first + "\n"))
+        assert render(out) == preamble_line("") + "\n" + first + "\n"
+    out, report = run(compose([]), run(compose([]), load_unit("int x;\n"))[0])
+    assert render(out) == preamble_line("") + "\nint x;\n"

@@ -14,6 +14,7 @@ import heapq
 import math
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from cpm.ext_reflective import scan_arrays, scan_context
 from cpm.pipeline import _strict_sweep, preamble_line
 from cpm.runtime import ContextRegistry, ReflectiveArray, ReplicaSet, Runtime, TimeoutObject, events, tom
 from cpm.scenarios import BeaconTrace, WdtScenarioParams, run_switchboard, run_wdt
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class Counting:
@@ -420,3 +423,26 @@ def test_a_unit_run_again_takes_one_exec_per_chunk_and_compiles_nothing(repeats)
         it.run_unit(unit)
     assert it.env == {"a": 3, "b": 6}
     assert execs <= math.ceil(3 * repeats / interp.CHUNK)
+
+
+def test_a_cold_run_tokenizes_no_statement():
+    # the seed-11 interpreter program without its guards, whose expressions
+    # compile from their text, lowered as the benchmark lowers it
+    sys.path.insert(0, str(ROOT / "perfbench"))  # gen imports its sibling checks
+    import gen
+    source = "".join(line for line in gen.interp_input(11, 1).source.splitlines(True) if not line.startswith("guard_t"))
+    unit, _ = run(compose(["redundancy", "refractive"]), load_unit(source))
+    real, calls = srcmodel._tokenize, []
+
+    def counting(raw, in_block):
+        calls.append(raw)
+        return real(raw, in_block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interp, "_LINES", {})  # cold: no line nor chunk seen before
+        patch.setattr(interp, "_CHUNKS", {})
+        patch.setattr(srcmodel, "_tokenize", counting)
+        it = interp.AbiInterpreter(Runtime())
+        it.run_unit(unit)
+    assert calls == []
+    assert len(it.env) > 1  # the program ran: the preamble and its scalars are set
