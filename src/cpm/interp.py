@@ -27,9 +27,12 @@ not seen before is checked for an ``@ext:`` tag, cut by
 holds, so no statement is tokenized again. A run joins its
 statements' sources into chunks of at most :data:`CHUNK` statements and
 compiles each distinct chunk once per process into one code object, which
-one ``exec`` runs. A chunk is keyed by its statements' sources, so the same
-statements compile once wherever they sit; the gain needs lines that run
-again in the same process, as every run of a unit after its first does.
+one ``exec`` runs (:data:`_CHUNKS`). A chunk is keyed by its statements'
+sources, so the same statements compile once wherever they sit; the gain
+needs lines that run again in the same process, as every run of a unit
+after its first does. Both caches are bounded, by :data:`LINE_CACHE_SIZE`
+and :data:`CHUNK_CACHE_SIZE`: a miss on a full one empties it first, so a
+long-lived process keeps at most that many.
 :data:`CHUNK` bounds what one ``compile`` holds in memory, which grows
 with the source compiled at once (one code object for a 6,169-statement
 program raised peak RSS from 41 to 67 MB), while 128 statements per
@@ -76,6 +79,20 @@ _CONTROL = frozenset({"if", "else", "while", "for", "do", "switch"})
 # the statements before the first that cannot join it, and the first line of
 # each of those statements in that code
 _CHUNKS: dict[tuple, tuple] = {}
+
+# the most entries _LINES and _CHUNKS hold; a miss on a full cache empties it
+# first. About 4x what the benchmark's interp input fills at 1x and 2x
+LINE_CACHE_SIZE = 10_000
+CHUNK_CACHE_SIZE = 256
+
+
+def _store(cache, size, key, value):
+    """Cache ``value`` under ``key`` in ``cache``, emptied first if it holds
+    ``size`` entries, and return it."""
+    if len(cache) >= size:
+        cache.clear()
+    cache[key] = value
+    return value
 
 
 def _statements(line):
@@ -159,7 +176,7 @@ class AbiInterpreter:
             key = (line.raw, line.in_block_comment)
             statements = _LINES.get(key)
             if statements is None:
-                statements = _LINES[key] = _statements(line)
+                statements = _store(_LINES, LINE_CACHE_SIZE, key, _statements(line))
             sources += statements[1]
         return sources
 
@@ -172,7 +189,7 @@ class AbiInterpreter:
             key = tuple(sources[at : at + CHUNK])
             chunk = _CHUNKS.get(key)
             if chunk is None:
-                chunk = _CHUNKS[key] = _chunk(key)
+                chunk = _store(_CHUNKS, CHUNK_CACHE_SIZE, key, _chunk(key))
             code, starts = chunk
             try:
                 exec(code, scope, env)
@@ -207,7 +224,8 @@ def _locate(unit, index):
     """The line number and text of statement ``index`` of a compiled
     ``unit``."""
     for line_no, line in enumerate(unit.lines, 1):
-        texts = _LINES[line.raw, line.in_block_comment][0]
+        # the line may have left _LINES since its unit compiled
+        texts = (_LINES.get((line.raw, line.in_block_comment)) or _statements(line))[0]
         if index < len(texts):
             return line_no, texts[index]
         index -= len(texts)

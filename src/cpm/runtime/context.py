@@ -71,12 +71,15 @@ class ReflectiveArray:
         self._keys.append(key)
         return e
 
-    def report_beacon(self, key):
+    def report_beacon(self, key, prop=None, value=None):
         """A beacon arrived for key: the entry exists, counts it for the
-        current period, and is no longer stale."""
+        current period, and is no longer stale. Given ``prop``, the beacon
+        also carries that property's ``value``, set as ``set_prop`` would."""
         e = self.entries.get(key) or self._entry(key)
         e.beacons_cur_period += 1
         e.silent_periods = 0
+        if prop is not None:
+            e.props[prop] = value
 
     def rollover(self):
         """Close the current observation period: current counts become last

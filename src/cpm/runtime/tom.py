@@ -105,13 +105,14 @@ class TOM:
         would, but as one heap entry and no object per one-shot; nothing can
         renew or delete them. A negative or decreasing ``int(d)`` raises
         ValueError before anything is armed."""
-        whens = [int(d) for d in deadlines]
-        if any(d < prev for prev, d in zip([0, *whens], whens)):
-            raise ValueError(f"deadlines of '{subid}' must be non-negative and non-decreasing")
+        whens = list(map(int, deadlines))
         if not whens:
             return
+        # no Python pass per deadline: sorting a sorted list takes n - 1 comparisons
+        if whens[0] < 0 or whens != sorted(whens):
+            raise ValueError(f"deadlines of '{subid}' must be non-negative and non-decreasing")
         now = self.events._now
-        rest = iter([now + d for d in whens])
+        rest = iter(whens) if now == 0 else map(now.__add__, whens)
         seq = self._next_seq
         self._next_seq += len(whens)  # one per one-shot, so ties break as for single inserts
         heapq.heappush(self._heap, (next(rest), seq, None, _Series(subid, action, rest)))

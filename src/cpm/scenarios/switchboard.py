@@ -10,10 +10,14 @@ whole period without a beacon.
 
 The observation cycle is the cyclic method ``observation_cycle``, started
 through ``Runtime.cycle_set``; it stands for ``adjust_metrics`` in
-``demos/switchboard.cpm`` and reads the arrays through the ABI calls
-(``anext``, ``arr_get``) that the lowered program makes. The period is
-``int(observation_period)`` ms, the value TOM arms, taken once at entry for
-the cycle arithmetic too; a period that truncates to 0 raises ValueError.
+``demos/switchboard.cpm`` and, after rolling both arrays over, makes the
+ABI calls that the lowered program makes: per peer one ``anext`` and one
+``arr_get`` of ``silent_periods``, and for a live peer one ``arr_get`` of
+``rate``; one more ``anext`` ends the walk. A peer is stale exactly when
+``silent_periods`` is nonzero, as ``ReflectiveArray.get`` derives
+``stale``. The period is ``int(observation_period)`` ms, the value TOM
+arms, taken once at entry for the cycle arithmetic too; a period that
+truncates to 0 raises ValueError.
 
 A :class:`BeaconTrace` is the beacons as three columns, ``times``,
 ``macs`` and ``rates``, so a long trace is three tuples of ints, strs and
@@ -24,9 +28,14 @@ Beacons are delivered by one series of one-shots, one per beacon, armed
 from ``times`` with ``TOM.insert_series``, that all share one action: it
 takes the next ``(mac, rate)`` of the trace and feeds it to the arrays
 through the handles ``arr_register`` returns, since delivery is the link
-layer's side, not the program's. That is exact because TOM fires one-shots
-in (int deadline, insertion) order and ``BeaconTrace.validate`` requires
-non-decreasing times, so the n-th beacon fire is the n-th beacon's own. A
+layer's side, not the program's: ``report_beacon(mac)`` on ``linkbeacons``
+and ``report_beacon(mac, "rate", rate)`` on ``linkrates``, whose property
+argument sets the rate after counting the beacon. That is exact because
+TOM fires one-shots in (int deadline, insertion) order and
+``BeaconTrace.validate`` requires non-negative, non-decreasing times, so
+the n-th beacon fire is the n-th beacon's own. ``validate`` and
+``TOM.insert_series`` check and arm the times in C-level passes; a Python
+loop runs only to name the first bad time in the error. A
 beacon falling exactly on a cycle boundary counts for the period it ends
 (the series is inserted before the cycle starts, so it wins the tie); a
 cycle boundary on the horizon still reports.
@@ -48,7 +57,7 @@ DEFAULT_OBSERVATION_PERIOD_MS = 60_000
 
 @dataclass(frozen=True)
 class BeaconTrace:
-    times: tuple = ()  # int ms, non-decreasing
+    times: tuple = ()  # int ms, non-negative and non-decreasing
     macs: tuple = ()  # str, one per beacon
     rates: tuple = ()  # float, one per beacon
 
@@ -57,10 +66,17 @@ class BeaconTrace:
         return cls(*zip(*((int(t), str(mac), float(rate)) for t, mac, rate in rows)))
 
     def validate(self, horizon=None):
+        """Raise ValueError unless the times are non-negative, non-decreasing
+        and, given a horizon, none past it; the message names the first
+        offender."""
+        times = self.times
+        if not times or (times[0] >= 0 and sorted(times) == list(times)
+                         and (horizon is None or times[-1] <= horizon)):
+            return
         last = 0
-        for t in self.times:
+        for t in times:
             if t < last:
-                raise ValueError("beacon times must be non-decreasing")
+                raise ValueError(f"beacon at {t} before {last}")
             last = t
             if horizon is not None and t > horizon:
                 raise ValueError(f"beacon at {t} beyond horizon {horizon}")
@@ -104,23 +120,21 @@ def run_switchboard(trace: BeaconTrace, observation_period=DEFAULT_OBSERVATION_P
     def deliver():
         mac, rate = next_beacon()
         linkbeacons.report_beacon(mac)
-        linkrates.report_beacon(mac)
-        linkrates.set_prop(mac, "rate", rate)
+        linkrates.report_beacon(mac, "rate", rate)
 
     def observe_cycle():
         cycle = rt.events.now // period  # the cycle fires on each multiple, without drift
         rt.arr_rollover("linkbeacons")
         rt.arr_rollover("linkrates")
+        anext, arr_get, append = rt.anext, rt.arr_get, records.append
         cursor = 0
-        while (mac := rt.anext("linkbeacons", cursor)) != 0:
+        while (mac := anext("linkbeacons", cursor)) != 0:
             cursor += 1
-            if rt.arr_get("linkbeacons", mac, "stale"):
-                rec = AdjustmentRecord(cycle, mac, None, True)
+            silent = arr_get("linkbeacons", mac, "silent_periods")
+            if silent:  # stale, as ``get`` derives it
+                append(AdjustmentRecord(cycle, mac, None, True))
             else:
-                rate = rt.arr_get("linkrates", mac, "rate")
-                silent = rt.arr_get("linkbeacons", mac, "silent_periods")
-                rec = AdjustmentRecord(cycle, mac, rate / (1 + silent), False)
-            records.append(rec)
+                append(AdjustmentRecord(cycle, mac, arr_get("linkrates", mac, "rate") / (1 + silent), False))
 
     rt.tom.insert_series("beacon", trace.times, deliver)  # before the tick: boundary beacons count backward
     rt.cycle_register("observation_cycle")

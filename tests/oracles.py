@@ -370,11 +370,13 @@ class ReferenceArray:
     def _entry(self, key):
         return self.entries.setdefault(key, {"cur": 0, "last": 0, "silent": 0, "stale": False, "props": {}})
 
-    def report_beacon(self, key):
+    def report_beacon(self, key, prop=None, value=None):
         e = self._entry(key)
         e["cur"] += 1
         e["silent"] = 0
         e["stale"] = False
+        if prop is not None:
+            self.set_prop(key, prop, value)
 
     def rollover(self):
         for e in self.entries.values():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpm import interp
+from cpm import cexpr, interp
 from cpm.interp import AbiInterpreter, InterpError
 from cpm.pipeline import compose, run
 from cpm.runtime import Runtime
@@ -504,6 +504,23 @@ def test_an_error_names_the_position_of_its_line_in_the_unit_run():
         it.run_unit(SourceUnit(lines * 2))  # the same two line objects at lines 1-2 and 3-4
     assert str(info.value) == "line 4: cannot run 'y = 1 / (x - 2)': integer division or modulo by zero"
     assert it.env == {"x": 2, "y": -1}
+
+
+def test_the_process_wide_caches_hold_at_most_their_bounds(monkeypatch):
+    bound = 8
+    monkeypatch.setattr(interp, "LINE_CACHE_SIZE", bound)
+    monkeypatch.setattr(interp, "CHUNK_CACHE_SIZE", bound)
+    monkeypatch.setattr(cexpr, "EXPR_CACHE_SIZE", bound)
+    rt, it = fresh()
+    for k in range(2 * bound + 1):  # each a distinct line, chunk and expression
+        it.run_text(f"int c{k} = {k};\n")
+        assert it.eval_expr(f"c{k} + {k}") == 2 * k
+        assert max(len(interp._LINES), len(interp._CHUNKS), cexpr.compile_expr.cache_info().currsize) <= bound
+    # a unit with more distinct lines than the bound still names its failing line
+    text = "".join(f"d{k} = {k};\n" for k in range(2 * bound)) + "e = 1 / 0;\n"
+    with pytest.raises(InterpError, match=f"^line {2 * bound + 1}: cannot run 'e = 1 / 0'"):
+        it.run_text(text)
+    assert len(interp._LINES) <= bound
 
 
 def test_a_statement_past_pythons_nesting_limits_ends_its_chunk():

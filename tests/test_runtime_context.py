@@ -284,6 +284,7 @@ def test_staleness_invariant_stale_iff_silent_periods():
 
 _ARRAY_OPS = st.one_of(
     st.tuples(st.just("report_beacon"), st.sampled_from("abcd")),
+    st.tuples(st.just("report_beacon"), st.sampled_from("abcd"), st.sampled_from(("rate", "stale")), st.integers(-3, 3)),
     st.tuples(st.just("rollover")),
     st.tuples(st.just("set_prop"), st.sampled_from("abcd"), st.sampled_from(("rate", "stale")), st.integers(-3, 3)),
 )

@@ -191,6 +191,41 @@ def test_an_agreeing_read_and_a_write_enter_no_other_python_function(n):
     assert rs.n == n and rs.stats.discrepancy_histogram == {0: 2 * rs.policy.window}
 
 
+def cycle_calls(peers, live, period=100):
+    """The Python functions entered by the second observation cycle of a
+    switchboard whose ``peers`` peers all beacon in the first period and
+    whose first ``live`` of them beacon again in the second: what a run to
+    the second boundary enters less what a run to the first one does."""
+    first = [(1, f"m{p}", 1.0) for p in range(peers)]
+    second = first + [(period + 1, f"m{p}", 2.0) for p in range(live)]
+    one = python_calls(lambda: run_switchboard(BeaconTrace.from_rows(first), period, period))
+    two = python_calls(lambda: run_switchboard(BeaconTrace.from_rows(second), period, 2 * period))
+    return two - one
+
+
+@pytest.mark.parametrize("peers, live", [(6, 2), (12, 4)])
+def test_an_observation_cycle_makes_the_abi_calls_of_adjust_metrics(peers, live):
+    calls = cycle_calls(peers, live)
+    # Runtime.anext per peer and the one that ends the walk; each enters
+    # ReflectiveArray.anext, of the same name
+    assert calls["anext"] == 2 * (peers + 1)
+    # silent_periods per peer, then rate per live peer
+    assert calls["arr_get"] == calls["get"] == peers + live
+
+
+@pytest.mark.parametrize("now", [0, 7])
+def test_a_series_and_a_trace_are_checked_and_armed_by_no_python_pass_per_deadline(now):
+    def armed(n):
+        manager = tom.TOM()
+        manager.advance(now)
+        return python_calls(lambda: manager.insert_series("s", range(n), None))
+
+    # the one series entry it builds is the only other function it enters
+    assert armed(50) == armed(100) == {"<lambda>": 1, "insert_series": 1, "__init__": 1}
+    traces = [BeaconTrace(tuple(range(n)), ("m",) * n, (1.0,) * n) for n in (50, 100)]
+    assert [python_calls(lambda: trace.validate(100)) for trace in traces] == [{"<lambda>": 1, "validate": 1}] * 2
+
+
 def test_a_cyclic_fire_with_a_positive_int_deadline_skips_the_period_check():
     manager = tom.TOM()
     cycle = TimeoutObject("c", 10, cyclic=True)

@@ -195,6 +195,41 @@ def test_switchboard_rejects_decreasing_times():
         BeaconTrace.from_rows([(100, "a", 1.0), (50, "b", 1.0)]).validate()
 
 
+@pytest.mark.parametrize("times, message", [
+    ((-5, 0), "beacon at -5 before 0"),
+    ((0, 7, 3), "beacon at 3 before 7"),
+    ((0, 21), "beacon at 21 beyond horizon 20"),
+    ((), None),
+], ids=["negative", "decrease", "past-horizon", "empty"])
+def test_a_beacon_trace_names_its_first_bad_time(times, message):
+    trace = BeaconTrace.from_rows((t, "a", 1.0) for t in times)
+    if message is None:
+        assert run_switchboard(trace, 10, 20).records == []
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_switchboard(trace, 10, 20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 12), max_size=8), st.none() | st.integers(0, 12))
+def test_hypothesis_a_trace_is_refused_at_its_first_offender(times, horizon):
+    last, first = 0, None
+    for t in times:
+        if t < last:
+            first = f"beacon at {t} before {last}"
+        elif horizon is not None and t > horizon:
+            first = f"beacon at {t} beyond horizon {horizon}"
+        if first:
+            break
+        last = t
+    trace = BeaconTrace(tuple(times), ("a",) * len(times), (1.0,) * len(times))
+    if first is None:
+        trace.validate(horizon)
+    else:
+        with pytest.raises(ValueError, match=f"^{first}$"):
+            trace.validate(horizon)
+
+
 
 def switchboard_csv(period):
     rows = [(500, "aa:01", 50.0), (1500, "aa:01", 50.0)]
