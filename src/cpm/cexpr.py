@@ -13,7 +13,7 @@ a literal decodes C's escapes only. A runtime call (:data:`ABI`) compiles
 its arguments by kind and must have each one. :func:`translate_stmt` turns
 the tokens of a statement the interpreter cut from a line into Python
 source with the same parser, and :func:`compile_stmt` compiles a statement's
-text; the interpreter keeps statement sources per line, so
+text; the interpreter keeps the code of whole windows of lines, so
 :func:`compile_expr` is the only function here that caches, at most
 :data:`EXPR_CACHE_SIZE` expressions. Anything else raises ``ValueError``,
 and so does a name of :data:`HELPERS`, which the compiled code calls (C

@@ -19,31 +19,32 @@ which would run its body unconditionally. Expressions follow C rules: ``/``
 and ``%`` truncate toward zero on ints, relational and logical operators
 yield 0 or 1, comparisons never chain, and ``?:`` works.
 
-Each distinct line is cut into statements and translated once per process
-(:data:`_LINES`), keyed by its text and whether it opens inside a block
-comment, and every interpreter reuses its statements' sources: only a line
-not seen before is checked for an ``@ext:`` tag, cut by
-:func:`cpm.srcmodel.split_segments` and translated from the tokens the line
-holds, so no statement is tokenized again. A run joins its
-statements' sources into chunks of at most :data:`CHUNK` statements and
-compiles each distinct chunk once per process into one code object, which
-one ``exec`` runs (:data:`_CHUNKS`). A chunk is keyed by its statements'
-sources, so the same statements compile once wherever they sit; the gain
-needs lines that run again in the same process, as every run of a unit
-after its first does. Both caches are bounded, by :data:`LINE_CACHE_SIZE`
-and :data:`CHUNK_CACHE_SIZE`: a miss on a full one empties it first, so a
-long-lived process keeps at most that many.
+A run takes its unit's lines in windows of :data:`CHUNK` lines, at
+lines 1, 1 + :data:`CHUNK`, ..., and keeps one process-wide cache,
+:data:`_CHUNKS`, keyed by the text of a window's lines and whether each
+opens inside a block comment. A window seen before costs one key, one
+lookup and one ``exec`` of the code object that runs its statements, and
+every interpreter shares it. Only a window not seen before is compiled:
+each of its lines not seen before in the same run is checked for an
+``@ext:`` tag, cut by :func:`cpm.srcmodel.split_segments` and translated
+from the tokens the line holds, so no statement is tokenized again, and the
+window's sources are joined and compiled at once. The gain needs units that
+run again in the same process, as every run of a unit after its first does.
+The cache holds at most :data:`CHUNK_CACHE_SIZE` windows: a miss on a full
+one empties it first, so a long-lived process keeps a fixed amount.
 :data:`CHUNK` bounds what one ``compile`` holds in memory, which grows
 with the source compiled at once (one code object for a 6,169-statement
-program raised peak RSS from 41 to 67 MB), while 128 statements per
-``exec`` already spread the call's own cost thin.
+program raised peak RSS from 41 to 67 MB), while 128 lines per ``exec``
+already spread the call's own cost thin.
 
-A failure is located from the line its chunk's frame stood at, so it reads
+A failure is located from the line its window's frame stood at, so it reads
 ``line N: cannot run '...': <cause>`` as if the statement had run alone,
 after the effects of the statements before it. A statement that is
-unsupported or does not compile ends its chunk: the statements before it
-run, then it raises, and a statement that does not compile is compiled again
-when it is reached, so it raises at the same point on every run. The
+unsupported, or does not translate or compile, ends its window's code: the
+statements before it run, then it raises its refusal, which the cache holds
+with the code. The refusal of a statement that does not compile is the
+``ValueError`` that :func:`cpm.cexpr.compile_stmt` raises for it, computed
+once when its window compiles, so it raises the same on every run. The
 caller's ``env`` may not name a helper of :data:`cpm.cexpr.HELPERS`.
 """
 
@@ -59,77 +60,71 @@ class InterpError(ValueError):
     pass
 
 
-# the most statements one code object runs; see the module docstring
+# the most lines one code object runs; see the module docstring
 CHUNK = 128
-
-# the source of a statement that is not one, and of one that does not
-# compile; either ends the chunk it falls in
-_UNSUPPORTED = object()
-_UNCOMPILED = object()
-
-# (raw, in_block_comment) -> (texts, sources) of the line's statements;
-# shared by every interpreter, since a source holds no interpreter state
-_LINES: dict[tuple[str, bool], tuple] = {}
-_NO_STATEMENTS = ((), ())
 
 # the first word of a control header, refused when its segment ends in "{"
 _CONTROL = frozenset({"if", "else", "while", "for", "do", "switch"})
 
-# the sources of a chunk's statements -> (code, starts): the code object of
-# the statements before the first that cannot join it, and the first line of
-# each of those statements in that code
+# the (raw, in_block_comment) pairs of a window of lines -> (code, starts,
+# where, refused); see _chunk. Shared by every interpreter, since none of it
+# holds interpreter state
 _CHUNKS: dict[tuple, tuple] = {}
 
-# the most entries _LINES and _CHUNKS hold; a miss on a full cache empties it
-# first. About 4x what the benchmark's interp input fills at 1x and 2x
-LINE_CACHE_SIZE = 10_000
+# the most windows _CHUNKS holds; a miss on a full cache empties it first.
+# About 5x what the benchmark's interp input fills at 1x and 2x
 CHUNK_CACHE_SIZE = 256
 
 
-def _store(cache, size, key, value):
-    """Cache ``value`` under ``key`` in ``cache``, emptied first if it holds
-    ``size`` entries, and return it."""
-    if len(cache) >= size:
-        cache.clear()
-    cache[key] = value
-    return value
+def _unsupported(text):
+    return text, (f"unsupported statement {text!r}", None)
+
+
+def _cannot_run(text):
+    """The refusal of statement ``text``, which does not translate or
+    compile: the ``ValueError`` text :func:`compile_stmt` raises for it."""
+    try:
+        compile_stmt(text)
+    except ValueError as exc:
+        return f"cannot run {text.strip()!r}: {exc}", str(exc)
 
 
 def _statements(line):
-    """The statements of ``line`` in order as ``(texts, sources)``: each
-    ``text`` without its ``;``, each ``source`` from :func:`translate_stmt`
-    or ``_UNCOMPILED``. Braces, function headers and empty statements are
-    left out; a control header is ``_UNSUPPORTED``, and so is the unfinished
-    ``rest`` of :func:`split_segments`, whose text is the stripped line."""
+    """The statements of ``line`` in order, as ``(text, source)`` pairs: each
+    ``text`` without its ``;``, and each ``source`` from :func:`translate_stmt`
+    or, for a statement that cannot run, its refusal ``(reason, cause)``.
+    Braces, function headers and empty statements are left out; a control
+    header is unsupported, and so is the unfinished ``rest`` of
+    :func:`split_segments`, whose text is the stripped line."""
     raw = line.raw
     if not line.in_block_comment and ext_tag(raw)[0] is not None:
-        return _NO_STATEMENTS  # untransformed tagged line; nothing to execute
-    texts, sources = [], []
+        return ()  # untransformed tagged line; nothing to execute
+    statements = []
     finished, rest = split_segments(line.sig)
     for toks in finished:  # each ends on a ';' or a brace
         last = toks[-1]
         if last.lexeme == "{" and toks[0].lexeme in _CONTROL:
-            texts.append(raw[toks[0].column : last.end])
-            sources.append(_UNSUPPORTED)
+            statements.append(_unsupported(raw[toks[0].column : last.end]))
         elif last.lexeme in ("{", "}"):
             continue  # block structure and function headers are not interpreted
         elif len(toks) > 1:  # not an empty statement
+            text = raw[toks[0].column : last.column]
             try:
                 source = translate_stmt(toks[:-1])
-            except Exception:
-                source = _UNCOMPILED  # failures are not cached: run compiles it again and raises
-            texts.append(raw[toks[0].column : last.column])
-            sources.append(source)
+            except ValueError:
+                source = _cannot_run(text)
+            statements.append((text, source))
     if rest:
-        texts.append(raw.strip())
-        sources.append(_UNSUPPORTED)
-    return (tuple(texts), tuple(sources)) if texts else _NO_STATEMENTS
+        statements.append(_unsupported(raw.strip()))
+    return statements
 
 
-def _chunk(sources):
-    """The ``(code, starts)`` of a chunk of ``sources``: its code runs the
-    statements before the first that is unsupported, does not translate or
-    does not compile, and ``starts`` holds the first line of each in it."""
+def _chunk(sources, where):
+    """The cache entry ``(code, starts, where, refused)`` of a window whose
+    statements have ``sources`` and, as ``(line offset, text)``, ``where``:
+    ``code`` runs the statements before the first that cannot run, and
+    ``starts`` holds the first line of each in it; ``refused`` is that
+    statement's refusal, the last of ``where``, or None if all of them run."""
     stop = next((k for k, s in enumerate(sources) if not isinstance(s, str)), len(sources))
     try:
         code = compile("\n".join(sources[:stop]), "<cpm chunk>", "exec")
@@ -138,13 +133,13 @@ def _chunk(sources):
             try:
                 compile(sources[k], "<cpm statement>", "exec")
             except (SyntaxError, RecursionError):
-                return _chunk(sources[:k] + (_UNCOMPILED,))  # ends the chunk at k
+                return _chunk(sources[:k] + [_cannot_run(where[k][1])], where)  # ends the window at k
         raise
     starts, at = [], 1
     for source in sources[:stop]:
         starts.append(at)
         at += source.count("\n") + 1
-    return code, starts
+    return code, starts, where[: stop + 1], sources[stop] if stop < len(sources) else None
 
 
 class AbiInterpreter:
@@ -166,49 +161,37 @@ class AbiInterpreter:
         self.run_unit(load_unit(text))
 
     def run_unit(self, unit: SourceUnit):
-        self._run(unit, self._compile(unit))
-
-    def _compile(self, unit: SourceUnit) -> list:
-        """The sources of the statements of ``unit``, in order. Never raises;
-        what cannot run raises when :meth:`_run` reaches it."""
-        sources = []
-        for line in unit.lines:
-            key = (line.raw, line.in_block_comment)
-            statements = _LINES.get(key)
-            if statements is None:
-                statements = _store(_LINES, LINE_CACHE_SIZE, key, _statements(line))
-            sources += statements[1]
-        return sources
-
-    def _run(self, unit: SourceUnit, sources: list):
-        """Execute ``unit``, compiled by :meth:`_compile` into ``sources``,
-        chunk by chunk."""
-        scope, env = self._scope, self.env
-        at, end = 0, len(sources)
-        while at < end:
-            key = tuple(sources[at : at + CHUNK])
+        """Execute ``unit`` one window of :data:`CHUNK` lines at a time."""
+        scope, env, lines = self._scope, self.env, unit.lines
+        cut = {}  # (raw, in_block_comment) -> the line's _statements, this run
+        for at in range(0, len(lines), CHUNK):
+            window = lines[at : at + CHUNK]
+            key = tuple([(line.raw, line.in_block_comment) for line in window])
             chunk = _CHUNKS.get(key)
             if chunk is None:
-                chunk = _store(_CHUNKS, CHUNK_CACHE_SIZE, key, _chunk(key))
-            code, starts = chunk
+                sources, where = [], []
+                for offset, (pair, line) in enumerate(zip(key, window)):
+                    statements = cut.get(pair)
+                    if statements is None:
+                        statements = cut[pair] = _statements(line)
+                    for text, source in statements:
+                        where.append((offset, text))
+                        sources.append(source)
+                if len(_CHUNKS) >= CHUNK_CACHE_SIZE:
+                    _CHUNKS.clear()
+                chunk = _CHUNKS[key] = _chunk(sources, where)
+            code, starts, where, refused = chunk
             try:
                 exec(code, scope, env)
             except Exception as exc:
                 tb = exc.__traceback__
                 while tb.tb_frame.f_code is not code:
                     tb = tb.tb_next
-                line_no, text = _locate(unit, at + bisect_right(starts, tb.tb_lineno) - 1)
-                raise InterpError(f"line {line_no}: cannot run {text.strip()!r}: {exc}") from exc
-            at += len(starts)
-            if len(starts) < len(key):  # the chunk ended at a statement that cannot join one
-                line_no, text = _locate(unit, at)
-                if sources[at] is _UNSUPPORTED:
-                    raise InterpError(f"line {line_no}: unsupported statement {text!r}")
-                try:
-                    exec(compile_stmt(text), scope, env)
-                except Exception as exc:
-                    raise InterpError(f"line {line_no}: cannot run {text.strip()!r}: {exc}") from exc
-                at += 1
+                offset, text = where[bisect_right(starts, tb.tb_lineno) - 1]
+                raise InterpError(f"line {at + offset + 1}: cannot run {text.strip()!r}: {exc}") from exc
+            if len(starts) < len(where):  # the window's code ended at a refused statement
+                reason, cause = refused  # cause: the ValueError text, or None if unsupported
+                raise InterpError(f"line {at + where[-1][0] + 1}: {reason}") from cause and ValueError(cause)
 
     # -- expressions ------------------------------------------------------------
 
@@ -219,13 +202,3 @@ class AbiInterpreter:
         except Exception as exc:
             raise InterpError(f"cannot evaluate {text.strip()!r}: {exc}") from exc
 
-
-def _locate(unit, index):
-    """The line number and text of statement ``index`` of a compiled
-    ``unit``."""
-    for line_no, line in enumerate(unit.lines, 1):
-        # the line may have left _LINES since its unit compiled
-        texts = (_LINES.get((line.raw, line.in_block_comment)) or _statements(line))[0]
-        if index < len(texts):
-            return line_no, texts[index]
-        index -= len(texts)

@@ -449,7 +449,6 @@ def run_observed(runner, text):
 @example("x = f(x; if (a) {\nint a = 4;\n")  # a '{' inside an open bracket opens no block
 def test_compiled_programs_run_like_the_reference_loop(text):
     expected = run_observed(reference_run_unit, text)
-    interp._LINES.clear()
     interp._CHUNKS.clear()
     assert run_observed(AbiInterpreter.run_unit, text) == expected  # cold
     assert run_observed(AbiInterpreter.run_unit, text) == expected  # warm, a second interpreter
@@ -462,9 +461,11 @@ _TOO_DEEP = "z = " + "+".join(["1"] * 300) + ";"
 
 @st.composite
 def _long_program(draw):
-    """More statements than one chunk, then at most one line that fails, so
-    the failure falls in a later chunk, and lines after it."""
-    lines = [f"b += {k % 7};" for k in range(draw(st.integers(interp.CHUNK, 3 * interp.CHUNK)))]
+    """More lines than one window, of one to three statements each, then at
+    most one line that fails, so the failure falls in a later window, maybe
+    in the middle of its line, and lines after it."""
+    counts = draw(st.lists(st.integers(1, 3), min_size=interp.CHUNK, max_size=3 * interp.CHUNK))
+    lines = [" ".join(f"b += {(k + j) % 7};" for j in range(n)) for k, n in enumerate(counts)]
     for _ in range(draw(st.integers(0, 4))):
         lines.insert(draw(st.integers(0, len(lines))), draw(_line(st.sampled_from(_RUNS + _SKIPPED))))
     if draw(st.booleans()):
@@ -478,7 +479,6 @@ def _long_program(draw):
 @given(_long_program())
 def test_programs_longer_than_a_chunk_run_like_the_reference_loop(text):
     expected = run_observed(reference_run_unit, text)
-    interp._LINES.clear()
     interp._CHUNKS.clear()
     assert run_observed(AbiInterpreter.run_unit, text) == expected  # cold
     assert run_observed(AbiInterpreter.run_unit, text) == expected  # warm, a second interpreter
@@ -508,19 +508,18 @@ def test_an_error_names_the_position_of_its_line_in_the_unit_run():
 
 def test_the_process_wide_caches_hold_at_most_their_bounds(monkeypatch):
     bound = 8
-    monkeypatch.setattr(interp, "LINE_CACHE_SIZE", bound)
     monkeypatch.setattr(interp, "CHUNK_CACHE_SIZE", bound)
     monkeypatch.setattr(cexpr, "EXPR_CACHE_SIZE", bound)
     rt, it = fresh()
     for k in range(2 * bound + 1):  # each a distinct line, chunk and expression
         it.run_text(f"int c{k} = {k};\n")
         assert it.eval_expr(f"c{k} + {k}") == 2 * k
-        assert max(len(interp._LINES), len(interp._CHUNKS), cexpr.compile_expr.cache_info().currsize) <= bound
+        assert max(len(interp._CHUNKS), cexpr.compile_expr.cache_info().currsize) <= bound
     # a unit with more distinct lines than the bound still names its failing line
     text = "".join(f"d{k} = {k};\n" for k in range(2 * bound)) + "e = 1 / 0;\n"
     with pytest.raises(InterpError, match=f"^line {2 * bound + 1}: cannot run 'e = 1 / 0'"):
         it.run_text(text)
-    assert len(interp._LINES) <= bound
+    assert len(interp._CHUNKS) <= bound
 
 
 def test_a_statement_past_pythons_nesting_limits_ends_its_chunk():
@@ -531,3 +530,24 @@ def test_a_statement_past_pythons_nesting_limits_ends_its_chunk():
         it.run_text(text)
     assert isinstance(info.value.__cause__, ValueError)
     assert it.env == {"b": interp.CHUNK + 5}
+
+
+@pytest.mark.parametrize(
+    "refused", ["if (a) {", "x = f(x;", "int q[3];", _TOO_DEEP], ids=["control", "unfinished", "untranslatable", "too-deep"]
+)
+def test_a_refused_statement_raises_from_the_cache_without_compiling_again(refused):
+    def refuse(*args):
+        raise AssertionError("a refused statement was translated or compiled again")
+
+    def run():
+        rt, it = fresh()
+        with pytest.raises(InterpError) as info:
+            it.run_text("a = 1;\n" + refused + "\na = 2;\n")
+        return str(info.value), type(info.value.__cause__), it.env
+
+    first = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interp, "translate_stmt", refuse)
+        patch.setattr(interp, "compile_stmt", refuse)
+        assert run() == first
+    assert first[0].startswith("line 2: ") and first[2] == {"a": 1}

@@ -460,6 +460,32 @@ def test_a_unit_run_again_takes_one_exec_per_chunk_and_compiles_nothing(repeats)
     assert execs <= math.ceil(3 * repeats / interp.CHUNK)
 
 
+def test_a_cold_run_cuts_each_distinct_line_and_translates_each_statement_once():
+    n, k = 50, 7  # 350 lines: windows that start mid-body, none a multiple of it
+    assert n * k > interp.CHUNK and n % interp.CHUNK
+    unit = load_unit("".join(f"int v{j} = {j}; v{j} += {j};\n" for j in range(n)) * k)
+    cuts, translated = [], collections.Counter()
+    real_cut, real_translate = interp.split_segments, interp.translate_stmt
+
+    def cut(sig):
+        cuts.append(sig)
+        return real_cut(sig)
+
+    def translate(toks):
+        translated[" ".join(tok.lexeme for tok in toks)] += 1
+        return real_translate(toks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interp, "_CHUNKS", {})  # cold: no window seen before
+        patch.setattr(interp, "split_segments", cut)
+        patch.setattr(interp, "translate_stmt", translate)
+        it = interp.AbiInterpreter(Runtime())
+        it.run_unit(unit)
+    assert len(cuts) == n
+    assert len(translated) == 2 * n and set(translated.values()) == {1}
+    assert it.env == {f"v{j}": 2 * j for j in range(n)}
+
+
 def test_a_cold_run_tokenizes_no_statement():
     # the seed-11 interpreter program without its guards, whose expressions
     # compile from their text, lowered as the benchmark lowers it
@@ -474,8 +500,7 @@ def test_a_cold_run_tokenizes_no_statement():
         return real(raw, in_block)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(interp, "_LINES", {})  # cold: no line nor chunk seen before
-        patch.setattr(interp, "_CHUNKS", {})
+        patch.setattr(interp, "_CHUNKS", {})  # cold: no window seen before
         patch.setattr(srcmodel, "_tokenize", counting)
         it = interp.AbiInterpreter(Runtime())
         it.run_unit(unit)
