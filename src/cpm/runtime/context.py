@@ -5,7 +5,13 @@ context (in tests and scenarios, the caller). Actuators bind a name to a
 side-effect callback that runs on every write; writing an actuator never
 updates a same-named sensor snapshot (the callback owns that state change).
 Guarded functions attach a boolean expression over sensors to a body
-that runs once per false->true transition.
+that runs once per false->true transition. A guard is a zero-argument
+function of its expression's cached code (:func:`cpm.cexpr.compile_expr`)
+over one name table the registry keeps: the compiled code's helpers, the
+constants and the sensors, kept in step by ``register``,
+``register_constant`` and ``sensor_update``, a sensor shadowing a constant
+of its name. So an evaluation is one call, with no builtin ``eval``; each
+one passes through ``_eval``, which counts it in the guard's ``evals``.
 
 Reflective arrays grow one entry per string key (never removed) and count
 each key's beacons per observation period, which the caller's ``rollover``
@@ -22,6 +28,7 @@ slower paths would cost; ``get`` writes the miss's message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import FunctionType
 
 from ..cexpr import HELPERS, check_name, compile_expr
 from .events import EventLog
@@ -44,9 +51,10 @@ class Registry(dict):
 class _Guard:
     name: str
     body: object  # callable or None
-    code: object
+    test: object  # zero-argument function over the registry's name table
     last_value: bool = False
     fires: int = 0
+    evals: int = 0
 
 
 @dataclass(slots=True)
@@ -128,14 +136,17 @@ class ReflectiveArray:
 class ContextRegistry:
     def __init__(self, events=None):
         self.events = events if events is not None else EventLog()
-        # an exact dict, the locals guards eval with: for a subclass, LOAD_NAME
-        # calls __missing__ for every global a guard reads, such as WD_FIRED
+        # name -> snapshot, an exact dict with its own checks (see Registry);
+        # guards read the same values from _names
         self.sensors: dict[str, object] = {}
         self.actuators: dict[str, object] = Registry(lambda name: f"unknown actuator {name!r}")  # name -> callback or None
         self.guards: list[_Guard] = []
         self._guards_by_sensor: dict[str, list[_Guard]] = {}  # registration order
         self.arrays: dict[str, ReflectiveArray] = Registry(lambda name: f"unknown reflective array {name!r}")
-        self._scope = dict(HELPERS)  # guard globals: helpers and constants
+        # the names guards read: helpers, constants and sensors, a sensor
+        # shadowing a constant of its name. An exact dict: for a subclass,
+        # each name a guard reads would take the slower lookup paths
+        self._names = dict(HELPERS)
         self._actuations = 0
 
     # -- registration --------------------------------------------------------
@@ -146,7 +157,7 @@ class ContextRegistry:
             raise ValueError(f"direction must be sensor/actuator/both, got {direction!r}")
         # a name registered in both directions, at once or in turn, is both
         if direction != "actuator":
-            self.sensors.setdefault(name, initial)
+            self._names[name] = self.sensors.setdefault(name, initial)
         if direction != "sensor":
             self.actuators.setdefault(name, None)
         return name if binding is None else binding
@@ -157,9 +168,11 @@ class ContextRegistry:
         self.actuators[name] = callback
 
     def register_constant(self, name, value):
-        """Make a name (e.g. a state constant) visible to guard expressions."""
+        """Make a name (e.g. a state constant) visible to guard expressions,
+        unless a sensor of that name shadows it."""
         check_name(name)
-        self._scope[name] = value
+        if name not in self.sensors:
+            self._names[name] = value
 
     def register_guard(self, body, expr, name=None):
         """Attach ``body`` to a boolean guard over sensors, a C expression
@@ -172,7 +185,9 @@ class ContextRegistry:
         if not refs:
             raise ValueError(f"guard {expr!r} references no registered sensor")
         gname = name or getattr(body, "__name__", None) or f"guard{len(self.guards)}"
-        guard = _Guard(name=gname, body=body, code=code)
+        # the code reads names as eval code does, locals first; CPython runs a
+        # function of such code with its globals as its locals (3.10 to 3.13)
+        guard = _Guard(name=gname, body=body, test=FunctionType(code, self._names))
         guard.last_value = self._eval(guard)
         self.guards.append(guard)
         for ref in refs:
@@ -199,7 +214,7 @@ class ContextRegistry:
         names of the guards that fired."""
         if name not in self.sensors:
             raise KeyError(f"unknown sensor {name!r}")
-        self.sensors[name] = value
+        self.sensors[name] = self._names[name] = value
         fired = []
         for g in self._guards_by_sensor.get(name, ()):
             now_true = self._eval(g)
@@ -225,8 +240,9 @@ class ContextRegistry:
         callback(value)
 
     def _eval(self, guard) -> bool:
+        guard.evals += 1
         try:
-            return bool(eval(guard.code, self._scope, self.sensors))
+            return bool(guard.test())
         except Exception as exc:  # un-evaluable guards read as false
             self.events.log("warn", guard.name, 0, f"guard-eval-error:{exc}")
             return False

@@ -14,12 +14,17 @@ clean windows, staying inside [n_min, n_max] and always odd. The set's
 ``vote_fail`` and ``adapt`` events take their event log's time.
 
 A write is one slice store: the same list takes the same value object in
-every slot. A read whose replicas all agree with the first (the common case)
-costs one ``list.count``, the stats update and one compare of the risk with
-the threshold, all in the one frame of :meth:`ReplicaSet.read`. Slower
-branches: a read whose replicas disagree runs the vote and repairs the
-minority with one slice store, a read that fills the policy window also
-counts clean windows, and only a read that changes N calls out, to resize.
+every slot. While no read in the stats window is risky, a set counts down
+the reads left before the one that closes its policy window. A read in that
+stretch whose replicas all agree with the first (the common case) can fire
+no eviction, risk, escalation or window-end check, so it costs one
+``list.count`` and three stores, all in the one frame of
+:meth:`ReplicaSet.read`: the histogram's count of 0, the window's new 0 and
+the window's read count. The stats stay exact. Every other read takes the
+full path: when the replicas disagree it votes and repairs the minority with
+one slice store; then it updates the risk, escalates or closes the window,
+and arms the countdown again when it and the window are clean. Only a read
+that changes N calls out, to resize.
 """
 
 from __future__ import annotations
@@ -94,6 +99,9 @@ class ReplicaSet:
         self._replicas = [initial] * replicas
         self._window_reads = 0
         self._clean_windows = 0
+        # clean reads left before the one that closes the policy window; 0
+        # unless the last full-path read was clean and left the window clean
+        self._countdown = 0
 
     @property
     def n(self) -> int:
@@ -124,6 +132,13 @@ class ReplicaSet:
         n = len(reps)
         value = reps[0]
         if reps.count(value) == n:
+            if self._countdown:  # no check below can fire
+                self._countdown -= 1
+                self._window_reads += 1
+                st = self.stats
+                st.discrepancy_histogram[0] += 1
+                st.window.append(0)
+                return value
             discrepancies = 0
         else:
             # Boyer-Moore: a strict majority, if there is one, is the candidate
@@ -168,6 +183,7 @@ class ReplicaSet:
                     self._clean_windows = 0
             reads = 0
         self._window_reads = reads
+        self._countdown = 0 if discrepancies or st.risky else policy.window - 1 - reads
         return value
 
     def _resize(self, new_n, majority):
@@ -181,4 +197,5 @@ class ReplicaSet:
         self.stats.risky = 0
         self._window_reads = 0
         self._clean_windows = 0
+        self._countdown = 0
         self.events.log("adapt", self.name, new_n, f"{old_n}->{new_n}")

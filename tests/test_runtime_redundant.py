@@ -362,3 +362,50 @@ def test_hypothesis_read_matches_the_always_voting_reference(bounds, window, thr
         assert _same(outcomes[0], outcomes[1])
         assert _same(_voted(sets[0]), _voted(sets[1]))
     assert sets[0].events.to_csv() == sets[1].events.to_csv()
+
+
+_countdown_ops = st.one_of(
+    st.just(("read",)),
+    st.just(("read",)),
+    st.just(("read",)),
+    st.just(("stats",)),
+    st.tuples(st.just("write"), st.integers(0, 2)),
+    st.tuples(st.just("fault"), st.integers(0, 6), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([0.0, 0.25, 1.0]),
+    st.sampled_from([3, 5]),
+    st.lists(_countdown_ops, max_size=120),
+)
+def test_hypothesis_reads_under_the_countdown_match_the_reference(window, deescalate, threshold, n, ops):
+    """A clean read that the window countdown lets skip the eviction, risk,
+    escalation and window-end checks leaves the set as the reference's read
+    through every check does. Policies are small, so windows close, N grows
+    and shrinks, and the countdown is armed and spent many times a run; after
+    every write, fault, read and read of ``stats`` the two sets agree."""
+    policy = AdaptPolicy(window=window, escalate_threshold=threshold, deescalate_after=deescalate, n_min=3, n_max=7)
+    sets = [cls("x", n, policy=policy) for cls in (ReplicaSet, ReferenceReplicaSet)]
+    for op in ops:
+        seen = []
+        for rs in sets:
+            got = None
+            if op[0] == "write":
+                rs.write(op[1])
+            elif op[0] == "fault":
+                rs.inject_fault(op[1] % rs.n, op[2])
+            elif op[0] == "stats":
+                got = (rs.stats.reads, rs.stats.failure_risk)
+            else:
+                try:
+                    got = rs.read()
+                except NoMajorityError:
+                    got = NoMajorityError
+            stats = rs.stats
+            seen.append((got, rs.replicas, rs.n, stats.discrepancy_histogram, list(stats.window), stats.risky,
+                         stats.failure_risk, rs.events.to_csv()))
+        assert seen[0] == seen[1]

@@ -164,14 +164,15 @@ def test_anext_walk_never_iterates_entries():
     assert arr.entries.iterations == 0
 
 
-def python_calls(fn):
+def python_calls(fn, kind="call"):
     """Run ``fn()`` and count, by name, the Python functions it enters:
-    ``fn`` itself and every Python callee."""
+    ``fn`` itself and every Python callee; with ``kind="c_call"``, the
+    builtin functions and methods it calls instead."""
     calls = collections.Counter()
 
     def profiler(frame, event, arg):
-        if event == "call":
-            calls[frame.f_code.co_name] += 1
+        if event == kind:
+            calls[frame.f_code.co_name if kind == "call" else arg.__name__] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profiler)
@@ -189,6 +190,17 @@ def test_an_agreeing_read_and_a_write_enter_no_other_python_function(n):
     for _ in range(2 * rs.policy.window):  # two full windows, both clean: N stays
         assert python_calls(rs.read) == {"read": 1}
     assert rs.n == n and rs.stats.discrepancy_histogram == {0: 2 * rs.policy.window}
+
+
+@pytest.mark.parametrize("windows", [1, 4])
+def test_only_the_first_clean_read_and_each_window_closing_one_take_the_full_path(windows):
+    # the full path counts the histogram with dict.get; a read under the
+    # window countdown stores hist[0] directly
+    rs = ReplicaSet("x", 3)
+    reads = windows * rs.policy.window
+    calls = python_calls(lambda: [rs.read() for _ in range(reads)], "c_call")
+    assert calls["get"] == windows + 1 and calls["count"] == reads
+    assert rs.stats.discrepancy_histogram == {0: reads} and rs.stats.risky == 0
 
 
 def cycle_calls(peers, live, period=100):
@@ -265,6 +277,21 @@ def sensor_update_lines(k):
 
 def test_sensor_update_work_is_independent_of_guards_on_other_sensors():
     assert sensor_update_lines(10) == sensor_update_lines(200)
+
+
+@pytest.mark.parametrize("k", [1, 24])
+def test_a_sensor_update_evaluates_each_guard_by_one_call_and_no_eval(k):
+    reg = ContextRegistry()
+    reg.register("s", "sensor", initial=0)
+    for g in range(k):
+        reg.register_guard(None, f"s > {g}", name=f"g{g}")
+
+    def update():
+        reg.sensor_update("s", k)
+
+    assert python_calls(update)["_eval"] == k
+    assert python_calls(update, "c_call")["eval"] == 0
+    assert [g.evals for g in reg.guards] == [3] * k  # registration and two updates
 
 
 def access_lines(n):

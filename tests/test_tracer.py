@@ -16,11 +16,15 @@ from cpm.scenarios import BeaconTrace, WdtScenarioParams, run_switchboard, run_w
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", SPANS.parent / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_perfbench("spans")
 
 
 def test_tracer_builds_and_times_every_pass_layer():
@@ -104,3 +108,16 @@ def test_traced_runtime_counters_read_the_same_as_before():
     _, _, _, counts = tracer.traced(run_wdt, params)
     assert (counts["tom.fires"], counts["tom.heap_pops"], counts["events.logged"],
             counts["context.guard_evals"]) == (3513, 3522, 4261, 2367)
+
+
+def test_the_guards_evaluation_counts_add_up_to_the_traced_count():
+    # the guards' own counts are program state the tracer's
+    # context.guard_evals, which wraps ContextRegistry._eval, can be read from
+    bench = load_perfbench("run")
+    tracer = load_spans().Tracer()
+    wdt = bench.Wdt(cpm, None)
+    result, _, _, counts = tracer.traced(wdt.execute, wdt.prepare(11), 1)
+    assert sum(g.evals for g in result.runtime.registry.guards) == counts["context.guard_evals"] == 2367
+    interp = bench.Interp(cpm, None)
+    (rt, _, _), _, _, counts = tracer.traced(interp.execute, interp.prepare(11), 1)
+    assert sum(g.evals for g in rt.registry.guards) == counts["context.guard_evals"] > 0
